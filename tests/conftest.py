@@ -47,16 +47,17 @@ def hyperbolic():
     return sc.HyperbolicPlane()
 
 
+SMALL_TREE_TEXT = """
+edge a b 1.0
+edge b c 2.0
+edge b d 0.5
+edge d e 1.5
+"""
+
+
 @pytest.fixture
 def small_tree():
-    return sc.load_tree_file(
-        """
-        edge a b 1.0
-        edge b c 2.0
-        edge b d 0.5
-        edge d e 1.5
-        """
-    )
+    return sc.load_tree_file(SMALL_TREE_TEXT)
 
 
 def random_point_pairs(space, rng, n, scale=1.5):
