@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 from .errors import GeometryError, UnsupportedSpaceError
+from .metric import golden_section
 from .spaces.base import Direction, Point, Space, clamp_cos
 from .spaces.book import BookSpace
 from .spaces.euclidean import EuclideanSpace
@@ -204,22 +206,11 @@ def _book_barycenter(space: BookSpace, base, payloads, rs) -> ConePoint:
         alphas = [math.pi * i / grid for i in range(grid + 1)]
         vals = [mean_cos(sheet, a) for a in alphas]
         k = max(range(len(vals)), key=lambda i: vals[i])
-        lo = alphas[max(k - 1, 0)]
-        hi = alphas[min(k + 1, grid)]
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc, fd = mean_cos(sheet, c), mean_cos(sheet, d)
-        for _ in range(60):
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = mean_cos(sheet, c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = mean_cos(sheet, d)
+        bracket = golden_section(lambda a, sheet=sheet: -mean_cos(sheet, a),
+                                 alphas[max(k - 1, 0)], alphas[min(k + 1, grid)])
+        for _, _, c, fc, d, fd in islice(bracket, 61):  # set-up + 60 steps
+            pass
+        fc, fd = -fc, -fd
         cands = [(vals[k], alphas[k]), (fc, c), (fd, d)]
         val, alpha = max(cands, key=lambda t: t[0])
         if val > best[0]:

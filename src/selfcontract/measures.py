@@ -236,28 +236,12 @@ def hausdorff_measure_neighborhood(space: Space, points: Sequence[Point],
 
 
 def _euclidean_cap_ratio(n: int, cap_angle: float) -> float:
-    """Fraction of the unit (n-1)-sphere inside an angular cap."""
+    """Fraction of the unit (n-1)-sphere inside an angular cap (n <= 3)."""
     if n == 1:
         return 0.5
     if n == 2:
         return cap_angle / math.pi
-    if n == 3:
-        return 0.5 * (1.0 - math.cos(cap_angle))
-    # quadrature of sin^(n-2) for higher n
-    steps = 4096
-    num = _simpson(lambda t: math.sin(t) ** (n - 2), 0.0, cap_angle, steps)
-    den = _simpson(lambda t: math.sin(t) ** (n - 2), 0.0, math.pi, steps)
-    return num / den
-
-
-def _simpson(f, a: float, b: float, steps: int) -> float:
-    if steps % 2:
-        steps += 1
-    h = (b - a) / steps
-    acc = f(a) + f(b)
-    for i in range(1, steps):
-        acc += f(a + i * h) * (4 if i % 2 else 2)
-    return acc * h / 3.0
+    return 0.5 * (1.0 - math.cos(cap_angle))
 
 
 def estimate_condition_constants(space: Space, region: NeighborhoodRegion,

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -37,10 +38,12 @@ class Curve:
         if self.mode not in (DISCRETE, GEODESIC):
             raise GeometryError(f"unknown curve mode {self.mode!r}")
         times = [t for t, _ in self.samples]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        if not all(math.isfinite(t) for t in times):
+            raise GeometryError("sample times must be finite")
+        if any(not t2 > t1 for t1, t2 in zip(times, times[1:])):
             raise GeometryError("sample times must be strictly increasing")
         check_all_same_space(p for _, p in self.samples)
-        if self.domain_end <= times[-1]:
+        if not self.domain_end > times[-1]:
             raise GeometryError("domain end must exceed the last sample time")
 
     @property
@@ -100,10 +103,6 @@ def make_curve(points: Sequence[Point], times: Sequence[float] | None = None,
         domain_end = times[-1] + 1.0 if times else 1.0
     return Curve(tuple(zip([float(t) for t in times], pts)), mode=mode,
                  domain_end=float(domain_end))
-
-
-def distance(space: Space, p: Point, q: Point) -> float:
-    return space.distance(p, q)
 
 
 def geodesic_point(space: Space, x: Point, y: Point, s: float) -> Point:
@@ -217,6 +216,32 @@ def cat0_inequality_residual(space: Space, x: Point, y: Point, z: Point,
     return (1 - s) * dxy * dxy + s * dxz * dxz - (1 - s) * s * dyz * dyz - dxm * dxm
 
 
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section(fn, a: float, b: float):
+    """Golden-section search for a minimum of fn on [a, b].
+
+    Yields (a, b, c, fc, d, fd), the bracket with its two probes, first
+    as set up and then after each shrink step; the caller picks when to
+    stop and which point to keep.  Maximize by minimizing -fn: the
+    branch taken on every step is the same.
+    """
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = fn(c), fn(d)
+    while True:
+        yield a, b, c, fc, d, fd
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = fn(d)
+
+
 @dataclass(frozen=True)
 class FourPointResult:
     ok: bool
@@ -280,29 +305,15 @@ def four_point_subembed(d_wx: float, d_xy: float, d_yz: float, d_zw: float,
         k = int(np.argmax(gaps))
         if gaps[k] >= -tol:
             return FourPointResult(True, float(deltas[k]), float(gaps[k]))
-        if n == coarse:
-            continue
-        # golden-section maximization around the best grid bracket
-        a = deltas[max(k - 1, 0)]
-        b = deltas[min(k + 1, n)]
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc = float(gap(c))
-        fd = float(gap(d))
-        for _ in range(refine_steps):
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = float(gap(c))
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = float(gap(d))
-        best = max(fc, fd, float(gaps[k]))
-        arg = c if fc >= fd else d
-        if best >= -tol:
-            return FourPointResult(True, float(arg), float(best))
-        return FourPointResult(False, None, float(best),
-                               detail="no diagonal admits both long diagonals")
-    raise AssertionError("unreachable")
+    # golden-section maximization around the best bracket of the full grid
+    bracket = golden_section(lambda t: -float(gap(t)),
+                             deltas[max(k - 1, 0)], deltas[min(k + 1, grid)])
+    for _, _, c, fc, d, fd in islice(bracket, max(refine_steps, 0) + 1):
+        pass
+    fc, fd = -fc, -fd
+    best = max(fc, fd, float(gaps[k]))
+    arg = c if fc >= fd else d
+    if best >= -tol:
+        return FourPointResult(True, float(arg), float(best))
+    return FourPointResult(False, None, float(best),
+                           detail="no diagonal admits both long diagonals")

@@ -33,9 +33,6 @@ class BoxDomain:
     def contains(self, data: tuple, tol: float = 1e-12) -> bool:
         return all(lo - tol <= x <= hi + tol for x, (lo, hi) in zip(data, self.bounds))
 
-    def clip(self, data: tuple) -> tuple:
-        return tuple(min(max(x, lo), hi) for x, (lo, hi) in zip(data, self.bounds))
-
 
 @dataclass(frozen=True)
 class ObjectiveFn:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import GeometryError, SolverError, UnsupportedSpaceError
-from .metric import Curve, GEODESIC, make_curve
+from .metric import Curve, GEODESIC, golden_section, make_curve
 from .objectives import LAMBDA_CONVEX, ObjectiveFn
 from .spaces.base import Point, Space
 from .spaces.book import BookSpace
@@ -25,9 +26,6 @@ UNIQUE = "unique"
 MULTIPLE_TIES = "multiple_ties"
 EMPTY = "empty"
 UNBOUNDED = "unbounded"
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -88,18 +86,9 @@ def _parabolic_polish(fn, x: float, h: float, lo: float, hi: float,
 def _golden_min(fn, a: float, b: float, tol: float) -> tuple[float, float]:
     """Golden-section minimum of fn over [a, b] (assumed unimodal there)."""
     lo0, hi0 = a, b
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
+    for a, b, c, fc, d, fd in golden_section(fn, a, b):
+        if not b - a > tol:
+            break
     xs = [(fn(a), a), (fc, c), (fd, d), (fn(b), b)]
     fx, x = min(xs, key=lambda t: t[0])
     if lo0 < x < hi0:
@@ -129,9 +118,9 @@ def _line_minima(fn, lo: float, hi: float, grid: int, tol: float
     return out
 
 
-def _pattern_refine(fn, start: list[float], step: float, lo=None, hi=None,
-                    tol: float = 1e-13) -> tuple[list[float], float]:
-    """Deterministic compass search; coordinates clipped to [lo, hi] boxes.
+def _pattern_refine(fn, start: list[float], step: float, lo: list[float],
+                    hi: list[float], tol: float) -> tuple[list[float], float]:
+    """Deterministic compass search; coordinates clipped to the [lo, hi] box.
 
     Finishes with coordinate-wise parabola fits, which sharpen smooth
     interior minima past the sqrt(eps) stall of pure value descent.
@@ -146,11 +135,7 @@ def _pattern_refine(fn, start: list[float], step: float, lo=None, hi=None,
         for i in range(n):
             for sgn in (1.0, -1.0):
                 cand = list(x)
-                cand[i] = cand[i] + sgn * h
-                if lo is not None:
-                    cand[i] = max(cand[i], lo[i])
-                if hi is not None:
-                    cand[i] = min(cand[i], hi[i])
+                cand[i] = min(max(cand[i] + sgn * h, lo[i]), hi[i])
                 fc = fn(cand)
                 if fc < fx - 1e-18:
                     x, fx = cand, fc
@@ -159,8 +144,7 @@ def _pattern_refine(fn, start: list[float], step: float, lo=None, hi=None,
             h *= 0.5
     for _sweep in range(2):
         for i in range(n):
-            li = lo[i] if lo is not None else x[i] - 1.0
-            hi_i = hi[i] if hi is not None else x[i] + 1.0
+            li, hi_i = lo[i], hi[i]
             if not li < x[i] < hi_i:
                 continue
 
@@ -201,13 +185,7 @@ def _grid_scores(eval_coords, los, his, cfg: SolverConfig
         [lo + (hi - lo) * i / cells for i in range(cells + 1)]
         for lo, hi in zip(los, his)
     ]
-    if n == 1:
-        coords_list = [(x,) for x in axes[0]]
-    elif n == 2:
-        coords_list = [(x, y) for x in axes[0] for y in axes[1]]
-    else:
-        raise UnsupportedSpaceError("grid solver supports 1 or 2 coordinates")
-    scored = sorted(((eval_coords(list(c)), c) for c in coords_list),
+    scored = sorted(((eval_coords(list(c)), c) for c in product(*axes)),
                     key=lambda t: t[0])
     cell = max((hi - lo) / cells for lo, hi in zip(los, his))
     return scored, cell
@@ -223,111 +201,103 @@ def _refine_top(eval_coords, scored, cell, los, his, cfg: SolverConfig,
     return out
 
 
-def _on_boundary(coords, los, his, radius: float) -> bool:
-    eps = 1e-12 * max(1.0, radius)
-    return any(
-        x - lo < eps or hi - x < eps for x, lo, hi in zip(coords, los, his)
-    )
+def _expanding_window(cfg: SolverConfig, radius: float, scan
+                      ) -> tuple[str, list[tuple[Point, float]]]:
+    """Widen a search window x4 until its best candidate lies inside it.
 
-
-def _solve_euclidean(comp: _Composite, cfg: SolverConfig
-                     ) -> tuple[str, list[tuple[Point, float]]]:
-    space: EuclideanSpace = comp.space
-    obj = comp.objective
-    if space.dim > 2:
-        raise UnsupportedSpaceError(
-            "resolvent solver covers Euclidean dimensions 1 and 2"
-        )
-
-    def eval_coords(coords) -> float:
-        return comp.at_point(space.point(tuple(coords)))
-
-    def pack(cands):
-        return [(space.point(tuple(c)), v) for c, v in cands]
-
-    if obj.domain is not None:
-        los = [b[0] for b in obj.domain.bounds]
-        his = [b[1] for b in obj.domain.bounds]
-        scored, cell = _grid_scores(eval_coords, los, his, cfg)
-        return "ok", pack(_refine_top(eval_coords, scored, cell, los, his, cfg))
-
-    center = list(comp.x.data)
-    radius = cfg.start_radius * max(1.0, math.sqrt(comp.tau))
+    `scan(radius)` returns (best value, best lies inside, finish), where
+    `finish()` gives that window's candidates sorted by value.
+    """
     while True:
-        los = [c - radius for c in center]
-        his = [c + radius for c in center]
-        scored, cell = _grid_scores(eval_coords, los, his, cfg)
-        best_v, best_c = scored[0]
+        best_v, inside, finish = scan(radius)
         if best_v < cfg.unbounded_value:
             return UNBOUNDED, []
-        if not _on_boundary(best_c, los, his, radius):
-            return "ok", pack(_refine_top(eval_coords, scored, cell, los, his, cfg))
+        if inside:
+            return "ok", finish()
         if radius > cfg.max_radius:
             return UNBOUNDED, []
         radius *= 4.0
 
 
-def _solve_hyperbolic(comp: _Composite, cfg: SolverConfig
-                      ) -> tuple[str, list[tuple[Point, float]]]:
-    space: HyperbolicPlane = comp.space
-    base = comp.x.data
-    e1, e2 = space.tangent_basis(base)
+def _solve_chart(comp: _Composite, cfg: SolverConfig
+                 ) -> tuple[str, list[tuple[Point, float]]]:
+    """Grid plus pattern refinement in a chart of R^1, R^2 or H^2.
 
-    def to_point(coords) -> Point:
-        v1, v2 = coords
-        r = math.hypot(v1, v2)
-        if r == 0.0:
-            return Point(space, base)
-        u = tuple((v1 * e1[i] + v2 * e2[i]) / r for i in range(3))
-        return Point(space, space.exp(base, u, r))
+    Euclidean coordinates are their own chart, with windows centred at x
+    (or the objective's box domain as the one window); the hyperbolic
+    chart is exp at x on the tangent plane, with windows centred at 0.
+    """
+    space = comp.space
+    if isinstance(space, HyperbolicPlane):
+        base = comp.x.data
+        e1, e2 = space.tangent_basis(base)
+
+        def to_point(coords) -> Point:
+            v1, v2 = coords
+            r = math.hypot(v1, v2)
+            if r == 0.0:
+                return Point(space, base)
+            u = tuple((v1 * e1[i] + v2 * e2[i]) / r for i in range(3))
+            return Point(space, space.exp(base, u, r))
+
+        center, box = [0.0, 0.0], None
+    else:
+        if space.dim > 2:
+            raise UnsupportedSpaceError(
+                "resolvent solver covers Euclidean dimensions 1 and 2"
+            )
+
+        def to_point(coords) -> Point:
+            return space.point(tuple(coords))
+
+        center, box = list(comp.x.data), comp.objective.domain
 
     def eval_coords(coords) -> float:
         return comp.at_point(to_point(coords))
 
-    radius = cfg.start_radius * max(1.0, math.sqrt(comp.tau))
-    while True:
-        los, his = [-radius] * 2, [radius] * 2
+    def refined(los, his, scored, cell):
+        cands = _refine_top(eval_coords, scored, cell, los, his, cfg)
+        return [(to_point(c), v) for c, v in cands]
+
+    if box is not None:
+        los = [b[0] for b in box.bounds]
+        his = [b[1] for b in box.bounds]
+        scored, cell = _grid_scores(eval_coords, los, his, cfg)
+        return "ok", refined(los, his, scored, cell)
+
+    def scan(radius):
+        los = [c - radius for c in center]
+        his = [c + radius for c in center]
         scored, cell = _grid_scores(eval_coords, los, his, cfg)
         best_v, best_c = scored[0]
-        if best_v < cfg.unbounded_value:
-            return UNBOUNDED, []
-        if not _on_boundary(best_c, los, his, radius):
-            cands = _refine_top(eval_coords, scored, cell, los, his, cfg)
-            return "ok", [(to_point(c), v) for c, v in cands]
-        if radius > cfg.max_radius:
-            return UNBOUNDED, []
-        radius *= 4.0
+        eps = 1e-12 * max(1.0, radius)
+        on_edge = any(x - lo < eps or hi - x < eps for x, lo, hi in zip(best_c, los, his))
+        return best_v, not on_edge, lambda: refined(los, his, scored, cell)
+
+    return _expanding_window(cfg, cfg.start_radius * max(1.0, math.sqrt(comp.tau)), scan)
 
 
-def _solve_spider(comp: _Composite, cfg: SolverConfig
-                  ) -> tuple[str, list[tuple[Point, float]]]:
-    space: SpiderSpace = comp.space
+def _solve_segments(comp: _Composite, cfg: SolverConfig
+                    ) -> tuple[str, list[tuple[Point, float]]]:
+    """Exhaustive line search along every tree edge or spider leg.
+
+    A spider's centre, where all legs meet, is evaluated first.
+    """
+    space = comp.space
     out: list[tuple[Point, float]] = []
-    center = space.center()
-    out.append((center, comp.at_point(center)))
-    for leg in range(1, space.k + 1):
-        length = space.leg_lengths[leg - 1]
+    if isinstance(space, SpiderSpace):
+        center = space.center()
+        out.append((center, comp.at_point(center)))
+        segments = enumerate(space.leg_lengths, start=1)
+    else:
+        segments = ((ei, length) for ei, (_, _, length) in enumerate(space.edges))
+    for seg, length in segments:
 
-        def fn(t, leg=leg):
-            return comp.at_point(space.point((leg, t)))
+        def fn(t, seg=seg):
+            return comp.at_point(space.point((seg, t)))
 
         for t, v in _line_minima(fn, 0.0, length, cfg.grid_1d, cfg.refine_tol):
-            out.append((space.point((leg, t)), v))
-    out.sort(key=lambda t: t[1])
-    return "ok", out
-
-
-def _solve_tree(comp: _Composite, cfg: SolverConfig
-                ) -> tuple[str, list[tuple[Point, float]]]:
-    space: TreeSpace = comp.space
-    out: list[tuple[Point, float]] = []
-    for ei, (_, _, length) in enumerate(space.edges):
-
-        def fn(t, ei=ei):
-            return comp.at_point(space.point((ei, t)))
-
-        for t, v in _line_minima(fn, 0.0, length, cfg.grid_1d, cfg.refine_tol):
-            out.append((space.point((ei, t)), v))
+            out.append((space.point((seg, t)), v))
     out.sort(key=lambda t: t[1])
     return "ok", out
 
@@ -336,16 +306,13 @@ def _solve_book(comp: _Composite, cfg: SolverConfig
                 ) -> tuple[str, list[tuple[Point, float]]]:
     space: BookSpace = comp.space
     xa = comp.x.data[1]
-    radius = cfg.start_radius * max(1.0, math.sqrt(comp.tau), abs(comp.x.data[2]))
-    while True:
-        out: list[tuple[Point, float]] = []
 
-        def spine_fn(a):
-            return comp.at_point(space.point((0, a, 0.0)))
+    def spine_fn(a):
+        return comp.at_point(space.point((0, a, 0.0)))
 
-        for a, v in _line_minima(spine_fn, xa - radius, xa + radius,
-                                 cfg.grid_1d, cfg.refine_tol):
-            out.append((space.point((0, a, 0.0)), v))
+    def scan(radius):
+        out = [(space.point((0, a, 0.0)), v) for a, v in _line_minima(
+            spine_fn, xa - radius, xa + radius, cfg.grid_1d, cfg.refine_tol)]
         for sheet in range(1, space.k + 1):
 
             def eval_coords(coords, sheet=sheet):
@@ -358,22 +325,19 @@ def _solve_book(comp: _Composite, cfg: SolverConfig
             for c, v in _refine_top(eval_coords, scored, cell, los, his, cfg):
                 out.append((space.point((sheet, c[0], max(c[1], 0.0))), v))
         out.sort(key=lambda t: t[1])
-        best_val = out[0][1]
-        if best_val < cfg.unbounded_value:
-            return UNBOUNDED, []
         pa, pb = out[0][0].data[1], out[0][0].data[2]
-        if abs(pa - xa) < radius * (1 - 1e-9) and pb < radius * (1 - 1e-9):
-            return "ok", out
-        if radius > cfg.max_radius:
-            return UNBOUNDED, []
-        radius *= 4.0
+        inside = abs(pa - xa) < radius * (1 - 1e-9) and pb < radius * (1 - 1e-9)
+        return out[0][1], inside, lambda: out
+
+    radius = cfg.start_radius * max(1.0, math.sqrt(comp.tau), abs(comp.x.data[2]))
+    return _expanding_window(cfg, radius, scan)
 
 
 _SOLVERS = {
-    EuclideanSpace: _solve_euclidean,
-    HyperbolicPlane: _solve_hyperbolic,
-    SpiderSpace: _solve_spider,
-    TreeSpace: _solve_tree,
+    EuclideanSpace: _solve_chart,
+    HyperbolicPlane: _solve_chart,
+    SpiderSpace: _solve_segments,
+    TreeSpace: _solve_segments,
     BookSpace: _solve_book,
 }
 

@@ -132,5 +132,10 @@ def parse_point_spec(space: Space, text: str):
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise GeometryError("empty point spec")
-    values = [float(p) for p in parts]
-    return space.point(space._point_from_json(values))
+    try:
+        values = [float(p) for p in parts]
+        return space.point(space._point_from_json(values))
+    except (ValueError, IndexError, TypeError, OverflowError) as e:
+        raise GeometryError(
+            f"cannot parse point {text!r} on {space.describe()}: {e}"
+        ) from None

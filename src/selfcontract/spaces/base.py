@@ -182,10 +182,6 @@ def vec_sub(a: tuple, b: tuple) -> tuple:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vec_add(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_scale(c: float, v: tuple) -> tuple:
     return tuple(c * x for x in v)
 

@@ -46,9 +46,6 @@ class BookSpace(Space):
             return (0, a, 0.0)
         return (sheet, a, b)
 
-    def on_spine(self, data: tuple) -> bool:
-        return data[0] == 0
-
     def _dist(self, a: tuple, b: tuple) -> float:
         if a[0] == b[0] or a[0] == 0 or b[0] == 0:
             return math.hypot(a[1] - b[1], a[2] - b[2])

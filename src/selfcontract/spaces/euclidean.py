@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 
 from ..errors import GeometryError
-from .base import Space, clamp_cos, vec_add, vec_dot, vec_norm, vec_scale, vec_sub
+from .base import Space, clamp_cos, vec_dot, vec_norm, vec_scale, vec_sub
 
 
 class EuclideanSpace(Space):
@@ -52,22 +52,6 @@ class EuclideanSpace(Space):
             v = [1.0] + [0.0] * (self.dim - 1)
             return tuple(v)
         return tuple(float(x) / n for x in v)
-
-    def unit(self, v: tuple) -> tuple:
-        n = vec_norm(v)
-        if n <= 0:
-            raise GeometryError("zero vector has no direction")
-        return vec_scale(1.0 / n, v)
-
-    # tangent-vector helpers used by the cone machinery
-    def dir_to_vector(self, d: tuple) -> tuple:
-        return d
-
-    def vector_to_dir(self, base: tuple, v: tuple) -> tuple:
-        return self.unit(v)
-
-    def translate(self, p: tuple, v: tuple, t: float) -> tuple:
-        return vec_add(p, vec_scale(t, v))
 
     def _to_json(self) -> dict:
         return {"kind": self.kind, "dim": self.dim, "tolerance": self.tolerance}

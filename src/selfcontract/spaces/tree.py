@@ -237,9 +237,6 @@ class TreeSpace(Space):
             germs.append((ei, 1 if u == w else -1))
         return germs
 
-    def total_length(self) -> float:
-        return math.fsum(length for _, _, length in self.edges)
-
     def leaf_vertices(self) -> list[int]:
         return [w for w in range(len(self.vertex_names)) if len(self._adj[w]) == 1]
 

@@ -63,6 +63,36 @@ def test_verify_pass_and_exit_codes(workdir):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("space, line", [
+    ("spider:3", "start = 2,abc"),
+    ("spider:3", "start = 2"),
+    ("product:[euclidean:1|spider:3]", "objective.target = 0.5,2,0.25"),
+])
+def test_simulate_unparsable_point_spec(tmp_path, space, line):
+    objective = "dist_to_leg_segment" if space == "spider:3" else "dist"
+    (tmp_path / "bad.cfg").write_text(
+        f"space = {space}\nobjective = {objective}\n{line}\nsteps = 1\nout = x\n"
+    )
+    r = run(["simulate", "--config", "bad.cfg"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert "cannot parse point" in r.stderr
+
+
+def test_verify_rejects_nan_sample_time(tmp_path):
+    doc = {
+        "schema_version": 1,
+        "space": {"kind": "euclidean", "dim": 1, "tolerance": 1e-9},
+        "mode": "discrete",
+        "domain_end": "inf",
+        "samples": [{"t": 0.0, "p": [0.0]}, {"t": float("nan"), "p": [1.0]}],
+    }
+    (tmp_path / "nan.json").write_text(json.dumps(doc))
+    r = run(["verify", "nan.json"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_verify_planted_violation(tmp_path):
     doc = {
         "schema_version": 1,

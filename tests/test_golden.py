@@ -13,6 +13,7 @@ Regenerate only for an intended change of results:
 """
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -91,8 +92,12 @@ def run_case(name: str, workdir: Path) -> dict[str, bytes]:
             if p.name not in INPUTS}
 
 
+def _hex(value):
+    return value if isinstance(value, int) else float(value).hex()
+
+
 def _hex_list(values):
-    return [v if isinstance(v, int) else float(v).hex() for v in values]
+    return [_hex(v) for v in values]
 
 
 def four_point_values(quad) -> dict:
@@ -112,8 +117,7 @@ def cone_barycenter_values(k: int, spine_a: float, payloads, radii) -> dict:
 
 
 def euclidean_constants_values(n: int) -> dict:
-    return {key: value if isinstance(value, int) else value.hex()
-            for key, value in sorted(sc.euclidean_constants(n).items())}
+    return {key: _hex(value) for key, value in sc.euclidean_constants(n).items()}
 
 
 def _sphere_quadruple(rng):
@@ -225,6 +229,10 @@ def test_euclidean_constants_match_golden(primitives):
 
 
 def main() -> None:
+    # the CLI runs from temporary directories: point it at the package imported here
+    src = str(Path(sc.__file__).resolve().parent.parent)
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)
     shutil.rmtree(GOLDEN, ignore_errors=True)
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:

@@ -236,6 +236,24 @@ def test_curve_validation(plane):
         sc.make_curve([p], times=[2.0], domain_end=1.0)
 
 
+@pytest.mark.parametrize("times, domain_end", [
+    ([0.0, math.nan], 5.0),
+    ([math.nan, 1.0], 5.0),
+    ([math.nan], 5.0),
+    ([0.0, 1.0], math.nan),
+    ([-math.inf, 0.0], 5.0),
+])
+def test_curve_rejects_nan_and_infinite_times(plane, times, domain_end):
+    pts = [plane.point((float(i), 0.0)) for i in range(len(times))]
+    with pytest.raises(GeometryError):
+        sc.make_curve(pts, times=times, domain_end=domain_end)
+
+
+def test_curve_keeps_infinite_domain_end(plane):
+    p = plane.point((0.0, 0.0))
+    assert sc.Curve(((0.0, p),)).domain_end == math.inf
+
+
 def test_geodesic_parameter_range(plane):
     x, y = plane.point((0.0, 0.0)), plane.point((1.0, 0.0))
     with pytest.raises(GeometryError):

@@ -91,3 +91,21 @@ def test_parse_point_spec(plane, spider3):
     assert q.data == (2, 0.75)
     with pytest.raises(GeometryError):
         parse_point_spec(plane, "")
+
+
+@pytest.mark.parametrize("spec, text", [
+    ("spider:3", "2,abc"),
+    ("spider:3", "2"),
+    ("spider:3", "inf,0.5"),
+    ("product:[euclidean:1|spider:3]", "0.5,2,0.25"),
+])
+def test_parse_point_spec_rejects_unparsable(spec, text):
+    with pytest.raises(GeometryError):
+        parse_point_spec(sc.parse_space_spec(spec), text)
+
+
+def test_curve_json_rejects_nan_time():
+    doc = curve_to_json(sc.make_curve([sc.EuclideanSpace(1).point((0.0,))] * 2))
+    doc["samples"][1]["t"] = float("nan")
+    with pytest.raises(GeometryError):
+        curve_from_json(json.loads(json.dumps(doc)))

@@ -274,6 +274,14 @@ def test_euclidean_constants_formula():
     assert euclidean_constants(10)["C_n"] > euclidean_constants(4)["C_n"] > 1.0
 
 
+def test_euclidean_constants_quadrature_matches_closed_form():
+    # on S^3 a cap of angle theta has area 4 pi (theta/2 - sin(2 theta)/4)
+    c4 = euclidean_constants(4)
+    theta = c4["cap_angle"]
+    exact = 4.0 * math.pi * (theta / 2.0 - math.sin(2.0 * theta) / 4.0)
+    assert c4["a_n"] == pytest.approx(exact, rel=1e-9)
+
+
 def test_euclidean_bound_segment(plane):
     pts = [plane.point((x, 0.0)) for x in np.linspace(0.0, 1.0, 5)]
     report = euclidean_length_bound(sc.make_curve(pts))
