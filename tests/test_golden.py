@@ -3,13 +3,15 @@
 The files under tests/golden/ were written by this module from a
 known-good build.  Criterion 14 compares two runs of the same build, so
 only these files catch a refactor that changes a result.  The CLI cases
-cover every resolvent path (spider, box-domain and windowed Euclidean,
-hyperbolic, book, tree) and every audit; primitives.json pins functions
-the CLI never reaches as exact float.hex values.
+cover the closed-form proxes of half_sq_dist and dist, every numeric
+resolvent path (spider, box-domain and windowed Euclidean, hyperbolic,
+book, tree) and every audit; primitives.json pins functions the CLI
+never reaches as exact float.hex values.
 
-Regenerate only for an intended change of results:
+Regenerate only for an intended change of results, either every file or
+just the named cases:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [case ...]
 """
 import json
 import math
@@ -35,11 +37,13 @@ VERIFY = ["verify", "run.curve.json", "--check",
           "self_contracted,stationarity,angle_estimate", "--out", "ver.json"]
 
 
-def _config(space, objective, start=None, target=None, tau=0.5, steps=6, seed=0):
+def _config(space, objective, start=None, target=None, tau=0.5, steps=6, seed=0,
+            **params):
     lines = [f"space = {space}", f"objective = {objective}", f"tau = {tau}",
              f"steps = {steps}", f"seed = {seed}", "out = run"]
     if target is not None:
         lines.append(f"objective.target = {target}")
+    lines.extend(f"objective.{key} = {value}" for key, value in params.items())
     if start is not None:
         lines.append(f"start = {start}")
     return "\n".join(lines) + "\n"
@@ -76,6 +80,31 @@ CASES = {
     "tree": (
         _config("tree:tree.txt", "dist", start="3,1.0", target="1,1.0"),
         [VERIFY, _audit("tree")],
+    ),
+    # objectives without a closed-form prox: these reach the numeric solvers
+    "euclidean2_max_two_dists": (
+        _config("euclidean:2", "max_two_dists", start="0.5,1.5", target="1.0,0.0",
+                other="-1.0,0.5"),
+        [VERIFY],
+    ),
+    "hyperbolic2_max_two_dists": (
+        _config("hyperbolic2", "max_two_dists", seed=5,
+                target="1.1276259652063807,0.5210953054937474,0.0",
+                other="1.1276259652063807,0.0,-0.5210953054937474"),
+        [VERIFY],
+    ),
+    "book2_spine_segment": (
+        _config("book:2", "dist_to_spine_segment", start="2,1.0,1.0", lo=-0.5, hi=0.5),
+        [VERIFY],
+    ),
+    "tree_edge_segment": (
+        _config("tree:tree.txt", "dist_to_edge_segment", start="3,1.0",
+                edge=2, lo=0.1, hi=0.4),
+        [VERIFY],
+    ),
+    "spider3_leg_segment": (
+        _config("spider:3", "dist_to_leg_segment", start="1,1.0", leg=2, lo=0.2, hi=0.6),
+        [VERIFY],
     ),
 }
 
@@ -228,21 +257,26 @@ def test_euclidean_constants_match_golden(primitives):
         assert euclidean_constants_values(int(n)) == expected
 
 
-def main() -> None:
+def main(names: list[str]) -> None:
+    """Rewrite the named CLI cases, or every golden file when none are named."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown golden cases: {unknown}; available: {sorted(CASES)}")
     # the CLI runs from temporary directories: point it at the package imported here
     src = str(Path(sc.__file__).resolve().parent.parent)
     os.environ["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    shutil.rmtree(GOLDEN, ignore_errors=True)
-    for name in sorted(CASES):
+    for name in names or sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             produced = run_case(name, Path(tmp))
+        shutil.rmtree(GOLDEN / name, ignore_errors=True)
         (GOLDEN / name).mkdir(parents=True)
         for fname, blob in produced.items():
             (GOLDEN / name / fname).write_bytes(blob)
-    text = json.dumps(build_primitives(), indent=1, sort_keys=True) + "\n"
-    (GOLDEN / "primitives.json").write_text(text)
+    if not names:
+        text = json.dumps(build_primitives(), indent=1, sort_keys=True) + "\n"
+        (GOLDEN / "primitives.json").write_text(text)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
