@@ -3,7 +3,10 @@
 The catalog provides the stock of test objectives used by the gradient
 curve machinery and the CLI: squared and plain distances, the cubic
 pathology, piecewise-monotone 1-d shapes, distances to convex sets, and
-maxima of convex functions.
+maxima of convex functions.  Every space here is CAT(0), so the squared
+and plain distances carry their exact proximal maps: both move x along
+the geodesic toward the target (Bacak, Convex Analysis and Optimization
+in Hadamard Spaces, 2014).
 """
 from __future__ import annotations
 
@@ -36,7 +39,11 @@ class BoxDomain:
 
 @dataclass(frozen=True)
 class ObjectiveFn:
-    """An evaluatable real function on a space with convexity metadata."""
+    """An evaluatable real function on a space with convexity metadata.
+
+    `prox(x, tau)`, when set, is the exact minimizer of
+    f(z) + d(x,z)^2/(2 tau); the resolvent then skips its numeric search.
+    """
 
     name: str
     space: Space
@@ -46,6 +53,7 @@ class ObjectiveFn:
     lower_bound: float | None = None
     domain: BoxDomain | None = None
     params: dict = field(default_factory=dict)
+    prox: Callable[[Point, float], Point] | None = None
 
     def __post_init__(self):
         if self.convexity not in (QUASICONVEX, CONVEX, LAMBDA_CONVEX):
@@ -94,15 +102,27 @@ def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
             fn=lambda z: 0.5 * space.distance(z, p) ** 2,
             convexity=LAMBDA_CONVEX, lam=1.0, lower_bound=0.0,
             params={"target": space._point_json(p.data)},
+            prox=lambda x, tau: space.geodesic_point(x, p, tau / (1.0 + tau)),
         )
 
     def dist(**params) -> ObjectiveFn:
         p = _require_point_param(space, params, "target")
+
+        def prox(x: Point, tau: float) -> Point:
+            # a step of length tau toward p, stopping at p
+            d = space.distance(x, p)
+            if d == 0.0:
+                return x
+            if d <= tau:
+                return p
+            return space.geodesic_point(x, p, tau / d)
+
         return ObjectiveFn(
             name="dist", space=space,
             fn=lambda z: space.distance(z, p),
             convexity=CONVEX, lower_bound=0.0,
             params={"target": space._point_json(p.data)},
+            prox=prox,
         )
 
     def max_two_dists(**params) -> ObjectiveFn:

@@ -1,10 +1,15 @@
 """Moreau-Yosida approximation, resolvent steps, and gradient curves.
 
-The resolvent minimizes f(z) + d(x,z)^2 / (2 tau) globally.  Because f
-is only quasi-convex, the composite may have several basins; the solver
-therefore exploits per-space structure: exhaustive per-edge line search
-on trees and spiders, expanding-window multi-start grids with
-deterministic pattern refinement on Euclidean/hyperbolic spaces, and
+The resolvent minimizes f(z) + d(x,z)^2 / (2 tau) globally.  An
+objective with an exact prox (the squared and plain distances, whose
+steps run along the geodesic to the target) is solved in closed form:
+its composite is strongly convex, so the one minimizer is the answer.
+Every other objective goes to the numeric solver, which also serves as
+the closed forms' test oracle.  Because f is only quasi-convex, the
+composite may have several basins; the solver therefore exploits
+per-space structure: exhaustive per-edge line search on trees and
+spiders, expanding-window multi-start grids with deterministic pattern
+refinement on Euclidean (dimensions 1 and 2) and hyperbolic spaces, and
 per-sheet plus spine solves on books.
 """
 from __future__ import annotations
@@ -47,6 +52,7 @@ class ResolventResult:
     minimizers: tuple[Point, ...]
     value: float
     status: str
+    evals: int = 0  # composite evaluations of the numeric solver; 0 when exact
 
     @property
     def point(self) -> Point:
@@ -368,10 +374,20 @@ def _check_inputs(objective: ObjectiveFn, space: Space, x: Point, tau: float):
         raise GeometryError("base point outside the objective domain")
 
 
+def _exact(objective: ObjectiveFn, space: Space, x: Point, tau: float
+           ) -> tuple[Point, float]:
+    """The objective's closed-form prox and its composite value."""
+    z = objective.prox(x, tau)
+    d = space.distance(x, z)
+    return z, objective(z) + d * d / (2.0 * tau)
+
+
 def moreau_yosida(objective: ObjectiveFn, space: Space, x: Point, tau: float,
                   cfg: SolverConfig = DEFAULT_SOLVER) -> float:
     """inf_z f(z) + d(x,z)^2/(2 tau); -inf when divergence is detected."""
     _check_inputs(objective, space, x, tau)
+    if objective.prox is not None:
+        return _exact(objective, space, x, tau)[1]
     status, cands, _ = _solve(objective, space, x, tau, cfg)
     if status == UNBOUNDED:
         return -math.inf
@@ -384,14 +400,18 @@ def resolvent(objective: ObjectiveFn, space: Space, x: Point, tau: float,
 
     Ties within cfg.tie_value of the optimum are all reported; the
     minimizer list is sorted nearest-to-x first (then by coordinates) so
-    that downstream tie-breaking is deterministic.
+    that downstream tie-breaking is deterministic.  An objective with an
+    exact prox skips the search and reports 0 evaluations.
     """
     _check_inputs(objective, space, x, tau)
-    status, cands, _ = _solve(objective, space, x, tau, cfg)
+    if objective.prox is not None:
+        z, value = _exact(objective, space, x, tau)
+        return ResolventResult((z,), value, UNIQUE)
+    status, cands, evals = _solve(objective, space, x, tau, cfg)
     if status == UNBOUNDED:
-        return ResolventResult((), -math.inf, UNBOUNDED)
+        return ResolventResult((), -math.inf, UNBOUNDED, evals)
     if not cands:
-        return ResolventResult((), math.inf, EMPTY)
+        return ResolventResult((), math.inf, EMPTY, evals)
     best = cands[0][1]
     kept: list[Point] = []
     for p, v in cands:
@@ -401,7 +421,7 @@ def resolvent(objective: ObjectiveFn, space: Space, x: Point, tau: float,
             kept.append(p)
     kept.sort(key=lambda p: (space.distance(x, p), space._point_json(p.data)))
     status = UNIQUE if len(kept) == 1 else MULTIPLE_TIES
-    return ResolventResult(tuple(kept), best, status)
+    return ResolventResult(tuple(kept), best, status, evals)
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,8 @@ class Space(ABC):
 
     # Spaces compare by descriptor so deserialized handles interoperate.
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         return isinstance(other, Space) and self._to_json() == other._to_json()
 
     def __hash__(self) -> int:

@@ -342,7 +342,7 @@ def test_criterion_12_cone_barycenter_and_cover():
 
 
 def test_criterion_13_contraction():
-    with criterion(13, "contraction of paired runs", 60.0):
+    with criterion(13, "contraction of paired runs", 5.0):
         spaces = [sc.EuclideanSpace(2), sc.SpiderSpace(4), sc.BookSpace(3)]
         rng = np.random.default_rng(60_000)
         worst = 0.0

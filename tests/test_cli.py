@@ -48,6 +48,17 @@ def test_simulate_unknown_objective(tmp_path):
     assert "unknown objective" in r.stderr
 
 
+def test_simulate_beyond_the_numeric_solver(tmp_path):
+    """half_sq_dist steps in closed form on a space no numeric solver covers."""
+    (tmp_path / "r3.cfg").write_text(
+        "space = euclidean:3\nobjective = half_sq_dist\n"
+        "objective.target = 1.0,0.0,-0.5\nstart = 0.5,1.5,2.0\nout = r3\n")
+    r = run(["simulate", "--config", "r3.cfg"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    log = json.loads((tmp_path / "r3.log.json").read_text())
+    assert log["n_points"] == 9 and log["diagnostic"] is None
+
+
 def test_verify_pass_and_exit_codes(workdir):
     r = run(["verify", "run1.curve.json",
              "--check", "self_contracted,stationarity,angle_estimate",

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import selfcontract as sc
+from selfcontract import proximal
 from selfcontract.errors import GeometryError
 from selfcontract.objectives import ObjectiveFn, make_objective
 from selfcontract.proximal import (
+    DEFAULT_SOLVER,
     MULTIPLE_TIES,
     UNBOUNDED,
     UNIQUE,
@@ -16,6 +18,7 @@ from selfcontract.proximal import (
     moreau_yosida,
     resolvent,
 )
+from selfcontract.widths import random_tree
 
 
 def line():
@@ -73,6 +76,69 @@ def test_resolvent_half_sq_dist_geodesic_point(plane, spider3, book2):
             res = resolvent(f, space, x, tau)
             expected = space.geodesic_point(x, p, tau / (1.0 + tau))
             assert space.distance(res.point, expected) <= 1e-8
+
+
+def exact_step(space, name, x, p, tau):
+    """The CAT(0) prox of half_sq_dist or dist: a point of the geodesic [x, p]."""
+    d = space.distance(x, p)
+    if name == "half_sq_dist":
+        return space.geodesic_point(x, p, tau / (1.0 + tau))
+    return space.geodesic_point(x, p, min(tau, d) / d if d > 0.0 else 0.0)
+
+
+def test_numeric_solver_agrees_with_closed_form_prox():
+    """The numeric solver, run directly, finds the closed-form minimizer."""
+    tree = random_tree(seed=78, max_edges=10, max_degree=5)
+    assert tree.max_degree >= 3
+    spaces = [sc.EuclideanSpace(1), sc.EuclideanSpace(2), sc.HyperbolicPlane(),
+              sc.SpiderSpace(4), tree, sc.BookSpace(3)]
+    rng = np.random.default_rng(1124)
+    landed = 0
+    for space in spaces:
+        for _ in range(3):
+            x, p = space.random_point(rng, 2.0), space.random_point(rng, 2.0)
+            for name in ("half_sq_dist", "dist"):
+                f = make_objective(space, name, target=p)
+                for tau in (0.3, 0.8, 4.0):
+                    z = f.prox(x, tau)
+                    assert space.distance(z, exact_step(space, name, x, p, tau)) <= 1e-12
+                    exact = f(z) + space.distance(x, z) ** 2 / (2.0 * tau)
+                    status, cands, _ = proximal._solve(f, space, x, tau, DEFAULT_SOLVER)
+                    assert status == "ok"
+                    best, value = cands[0]
+                    where = (space.describe(), name, tau, x.data, p.data)
+                    assert value >= exact - 1e-12, where
+                    assert space.distance(best, z) <= 1e-6, where
+                    landed += name == "dist" and space.distance(x, p) <= tau
+    assert landed > 0  # some dist steps reach the target
+
+
+def test_resolvent_reports_evaluations(plane):
+    x = plane.point((0.5, 1.5))
+    for name in ("half_sq_dist", "dist"):
+        f = make_objective(plane, name, target=(1.0, 0.0))
+        assert resolvent(f, plane, x, 0.5).evals == 0
+    f = make_objective(plane, "max_two_dists", target=(1.0, 0.0), other=(-1.0, 0.5))
+    assert resolvent(f, plane, x, 0.5).evals > 0
+
+
+@pytest.mark.parametrize("space", [
+    sc.EuclideanSpace(3), sc.ProductSpace(sc.EuclideanSpace(1), sc.SpiderSpace(3)),
+], ids=lambda s: s.describe())
+def test_exact_prox_beyond_the_numeric_solver(space):
+    """Spaces the numeric solver rejects still take distance-objective steps."""
+    rng = np.random.default_rng(31)
+    for name in ("half_sq_dist", "dist"):
+        p = space.random_point(rng, 1.5)
+        f = make_objective(space, name, target=p)
+        x = space.random_point(rng, 1.5)
+        res = resolvent(f, space, x, 0.4)
+        assert res.status == UNIQUE and res.evals == 0
+        assert space.distance(res.point, exact_step(space, name, x, p, 0.4)) <= 1e-12
+        run = discrete_gradient_curve(f, space, x, [0.4] * 5)
+        assert run.diagnostic is None and len(run.points) == 6
+        for a, b in zip(run.points, run.points[1:]):
+            assert space.distance(b, exact_step(space, name, a, p, 0.4)) <= 1e-12
 
 
 def test_resolvent_vs_grid_oracle_sweep():

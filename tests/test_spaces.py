@@ -188,6 +188,17 @@ def test_space_json_roundtrip(space, rng):
     assert space.distance(p, sc.Point(space, q.data)) <= 1e-12
 
 
+def test_space_equality():
+    spaces = spaces_under_test()
+    for i, space in enumerate(spaces):
+        assert space == space
+        back = sc.space_from_json(space._to_json())
+        assert back is not space and back == space and hash(back) == hash(space)
+        for other in spaces[i + 1:]:
+            assert space != other and other != space
+    assert sc.SpiderSpace(3) != sc.SpiderSpace(3, 2.0)
+
+
 def test_parse_space_spec():
     assert sc.parse_space_spec("euclidean:3").dim == 3
     assert sc.parse_space_spec("spider:5").k == 5
