@@ -266,6 +266,8 @@ def main(names: list[str]) -> None:
     src = str(Path(sc.__file__).resolve().parent.parent)
     os.environ["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    if not names:
+        shutil.rmtree(GOLDEN, ignore_errors=True)
     for name in names or sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             produced = run_case(name, Path(tmp))
