@@ -122,11 +122,14 @@ def run_case(name: str, workdir: Path) -> dict[str, bytes]:
 
 
 def _hex(value):
-    return value if isinstance(value, int) else float(value).hex()
-
-
-def _hex_list(values):
-    return [_hex(v) for v in values]
+    """float.hex of every float in a (nested) value; ints, strings, None kept."""
+    if isinstance(value, dict):
+        return {key: _hex(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_hex(v) for v in value]
+    if value is None or isinstance(value, (int, str)):
+        return value
+    return float(value).hex()
 
 
 def four_point_values(quad) -> dict:
@@ -141,12 +144,63 @@ def cone_barycenter_values(k: int, spine_a: float, payloads, radii) -> dict:
     base = space.point((0, spine_a, 0.0))
     dirs = [Direction(space, base, tuple(p)) for p in payloads]
     cp = sc.cone_barycenter(dirs, radii)
-    direction = None if cp.direction is None else _hex_list(cp.direction.data)
+    direction = None if cp.direction is None else _hex(cp.direction.data)
     return {"radius": cp.radius.hex(), "direction": direction}
 
 
 def euclidean_constants_values(n: int) -> dict:
     return {key: _hex(value) for key, value in sc.euclidean_constants(n).items()}
+
+
+def _space_points(case: dict, key: str = "points"):
+    space = sc.space_from_json(case["space"])
+    return space, [space.point(space._point_from_json(_from_hex(p))) for p in case[key]]
+
+
+def _directions(case: dict):
+    """The germs from the case's base point toward each of its points."""
+    space, pts = _space_points(case)
+    base = space.point(space._point_from_json(_from_hex(case["base"])))
+    return space, base, [space.log_direction(base, q)[0] for q in pts]
+
+
+def mean_width_values(case: dict) -> dict:
+    space, pts = _space_points(case)
+    rep = sc.mean_width(space, pts, n_dirs=case["n_dirs"], seed=case["seed"])
+    return {"width": _hex(rep.width), "stderr": _hex(rep.stderr), "method": rep.method}
+
+
+def measure_values(case: dict) -> dict:
+    space, pts = _space_points(case)
+    out = []
+    for radius in _from_hex(case["radii"]):
+        rc = sc.estimate_condition_constants(
+            space, sc.NeighborhoodRegion(tuple(pts), radius), sigma=case["sigma"])
+        out.append({"h1": _hex(sc.hausdorff_measure_neighborhood(space, pts, radius, 1)),
+                    "a": _hex(rc.a), "b": _hex(rc.b), "m": rc.m, "eps": _hex(rc.eps),
+                    "notes": list(rc.notes)})
+    return {"measures": out}
+
+
+def segment_values(case: dict) -> dict:
+    space, pts = _space_points(case)
+    objective = sc.make_objective(space, case["name"], **_from_hex(case["params"]))
+    return {"objective_params": _hex(objective.params),
+            "values": [_hex(objective(p)) for p in pts]}
+
+
+def barycenter_values(case: dict) -> dict:
+    _, _, dirs = _directions(case)
+    radii = None if case["radii"] is None else _from_hex(case["radii"])
+    cp = sc.cone_barycenter(dirs, radii)
+    direction = None if cp.direction is None else _hex(cp.direction.data)
+    return {"radius": _hex(cp.radius), "direction": direction}
+
+
+def cover_center_values(case: dict) -> dict:
+    space, base, dirs = _directions(case)
+    center, radius, m = sc.direction_cover_center(space, base, dirs)
+    return {"center": _hex(center.data), "radius": _hex(radius), "m": m}
 
 
 def _sphere_quadruple(rng):
@@ -199,11 +253,11 @@ def build_primitives() -> dict:
             payloads = [space.random_direction(rng, base.data) for _ in range(n_dirs)]
             radii = [float(r) for r in rng.uniform(0.2, 2.0, n_dirs)] if weighted else None
             books.append({"k": k, "spine_a": base.data[1].hex(),
-                          "payloads": [_hex_list(p) for p in payloads],
-                          "radii": None if radii is None else _hex_list(radii)})
+                          "payloads": [_hex(p) for p in payloads],
+                          "radii": None if radii is None else _hex(radii)})
     return {
         "four_point_subembed": [
-            {"args": _hex_list(q), **four_point_values(q)} for q in quads
+            {"args": _hex(q), **four_point_values(q)} for q in quads
         ],
         "cone_barycenter": [
             {**b, **cone_barycenter_values(*_book_args(b))} for b in books
@@ -211,11 +265,110 @@ def build_primitives() -> dict:
         "euclidean_constants": {
             str(n): euclidean_constants_values(n) for n in (4, 5, 6)
         },
+        **_space_primitives(),
     }
 
 
-def _from_hex(values):
-    return [v if isinstance(v, int) else float.fromhex(v) for v in values]
+def _case(space, points, **extra) -> dict:
+    return {"space": space._to_json(),
+            "points": [_hex(space._point_json(p.data)) for p in points], **extra}
+
+
+def _space_primitives() -> dict:
+    """Pins for the per-space capabilities: the direction sampler behind
+    mean_width, the neighbourhood measures, the segment objectives, cone
+    barycenters and cover centres."""
+    rng = np.random.default_rng(20171125)
+    tree = sc.random_tree(seed=78, max_edges=10, max_degree=5)
+    spider = sc.SpiderSpace(4, (1.0, 2.0, 0.5, 1.5))
+    hub = tree.vertex_point(next(w for w, adj in enumerate(tree._adj) if len(adj) >= 3))
+    book = sc.BookSpace(3)
+    hyperbolic = sc.HyperbolicPlane()
+    product = sc.parse_space_spec("product:[spider:3|book:2]")
+
+    def rand(space, n):
+        return [space.random_point(rng, 1.5) for _ in range(n)]
+
+    def weights(n):
+        return _hex([float(r) for r in rng.uniform(0.2, 2.0, n)])
+
+    def directed(space, base, points, **extra):
+        return _case(space, points, base=_hex(space._point_json(base.data)), **extra)
+
+    widths = [_case(space, rand(space, 5), n_dirs=48, seed=seed) for seed, space in
+              enumerate((sc.SpiderSpace(3), tree, book, hyperbolic))]
+    measures = [_case(space, [base, *rand(space, 3)], radii=_hex([0.25, 0.8, 2.5]),
+                      sigma=1.0)
+                for space, base in ((spider, spider.center()), (tree, hub))]
+
+    leg = [(2, t) for t in (0.1, 0.3, 0.7, 1.2, 1.6)]
+    spider_pts = [spider.center(), *(spider.point((i, f * length)) for f in (0.5, 1.0)
+                                     for i, length in enumerate(spider.leg_lengths, 1))]
+    spider_pts += [spider.point(q) for q in leg]
+    tree_pts = [tree.vertex_point(w) for w in range(len(tree.vertex_names))]
+    tree_pts += [tree.point((ei, 0.5 * length)) for ei, (_, _, length) in enumerate(tree.edges)]
+    length3 = tree.edges[3][2]
+    tree_pts += [tree.point((3, f * length3)) for f in (0.1, 0.4, 0.8)]
+    segments = [
+        _case(spider, spider_pts, name="dist_to_leg_segment",
+              params=_hex({"leg": 2, "lo": 0.3, "hi": 1.2})),
+        _case(spider, spider_pts, name="dist_to_leg_segment", params={}),
+        _case(tree, tree_pts, name="dist_to_edge_segment",
+              params=_hex({"edge": 3, "lo": 0.25 * length3, "hi": 0.6 * length3})),
+        _case(tree, tree_pts, name="dist_to_edge_segment", params={}),
+    ]
+
+    product_base = product.point(((0, 0.0), (0, 0.3, 0.0)))
+    product_pts = [*rand(product, 4), product.point(((0, 0.0), (1, 0.5, 0.7))),
+                   product.point(((2, 0.5), (0, 0.3, 0.0)))]
+    barycenters = [
+        directed(hyperbolic, base, rand(hyperbolic, n), radii=radii)
+        for base, n, radii in ((hyperbolic.random_point(rng, 1.0), 4, weights(4)),
+                               (hyperbolic.random_point(rng, 1.0), 6, None))
+    ] + [
+        directed(tree, hub, rand(tree, 6), radii=None),
+        directed(tree, hub, rand(tree, 5), radii=weights(5)),
+        directed(tree, tree.point((3, 0.5 * length3)), rand(tree, 4), radii=weights(4)),
+        directed(spider, spider.center(), rand(spider, 5), radii=None),
+        directed(spider, spider.center(), rand(spider, 6), radii=weights(6)),
+        directed(spider, spider.point((2, 0.7)), rand(spider, 4), radii=weights(4)),
+        directed(product, product_base, product_pts, radii=weights(6)),
+        directed(product, product_base, product_pts, radii=None),
+    ]
+
+    hub_edge = min(ei for ei, _ in tree._adj[tree._vertex_of(hub.data)])
+    u, _, length = tree.edges[hub_edge]
+    near_u = tree._vertex_of(hub.data) == u
+    along = [tree.point((hub_edge, (f if near_u else 1.0 - f) * length))
+             for f in (0.2, 0.5, 0.9)]
+
+    def fan(sheet, a, b, angles):
+        return [book.point((sheet, a + r * math.cos(t), b + r * math.sin(t)))
+                for t in angles for r in (0.5, 1.0)]
+
+    covers = [
+        directed(tree, hub, along),
+        directed(spider, spider.center(), [spider.point((2, r)) for r in (0.3, 1.1, 2.0)]),
+        directed(spider, spider.point((4, 0.2)), [spider.point((4, r)) for r in (0.4, 1.5)]),
+        directed(book, book.point((1, 0.0, 2.0)), fan(1, 0.0, 2.0, (0.3, 0.7, 1.1, 1.25))),
+        directed(book, book.point((0, 0.2, 0.0)), fan(2, 0.2, 0.0, (0.8, 1.3, 1.9))),
+    ]
+    return {
+        "mean_width": [{**c, **mean_width_values(c)} for c in widths],
+        "neighborhood_measures": [{**c, **measure_values(c)} for c in measures],
+        "segment_objectives": [{**c, **segment_values(c)} for c in segments],
+        "space_barycenters": [{**c, **barycenter_values(c)} for c in barycenters],
+        "cover_centers": [{**c, **cover_center_values(c)} for c in covers],
+    }
+
+
+def _from_hex(value):
+    """Inverse of _hex: hex strings back to floats, nesting kept as lists."""
+    if isinstance(value, dict):
+        return {key: _from_hex(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_from_hex(v) for v in value]
+    return float.fromhex(value) if isinstance(value, str) else value
 
 
 def _book_args(case: dict):
@@ -255,6 +408,19 @@ def test_book_spine_barycenter_matches_golden(primitives):
 def test_euclidean_constants_match_golden(primitives):
     for n, expected in primitives["euclidean_constants"].items():
         assert euclidean_constants_values(int(n)) == expected
+
+
+@pytest.mark.parametrize("key, values", [
+    ("mean_width", mean_width_values),
+    ("neighborhood_measures", measure_values),
+    ("segment_objectives", segment_values),
+    ("space_barycenters", barycenter_values),
+    ("cover_centers", cover_center_values),
+])
+def test_space_capabilities_match_golden(primitives, key, values):
+    for case in primitives[key]:
+        got = values(case)
+        assert got == {k: case[k] for k in got}, (key, case["space"]["kind"])
 
 
 def main(names: list[str]) -> None:
