@@ -5,6 +5,13 @@ the metric d((g,s),(h,t)) = sqrt(s^2 + t^2 - 2 s t cos angle(g,h)).
 Barycenters in that cone give covering directions for direction sets of
 small diameter, with an explicit covering-radius guarantee driven by a
 dimension-like counting constant.
+
+`cone_barycenter` looks the space's type up in `_BARYCENTERS`: Euclidean
+and hyperbolic spaces share the tangent-vector mean (each space supplies
+its `tangent_norm`), trees and spiders enumerate their finitely many
+germs, books search angles per sheet at spine points, and products
+recombine the factors' barycenters.  `direction_cover_center` takes the
+barycenter of a separated subset on every space.
 """
 from __future__ import annotations
 
@@ -18,7 +25,7 @@ from .metric import golden_section
 from .spaces.base import Direction, Point, Space, clamp_cos
 from .spaces.book import BookSpace
 from .spaces.euclidean import EuclideanSpace
-from .spaces.hyperbolic import HyperbolicPlane, mdot
+from .spaces.hyperbolic import HyperbolicPlane
 from .spaces.product import ProductSpace
 from .spaces.tree import SpiderSpace, TreeSpace
 
@@ -82,53 +89,41 @@ def cone_barycenter(dirs: Sequence[Direction],
     if len(rs) != len(payloads) or any(r < 0 for r in rs):
         raise GeometryError("need one nonnegative radius per direction")
 
-    if isinstance(space, EuclideanSpace):
-        vec = [0.0] * space.dim
-        for p, r in zip(payloads, rs):
-            for i in range(space.dim):
-                vec[i] += r * p[i]
-        vec = [x / len(rs) for x in vec]
-        norm = math.sqrt(math.fsum(x * x for x in vec))
-        if norm <= 1e-14:
-            return ConePoint(None, 0.0)
-        unit = tuple(x / norm for x in vec)
-        return ConePoint(Direction(space, base, unit), norm)
+    barycenter = _BARYCENTERS.get(type(space))
+    if barycenter is None:
+        raise UnsupportedSpaceError(f"no cone barycenter on {space.describe()}")
+    return barycenter(space, base, payloads, rs)
 
-    if isinstance(space, HyperbolicPlane):
-        vec = tuple(
-            math.fsum(r * p[i] for p, r in zip(payloads, rs)) / len(rs)
-            for i in range(3)
-        )
-        norm = math.sqrt(max(mdot(vec, vec), 0.0))
-        if norm <= 1e-14:
-            return ConePoint(None, 0.0)
-        unit = tuple(x / norm for x in vec)
-        return ConePoint(Direction(space, base, unit), norm)
 
-    if isinstance(space, (TreeSpace, SpiderSpace)):
-        return _discrete_barycenter(space, base, payloads, rs)
+def _tangent_mean(space, base, payloads, rs) -> ConePoint:
+    """Linear tangent spaces: the weighted mean of the tangent vectors."""
+    vec = tuple(
+        math.fsum(r * p[i] for p, r in zip(payloads, rs)) / len(rs)
+        for i in range(len(payloads[0]))
+    )
+    norm = space.tangent_norm(vec)
+    if norm <= 1e-14:
+        return ConePoint(None, 0.0)
+    return ConePoint(Direction(space, base, tuple(x / norm for x in vec)), norm)
 
-    if isinstance(space, BookSpace):
-        return _book_barycenter(space, base, payloads, rs)
 
-    if isinstance(space, ProductSpace):
-        left_dirs, left_radii, right_dirs, right_radii = [], [], [], []
-        for p, r in zip(payloads, rs):
-            (gl, wl), (gr, wr) = p
-            left_dirs.append(gl)
-            left_radii.append(r * wl if gl is not None else 0.0)
-            right_dirs.append(gr)
-            right_radii.append(r * wr if gr is not None else 0.0)
-        bl = _component_barycenter(space.left, base.data[0], left_dirs, left_radii)
-        br = _component_barycenter(space.right, base.data[1], right_dirs, right_radii)
-        radius = math.hypot(bl[1], br[1])
-        if radius <= 1e-14:
-            return ConePoint(None, 0.0)
-        germ_l = (bl[0], bl[1] / radius) if bl[1] > 0 else (None, 0.0)
-        germ_r = (br[0], br[1] / radius) if br[1] > 0 else (None, 0.0)
-        return ConePoint(Direction(space, base, (germ_l, germ_r)), radius)
-
-    raise UnsupportedSpaceError(f"no cone barycenter on {space.describe()}")
+def _product_barycenter(space: ProductSpace, base, payloads, rs) -> ConePoint:
+    """Per-factor barycenters of the weighted factor germs, recombined."""
+    left_dirs, left_radii, right_dirs, right_radii = [], [], [], []
+    for p, r in zip(payloads, rs):
+        (gl, wl), (gr, wr) = p
+        left_dirs.append(gl)
+        left_radii.append(r * wl if gl is not None else 0.0)
+        right_dirs.append(gr)
+        right_radii.append(r * wr if gr is not None else 0.0)
+    bl = _component_barycenter(space.left, base.data[0], left_dirs, left_radii)
+    br = _component_barycenter(space.right, base.data[1], right_dirs, right_radii)
+    radius = math.hypot(bl[1], br[1])
+    if radius <= 1e-14:
+        return ConePoint(None, 0.0)
+    germ_l = (bl[0], bl[1] / radius) if bl[1] > 0 else (None, 0.0)
+    germ_r = (br[0], br[1] / radius) if br[1] > 0 else (None, 0.0)
+    return ConePoint(Direction(space, base, (germ_l, germ_r)), radius)
 
 
 def _component_barycenter(space: Space, base_payload: tuple,
@@ -228,6 +223,17 @@ def _book_barycenter(space: BookSpace, base, payloads, rs) -> ConePoint:
     return ConePoint(Direction(space, base, payload), t)
 
 
+# space type -> barycenter(space, base, payloads, radii)
+_BARYCENTERS = {
+    EuclideanSpace: _tangent_mean,
+    HyperbolicPlane: _tangent_mean,
+    TreeSpace: _discrete_barycenter,
+    SpiderSpace: _discrete_barycenter,
+    BookSpace: _book_barycenter,
+    ProductSpace: _product_barycenter,
+}
+
+
 def variance_gap(dirs: Sequence[Direction], center: ConePoint,
                  probe: ConePoint) -> float:
     """Slack of the variance inequality at a probe cone point.
@@ -276,27 +282,10 @@ def direction_cover_center(space: Space, x: Point, dirs: Sequence[Direction],
 
     subset = greedy_separated_subset(space, ds)
     m = len(subset)
-
-    if isinstance(space, (TreeSpace, SpiderSpace)):
-        center = ds[0]  # diameter <= pi/2 forces a single germ
-    elif isinstance(space, (EuclideanSpace, HyperbolicPlane)):
-        if isinstance(space, EuclideanSpace):
-            vec = tuple(
-                math.fsum(d.data[i] for d in subset) for i in range(space.dim)
-            )
-            norm = math.sqrt(math.fsum(v * v for v in vec))
-        else:
-            vec = tuple(math.fsum(d.data[i] for d in subset) for i in range(3))
-            norm = math.sqrt(max(mdot(vec, vec), 0.0))
-        if norm <= 1e-12:
-            raise GeometryError("degenerate direction sum")
-        center = Direction(space, ds[0].base, tuple(v / norm for v in vec))
-    else:
-        cp = cone_barycenter(subset)
-        if cp.radius <= 1e-12 or cp.direction is None:
-            raise GeometryError("degenerate cone barycenter")
-        center = cp.direction
-
+    cp = cone_barycenter(subset)
+    if cp.radius <= 1e-12 or cp.direction is None:
+        raise GeometryError("degenerate cone barycenter")
+    center = cp.direction
     radius = max(space.direction_angle(center, d) for d in ds)
     bound = math.acos(clamp_cos(1.0 / (2.0 * m)))
     if radius > bound + tol:

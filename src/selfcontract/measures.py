@@ -1,10 +1,12 @@
 """Hausdorff measures of neighborhoods and condition-constant estimators.
 
 Neighborhood regions are described by (points, radius): the closed
-radius-neighborhood of a finite point set.  Trees and spiders carry the
-1-dimensional measure via exact interval arithmetic on edges; books
-carry the 2-dimensional measure via closed-form integration of slice
-lengths between structural breakpoints.
+radius-neighborhood of a finite point set.  Trees carry the
+1-dimensional measure via exact interval arithmetic on the segments
+their `segments()` lists; spiders list their legs the same way and use
+the tree's measure.  Books carry the 2-dimensional measure via
+closed-form integration of slice lengths between structural breakpoints.
+`_MEASURES` maps each space type to its dimension and measure.
 """
 from __future__ import annotations
 
@@ -58,12 +60,12 @@ def _merge_length(intervals: list[tuple[float, float]]) -> float:
     return total
 
 
-def _tree_h1(space: TreeSpace, payloads: list[tuple], radius: float) -> float:
+def _tree_h1(space: TreeSpace | SpiderSpace, payloads: list[tuple],
+             radius: float) -> float:
+    """Covered length per edge or leg; off-segment points reach in from its ends."""
     per_edge = []
-    for ei, (u, v, length) in enumerate(space.edges):
+    for ei, length, rep_u, rep_v in space.segments():
         intervals: list[tuple[float, float]] = []
-        rep_u = space._vertex_rep[u]
-        rep_v = space._vertex_rep[v]
         for p in payloads:
             if p[0] == ei:
                 intervals.append((max(p[1] - radius, 0.0), min(p[1] + radius, length)))
@@ -77,23 +79,6 @@ def _tree_h1(space: TreeSpace, payloads: list[tuple], radius: float) -> float:
         if intervals:
             per_edge.append(_merge_length(intervals))
     return math.fsum(per_edge)
-
-
-def _spider_h1(space: SpiderSpace, payloads: list[tuple], radius: float) -> float:
-    per_leg = []
-    for leg in range(1, space.k + 1):
-        length = space.leg_lengths[leg - 1]
-        intervals: list[tuple[float, float]] = []
-        for p in payloads:
-            if p[0] == leg:
-                intervals.append((max(p[1] - radius, 0.0), min(p[1] + radius, length)))
-            else:
-                reach = radius - p[1]  # distance goes through the center
-                if reach > 0:
-                    intervals.append((0.0, min(reach, length)))
-        if intervals:
-            per_leg.append(_merge_length(intervals))
-    return math.fsum(per_leg)
 
 
 def _sqrt_primitive(u: float, r: float) -> float:
@@ -203,6 +188,21 @@ def _book_h2(space: BookSpace, payloads: list[tuple], radius: float) -> float:
     )
 
 
+# space type -> (Hausdorff dimension, measure(space, payloads, radius))
+_MEASURES = {
+    TreeSpace: (1, _tree_h1),
+    SpiderSpace: (1, _tree_h1),
+    BookSpace: (2, _book_h2),
+}
+
+
+def _measure(space: Space, missing: str):
+    entry = _MEASURES.get(type(space))
+    if entry is None:
+        raise UnsupportedSpaceError(f"{missing} {space.describe()}")
+    return entry
+
+
 def hausdorff_measure_neighborhood(space: Space, points: Sequence[Point],
                                    radius: float, dim: int) -> float:
     """Hausdorff measure of the radius-neighborhood of a finite point set.
@@ -217,22 +217,11 @@ def hausdorff_measure_neighborhood(space: Space, points: Sequence[Point],
         raise GeometryError("need at least one point")
     for p in pts:
         space.own(p)
-    payloads = [p.data for p in pts]
-    if isinstance(space, TreeSpace):
-        if dim != 1:
-            raise UnsupportedSpaceError("trees carry the 1-dimensional measure")
-        return _tree_h1(space, payloads, radius)
-    if isinstance(space, SpiderSpace):
-        if dim != 1:
-            raise UnsupportedSpaceError("spiders carry the 1-dimensional measure")
-        return _spider_h1(space, payloads, radius)
-    if isinstance(space, BookSpace):
-        if dim != 2:
-            raise UnsupportedSpaceError("books carry the 2-dimensional measure")
-        return _book_h2(space, payloads, radius)
-    raise UnsupportedSpaceError(
-        f"no Hausdorff neighborhood measure on {space.describe()}"
-    )
+    dimension, measure = _measure(space, "no Hausdorff neighborhood measure on")
+    if dim != dimension:
+        raise UnsupportedSpaceError(
+            f"{space.kind}s carry the {dimension}-dimensional measure")
+    return measure(space, [p.data for p in pts], radius)
 
 
 def _euclidean_cap_ratio(n: int, cap_angle: float) -> float:
@@ -256,45 +245,6 @@ def estimate_condition_constants(space: Space, region: NeighborhoodRegion,
         raise GeometryError("sigma must be positive")
     payloads = [p.data for p in region.points]
 
-    if isinstance(space, (TreeSpace, SpiderSpace)):
-        m = 1
-        eps = 1.0 / 6.0
-        if isinstance(space, TreeSpace):
-            lam = space.max_degree
-            h1 = _tree_h1(space, payloads, region.radius)
-            leaves = space.leaf_vertices()
-            notes = []
-            if leaves:
-                names = ",".join(space.vertex_names[w] for w in leaves)
-                notes.append(
-                    f"volume-ratio condition fails at boundary (leaf) vertices: {names}; "
-                    "constants assume geodesics extend past them"
-                )
-        else:
-            lam = space.max_degree
-            h1 = _spider_h1(space, payloads, region.radius)
-            notes = [
-                "volume-ratio condition fails at leg tips; constants assume "
-                "geodesics extend past them"
-            ]
-        return RadiusConstants(
-            n=1, theta=math.acos(1.0 / (2.0 * m)), theta_improved=None,
-            eps=eps, m=m, eps_bold=eps,
-            a=1.0 / lam, b=sigma / h1, sigma=sigma, notes=tuple(notes),
-        )
-
-    if isinstance(space, BookSpace):
-        eps = 1.0 / (3.0 * math.sqrt(2.0))  # 3*eps = cos(pi/4)
-        h2 = _book_h2(space, payloads, region.radius)
-        a = (4.0 / (space.k * math.pi)) * math.asin(eps / 2.0)
-        b = 2.0 * math.asin(eps / 2.0) * sigma * sigma / h2
-        return RadiusConstants(
-            n=2, theta=math.pi / 4.0, theta_improved=None,
-            eps=eps, m=2 * space.k + 2, eps_bold=eps,
-            a=a, b=b, sigma=sigma,
-            notes=("eps from the spine covering construction (3*eps = cos(pi/4))",),
-        )
-
     if isinstance(space, EuclideanSpace):
         n = space.dim
         if n > 3:
@@ -311,8 +261,38 @@ def estimate_condition_constants(space: Space, region: NeighborhoodRegion,
             a=a, b=b, sigma=sigma,
         )
 
-    raise UnsupportedSpaceError(
-        f"no condition-constant estimator for {space.describe()}"
+    dimension, measure = _measure(space, "no condition-constant estimator for")
+    h = measure(space, payloads, region.radius)
+    if dimension == 1:  # trees and spiders
+        eps = 1.0 / 6.0
+        if isinstance(space, TreeSpace):
+            leaves = space.leaf_vertices()
+            notes = []
+            if leaves:
+                names = ",".join(space.vertex_names[w] for w in leaves)
+                notes.append(
+                    f"volume-ratio condition fails at boundary (leaf) vertices: {names}; "
+                    "constants assume geodesics extend past them"
+                )
+        else:
+            notes = [
+                "volume-ratio condition fails at leg tips; constants assume "
+                "geodesics extend past them"
+            ]
+        return RadiusConstants(
+            n=1, theta=math.acos(1.0 / 2.0), theta_improved=None,
+            eps=eps, m=1, eps_bold=eps,
+            a=1.0 / space.max_degree, b=sigma / h, sigma=sigma, notes=tuple(notes),
+        )
+
+    eps = 1.0 / (3.0 * math.sqrt(2.0))  # books: 3*eps = cos(pi/4)
+    a = (4.0 / (space.k * math.pi)) * math.asin(eps / 2.0)
+    b = 2.0 * math.asin(eps / 2.0) * sigma * sigma / h
+    return RadiusConstants(
+        n=2, theta=math.pi / 4.0, theta_improved=None,
+        eps=eps, m=2 * space.k + 2, eps_bold=eps,
+        a=a, b=b, sigma=sigma,
+        notes=("eps from the spine covering construction (3*eps = cos(pi/4))",),
     )
 
 

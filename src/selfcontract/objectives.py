@@ -179,55 +179,9 @@ def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
         catalog["ripple_vee"] = ripple_vee
 
     if isinstance(space, SpiderSpace):
-
-        def dist_to_leg_segment(**params) -> ObjectiveFn:
-            leg = int(params.get("leg", 1))
-            lo = float(params.get("lo", 0.0))
-            hi = float(params.get("hi", space.leg_lengths[leg - 1]))
-            if not 0.0 <= lo <= hi <= space.leg_lengths[leg - 1]:
-                raise GeometryError("need 0 <= lo <= hi <= leg length")
-
-            def f(z: Point) -> float:
-                zl, zr = z.data
-                if zl == leg:
-                    return max(lo - zr, 0.0, zr - hi)
-                return zr + lo  # to the segment through the center
-
-            return ObjectiveFn(
-                name="dist_to_leg_segment", space=space, fn=f,
-                convexity=CONVEX, lower_bound=0.0,
-                params={"leg": leg, "lo": lo, "hi": hi},
-            )
-
-        catalog["dist_to_leg_segment"] = dist_to_leg_segment
-
+        catalog["dist_to_leg_segment"] = _segment_objective(space, "leg")
     if isinstance(space, TreeSpace):
-
-        def dist_to_edge_segment(**params) -> ObjectiveFn:
-            edge = int(params.get("edge", 0))
-            u, v, length = space.edges[edge]
-            lo = float(params.get("lo", 0.0))
-            hi = float(params.get("hi", length))
-            if not 0.0 <= lo <= hi <= length:
-                raise GeometryError("need 0 <= lo <= hi <= edge length")
-            rep_u = space._vertex_rep[u]
-            rep_v = space._vertex_rep[v]
-
-            def f(z: Point) -> float:
-                ze, zo = z.data
-                if ze == edge:
-                    return max(lo - zo, 0.0, zo - hi)
-                dpu = space._dist(z.data, rep_u)
-                dpv = space._dist(z.data, rep_v)
-                return min(dpu + lo, dpv + (length - hi))
-
-            return ObjectiveFn(
-                name="dist_to_edge_segment", space=space, fn=f,
-                convexity=CONVEX, lower_bound=0.0,
-                params={"edge": edge, "lo": lo, "hi": hi},
-            )
-
-        catalog["dist_to_edge_segment"] = dist_to_edge_segment
+        catalog["dist_to_edge_segment"] = _segment_objective(space, "edge")
 
     if isinstance(space, BookSpace):
 
@@ -251,6 +205,41 @@ def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
         catalog["dist_to_spine_segment"] = dist_to_spine_segment
 
     return catalog
+
+
+def _segment_objective(space: TreeSpace | SpiderSpace, key: str
+                       ) -> Callable[..., ObjectiveFn]:
+    """Factory of the distance to [lo, hi] on one segment, chosen by `key`.
+
+    Points off that segment reach it through one of its two ends.
+    """
+    segments = {seg[0]: seg for seg in space.segments()}
+
+    def factory(**params) -> ObjectiveFn:
+        seg = segments.get(params.get(key, next(iter(segments))))
+        if seg is None:
+            raise GeometryError(f"no {key} {params[key]!r} on {space.describe()}")
+        index, length, rep_u, rep_v = seg
+        lo = float(params.get("lo", 0.0))
+        hi = float(params.get("hi", length))
+        if not 0.0 <= lo <= hi <= length:
+            raise GeometryError(f"need 0 <= lo <= hi <= {key} length")
+
+        def f(z: Point) -> float:
+            ze, zo = z.data
+            if ze == index:
+                return max(lo - zo, 0.0, zo - hi)
+            dpu = space._dist(z.data, rep_u)
+            dpv = space._dist(z.data, rep_v)
+            return min(dpu + lo, dpv + (length - hi))
+
+        return ObjectiveFn(
+            name=f"dist_to_{key}_segment", space=space, fn=f,
+            convexity=CONVEX, lower_bound=0.0,
+            params={key: index, "lo": lo, "hi": hi},
+        )
+
+    return factory
 
 
 def make_objective(space: Space, name: str, **params) -> ObjectiveFn:

@@ -7,15 +7,17 @@ its composite is strongly convex, so the one minimizer is the answer.
 Every other objective goes to the numeric solver, which also serves as
 the closed forms' test oracle.  Because f is only quasi-convex, the
 composite may have several basins; the solver therefore exploits
-per-space structure: exhaustive per-edge line search on trees and
-spiders, expanding-window multi-start grids with deterministic pattern
-refinement on Euclidean (dimensions 1 and 2) and hyperbolic spaces, and
-per-sheet plus spine solves on books.
+per-space structure, looked up by space type in `_SOLVERS`: exhaustive
+line search along each segment a tree or spider lists, expanding-window
+multi-start grids with deterministic pattern refinement in a chart of
+Euclidean (dimensions 1 and 2) or hyperbolic space, and per-sheet plus
+spine solves on books.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from .errors import GeometryError, SolverError, UnsupportedSpaceError
@@ -225,38 +227,43 @@ def _expanding_window(cfg: SolverConfig, radius: float, scan
         radius *= 4.0
 
 
-def _solve_chart(comp: _Composite, cfg: SolverConfig
+def _identity_chart(comp: _Composite):
+    """Euclidean coordinates: windows centred at x, or the box domain."""
+    space = comp.space
+    if space.dim > 2:
+        raise UnsupportedSpaceError("resolvent solver covers Euclidean dimensions 1 and 2")
+
+    def to_point(coords) -> Point:
+        return space.point(tuple(coords))
+
+    return to_point, list(comp.x.data), comp.objective.domain
+
+
+def _exp_chart(comp: _Composite):
+    """exp at x on the tangent plane of H^2: windows centred at 0."""
+    space = comp.space
+    base = comp.x.data
+    e1, e2 = space.tangent_basis(base)
+
+    def to_point(coords) -> Point:
+        v1, v2 = coords
+        r = math.hypot(v1, v2)
+        if r == 0.0:
+            return Point(space, base)
+        u = tuple((v1 * e1[i] + v2 * e2[i]) / r for i in range(3))
+        return Point(space, space.exp(base, u, r))
+
+    return to_point, [0.0, 0.0], None
+
+
+def _solve_chart(chart, comp: _Composite, cfg: SolverConfig
                  ) -> tuple[str, list[tuple[Point, float]]]:
     """Grid plus pattern refinement in a chart of R^1, R^2 or H^2.
 
-    Euclidean coordinates are their own chart, with windows centred at x
-    (or the objective's box domain as the one window); the hyperbolic
-    chart is exp at x on the tangent plane, with windows centred at 0.
+    `chart(comp)` gives (coordinates -> point, window centre, box domain
+    or None); a box domain is searched as the one window.
     """
-    space = comp.space
-    if isinstance(space, HyperbolicPlane):
-        base = comp.x.data
-        e1, e2 = space.tangent_basis(base)
-
-        def to_point(coords) -> Point:
-            v1, v2 = coords
-            r = math.hypot(v1, v2)
-            if r == 0.0:
-                return Point(space, base)
-            u = tuple((v1 * e1[i] + v2 * e2[i]) / r for i in range(3))
-            return Point(space, space.exp(base, u, r))
-
-        center, box = [0.0, 0.0], None
-    else:
-        if space.dim > 2:
-            raise UnsupportedSpaceError(
-                "resolvent solver covers Euclidean dimensions 1 and 2"
-            )
-
-        def to_point(coords) -> Point:
-            return space.point(tuple(coords))
-
-        center, box = list(comp.x.data), comp.objective.domain
+    to_point, center, box = chart(comp)
 
     def eval_coords(coords) -> float:
         return comp.at_point(to_point(coords))
@@ -285,19 +292,10 @@ def _solve_chart(comp: _Composite, cfg: SolverConfig
 
 def _solve_segments(comp: _Composite, cfg: SolverConfig
                     ) -> tuple[str, list[tuple[Point, float]]]:
-    """Exhaustive line search along every tree edge or spider leg.
-
-    A spider's centre, where all legs meet, is evaluated first.
-    """
+    """Exhaustive line search along every tree edge or spider leg."""
     space = comp.space
     out: list[tuple[Point, float]] = []
-    if isinstance(space, SpiderSpace):
-        center = space.center()
-        out.append((center, comp.at_point(center)))
-        segments = enumerate(space.leg_lengths, start=1)
-    else:
-        segments = ((ei, length) for ei, (_, _, length) in enumerate(space.edges))
-    for seg, length in segments:
+    for seg, length, _, _ in space.segments():
 
         def fn(t, seg=seg):
             return comp.at_point(space.point((seg, t)))
@@ -339,9 +337,10 @@ def _solve_book(comp: _Composite, cfg: SolverConfig
     return _expanding_window(cfg, radius, scan)
 
 
+# space type -> solver(composite, config)
 _SOLVERS = {
-    EuclideanSpace: _solve_chart,
-    HyperbolicPlane: _solve_chart,
+    EuclideanSpace: partial(_solve_chart, _identity_chart),
+    HyperbolicPlane: partial(_solve_chart, _exp_chart),
     SpiderSpace: _solve_segments,
     TreeSpace: _solve_segments,
     BookSpace: _solve_book,
@@ -350,12 +349,12 @@ _SOLVERS = {
 
 def _solve(objective: ObjectiveFn, space: Space, x: Point, tau: float,
            cfg: SolverConfig) -> tuple[str, list[tuple[Point, float]], int]:
+    solver = _SOLVERS.get(type(space))
+    if solver is None:
+        raise UnsupportedSpaceError(f"no resolvent solver for {space.describe()}")
     comp = _Composite(objective, space, x, tau)
-    for cls, solver in _SOLVERS.items():
-        if isinstance(space, cls):
-            status, cands = solver(comp, cfg)
-            return status, cands, comp.evals
-    raise UnsupportedSpaceError(f"no resolvent solver for {space.describe()}")
+    status, cands = solver(comp, cfg)
+    return status, cands, comp.evals
 
 
 def _check_inputs(objective: ObjectiveFn, space: Space, x: Point, tau: float):

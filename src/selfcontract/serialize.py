@@ -43,14 +43,19 @@ def curve_from_json(obj: dict) -> Curve:
     version = obj.get("schema_version")
     if version != SCHEMA_VERSION:
         raise GeometryError(f"unsupported curve schema_version {version!r}")
-    space = space_from_json(obj["space"])
-    samples = obj["samples"]
-    if not samples:
-        raise GeometryError("curve document has no samples")
-    times = [float(s["t"]) for s in samples]
-    points = [space.point(space._point_from_json(s["p"])) for s in samples]
-    end = obj.get("domain_end", "inf")
-    domain_end = float("inf") if end == "inf" else float(end)
+    try:
+        space = space_from_json(obj["space"])
+        samples = obj["samples"]
+        if not samples:
+            raise GeometryError("curve document has no samples")
+        times = [float(s["t"]) for s in samples]
+        points = [space.point(space._point_from_json(s["p"])) for s in samples]
+        end = obj.get("domain_end", "inf")
+        domain_end = float("inf") if end == "inf" else float(end)
+    except GeometryError:
+        raise
+    except (ValueError, TypeError, KeyError, IndexError, OverflowError) as e:
+        raise GeometryError(f"malformed curve document: {e!r}") from None
     return make_curve(points, times, mode=obj.get("mode", "discrete"),
                       domain_end=domain_end)
 

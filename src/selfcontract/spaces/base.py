@@ -11,7 +11,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from ..errors import GeometryError, SpaceMismatchError
+from ..errors import GeometryError, SpaceMismatchError, UnsupportedSpaceError
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -138,6 +138,15 @@ class Space(ABC):
     def random_point(self, rng, scale: float = 1.0) -> Point:
         return Point(self, self._canonical(self._random_point(rng, scale)))
 
+    def directions_at(self, data: tuple) -> list[tuple]:
+        """Every germ at the payload, for spaces with finitely many."""
+        raise UnsupportedSpaceError(f"no direction sampler on {self.describe()}")
+
+    def random_direction(self, rng, base: tuple) -> tuple:
+        """A germ at `base`: by default uniform over `directions_at(base)`."""
+        germs = self.directions_at(base)
+        return germs[int(rng.integers(0, len(germs)))]
+
     def describe(self) -> str:
         return self.kind
 
@@ -157,6 +166,17 @@ def _as_payload(value: Any) -> tuple:
     if isinstance(value, (list,)):
         return tuple(value)
     return (value,)
+
+
+def indexed_payload(obj, size: int) -> tuple:
+    """(index, float, ...) from a payload whose first field is an integral
+    edge, leg or sheet index."""
+    if len(obj) != size:
+        raise GeometryError(f"expected {size} payload fields, got {len(obj)}")
+    index = float(obj[0])
+    if not index.is_integer():
+        raise GeometryError(f"index {obj[0]!r} is not an integer")
+    return (int(index), *(float(x) for x in obj[1:]))
 
 
 def clamp_cos(c: float) -> float:

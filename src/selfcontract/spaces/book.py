@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from ..errors import GeometryError
-from .base import Space, clamp_cos
+from .base import Space, clamp_cos, indexed_payload
 
 
 class BookSpace(Space):
@@ -29,6 +29,8 @@ class BookSpace(Space):
         if len(data) != 3:
             raise GeometryError("book points are (sheet, a, b)")
         sheet, a, b = int(data[0]), float(data[1]), float(data[2])
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise GeometryError("non-finite coordinate")
         if sheet == 0:
             if abs(b) > self.tolerance:
                 raise GeometryError("spine representation requires b = 0")
@@ -37,8 +39,6 @@ class BookSpace(Space):
             raise GeometryError(f"sheet {sheet} out of range 1..{self.k}")
         if b < -self.tolerance:
             raise GeometryError("b must be nonnegative")
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise GeometryError("non-finite coordinate")
 
     def _canonical(self, data: tuple) -> tuple:
         sheet, a, b = int(data[0]), float(data[1]), float(data[2])
@@ -127,4 +127,4 @@ class BookSpace(Space):
         return [int(data[0]), float(data[1]), float(data[2])]
 
     def _point_from_json(self, obj: list) -> tuple:
-        return (int(obj[0]), float(obj[1]), float(obj[2]))
+        return indexed_payload(obj, 3)

@@ -45,6 +45,9 @@ class EuclideanSpace(Space):
     def _random_point(self, rng, scale: float = 1.0) -> tuple:
         return tuple(float(x) for x in rng.uniform(-scale, scale, self.dim))
 
+    def tangent_norm(self, v: tuple) -> float:
+        return vec_norm(v)
+
     def random_direction(self, rng, base=None) -> tuple:
         v = rng.normal(size=self.dim)
         n = float(math.sqrt(float((v * v).sum())))

@@ -26,6 +26,8 @@ class HyperbolicPlane(Space):
     def _check(self, data: tuple) -> None:
         if len(data) != 3:
             raise GeometryError("hyperboloid points have 3 coordinates")
+        if not all(math.isfinite(float(x)) for x in data):
+            raise GeometryError("non-finite coordinate")
         if data[0] <= 0:
             raise GeometryError("point not on the upper sheet")
         if abs(mdot(data, data) + 1.0) > 1e-6:
@@ -80,6 +82,10 @@ class HyperbolicPlane(Space):
 
     def origin(self) -> tuple:
         return (1.0, 0.0, 0.0)
+
+    def tangent_norm(self, v: tuple) -> float:
+        """Length of a tangent vector in the Minkowski form."""
+        return math.sqrt(max(mdot(v, v), 0.0))
 
     def tangent_basis(self, p: tuple) -> tuple[tuple, tuple]:
         """Orthonormal tangent basis at p (Minkowski-orthogonal to p)."""

@@ -12,7 +12,7 @@ import math
 from typing import Sequence
 
 from ..errors import GeometryError
-from .base import Space
+from .base import Space, indexed_payload
 
 
 class TreeSpace(Space):
@@ -227,6 +227,11 @@ class TreeSpace(Space):
     def _angle(self, base: tuple, d1: tuple, d2: tuple) -> float:
         return 0.0 if d1 == d2 else math.pi
 
+    def segments(self) -> list[tuple[int, float, tuple, tuple]]:
+        """(edge index, length, start vertex payload, end vertex payload) per edge."""
+        return [(ei, length, self._vertex_rep[u], self._vertex_rep[v])
+                for ei, (u, v, length) in enumerate(self.edges)]
+
     def directions_at(self, data: tuple) -> list[tuple]:
         w = self._vertex_of(data)
         if w is None:
@@ -265,7 +270,7 @@ class TreeSpace(Space):
         return [int(data[0]), float(data[1])]
 
     def _point_from_json(self, obj: list) -> tuple:
-        return (int(obj[0]), float(obj[1]))
+        return indexed_payload(obj, 2)
 
 
 class SpiderSpace(Space):
@@ -283,8 +288,8 @@ class SpiderSpace(Space):
             lengths = [float(leg_lengths)] * self.k
         else:
             lengths = [float(x) for x in leg_lengths]
-        if len(lengths) != self.k or any(x <= 0 for x in lengths):
-            raise GeometryError("need one positive length per leg")
+        if len(lengths) != self.k or not all(0 < x < math.inf for x in lengths):
+            raise GeometryError("need one positive finite length per leg")
         self.leg_lengths = tuple(lengths)
 
     def describe(self) -> str:
@@ -344,6 +349,11 @@ class SpiderSpace(Space):
     def _angle(self, base: tuple, d1: tuple, d2: tuple) -> float:
         return 0.0 if d1 == d2 else math.pi
 
+    def segments(self) -> list[tuple[int, float, tuple, tuple]]:
+        """(leg, length, centre payload, tip payload) per leg, legs counted from 1."""
+        return [(leg, length, (0, 0.0), (leg, length))
+                for leg, length in enumerate(self.leg_lengths, start=1)]
+
     def directions_at(self, data: tuple) -> list[tuple]:
         if data[0] == 0:
             return [(leg, 1) for leg in range(1, self.k + 1)]
@@ -377,7 +387,7 @@ class SpiderSpace(Space):
         return [int(data[0]), float(data[1])]
 
     def _point_from_json(self, obj: list) -> tuple:
-        return (int(obj[0]), float(obj[1]))
+        return indexed_payload(obj, 2)
 
 
 def load_tree_file(text: str, tolerance: float = 1e-9) -> TreeSpace:

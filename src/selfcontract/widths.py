@@ -25,7 +25,6 @@ from .proximal import DEFAULT_SOLVER, discrete_gradient_curve
 from .spaces.base import Direction, Point, Space
 from .spaces.book import BookSpace
 from .spaces.euclidean import EuclideanSpace
-from .spaces.hyperbolic import HyperbolicPlane
 from .spaces.tree import SpiderSpace, TreeSpace
 
 BOOK_BOUND_CONSTANT = 54.0 * math.sqrt(2.0) * math.pi
@@ -116,8 +115,7 @@ def mean_width(space: Space, points: Sequence[Point], n_dirs: int = 4096,
     samples = []
     for _ in range(n_dirs):
         base = _sample_region_point(space, region, rng)
-        germ = _sample_direction(space, base, rng)
-        d = Direction(space, base, germ)
+        d = Direction(space, base, space.random_direction(rng, base.data))
         lo, hi = projection_extent(space, base, d, pts, inflate)
         samples.append(hi - lo)
     arr = np.array(samples)
@@ -156,15 +154,6 @@ def _sample_region_point(space: Space, region: NeighborhoodRegion, rng) -> Point
         return anchor
     step = float(rng.uniform(0.0, region.radius))
     return space.geodesic_point(anchor, target, min(1.0, step / d))
-
-
-def _sample_direction(space: Space, base: Point, rng) -> tuple:
-    if isinstance(space, (TreeSpace, SpiderSpace)):
-        germs = space.directions_at(base.data)
-        return germs[int(rng.integers(0, len(germs)))]
-    if isinstance(space, (EuclideanSpace, HyperbolicPlane, BookSpace)):
-        return space.random_direction(rng, base.data)
-    raise UnsupportedSpaceError(f"no direction sampler on {space.describe()}")
 
 
 def curve_trajectory_points(curve: Curve, densify_levels: int = 3) -> list[Point]:

@@ -78,9 +78,13 @@ def test_verify_pass_and_exit_codes(workdir):
     ("spider:3", "start = 2,abc"),
     ("spider:3", "start = 2"),
     ("product:[euclidean:1|spider:3]", "objective.target = 0.5,2,0.25"),
+    ("spider:3", "objective.target = 2.7,0.5"),
+    ("spider:3", "objective.target = 1,0.5,0.2"),
+    ("book:2", "start = 0,inf,0"),
 ])
 def test_simulate_unparsable_point_spec(tmp_path, space, line):
-    objective = "dist_to_leg_segment" if space == "spider:3" else "dist"
+    objective = {"spider:3": "dist_to_leg_segment",
+                 "book:2": "dist_to_spine_segment"}.get(space, "dist")
     (tmp_path / "bad.cfg").write_text(
         f"space = {space}\nobjective = {objective}\n{line}\nsteps = 1\nout = x\n"
     )
@@ -101,6 +105,50 @@ def test_verify_rejects_nan_sample_time(tmp_path):
     (tmp_path / "nan.json").write_text(json.dumps(doc))
     r = run(["verify", "nan.json"], tmp_path)
     assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def _curve_doc(space: dict, points: list, times=(0.0, 1.0), domain_end="inf") -> dict:
+    return {"schema_version": 1, "space": space, "mode": "discrete",
+            "domain_end": domain_end,
+            "samples": [{"t": t, "p": p} for t, p in zip(times, points)]}
+
+
+SPIDER3 = {"kind": "spider", "k": 3, "leg_lengths": [1.0, 1.0, 1.0], "tolerance": 1e-9}
+BOOK2 = {"kind": "book", "k": 2, "tolerance": 1e-9}
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("doc", [
+    _curve_doc({"kind": "hyperbolic2", "tolerance": 1e-9},
+               [[1.0, 0.0, 0.0], [NAN, 0.0, 0.0]]),
+    _curve_doc(BOOK2, [[0, NAN, 0.0], [1, 0.5, 0.5]]),
+    _curve_doc(BOOK2, [[1.5, 0.5, 0.5], [1, 0.5, 0.25]]),
+    _curve_doc(SPIDER3, [[1, 0.5], [2, 0.5]], times=(0.0, "abc")),
+    _curve_doc(SPIDER3, [[1, 0.5], [2, 0.5]], domain_end="abc"),
+    _curve_doc(SPIDER3, [[1, 0.5], [NAN, 0.5]]),
+    _curve_doc(SPIDER3, [[1, 0.5, 0.2], [2, 0.5]]),
+    _curve_doc({**SPIDER3, "leg_lengths": [1.0, NAN, 1.0]}, [[1, 0.5], [3, 0.5]]),
+    _curve_doc({**SPIDER3, "leg_lengths": [1.0, float("inf"), 1.0]},
+               [[1, 0.5], [2, 0.5]]),
+], ids=["hyperbolic-nan", "book-spine-nan", "book-fractional-sheet", "time-abc",
+        "domain-end-abc", "spider-nan-leg", "spider-extra-field", "spider-nan-length",
+        "spider-inf-length"])
+def test_verify_rejects_hostile_curve_files(tmp_path, doc):
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    for command in (["verify", "bad.json"], ["audit", "bad.json", "--bound", "generic"]):
+        r = run(command, tmp_path)
+        assert r.returncode == 2, (command, r.stdout, r.stderr)
+        assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("space", ["spider:3:nan", "spider:3:inf"])
+def test_simulate_rejects_non_finite_leg_lengths(tmp_path, space):
+    (tmp_path / "bad.cfg").write_text(
+        f"space = {space}\nobjective = half_sq_dist\nobjective.target = 0,0\n"
+        "start = 0,0\nsteps = 2\nout = x\n")
+    r = run(["simulate", "--config", "bad.cfg"], tmp_path)
+    assert r.returncode == 2, (r.stdout, r.stderr)
     assert "Traceback" not in r.stderr
 
 

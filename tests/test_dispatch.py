@@ -1,0 +1,96 @@
+"""Per-space capability tables: misses raise UnsupportedSpaceError, and
+the remaining isinstance tests on space classes are pinned."""
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import selfcontract as sc
+from selfcontract import spaces
+from selfcontract.errors import UnsupportedSpaceError
+
+PACKAGE = Path(sc.__file__).resolve().parent
+SPACE_CLASSES = {name for name, obj in vars(spaces).items()
+                 if isinstance(obj, type) and issubclass(obj, sc.Space)}
+
+# (module, enclosing definition, space classes tested): input guards, the
+# box domain, catalogue entries, the Euclidean width path and the
+# per-family constant formulas
+ALLOWED_SITES = sorted([
+    ("measures", "estimate_condition_constants", ("EuclideanSpace",)),
+    ("measures", "estimate_condition_constants", ("TreeSpace",)),
+    ("objectives", "ObjectiveFn.__post_init__", ("EuclideanSpace",)),
+    ("objectives", "builtin_objectives", ("BookSpace",)),
+    ("objectives", "builtin_objectives", ("EuclideanSpace",)),
+    ("objectives", "builtin_objectives", ("SpiderSpace",)),
+    ("objectives", "builtin_objectives", ("TreeSpace",)),
+    ("widths", "book_length_bound", ("BookSpace",)),
+    ("widths", "euclidean_length_bound", ("EuclideanSpace",)),
+    ("widths", "mean_width", ("EuclideanSpace",)),
+    ("widths", "tree_length_bound", ("SpiderSpace", "TreeSpace")),
+])
+
+
+def _space_names(node) -> tuple:
+    elts = node.elts if isinstance(node, ast.Tuple) else [node]
+    names = [getattr(e, "id", getattr(e, "attr", None)) for e in elts]
+    return tuple(sorted(n for n in names if n in SPACE_CLASSES))
+
+
+def _isinstance_sites(module: str) -> list[tuple]:
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                and len(node.args) == 2):
+            classes = _space_names(node.args[1])
+            if classes:
+                sites.append((module, ".".join(scope[:2]), classes))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return sites
+
+
+def test_space_dispatch_sites_are_pinned():
+    found = sorted(site for module in ("cones", "measures", "objectives", "proximal",
+                                       "widths")
+                   for site in _isinstance_sites(module))
+    assert found == ALLOWED_SITES
+
+
+@pytest.fixture
+def product_points():
+    space = sc.parse_space_spec("product:[euclidean:1|spider:3]")
+    rng = np.random.default_rng(5)
+    return space, [space.random_point(rng) for _ in range(3)]
+
+
+def test_mean_width_needs_a_direction_sampler(product_points):
+    space, pts = product_points
+    with pytest.raises(UnsupportedSpaceError, match="direction sampler"):
+        sc.mean_width(space, pts, n_dirs=4)
+
+
+def test_measures_need_a_measure_table_entry(product_points):
+    space, pts = product_points
+    with pytest.raises(UnsupportedSpaceError, match="neighborhood measure"):
+        sc.hausdorff_measure_neighborhood(space, pts, 1.0, 1)
+    region = sc.NeighborhoodRegion(tuple(pts), 1.0)
+    with pytest.raises(UnsupportedSpaceError, match="condition-constant"):
+        sc.estimate_condition_constants(space, region)
+
+
+@pytest.mark.parametrize("spec", ["product:[euclidean:1|spider:3]", "euclidean:3"])
+def test_resolvent_needs_a_solver(spec):
+    space = sc.parse_space_spec(spec)
+    rng = np.random.default_rng(6)
+    p, q, x = (space.random_point(rng) for _ in range(3))
+    objective = sc.make_objective(space, "max_two_dists", target=p, other=q)
+    with pytest.raises(UnsupportedSpaceError):
+        sc.resolvent(objective, space, x, 0.5)

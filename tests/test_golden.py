@@ -5,8 +5,10 @@ known-good build.  Criterion 14 compares two runs of the same build, so
 only these files catch a refactor that changes a result.  The CLI cases
 cover the closed-form proxes of half_sq_dist and dist, every numeric
 resolvent path (spider, box-domain and windowed Euclidean, hyperbolic,
-book, tree) and every audit; primitives.json pins functions the CLI
-never reaches as exact float.hex values.
+book, tree) and every audit; primitives.json pins, as exact float.hex
+values, refinement and barycenter cases the CLI never reaches and each
+per-space capability: the direction sampler behind mean_width, the
+neighbourhood measures, the segment objectives and the cover centres.
 
 Regenerate only for an intended change of results, either every file or
 just the named cases:

@@ -24,6 +24,23 @@ def test_catalog_contents(plane, spider3, book2, small_tree):
     assert "dist_to_edge_segment" in builtin_objectives(small_tree)
 
 
+@pytest.mark.parametrize("key, index", [
+    ("leg", 0), ("leg", 4), ("leg", 2.7), ("leg", float("nan")),
+    ("edge", -1), ("edge", 4), ("edge", 0.5),
+])
+def test_segment_objectives_need_a_segment(spider3, small_tree, key, index):
+    space = spider3 if key == "leg" else small_tree
+    with pytest.raises(GeometryError):
+        make_objective(space, f"dist_to_{key}_segment", **{key: index})
+
+
+def test_segment_objective_index_is_stored_as_int(spider3, small_tree):
+    f = make_objective(spider3, "dist_to_leg_segment", leg=2.0, lo=0.25)
+    assert f.params == {"leg": 2, "lo": 0.25, "hi": 1.0}
+    assert type(f.params["leg"]) is int
+    assert make_objective(small_tree, "dist_to_edge_segment").params["edge"] == 0
+
+
 def test_tree_segment_distance_objective(small_tree):
     # segment on edge b-c between offsets 0.5 and 1.0
     f = make_objective(small_tree, "dist_to_edge_segment", edge=1, lo=0.5, hi=1.0)

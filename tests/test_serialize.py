@@ -98,6 +98,10 @@ def test_parse_point_spec(plane, spider3):
     ("spider:3", "2"),
     ("spider:3", "inf,0.5"),
     ("product:[euclidean:1|spider:3]", "0.5,2,0.25"),
+    ("spider:3", "2.7,0.5"),
+    ("spider:3", "1,0.5,0.2"),
+    ("book:2", "1.5,0.5,0.5"),
+    ("book:2", "0,inf,0"),
 ])
 def test_parse_point_spec_rejects_unparsable(spec, text):
     with pytest.raises(GeometryError):
@@ -107,5 +111,23 @@ def test_parse_point_spec_rejects_unparsable(spec, text):
 def test_curve_json_rejects_nan_time():
     doc = curve_to_json(sc.make_curve([sc.EuclideanSpace(1).point((0.0,))] * 2))
     doc["samples"][1]["t"] = float("nan")
+    with pytest.raises(GeometryError):
+        curve_from_json(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t", "abc"), ("domain_end", "abc"), ("leg", float("nan")), ("leg", 2.5),
+    ("fields", None),
+])
+def test_curve_json_rejects_malformed_fields(field, value):
+    doc = curve_to_json(spider_jump_curve(3))
+    if field == "t":
+        doc["samples"][1]["t"] = value
+    elif field == "leg":
+        doc["samples"][1]["p"][0] = value
+    elif field == "fields":
+        doc["samples"][1]["p"].append(0.25)
+    else:
+        doc[field] = value
     with pytest.raises(GeometryError):
         curve_from_json(json.loads(json.dumps(doc)))

@@ -321,3 +321,58 @@ def test_product_of_spider_and_line_matches_book(rng):
         assert book.distance(p, q) == pytest.approx(
             prod.distance(to_prod(p.data), to_prod(q.data)), abs=1e-12
         )
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("space, payload", [
+    (sc.HyperbolicPlane(), (NAN, 0.0, 0.0)),
+    (sc.HyperbolicPlane(), (1.0, NAN, 0.0)),
+    (sc.HyperbolicPlane(), (INF, INF, 0.0)),
+    (sc.BookSpace(2), (0, NAN, 0.0)),
+    (sc.BookSpace(2), (0, INF, 0.0)),
+    (sc.BookSpace(2), (1, NAN, 0.5)),
+])
+def test_non_finite_coordinates_rejected(space, payload):
+    with pytest.raises(GeometryError):
+        space.point(payload)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sc.SpiderSpace(3, NAN),
+    lambda: sc.SpiderSpace(3, INF),
+    lambda: sc.SpiderSpace(3, [1.0, NAN, 1.0]),
+    lambda: sc.parse_space_spec("spider:3:nan"),
+    lambda: sc.parse_space_spec("spider:3:inf"),
+])
+def test_spider_rejects_non_finite_leg_lengths(make):
+    with pytest.raises(GeometryError):
+        make()
+
+
+@pytest.mark.parametrize("space, obj", [
+    (sc.SpiderSpace(3), [1.5, 0.5]),
+    (sc.SpiderSpace(3), [NAN, 0.5]),
+    (sc.SpiderSpace(3), [1, 0.5, 0.2]),
+    (sc.BookSpace(2), [1.5, 0.5, 0.5]),
+    (sc.BookSpace(2), [1, 0.5]),
+    (sc.load_tree_file("edge a b 1.0\nedge b c 2.0"), [INF, 0.5]),
+    (sc.ProductSpace(sc.EuclideanSpace(1), sc.SpiderSpace(3)), [[0.5], [1, 0.5], [2]]),
+])
+def test_payloads_need_integral_indices_and_exact_fields(space, obj):
+    with pytest.raises(GeometryError):
+        space._point_from_json(obj)
+
+
+def test_segments_and_default_direction_sampler(spider3, small_tree, rng):
+    assert spider3.segments() == [(leg, 1.0, (0, 0.0), (leg, 1.0)) for leg in (1, 2, 3)]
+    for ei, length, start, end in small_tree.segments():
+        assert small_tree._dist(start, end) == length
+        assert small_tree.point((ei, 0.0)).data == start
+    for space, base in ((spider3, (0, 0.0)), (small_tree, (1, 0.0))):
+        germs = space.directions_at(base)
+        assert {space.random_direction(rng, base) for _ in range(60)} == set(germs)
+    product = sc.ProductSpace(sc.EuclideanSpace(1), spider3)
+    with pytest.raises(sc.UnsupportedSpaceError):
+        product.random_direction(rng, ((0.0,), (0, 0.0)))
