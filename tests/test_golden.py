@@ -154,9 +154,9 @@ def euclidean_constants_values(n: int) -> dict:
     return {key: _hex(value) for key, value in sc.euclidean_constants(n).items()}
 
 
-def _space_points(case: dict, key: str = "points"):
+def _space_points(case: dict):
     space = sc.space_from_json(case["space"])
-    return space, [space.point(space._point_from_json(_from_hex(p))) for p in case[key]]
+    return space, [space.point(space._point_from_json(_from_hex(p))) for p in case["points"]]
 
 
 def _directions(case: dict):
@@ -193,8 +193,7 @@ def segment_values(case: dict) -> dict:
 
 def barycenter_values(case: dict) -> dict:
     _, _, dirs = _directions(case)
-    radii = None if case["radii"] is None else _from_hex(case["radii"])
-    cp = sc.cone_barycenter(dirs, radii)
+    cp = sc.cone_barycenter(dirs, _from_hex(case["radii"]))
     direction = None if cp.direction is None else _hex(cp.direction.data)
     return {"radius": _hex(cp.radius), "direction": direction}
 
