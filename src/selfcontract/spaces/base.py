@@ -9,7 +9,9 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
+
+import numpy as np
 
 from ..errors import GeometryError, SpaceMismatchError, UnsupportedSpaceError
 
@@ -84,6 +86,26 @@ class Space(ABC):
     def _random_point(self, rng, scale: float = 1.0) -> tuple:
         ...
 
+    def _dist_row(self, a: tuple, payloads: Sequence[tuple]) -> list[float]:
+        """[_dist(a, b) for b in payloads], bit for bit."""
+        return [self._dist(a, b) for b in payloads]
+
+    def _germ_diameter(self, base: tuple, germs: Sequence[tuple],
+                       limit: float) -> tuple[float, int, int]:
+        """(excess, a, b): the largest `_angle(base, germs[a], germs[b]) - limit`
+        over the pairs (a, b >= a) of at least one germ, and the first pair
+        in that loop order that attains it.
+
+        Overrides must agree with this loop bit for bit; it is their oracle.
+        """
+        best, pair = -math.inf, None
+        for a, ga in enumerate(germs):
+            for b in range(a, len(germs)):
+                excess = self._angle(base, ga, germs[b]) - limit
+                if excess > best:
+                    best, pair = excess, (a, b)
+        return best, *pair
+
     @abstractmethod
     def _to_json(self) -> dict:
         ...
@@ -128,7 +150,10 @@ class Space(ABC):
     def direction_angle(self, d1: Direction, d2: Direction) -> float:
         if d1.space != self or d2.space != self:
             raise SpaceMismatchError("direction from another space")
-        if self._dist(d1.base.data, d2.base.data) > self.tolerance:
+        b1, b2 = d1.base, d2.base
+        # one base object, or equal payloads, are at distance 0
+        if (b1 is not b2 and b1.data != b2.data
+                and self._dist(b1.data, b2.data) > self.tolerance):
             raise SpaceMismatchError("directions based at different points")
         return self._angle(d1.base.data, d1.data, d2.data)
 
@@ -151,13 +176,29 @@ class Space(ABC):
         return self.kind
 
     # Spaces compare by descriptor so deserialized handles interoperate.
+    # Spaces are immutable, so the descriptor is frozen once, on first use.
+    def _descriptor_key(self) -> tuple:
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = self._key = _frozen(self._to_json())
+        return key
+
     def __eq__(self, other: object) -> bool:
         if other is self:
             return True
-        return isinstance(other, Space) and self._to_json() == other._to_json()
+        return isinstance(other, Space) and self._descriptor_key() == other._descriptor_key()
 
     def __hash__(self) -> int:
-        return hash(repr(sorted(self._to_json().items(), key=lambda kv: kv[0])))
+        return hash(self._descriptor_key())
+
+
+def _frozen(value: Any) -> Any:
+    """A JSON value as nested tuples, dict items sorted by key."""
+    if isinstance(value, dict):
+        return tuple(sorted((k, _frozen(v)) for k, v in value.items()))
+    if isinstance(value, list):
+        return tuple(_frozen(v) for v in value)
+    return value
 
 
 def _as_payload(value: Any) -> tuple:
@@ -168,20 +209,51 @@ def _as_payload(value: Any) -> tuple:
     return (value,)
 
 
+def integral_index(value: Any) -> int:
+    """An edge, leg or sheet index as an int; GeometryError unless integral."""
+    index = float(value)
+    if not index.is_integer():
+        raise GeometryError(f"index {value!r} is not an integer")
+    return int(index)
+
+
 def indexed_payload(obj, size: int) -> tuple:
     """(index, float, ...) from a payload whose first field is an integral
     edge, leg or sheet index."""
     if len(obj) != size:
         raise GeometryError(f"expected {size} payload fields, got {len(obj)}")
-    index = float(obj[0])
-    if not index.is_integer():
-        raise GeometryError(f"index {obj[0]!r} is not an integer")
-    return (int(index), *(float(x) for x in obj[1:]))
+    return (integral_index(obj[0]), *(float(x) for x in obj[1:]))
 
 
 def clamp_cos(c: float) -> float:
     """Clamp an arccos argument into [-1, 1] against float noise."""
     return max(-1.0, min(1.0, c))
+
+
+def germ_products(germs: Sequence[tuple]) -> np.ndarray:
+    """g_a[k] * g_b[k] for every germ pair (a, b) and coordinate k, shape (k, m, m)."""
+    g = np.array(germs, dtype=float).T
+    return g[:, :, None] * g[:, None, :]
+
+
+def widest_pair(cos: np.ndarray, limit: float) -> tuple[float, int, int]:
+    """`Space._germ_diameter` from the symmetric m x m matrix of germ cosines.
+
+    The cosines must be bit for bit those the scalar `_angle` takes the
+    arccos of.  The angle acos(clamp_cos(c)) falls as c rises, so only the
+    cosines within 1e-12 of the smallest can reach the largest
+    `angle - limit`; only those distinct values go through `math.acos`.  Two
+    of them may round to the same excess, so the pair is chosen by excess:
+    the first in row-major order, which lies on or above the diagonal
+    because the matrix is symmetric.
+    """
+    cos = np.fmax(np.fmin(cos, 1.0), -1.0)  # clamp_cos, which maps NaN to 1
+    near = np.unique(cos[cos <= cos.min() + 1e-12]).tolist()
+    excess = [math.acos(c) - limit for c in near]
+    best = max(excess)
+    top = [c for c, e in zip(near, excess) if e == best]
+    a, b = divmod(int(np.argmax(np.isin(cos, top))), cos.shape[0])
+    return best, a, b
 
 
 def check_all_same_space(points: Iterable[Point]) -> Space:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from ..errors import GeometryError
-from .base import Space, clamp_cos, indexed_payload
+from .base import Space, clamp_cos, indexed_payload, integral_index
 
 
 class BookSpace(Space):
@@ -28,7 +28,7 @@ class BookSpace(Space):
     def _check(self, data: tuple) -> None:
         if len(data) != 3:
             raise GeometryError("book points are (sheet, a, b)")
-        sheet, a, b = int(data[0]), float(data[1]), float(data[2])
+        sheet, a, b = integral_index(data[0]), float(data[1]), float(data[2])
         if not (math.isfinite(a) and math.isfinite(b)):
             raise GeometryError("non-finite coordinate")
         if sheet == 0:

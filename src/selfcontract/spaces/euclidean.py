@@ -3,8 +3,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..errors import GeometryError
-from .base import Space, clamp_cos, vec_dot, vec_norm, vec_scale, vec_sub
+from .base import (Space, clamp_cos, germ_products, vec_dot, vec_norm, vec_scale,
+                   vec_sub, widest_pair)
 
 
 class EuclideanSpace(Space):
@@ -31,6 +34,16 @@ class EuclideanSpace(Space):
     def _dist(self, a: tuple, b: tuple) -> float:
         return vec_norm(vec_sub(a, b))
 
+    # In up to two coordinates the fsum in vec_norm and vec_dot is one
+    # rounded add, so elementwise numpy (no BLAS, no fused multiply-add)
+    # reproduces the scalar kernels bit for bit; more coordinates loop.
+
+    def _dist_row(self, a: tuple, payloads) -> list[float]:
+        if self.dim > 2:
+            return super()._dist_row(a, payloads)
+        sq = np.square(np.array(payloads, dtype=float).reshape(-1, self.dim) - a)
+        return np.sqrt(sq[:, 0] if self.dim == 1 else sq[:, 0] + sq[:, 1]).tolist()
+
     def _geodesic(self, a: tuple, b: tuple, s: float) -> tuple:
         return tuple((1.0 - s) * x + s * y for x, y in zip(a, b))
 
@@ -41,6 +54,12 @@ class EuclideanSpace(Space):
 
     def _angle(self, base: tuple, d1: tuple, d2: tuple) -> float:
         return math.acos(clamp_cos(vec_dot(d1, d2)))
+
+    def _germ_diameter(self, base: tuple, germs, limit: float) -> tuple[float, int, int]:
+        if self.dim > 2:
+            return super()._germ_diameter(base, germs, limit)
+        p = germ_products(germs)
+        return widest_pair(p[0] if self.dim == 1 else p[0] + p[1], limit)
 
     def _random_point(self, rng, scale: float = 1.0) -> tuple:
         return tuple(float(x) for x in rng.uniform(-scale, scale, self.dim))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 from ..errors import GeometryError
-from .base import Space, clamp_cos
+from .base import Space, clamp_cos, germ_products, widest_pair
 
 
 def mdot(a: tuple, b: tuple) -> float:
@@ -74,6 +74,10 @@ class HyperbolicPlane(Space):
     def _angle(self, base: tuple, d1: tuple, d2: tuple) -> float:
         # the Minkowski form is Riemannian on tangent planes of the sheet
         return math.acos(clamp_cos(mdot(d1, d2)))
+
+    def _germ_diameter(self, base: tuple, germs, limit: float) -> tuple[float, int, int]:
+        p = germ_products(germs)
+        return widest_pair((p[1] + p[2]) - p[0], limit)  # mdot's operation order
 
     def exp(self, p: tuple, v: tuple, t: float) -> tuple:
         """Exponential map: walk distance t from payload p along unit tangent v."""

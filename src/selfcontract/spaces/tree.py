@@ -12,7 +12,7 @@ import math
 from typing import Sequence
 
 from ..errors import GeometryError
-from .base import Space, indexed_payload
+from .base import Space, indexed_payload, integral_index
 
 
 class TreeSpace(Space):
@@ -125,7 +125,7 @@ class TreeSpace(Space):
     def _check(self, data: tuple) -> None:
         if len(data) != 2:
             raise GeometryError("tree points are (edge index, offset)")
-        ei, off = int(data[0]), float(data[1])
+        ei, off = integral_index(data[0]), float(data[1])
         if not 0 <= ei < len(self.edges):
             raise GeometryError(f"edge index {ei} out of range")
         if not -self.tolerance <= off <= self.edges[ei][2] + self.tolerance:
@@ -227,6 +227,13 @@ class TreeSpace(Space):
     def _angle(self, base: tuple, d1: tuple, d2: tuple) -> float:
         return 0.0 if d1 == d2 else math.pi
 
+    def _germ_diameter(self, base: tuple, germs, limit: float) -> tuple[float, int, int]:
+        # angles are 0 or pi: pi at the first germ unlike germs[0], if any
+        for b, g in enumerate(germs):
+            if g != germs[0]:
+                return math.pi - limit, 0, b
+        return 0.0 - limit, 0, 0
+
     def segments(self) -> list[tuple[int, float, tuple, tuple]]:
         """(edge index, length, start vertex payload, end vertex payload) per edge."""
         return [(ei, length, self._vertex_rep[u], self._vertex_rep[v])
@@ -298,7 +305,7 @@ class SpiderSpace(Space):
     def _check(self, data: tuple) -> None:
         if len(data) != 2:
             raise GeometryError("spider points are (leg, radius)")
-        leg, r = int(data[0]), float(data[1])
+        leg, r = integral_index(data[0]), float(data[1])
         if leg == 0:
             if abs(r) > self.tolerance:
                 raise GeometryError("center representation is (0, 0.0)")
@@ -346,8 +353,8 @@ class SpiderSpace(Space):
             return (a[0], 1), d
         return (a[0], -1), d
 
-    def _angle(self, base: tuple, d1: tuple, d2: tuple) -> float:
-        return 0.0 if d1 == d2 else math.pi
+    _angle = TreeSpace._angle
+    _germ_diameter = TreeSpace._germ_diameter
 
     def segments(self) -> list[tuple[int, float, tuple, tuple]]:
         """(leg, length, centre payload, tip payload) per leg, legs counted from 1."""

@@ -76,6 +76,13 @@ def _effective_samples(curve: Curve, cfg: SamplingConfig
     return [samples[i] for i in sorted(keep)]
 
 
+def _payloads(space: Space, samples: list[tuple[float, Point]]) -> list[tuple]:
+    """Raw sample payloads; a Curve's samples share one space, so owning
+    the first sample checks them all."""
+    space.own(samples[0][1])
+    return [p.data for _, p in samples]
+
+
 def is_self_contracted(space: Space, curve: Curve,
                        cfg: SamplingConfig = DEFAULT_SAMPLING) -> ViolationReport:
     """Check d(xi(t2), xi(t3)) <= d(xi(t1), xi(t3)) over sampled triples.
@@ -84,7 +91,9 @@ def is_self_contracted(space: Space, curve: Curve,
     effective sample set (running-minimum reduction per t3).
     """
     samples = _effective_samples(curve, cfg)
+    payloads = _payloads(space, samples)
     n = len(samples)
+    rows = [space._dist_row(p, payloads[i + 1:]) for i, p in enumerate(payloads)]
     worst = 0.0
     witness = None
     n_checked = 0
@@ -93,8 +102,8 @@ def is_self_contracted(space: Space, curve: Curve,
         run_min = math.inf
         run_min_t = None
         for i in range(k):
-            ti, pi = samples[i]
-            d = space.distance(pi, pk)
+            ti = samples[i][0]
+            d = rows[i][k - i - 1]
             n_checked += 1
             viol = d - run_min
             if viol > worst:
@@ -215,28 +224,31 @@ def angle_estimate_sweep(space: Space, curve: Curve,
                          limit: float = math.pi / 2.0, tol: float = 1e-6,
                          cfg: SamplingConfig = DEFAULT_SAMPLING
                          ) -> ViolationReport:
-    """Max angle-estimate excess over all admissible sampled triples."""
+    """Max angle-estimate excess over all admissible sampled triples.
+
+    At each base xi(tau) the germs toward the later samples that are not
+    the same point go through one `Space._germ_diameter` call; it returns
+    the first pair (a, b >= a) of the scalar double loop that attains the
+    largest excess, so the witness is the one that loop would record.
+    """
     samples = _effective_samples(curve, cfg)
-    n = len(samples)
+    payloads = _payloads(space, samples)
     worst = -math.inf
     witness = None
     n_checked = 0
-    for i in range(n):
-        ti, base = samples[i]
-        germs = []
-        for j in range(i + 1, n):
-            tj, pj = samples[j]
-            if space.same_point(base, pj):
-                continue
-            germs.append((tj, space.log_direction(base, pj)[0]))
-        for a in range(len(germs)):
-            for b in range(a, len(germs)):
-                ang = space.direction_angle(germs[a][1], germs[b][1])
-                n_checked += 1
-                if ang - limit > worst:
-                    worst = ang - limit
-                    witness = {"tau": ti, "t1": germs[a][0], "t2": germs[b][0],
-                               "angle": ang}
+    for i, base in enumerate(payloads):
+        row = space._dist_row(base, payloads[i + 1:])
+        later = [j for j, d in enumerate(row, start=i + 1) if d > space.tolerance]
+        if not later:
+            continue
+        germs = [space._log(base, payloads[j])[0] for j in later]
+        n_checked += len(germs) * (len(germs) + 1) // 2
+        excess, a, b = space._germ_diameter(base, germs, limit)
+        if excess > worst:
+            worst = excess
+            witness = {"tau": samples[i][0], "t1": samples[later[a]][0],
+                       "t2": samples[later[b]][0],
+                       "angle": space._angle(base, germs[a], germs[b])}
     return ViolationReport(
         check="angle_estimate", max_violation=worst if n_checked else 0.0,
         n_checked=max(n_checked, 1), tolerance=tol, witness=witness,
@@ -288,13 +300,13 @@ def tail_halving_check(space: Space, curve: Curve,
     decrease arguments.
     """
     samples = _effective_samples(curve, cfg)
-    n = len(samples)
+    payloads = _payloads(space, samples)
     worst = 0.0
     witness = None
     n_checked = 0
-    for i in range(n):
-        ti, pi = samples[i]
-        dists = [space.distance(pi, samples[j][1]) for j in range(i + 1, n)]
+    for i, pi in enumerate(payloads):
+        ti = samples[i][0]
+        dists = space._dist_row(pi, payloads[i + 1:])
         if not dists:
             continue
         suffix_min = list(dists)

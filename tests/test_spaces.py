@@ -8,6 +8,8 @@ from selfcontract.errors import GeometryError, SpaceMismatchError
 
 from conftest import random_point_pairs
 
+NAN, INF = float("nan"), float("inf")
+
 
 def spaces_under_test():
     return [
@@ -199,6 +201,59 @@ def test_space_equality():
     assert sc.SpiderSpace(3) != sc.SpiderSpace(3, 2.0)
 
 
+def test_space_equality_and_hash_follow_the_descriptor():
+    """Equality is equality of `_to_json()`, nested products included, and
+    equal spaces hash alike, before and after the cached key exists."""
+    e1, s3 = sc.EuclideanSpace(1), sc.SpiderSpace(3)
+
+    def build():
+        return [
+            sc.ProductSpace(sc.ProductSpace(e1, s3), sc.BookSpace(2)),
+            sc.ProductSpace(sc.ProductSpace(e1, sc.SpiderSpace(3, 2.0)), sc.BookSpace(2)),
+            sc.ProductSpace(sc.ProductSpace(e1, s3), sc.BookSpace(2), tolerance=1e-8),
+            sc.ProductSpace(sc.ProductSpace(s3, e1), sc.BookSpace(2)),
+            sc.ProductSpace(e1, s3),
+            sc.load_tree_file("edge a b 1.0\nedge b c 2.0"),
+            sc.load_tree_file("edge a b 1.0\nedge b c 2.5"),
+            sc.EuclideanSpace(2),
+            sc.EuclideanSpace(2, tolerance=1e-6),
+        ]
+
+    first, second = build(), build()
+    for x in first:
+        for y in second:
+            equal = x._to_json() == y._to_json()
+            assert (x == y) is equal and (y == x) is equal
+            if equal:
+                assert hash(x) == hash(y)
+    assert len(set(first) | set(second)) == len(first)
+
+
+def test_direction_angle_needs_one_base(plane, hyperbolic, rng):
+    for space in (plane, hyperbolic):
+        p, q, r = (space.random_point(rng, 1.0) for _ in range(3))
+        d1, _ = space.log_direction(p, q)
+        d2, _ = space.log_direction(sc.Point(space, p.data), r)
+        assert d1.base is not d2.base
+        assert space.direction_angle(d1, d2) == space._angle(p.data, d1.data, d2.data)
+        with pytest.raises(SpaceMismatchError):
+            space.direction_angle(d1, space.log_direction(q, r)[0])
+
+
+@pytest.mark.parametrize("space, index, rest", [
+    (sc.BookSpace(2), 1.5, (0.5, 0.5)),
+    (sc.BookSpace(2), NAN, (0.5, 0.5)),
+    (sc.SpiderSpace(3), 2.7, (0.5,)),
+    (sc.SpiderSpace(3), NAN, (0.5,)),
+    (sc.load_tree_file("edge a b 1.0\nedge b c 2.0"), 0.9, (0.5,)),
+    (sc.load_tree_file("edge a b 1.0\nedge b c 2.0"), INF, (0.5,)),
+])
+def test_points_need_an_integral_index(space, index, rest):
+    with pytest.raises(GeometryError):
+        space.point((index, *rest))
+    assert space.point((1.0, *rest)).data == (1, *rest)
+
+
 def test_parse_space_spec():
     assert sc.parse_space_spec("euclidean:3").dim == 3
     assert sc.parse_space_spec("spider:5").k == 5
@@ -322,8 +377,6 @@ def test_product_of_spider_and_line_matches_book(rng):
             prod.distance(to_prod(p.data), to_prod(q.data)), abs=1e-12
         )
 
-
-NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("space, payload", [

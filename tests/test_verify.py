@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import selfcontract as sc
-from selfcontract.errors import GeometryError
+from selfcontract.errors import GeometryError, SpaceMismatchError
 from selfcontract.objectives import make_objective
 from selfcontract.proximal import discrete_gradient_curve
+from selfcontract.spaces.base import Space
 from selfcontract.verify import (
     angle_estimate_check,
     angle_estimate_sweep,
@@ -299,3 +300,130 @@ def test_gradient_runs_self_contracted_both_modes(rng):
         assert is_self_contracted(space, run.discrete_curve()).passed
         assert is_self_contracted(space, run.interpolated_curve()).passed
         assert angle_estimate_sweep(space, run.discrete_curve()).passed
+
+
+KERNEL_SPACES = [
+    sc.EuclideanSpace(1),
+    sc.EuclideanSpace(2),
+    sc.EuclideanSpace(3),
+    sc.HyperbolicPlane(),
+    sc.SpiderSpace(4),
+    sc.BookSpace(3),
+    sc.load_tree_file("edge a b 1.0\nedge b c 2.0\nedge b d 0.5\nedge d e 1.5\nedge b f 0.7"),
+    sc.ProductSpace(sc.EuclideanSpace(1), sc.SpiderSpace(3)),
+]
+
+
+def _germs(space, base, rng, m):
+    """Germs at `base` toward m random points that differ from it."""
+    germs = []
+    while len(germs) < m:
+        p = space.random_point(rng, 1.5).data
+        if space._dist(base, p) > space.tolerance:
+            germs.append(space._log(base, p)[0])
+    return germs
+
+
+def _germ_cases(space, rng):
+    """(base, germs) cases: random bases, one germ, all-equal germs, and
+    the book spine and tree vertex bases where germs branch."""
+    bases = [space.random_point(rng, 1.5).data for _ in range(6)]
+    if isinstance(space, sc.BookSpace):
+        bases += [(0, 0.3, 0.0), (0, -0.8, 0.0), (2, 0.1, 0.4)]
+    if isinstance(space, sc.TreeSpace):
+        bases += [space.vertex_point(w).data for w in range(len(space.vertex_names))]
+    if isinstance(space, sc.SpiderSpace):
+        bases.append((0, 0.0))
+    cases = []
+    for base in bases:
+        cases.append((base, _germs(space, base, rng, 1)))
+        cases.append((base, _germs(space, base, rng, 1) * 4))
+        for m in (2, 5, 12):
+            cases.append((base, _germs(space, base, rng, m)))
+    return cases
+
+
+@pytest.mark.parametrize("space", KERNEL_SPACES, ids=lambda s: s.describe())
+def test_germ_diameter_matches_the_base_loop(space, rng):
+    """Every `_germ_diameter` override is the scalar double loop, bit for bit."""
+    for base, germs in _germ_cases(space, rng):
+        for limit in (math.pi / 2.0, 0.3):
+            excess, a, b = space._germ_diameter(base, germs, limit)
+            ref = Space._germ_diameter(space, base, germs, limit)
+            assert (excess.hex(), a, b) == (ref[0].hex(), ref[1], ref[2])
+
+
+@pytest.mark.parametrize("space", KERNEL_SPACES, ids=lambda s: s.describe())
+def test_dist_row_matches_the_scalar_distance(space, rng):
+    pts = [space.random_point(rng, 1.5).data for _ in range(20)]
+    for a in pts[:5]:
+        row = space._dist_row(a, pts)
+        assert [d.hex() for d in row] == [space._dist(a, b).hex() for b in pts]
+        assert type(row[0]) is float
+        assert space._dist_row(a, []) == []
+
+
+def test_germ_diameter_witness_is_first_by_excess():
+    """Two distinct angles below pi/4 that round to the same excess: the
+    pair that comes first in loop order wins, though its angle is smaller."""
+    plane = sc.EuclideanSpace(2)
+    c1 = 0.899999999999996
+    c2 = math.nextafter(c1, -1.0)
+    germs = [(1.0, 0.0), (c1, math.sqrt(1.0 - c1 * c1)), (c2, math.sqrt(1.0 - c2 * c2))]
+    limit = math.pi / 2.0
+    ang1 = plane._angle(None, germs[0], germs[1])
+    ang2 = plane._angle(None, germs[0], germs[2])
+    assert ang1 < ang2 < math.pi / 4.0
+    assert ang1 - limit == ang2 - limit
+    assert plane._germ_diameter(None, germs, limit) == (ang1 - limit, 0, 1)
+    assert Space._germ_diameter(plane, None, germs, limit) == (ang1 - limit, 0, 1)
+
+
+def scalar_angle_sweep(space, curve, limit=math.pi / 2.0):
+    """The angle sweep as one Python call per triple, through the public
+    `log_direction` and `direction_angle`: the reference for the kernels."""
+    from selfcontract.verify import DEFAULT_SAMPLING, _effective_samples
+
+    samples = _effective_samples(curve, DEFAULT_SAMPLING)
+    worst, witness, n_checked = -math.inf, None, 0
+    for i, (ti, base) in enumerate(samples):
+        germs = [(tj, space.log_direction(base, pj)[0]) for tj, pj in samples[i + 1:]
+                 if not space.same_point(base, pj)]
+        for a in range(len(germs)):
+            for b in range(a, len(germs)):
+                ang = space.direction_angle(germs[a][1], germs[b][1])
+                n_checked += 1
+                if ang - limit > worst:
+                    worst = ang - limit
+                    witness = {"tau": ti, "t1": germs[a][0], "t2": germs[b][0],
+                               "angle": ang}
+    return (worst if n_checked else 0.0), witness, max(n_checked, 1)
+
+
+@pytest.mark.parametrize("space", KERNEL_SPACES, ids=lambda s: s.describe())
+def test_angle_sweep_matches_the_scalar_sweep(space, rng):
+    """Random curves, passing and failing, with repeated samples."""
+    for trial in range(6):
+        pts = [space.random_point(rng, 1.3) for _ in range(int(rng.integers(1, 6)))]
+        if len(pts) > 3:
+            pts[2] = pts[0]
+        for mode in ("discrete", "geodesic"):
+            curve = sc.make_curve(pts, mode=mode)
+            rep = angle_estimate_sweep(space, curve)
+            worst, witness, n_checked = scalar_angle_sweep(space, curve)
+            assert rep.max_violation.hex() == worst.hex()
+            assert rep.witness == witness
+            assert rep.n_checked == n_checked
+
+
+@pytest.mark.parametrize("check", [angle_estimate_sweep, is_self_contracted,
+                                   tail_halving_check])
+def test_payload_checks_own_the_curve(check, plane):
+    """The checks work on raw payloads, but a curve from another space is
+    still refused, and one from an equal space object is accepted."""
+    curve = segment_curve(plane)
+    with pytest.raises(SpaceMismatchError):
+        check(sc.SpiderSpace(3), curve)
+    twin = sc.EuclideanSpace(2)
+    assert twin is not plane
+    assert check(twin, curve).to_json() == check(plane, curve).to_json()
