@@ -42,7 +42,6 @@ from .objectives import ObjectiveFn, builtin_objectives, make_objective, quasico
 from .proximal import (
     GradientCurveRun,
     ResolventResult,
-    SolverConfig,
     discrete_gradient_curve,
     geodesic_interpolation,
     moreau_yosida,

@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
 from .errors import GeometryError, SolverError, UnsupportedSpaceError
 from .metric import curve_length, diameter
 from .objectives import make_objective
-from .proximal import DEFAULT_SOLVER, discrete_gradient_curve
+from .proximal import discrete_gradient_curve
 from .serialize import (
     SCHEMA_VERSION,
     bound_report_csv_rows,
@@ -49,15 +50,57 @@ def _fail(msg: str) -> int:
     return USAGE_ERROR
 
 
-def _merged_options(args) -> dict[str, str]:
-    options: dict[str, str] = {}
+def _seed(value) -> int:
+    seed = int(value)
+    if seed < 0:
+        raise ValueError
+    return seed
+
+
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError
+    return x
+
+
+def _finite_list(value) -> list[float]:
+    xs = [_finite(t) for t in value.split(",") if t.strip()]
+    if not xs:
+        raise ValueError
+    return xs
+
+
+# numeric option -> (parser, what it must be); other options stay strings
+_NUMERIC = {
+    "seed": (_seed, "a non-negative integer"),
+    "steps": (int, "an integer"),
+    "k": (int, "an integer"),
+    "tol": (_finite, "a finite number"),
+    "tau": (_finite_list, "a comma list of finite numbers"),
+}
+
+
+def _merged_options(args) -> dict:
+    """Config-file options overridden by flags, numeric ones parsed once.
+
+    A malformed number raises GeometryError naming the option.
+    """
+    options: dict = {}
     if getattr(args, "config", None):
         options.update(parse_config_file(args.config))
     for key in ("space", "objective", "tau", "steps", "seed", "out",
-                "check", "bound", "tol", "start"):
+                "check", "bound", "tol", "start", "k"):
         value = getattr(args, key, None)
         if value is not None:
-            options[key] = str(value)
+            options[key] = value
+    for key, (parse, expected) in _NUMERIC.items():
+        if key in options:
+            try:
+                options[key] = parse(options[key])
+            except (ValueError, TypeError, OverflowError):
+                raise GeometryError(
+                    f"option {key} must be {expected}, got {options[key]!r}") from None
     return options
 
 
@@ -94,10 +137,9 @@ def cmd_simulate(args) -> int:
         objective = make_objective(space, options["objective"], **params)
     except (GeometryError, UnsupportedSpaceError, FileNotFoundError, ValueError) as e:
         return _fail(str(e))
-    seed = int(options.get("seed", 0))
-    steps = int(options.get("steps", 8))
-    tau_text = options.get("tau", "0.5")
-    taus = [float(t) for t in tau_text.split(",") if t.strip()]
+    seed = options.get("seed", 0)
+    steps = options.get("steps", 8)
+    taus = options.get("tau", [0.5])
     if len(taus) == 1:
         taus = taus * steps
     try:
@@ -105,7 +147,7 @@ def cmd_simulate(args) -> int:
             start = parse_point_spec(space, options["start"])
         else:
             start = _default_start(space, seed)
-        run = discrete_gradient_curve(objective, space, start, taus, DEFAULT_SOLVER)
+        run = discrete_gradient_curve(objective, space, start, taus)
     except (GeometryError, SolverError, UnsupportedSpaceError) as e:
         return _fail(str(e))
     out = Path(options["out"])
@@ -149,9 +191,8 @@ def cmd_verify(args) -> int:
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         return _fail(f"unknown checks: {unknown}; available: {sorted(CHECKS)}")
-    seed = int(options.get("seed", 0))
-    tol = float(options.get("tol", DEFAULT_SAMPLING.tolerance))
-    cfg = SamplingConfig(seed=seed, tolerance=tol)
+    seed = options.get("seed", 0)
+    cfg = SamplingConfig(seed=seed, tolerance=options.get("tol", DEFAULT_SAMPLING.tolerance))
     reports = run_checks(curve.space, curve, names, cfg)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -180,7 +221,7 @@ def cmd_audit(args) -> int:
     if not bound:
         return _fail("audit needs --bound (euclidean, tree, book, generic)")
     space = curve.space
-    seed = int(options.get("seed", 0))
+    seed = options.get("seed", 0)
     try:
         if bound == "euclidean":
             report = euclidean_length_bound(curve, seed=seed)
@@ -195,7 +236,7 @@ def cmd_audit(args) -> int:
     except (UnsupportedSpaceError, GeometryError) as e:
         return _fail(str(e))
     if "tol" in options:
-        report = dataclasses.replace(report, tolerance=float(options["tol"]))
+        report = dataclasses.replace(report, tolerance=options["tol"])
     if "out" in options:
         out = Path(options["out"])
         write_text_atomic(out.with_suffix(".json"),
@@ -211,7 +252,7 @@ def cmd_audit(args) -> int:
 
 def cmd_counterexample(args) -> int:
     options = _merged_options(args)
-    k = int(getattr(args, "k", None) or options.get("k", 0))
+    k = options.get("k", 0)
     if k < 2:
         return _fail("counterexample needs --k >= 2")
     out = Path(options.get("out", "counterexample"))

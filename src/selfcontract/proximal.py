@@ -34,8 +34,11 @@ MULTIPLE_TIES = "multiple_ties"
 EMPTY = "empty"
 UNBOUNDED = "unbounded"
 
+
 @dataclass(frozen=True)
 class SolverConfig:
+    """The numeric solver's constants; `DEFAULT_SOLVER` is the one instance."""
+
     grid_1d: int = 128
     grid_2d: int = 24
     refine_tol: float = 1e-13
@@ -169,7 +172,12 @@ def _pattern_refine(fn, start: list[float], step: float, lo: list[float],
 
 
 class _Composite:
-    """f(z) + d(x,z)^2/(2 tau) with an evaluation counter."""
+    """f(z) + d(x,z)^2/(2 tau) with an evaluation counter.
+
+    The solvers build every point they evaluate, so the composite trusts
+    them: it skips the space and domain checks of `Space.distance` and
+    `ObjectiveFn.__call__`, and makes one `fn` call per evaluation.
+    """
 
     def __init__(self, objective: ObjectiveFn, space: Space, x: Point, tau: float):
         self.objective = objective
@@ -180,15 +188,14 @@ class _Composite:
 
     def at_point(self, p: Point) -> float:
         self.evals += 1
-        d = self.space.distance(self.x, p)
-        return self.objective(p) + d * d / (2.0 * self.tau)
+        d = self.space._dist(self.x.data, p.data)
+        return float(self.objective.fn(p)) + d * d / (2.0 * self.tau)
 
 
-def _grid_scores(eval_coords, los, his, cfg: SolverConfig
-                 ) -> tuple[list[tuple[float, tuple]], float]:
+def _grid_scores(eval_coords, los, his) -> tuple[list[tuple[float, tuple]], float]:
     """Score a full grid over the box; returns sorted (value, coords) + cell."""
     n = len(los)
-    cells = cfg.grid_1d if n == 1 else cfg.grid_2d
+    cells = DEFAULT_SOLVER.grid_1d if n == 1 else DEFAULT_SOLVER.grid_2d
     axes = [
         [lo + (hi - lo) * i / cells for i in range(cells + 1)]
         for lo, hi in zip(los, his)
@@ -199,18 +206,18 @@ def _grid_scores(eval_coords, los, his, cfg: SolverConfig
     return scored, cell
 
 
-def _refine_top(eval_coords, scored, cell, los, his, cfg: SolverConfig,
+def _refine_top(eval_coords, scored, cell, los, his,
                 keep: int = 4) -> list[tuple[list[float], float]]:
     out = []
     for v0, c0 in scored[:keep]:
-        c, v = _pattern_refine(eval_coords, list(c0), cell, los, his, cfg.refine_tol)
+        c, v = _pattern_refine(eval_coords, list(c0), cell, los, his,
+                               DEFAULT_SOLVER.refine_tol)
         out.append((c, v))
     out.sort(key=lambda t: t[1])
     return out
 
 
-def _expanding_window(cfg: SolverConfig, radius: float, scan
-                      ) -> tuple[str, list[tuple[Point, float]]]:
+def _expanding_window(radius: float, scan) -> tuple[str, list[tuple[Point, float]]]:
     """Widen a search window x4 until its best candidate lies inside it.
 
     `scan(radius)` returns (best value, best lies inside, finish), where
@@ -218,11 +225,11 @@ def _expanding_window(cfg: SolverConfig, radius: float, scan
     """
     while True:
         best_v, inside, finish = scan(radius)
-        if best_v < cfg.unbounded_value:
+        if best_v < DEFAULT_SOLVER.unbounded_value:
             return UNBOUNDED, []
         if inside:
             return "ok", finish()
-        if radius > cfg.max_radius:
+        if radius > DEFAULT_SOLVER.max_radius:
             return UNBOUNDED, []
         radius *= 4.0
 
@@ -234,7 +241,7 @@ def _identity_chart(comp: _Composite):
         raise UnsupportedSpaceError("resolvent solver covers Euclidean dimensions 1 and 2")
 
     def to_point(coords) -> Point:
-        return space.point(tuple(coords))
+        return Point(space, space._canonical(tuple(coords)))
 
     return to_point, list(comp.x.data), comp.objective.domain
 
@@ -256,8 +263,7 @@ def _exp_chart(comp: _Composite):
     return to_point, [0.0, 0.0], None
 
 
-def _solve_chart(chart, comp: _Composite, cfg: SolverConfig
-                 ) -> tuple[str, list[tuple[Point, float]]]:
+def _solve_chart(chart, comp: _Composite) -> tuple[str, list[tuple[Point, float]]]:
     """Grid plus pattern refinement in a chart of R^1, R^2 or H^2.
 
     `chart(comp)` gives (coordinates -> point, window centre, box domain
@@ -269,75 +275,75 @@ def _solve_chart(chart, comp: _Composite, cfg: SolverConfig
         return comp.at_point(to_point(coords))
 
     def refined(los, his, scored, cell):
-        cands = _refine_top(eval_coords, scored, cell, los, his, cfg)
+        cands = _refine_top(eval_coords, scored, cell, los, his)
         return [(to_point(c), v) for c, v in cands]
 
     if box is not None:
         los = [b[0] for b in box.bounds]
         his = [b[1] for b in box.bounds]
-        scored, cell = _grid_scores(eval_coords, los, his, cfg)
+        scored, cell = _grid_scores(eval_coords, los, his)
         return "ok", refined(los, his, scored, cell)
 
     def scan(radius):
         los = [c - radius for c in center]
         his = [c + radius for c in center]
-        scored, cell = _grid_scores(eval_coords, los, his, cfg)
+        scored, cell = _grid_scores(eval_coords, los, his)
         best_v, best_c = scored[0]
         eps = 1e-12 * max(1.0, radius)
         on_edge = any(x - lo < eps or hi - x < eps for x, lo, hi in zip(best_c, los, his))
         return best_v, not on_edge, lambda: refined(los, his, scored, cell)
 
-    return _expanding_window(cfg, cfg.start_radius * max(1.0, math.sqrt(comp.tau)), scan)
+    return _expanding_window(DEFAULT_SOLVER.start_radius * max(1.0, math.sqrt(comp.tau)),
+                             scan)
 
 
-def _solve_segments(comp: _Composite, cfg: SolverConfig
-                    ) -> tuple[str, list[tuple[Point, float]]]:
+def _solve_segments(comp: _Composite) -> tuple[str, list[tuple[Point, float]]]:
     """Exhaustive line search along every tree edge or spider leg."""
     space = comp.space
     out: list[tuple[Point, float]] = []
     for seg, length, _, _ in space.segments():
 
-        def fn(t, seg=seg):
-            return comp.at_point(space.point((seg, t)))
+        def at(t, seg=seg) -> Point:
+            return Point(space, space._canonical((seg, t)))
 
-        for t, v in _line_minima(fn, 0.0, length, cfg.grid_1d, cfg.refine_tol):
-            out.append((space.point((seg, t)), v))
+        for t, v in _line_minima(lambda t: comp.at_point(at(t)), 0.0, length,
+                                 DEFAULT_SOLVER.grid_1d, DEFAULT_SOLVER.refine_tol):
+            out.append((at(t), v))
     out.sort(key=lambda t: t[1])
     return "ok", out
 
 
-def _solve_book(comp: _Composite, cfg: SolverConfig
-                ) -> tuple[str, list[tuple[Point, float]]]:
+def _solve_book(comp: _Composite) -> tuple[str, list[tuple[Point, float]]]:
     space: BookSpace = comp.space
     xa = comp.x.data[1]
 
-    def spine_fn(a):
-        return comp.at_point(space.point((0, a, 0.0)))
+    def at(sheet, a, b) -> Point:
+        return Point(space, space._canonical((sheet, a, max(b, 0.0))))
 
     def scan(radius):
-        out = [(space.point((0, a, 0.0)), v) for a, v in _line_minima(
-            spine_fn, xa - radius, xa + radius, cfg.grid_1d, cfg.refine_tol)]
+        out = [(at(0, a, 0.0), v) for a, v in _line_minima(
+            lambda a: comp.at_point(at(0, a, 0.0)), xa - radius, xa + radius,
+            DEFAULT_SOLVER.grid_1d, DEFAULT_SOLVER.refine_tol)]
         for sheet in range(1, space.k + 1):
 
             def eval_coords(coords, sheet=sheet):
-                a, b = coords
-                return comp.at_point(space.point((sheet, a, max(b, 0.0))))
+                return comp.at_point(at(sheet, *coords))
 
             los = [xa - radius, 0.0]
             his = [xa + radius, radius]
-            scored, cell = _grid_scores(eval_coords, los, his, cfg)
-            for c, v in _refine_top(eval_coords, scored, cell, los, his, cfg):
-                out.append((space.point((sheet, c[0], max(c[1], 0.0))), v))
+            scored, cell = _grid_scores(eval_coords, los, his)
+            for c, v in _refine_top(eval_coords, scored, cell, los, his):
+                out.append((at(sheet, *c), v))
         out.sort(key=lambda t: t[1])
         pa, pb = out[0][0].data[1], out[0][0].data[2]
         inside = abs(pa - xa) < radius * (1 - 1e-9) and pb < radius * (1 - 1e-9)
         return out[0][1], inside, lambda: out
 
-    radius = cfg.start_radius * max(1.0, math.sqrt(comp.tau), abs(comp.x.data[2]))
-    return _expanding_window(cfg, radius, scan)
+    radius = DEFAULT_SOLVER.start_radius * max(1.0, math.sqrt(comp.tau), abs(comp.x.data[2]))
+    return _expanding_window(radius, scan)
 
 
-# space type -> solver(composite, config)
+# space type -> solver(composite)
 _SOLVERS = {
     EuclideanSpace: partial(_solve_chart, _identity_chart),
     HyperbolicPlane: partial(_solve_chart, _exp_chart),
@@ -347,13 +353,13 @@ _SOLVERS = {
 }
 
 
-def _solve(objective: ObjectiveFn, space: Space, x: Point, tau: float,
-           cfg: SolverConfig) -> tuple[str, list[tuple[Point, float]], int]:
+def _solve(objective: ObjectiveFn, space: Space, x: Point, tau: float
+           ) -> tuple[str, list[tuple[Point, float]], int]:
     solver = _SOLVERS.get(type(space))
     if solver is None:
         raise UnsupportedSpaceError(f"no resolvent solver for {space.describe()}")
     comp = _Composite(objective, space, x, tau)
-    status, cands = solver(comp, cfg)
+    status, cands = solver(comp)
     return status, cands, comp.evals
 
 
@@ -381,23 +387,22 @@ def _exact(objective: ObjectiveFn, space: Space, x: Point, tau: float
     return z, objective(z) + d * d / (2.0 * tau)
 
 
-def moreau_yosida(objective: ObjectiveFn, space: Space, x: Point, tau: float,
-                  cfg: SolverConfig = DEFAULT_SOLVER) -> float:
+def moreau_yosida(objective: ObjectiveFn, space: Space, x: Point, tau: float) -> float:
     """inf_z f(z) + d(x,z)^2/(2 tau); -inf when divergence is detected."""
     _check_inputs(objective, space, x, tau)
     if objective.prox is not None:
         return _exact(objective, space, x, tau)[1]
-    status, cands, _ = _solve(objective, space, x, tau, cfg)
+    status, cands, _ = _solve(objective, space, x, tau)
     if status == UNBOUNDED:
         return -math.inf
     return cands[0][1]
 
 
-def resolvent(objective: ObjectiveFn, space: Space, x: Point, tau: float,
-              cfg: SolverConfig = DEFAULT_SOLVER) -> ResolventResult:
+def resolvent(objective: ObjectiveFn, space: Space, x: Point, tau: float
+              ) -> ResolventResult:
     """All global minimizers of the proximal subproblem, deduplicated.
 
-    Ties within cfg.tie_value of the optimum are all reported; the
+    Ties within DEFAULT_SOLVER.tie_value of the optimum are all reported; the
     minimizer list is sorted nearest-to-x first (then by coordinates) so
     that downstream tie-breaking is deterministic.  An objective with an
     exact prox skips the search and reports 0 evaluations.
@@ -406,7 +411,7 @@ def resolvent(objective: ObjectiveFn, space: Space, x: Point, tau: float,
     if objective.prox is not None:
         z, value = _exact(objective, space, x, tau)
         return ResolventResult((z,), value, UNIQUE)
-    status, cands, evals = _solve(objective, space, x, tau, cfg)
+    status, cands, evals = _solve(objective, space, x, tau)
     if status == UNBOUNDED:
         return ResolventResult((), -math.inf, UNBOUNDED, evals)
     if not cands:
@@ -414,9 +419,9 @@ def resolvent(objective: ObjectiveFn, space: Space, x: Point, tau: float,
     best = cands[0][1]
     kept: list[Point] = []
     for p, v in cands:
-        if v > best + cfg.tie_value:
+        if v > best + DEFAULT_SOLVER.tie_value:
             break
-        if all(space.distance(p, q) > cfg.dedupe_dist for q in kept):
+        if all(space.distance(p, q) > DEFAULT_SOLVER.dedupe_dist for q in kept):
             kept.append(p)
     kept.sort(key=lambda p: (space.distance(x, p), space._point_json(p.data)))
     status = UNIQUE if len(kept) == 1 else MULTIPLE_TIES
@@ -454,8 +459,7 @@ class GradientCurveRun:
 
 
 def discrete_gradient_curve(objective: ObjectiveFn, space: Space, x0: Point,
-                            tau_schedule, cfg: SolverConfig = DEFAULT_SOLVER
-                            ) -> GradientCurveRun:
+                            tau_schedule) -> GradientCurveRun:
     """Iterate the resolvent along the step schedule.
 
     The 'arbitrary choice' in the recursion is pinned to the minimizer
@@ -469,7 +473,7 @@ def discrete_gradient_curve(objective: ObjectiveFn, space: Space, x0: Point,
     values = [objective(x0)]
     diagnostic = None
     for k, tau in enumerate(taus):
-        res = resolvent(objective, space, points[-1], tau, cfg)
+        res = resolvent(objective, space, points[-1], tau)
         if not res.minimizers:
             diagnostic = (
                 f"resolvent {res.status} at step {k + 1}; returning prefix"

@@ -49,7 +49,10 @@ def curve_from_json(obj: dict) -> Curve:
         if not samples:
             raise GeometryError("curve document has no samples")
         times = [float(s["t"]) for s in samples]
-        points = [space.point(space._point_from_json(s["p"])) for s in samples]
+        payloads = [s["p"] for s in samples]
+        if not all(isinstance(p, list) for p in payloads):
+            raise GeometryError("malformed curve document: each sample point is a list")
+        points = [space.point(p) for p in payloads]
         end = obj.get("domain_end", "inf")
         domain_end = float("inf") if end == "inf" else float(end)
     except GeometryError:
@@ -139,7 +142,7 @@ def parse_point_spec(space: Space, text: str):
         raise GeometryError("empty point spec")
     try:
         values = [float(p) for p in parts]
-        return space.point(space._point_from_json(values))
+        return space.point(values)
     except (ValueError, IndexError, TypeError, OverflowError) as e:
         raise GeometryError(
             f"cannot parse point {text!r} on {space.describe()}: {e}"

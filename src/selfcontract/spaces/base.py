@@ -114,13 +114,10 @@ class Space(ABC):
     def _point_json(self, data: tuple) -> list:
         ...
 
-    @abstractmethod
-    def _point_from_json(self, obj: list) -> tuple:
-        ...
-
     # -- public API ---------------------------------------------------------
 
     def point(self, *data: Any) -> Point:
+        """The one payload parser: check, then canonicalize, outside input."""
         payload = tuple(data) if len(data) != 1 else _as_payload(data[0])
         self._check(payload)
         return Point(self, self._canonical(payload))
@@ -215,14 +212,6 @@ def integral_index(value: Any) -> int:
     if not index.is_integer():
         raise GeometryError(f"index {value!r} is not an integer")
     return int(index)
-
-
-def indexed_payload(obj, size: int) -> tuple:
-    """(index, float, ...) from a payload whose first field is an integral
-    edge, leg or sheet index."""
-    if len(obj) != size:
-        raise GeometryError(f"expected {size} payload fields, got {len(obj)}")
-    return (integral_index(obj[0]), *(float(x) for x in obj[1:]))
 
 
 def clamp_cos(c: float) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from ..errors import GeometryError
-from .base import Space, clamp_cos, indexed_payload, integral_index
+from .base import Space, clamp_cos, integral_index
 
 
 class BookSpace(Space):
@@ -125,6 +125,3 @@ class BookSpace(Space):
 
     def _point_json(self, data: tuple) -> list:
         return [int(data[0]), float(data[1]), float(data[2])]
-
-    def _point_from_json(self, obj: list) -> tuple:
-        return indexed_payload(obj, 3)

@@ -80,6 +80,3 @@ class EuclideanSpace(Space):
 
     def _point_json(self, data: tuple) -> list:
         return list(data)
-
-    def _point_from_json(self, obj: list) -> tuple:
-        return tuple(float(x) for x in obj)

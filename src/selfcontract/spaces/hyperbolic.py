@@ -131,6 +131,3 @@ class HyperbolicPlane(Space):
 
     def _point_json(self, data: tuple) -> list:
         return list(data)
-
-    def _point_from_json(self, obj: list) -> tuple:
-        return tuple(float(x) for x in obj)

@@ -71,8 +71,3 @@ class ProductSpace(Space):
 
     def _point_json(self, data: tuple) -> list:
         return [self.left._point_json(data[0]), self.right._point_json(data[1])]
-
-    def _point_from_json(self, obj: list) -> tuple:
-        if len(obj) != 2:
-            raise GeometryError("product points are (left payload, right payload)")
-        return (self.left._point_from_json(obj[0]), self.right._point_from_json(obj[1]))

@@ -12,7 +12,7 @@ import math
 from typing import Sequence
 
 from ..errors import GeometryError
-from .base import Space, indexed_payload, integral_index
+from .base import Point, Space, integral_index
 
 
 class TreeSpace(Space):
@@ -116,9 +116,8 @@ class TreeSpace(Space):
             w = self._parent[w]
         return up + [c] + list(reversed(down))
 
-    def vertex_point(self, w: int):
-        ei, off = self._vertex_rep[w]
-        return self.point((ei, off))
+    def vertex_point(self, w: int) -> Point:
+        return Point(self, self._canonical(self._vertex_rep[w]))
 
     # -- payload interface -----------------------------------------------------
 
@@ -276,9 +275,6 @@ class TreeSpace(Space):
     def _point_json(self, data: tuple) -> list:
         return [int(data[0]), float(data[1])]
 
-    def _point_from_json(self, obj: list) -> tuple:
-        return indexed_payload(obj, 2)
-
 
 class SpiderSpace(Space):
     """k segments of given lengths glued at a common center point."""
@@ -321,8 +317,8 @@ class SpiderSpace(Space):
             return (0, 0.0)
         return (leg, min(r, self.leg_lengths[leg - 1]))
 
-    def center(self):
-        return self.point((0, 0.0))
+    def center(self) -> Point:
+        return Point(self, self._canonical((0, 0.0)))
 
     def _dist(self, a: tuple, b: tuple) -> float:
         if a[0] == b[0]:
@@ -392,9 +388,6 @@ class SpiderSpace(Space):
 
     def _point_json(self, data: tuple) -> list:
         return [int(data[0]), float(data[1])]
-
-    def _point_from_json(self, obj: list) -> tuple:
-        return indexed_payload(obj, 2)
 
 
 def load_tree_file(text: str, tolerance: float = 1e-9) -> TreeSpace:

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GeometryError
-from .metric import Curve, GEODESIC, comparison_angle, make_curve
+from .metric import Curve, make_curve
 from .objectives import ObjectiveFn
 from .proximal import GradientCurveRun
 from .spaces.base import Point, Space
@@ -62,8 +62,7 @@ class ViolationReport:
 def _effective_samples(curve: Curve, cfg: SamplingConfig
                        ) -> list[tuple[float, Point]]:
     """Curve samples, densified along geodesic segments, capped for runtime."""
-    work = curve.densified(cfg.densify_levels) if curve.mode == GEODESIC else curve
-    samples = list(work.samples)
+    samples = list(curve.densified(cfg.densify_levels).samples)
     n = len(samples)
     if n <= cfg.max_exhaustive:
         return samples
@@ -323,19 +322,6 @@ def tail_halving_check(space: Space, curve: Curve,
         check="tail_halving", max_violation=worst, n_checked=max(n_checked, 1),
         tolerance=cfg.tolerance, witness=witness,
     )
-
-
-def cosine_identity_residual(space: Space, x: Point, p: Point, q: Point) -> float:
-    """Projection identity via comparison angles: exact in Euclidean spaces.
-
-    Returns d(x,q) cos A~[p x q] + d(p,q) cos A~[x p q] - d(x,p).
-    """
-    dxq = space.distance(x, q)
-    dpq = space.distance(p, q)
-    dxp = space.distance(x, p)
-    ang_x = comparison_angle(space, x, p, q)
-    ang_p = comparison_angle(space, p, x, q)
-    return dxq * math.cos(ang_x) + dpq * math.cos(ang_p) - dxp
 
 
 def evi_residual(space: Space, objective: ObjectiveFn, curve: Curve,

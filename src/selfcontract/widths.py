@@ -19,9 +19,9 @@ from .measures import (
     estimate_condition_constants,
     hausdorff_measure_neighborhood,
 )
-from .metric import Curve, GEODESIC, curve_length, diameter, make_curve
+from .metric import Curve, curve_length, diameter, make_curve
 from .objectives import make_objective
-from .proximal import DEFAULT_SOLVER, discrete_gradient_curve
+from .proximal import discrete_gradient_curve
 from .spaces.base import Direction, Point, Space
 from .spaces.book import BookSpace
 from .spaces.euclidean import EuclideanSpace
@@ -156,20 +156,17 @@ def _sample_region_point(space: Space, region: NeighborhoodRegion, rng) -> Point
     return space.geodesic_point(anchor, target, min(1.0, step / d))
 
 
-def curve_trajectory_points(curve: Curve, densify_levels: int = 3) -> list[Point]:
+def curve_trajectory_points(curve: Curve) -> list[Point]:
     """Sample points standing in for the trajectory (densified if geodesic)."""
-    work = curve.densified(densify_levels) if curve.mode == GEODESIC else curve
-    return work.points
+    return curve.densified().points
 
 
-def tail_cover_direction(space: Space, curve: Curve, tau: float,
-                         densify_levels: int = 3
+def tail_cover_direction(space: Space, curve: Curve, tau: float
                          ) -> tuple[Direction, float, int]:
     """Covering direction of the tail germs at xi(tau)."""
     base = curve.point_at(tau)
-    work = curve.densified(densify_levels) if curve.mode == GEODESIC else curve
     germs = []
-    for t, p in work.samples:
+    for t, p in curve.densified().samples:
         if t <= tau + 1e-15 or space.same_point(base, p):
             continue
         germs.append(space.log_direction(base, p)[0])
@@ -180,8 +177,7 @@ def tail_cover_direction(space: Space, curve: Curve, tau: float,
 
 def directional_decrease_residual(space: Space, curve: Curve, tau: float,
                                   T: float, direction: Direction,
-                                  decrease_rate: float,
-                                  densify_levels: int = 3) -> float:
+                                  decrease_rate: float) -> float:
     """Projected-extent decrease residual between the tails at tau and T.
 
     Returns |Pi(Xi(T))| - |Pi(Xi(tau))| + decrease_rate * d(xi(tau),
@@ -196,7 +192,7 @@ def directional_decrease_residual(space: Space, curve: Curve, tau: float,
     d = space.distance(p_tau, p_T)
     if d <= space.tolerance:
         return 0.0
-    work = curve.densified(densify_levels) if curve.mode == GEODESIC else curve
+    work = curve.densified()
     tail_tau = work.tail_points(tau)
     tail_T = work.tail_points(T)
     base = direction.base
@@ -477,7 +473,7 @@ def random_self_contracted(space: Space, n_steps: int, seed: int,
         objective = make_objective(space, name, target=target, other=space.random_point(rng, scale))
         start = space.random_point(rng, scale)
         taus = [0.5] * max(n_steps - 1, 1)
-        run = discrete_gradient_curve(objective, space, start, taus, DEFAULT_SOLVER)
+        run = discrete_gradient_curve(objective, space, start, taus)
         return run.discrete_curve()
     if mode != "rejection":
         raise GeometryError("mode must be 'rejection' or 'gradient'")

@@ -116,6 +116,7 @@ def _curve_doc(space: dict, points: list, times=(0.0, 1.0), domain_end="inf") ->
 
 SPIDER3 = {"kind": "spider", "k": 3, "leg_lengths": [1.0, 1.0, 1.0], "tolerance": 1e-9}
 BOOK2 = {"kind": "book", "k": 2, "tolerance": 1e-9}
+LINE = {"kind": "euclidean", "dim": 1, "tolerance": 1e-9}
 NAN = float("nan")
 
 
@@ -131,9 +132,11 @@ NAN = float("nan")
     _curve_doc({**SPIDER3, "leg_lengths": [1.0, NAN, 1.0]}, [[1, 0.5], [3, 0.5]]),
     _curve_doc({**SPIDER3, "leg_lengths": [1.0, float("inf"), 1.0]},
                [[1, 0.5], [2, 0.5]]),
+    _curve_doc(LINE, [[0.0], 0.5]),
+    _curve_doc(LINE, [[0.0], "0.5"]),
 ], ids=["hyperbolic-nan", "book-spine-nan", "book-fractional-sheet", "time-abc",
         "domain-end-abc", "spider-nan-leg", "spider-extra-field", "spider-nan-length",
-        "spider-inf-length"])
+        "spider-inf-length", "bare-number-point", "string-point"])
 def test_verify_rejects_hostile_curve_files(tmp_path, doc):
     (tmp_path / "bad.json").write_text(json.dumps(doc))
     for command in (["verify", "bad.json"], ["audit", "bad.json", "--bound", "generic"]):
@@ -150,6 +153,42 @@ def test_simulate_rejects_non_finite_leg_lengths(tmp_path, space):
     r = run(["simulate", "--config", "bad.cfg"], tmp_path)
     assert r.returncode == 2, (r.stdout, r.stderr)
     assert "Traceback" not in r.stderr
+
+
+COMMANDS = {
+    "simulate": ["simulate"],
+    "verify": ["verify", "run1.curve.json"],
+    "audit": ["audit", "run1.curve.json", "--bound", "generic"],
+    "counterexample": ["counterexample", "--out", "cex"],
+}
+
+
+@pytest.mark.parametrize("option, commands", [
+    ("steps = abc", ["simulate"]),
+    ("seed = x", ["simulate", "verify", "audit"]),
+    ("seed = -1", ["simulate", "verify", "audit"]),
+    ("--seed -1", ["simulate", "verify", "audit"]),
+    ("tau = 0.5,x", ["simulate"]),
+    ("--tau 0.5,x", ["simulate"]),
+    ("tol = x", ["verify", "audit"]),
+    ("--tol nan", ["verify", "audit"]),
+    ("k = x", ["counterexample"]),
+], ids=lambda v: v if isinstance(v, str) else "+".join(v))
+def test_malformed_numeric_options_are_usage_errors(workdir, option, commands):
+    """A bad number, from a flag or a config line, exits 2 without a traceback."""
+    for command in commands:
+        args = list(COMMANDS[command])
+        if option.startswith("--"):
+            args += option.split()
+            if command == "simulate":
+                args += ["--config", "sim.cfg"]
+        else:
+            base = (workdir / "sim.cfg").read_text() if command == "simulate" else ""
+            (workdir / "bad.cfg").write_text(f"{base}{option}\n")
+            args += ["--config", "bad.cfg"]
+        r = run(args, workdir)
+        assert r.returncode == 2, (command, r.stdout, r.stderr)
+        assert "error:" in r.stderr and "Traceback" not in r.stderr, (command, r.stderr)
 
 
 def test_verify_planted_violation(tmp_path):

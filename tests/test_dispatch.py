@@ -64,6 +64,18 @@ def test_space_dispatch_sites_are_pinned():
     assert found == ALLOWED_SITES
 
 
+def test_validation_stays_at_the_boundary():
+    """`Space.point` is the one payload parser, and the solver builds its own
+    candidates without it."""
+    proximal = ast.parse((PACKAGE / "proximal.py").read_text())
+    assert not [node for node in ast.walk(proximal) if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "point"]
+    for path in PACKAGE.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "name", getattr(node, "attr", getattr(node, "id", None)))
+            assert name != "_point_from_json", path
+
+
 @pytest.fixture
 def product_points():
     space = sc.parse_space_spec("product:[euclidean:1|spider:3]")

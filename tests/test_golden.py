@@ -156,13 +156,13 @@ def euclidean_constants_values(n: int) -> dict:
 
 def _space_points(case: dict):
     space = sc.space_from_json(case["space"])
-    return space, [space.point(space._point_from_json(_from_hex(p))) for p in case["points"]]
+    return space, [space.point(_from_hex(p)) for p in case["points"]]
 
 
 def _directions(case: dict):
     """The germs from the case's base point toward each of its points."""
     space, pts = _space_points(case)
-    base = space.point(space._point_from_json(_from_hex(case["base"])))
+    base = space.point(_from_hex(case["base"]))
     return space, base, [space.log_direction(base, q)[0] for q in pts]
 
 

@@ -9,7 +9,6 @@ from selfcontract import proximal
 from selfcontract.errors import GeometryError
 from selfcontract.objectives import ObjectiveFn, make_objective
 from selfcontract.proximal import (
-    DEFAULT_SOLVER,
     MULTIPLE_TIES,
     UNBOUNDED,
     UNIQUE,
@@ -103,7 +102,7 @@ def test_numeric_solver_agrees_with_closed_form_prox():
                     z = f.prox(x, tau)
                     assert space.distance(z, exact_step(space, name, x, p, tau)) <= 1e-12
                     exact = f(z) + space.distance(x, z) ** 2 / (2.0 * tau)
-                    status, cands, _ = proximal._solve(f, space, x, tau, DEFAULT_SOLVER)
+                    status, cands, _ = proximal._solve(f, space, x, tau)
                     assert status == "ok"
                     best, value = cands[0]
                     where = (space.describe(), name, tau, x.data, p.data)
@@ -111,6 +110,56 @@ def test_numeric_solver_agrees_with_closed_form_prox():
                     assert space.distance(best, z) <= 1e-6, where
                     landed += name == "dist" and space.distance(x, p) <= tau
     assert landed > 0  # some dist steps reach the target
+
+
+def test_numeric_minimizers_are_valid_points():
+    """The solvers build their candidates without `Space.point`; every
+    minimizer they return still passes the space's own payload check and,
+    off the hyperboloid, whose re-projection moves the last bits, is its own
+    canonical form.  Covers the segment, book, Euclidean box and
+    window, and H^2 chart paths, with ties on the box, segments and sheets
+    and minimizers at a spider's centre, a tree vertex and a book's spine."""
+    line, plane, h2 = sc.EuclideanSpace(1), sc.EuclideanSpace(2), sc.HyperbolicPlane()
+    spider, book = sc.SpiderSpace(3), sc.BookSpace(3)
+    tree = random_tree(seed=78, max_edges=10, max_degree=5)
+    rng = np.random.default_rng(57)
+    cases = [
+        (make_objective(line, "neg_cube_unit"), line.point((0.0,)), 0.5),
+        (ObjectiveFn(name="neg_radius", space=spider, fn=lambda z: -z.data[1]),
+         spider.center(), 0.5),
+        (ObjectiveFn(name="neg_height", space=book, fn=lambda z: -z.data[2]),
+         book.spine_point(0.0), 0.5),
+        (ObjectiveFn(name="radius", space=spider, fn=lambda z: z.data[1]),
+         spider.point((1, 0.3)), 1.0),
+        (ObjectiveFn(name="height", space=book, fn=lambda z: z.data[2]),
+         book.point((1, 0.2, 0.3)), 1.0),
+    ]
+    hub = tree.vertex_point(max(range(len(tree.vertex_names)), key=lambda w: len(tree._adj[w])))
+    cases.append((ObjectiveFn(name="to_hub", space=tree, fn=lambda z: tree.distance(z, hub)),
+                  tree.random_point(rng, 1.0), 10.0))
+    for space, name, params in [
+        (line, "neg_cube_unit", {}), (line, "sqrt_abs", {}), (line, "ripple_vee", {}),
+        (spider, "dist_to_leg_segment", {"leg": 2, "lo": 0.25, "hi": 0.75}),
+        (tree, "dist_to_edge_segment", {"edge": 1, "lo": 0.0}),
+        (book, "dist_to_spine_segment", {}),
+    ] + [(space, "max_two_dists", {}) for space in (plane, h2, spider, tree, book)]:
+        for tau in (0.3, 1.5):
+            if name == "max_two_dists":
+                params = {"target": space.random_point(rng, 1.5),
+                          "other": space.random_point(rng, 1.5)}
+            f = make_objective(space, name, **params)
+            x = (space.point((float(rng.uniform(0.0, 1.0)),)) if f.domain
+                 else space.random_point(rng, 1.5))
+            cases.append((f, x, tau))
+    ties = 0
+    for f, x, tau in cases:
+        res = resolvent(f, f.space, x, tau)
+        assert res.evals > 0 and res.minimizers, (f.name, f.space.describe())
+        ties += res.status == MULTIPLE_TIES
+        for p in res.minimizers:
+            f.space._check(p.data)
+            assert f.space is h2 or f.space.point(p.data).data == p.data
+    assert ties >= 3
 
 
 def test_resolvent_reports_evaluations(plane):

@@ -186,7 +186,7 @@ def test_space_json_roundtrip(space, rng):
     back = sc.space_from_json(doc)
     assert back == space
     p = space.random_point(rng, 1.0)
-    q = back.point(back._point_from_json(space._point_json(p.data)))
+    q = back.point(space._point_json(p.data))
     assert space.distance(p, sc.Point(space, q.data)) <= 1e-12
 
 
@@ -415,7 +415,7 @@ def test_spider_rejects_non_finite_leg_lengths(make):
 ])
 def test_payloads_need_integral_indices_and_exact_fields(space, obj):
     with pytest.raises(GeometryError):
-        space._point_from_json(obj)
+        space.point(obj)
 
 
 def test_segments_and_default_direction_sampler(spider3, small_tree, rng):

@@ -14,7 +14,6 @@ from selfcontract.verify import (
     angle_estimate_sweep,
     ball_confinement_check,
     contraction_check,
-    cosine_identity_residual,
     evi_residual,
     is_self_contracted,
     reparam_preserves,
@@ -186,29 +185,6 @@ def test_tail_halving_on_self_contracted(plane):
     for trial in range(15):
         cur = sc.random_self_contracted(plane, 12, seed=900 + trial)
         assert tail_halving_check(plane, cur).passed
-
-
-def test_cosine_identity_euclidean(plane, rng):
-    for _ in range(200):
-        x, p, q = (plane.random_point(rng, 2.0) for _ in range(3))
-        if plane.same_point(x, p) or plane.same_point(x, q) or plane.same_point(p, q):
-            continue
-        assert abs(cosine_identity_residual(plane, x, p, q)) <= 1e-7
-
-
-def test_cosine_identity_all_spaces(rng):
-    """With comparison angles the projection identity is exact in every
-    metric space (it is a statement about one Euclidean triangle)."""
-    spaces = [sc.SpiderSpace(4), sc.BookSpace(3), sc.HyperbolicPlane()]
-    for space in spaces:
-        count = 0
-        while count < 60:
-            x, p, q = (space.random_point(rng, 1.5) for _ in range(3))
-            if (space.same_point(x, p) or space.same_point(x, q)
-                    or space.same_point(p, q)):
-                continue
-            assert abs(cosine_identity_residual(space, x, p, q)) <= 1e-7
-            count += 1
 
 
 def test_metric_angle_projection_inequality_hyperbolic(rng):
