@@ -23,8 +23,8 @@ from .serialize import (
     curve_from_json,
     curve_to_json,
     dumps,
-    parse_bound_csv,
     parse_config_file,
+    parse_csv_rows,
     parse_point_spec,
     write_text_atomic,
 )
@@ -126,6 +126,13 @@ def _default_start(space, seed: int) -> Point:
     return space.random_point(rng, scale=1.5)
 
 
+def _read_curve(path: str):
+    try:
+        return curve_from_json(json.loads(Path(path).read_text()))
+    except (OSError, json.JSONDecodeError, GeometryError, KeyError, TypeError) as e:
+        raise GeometryError(f"cannot read curve file: {e}") from None
+
+
 def cmd_simulate(args) -> int:
     options = _merged_options(args)
     for required in ("space", "objective", "out"):
@@ -142,14 +149,11 @@ def cmd_simulate(args) -> int:
     taus = options.get("tau", [0.5])
     if len(taus) == 1:
         taus = taus * steps
-    try:
-        if "start" in options:
-            start = parse_point_spec(space, options["start"])
-        else:
-            start = _default_start(space, seed)
-        run = discrete_gradient_curve(objective, space, start, taus)
-    except (GeometryError, SolverError, UnsupportedSpaceError) as e:
-        return _fail(str(e))
+    if "start" in options:
+        start = parse_point_spec(space, options["start"])
+    else:
+        start = _default_start(space, seed)
+    run = discrete_gradient_curve(objective, space, start, taus)
     out = Path(options["out"])
     write_text_atomic(out.with_suffix(".curve.json"),
                       dumps(curve_to_json(run.discrete_curve())))
@@ -181,11 +185,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     options = _merged_options(args)
-    try:
-        doc = json.loads(Path(args.curve).read_text())
-        curve = curve_from_json(doc)
-    except (OSError, json.JSONDecodeError, GeometryError, KeyError, TypeError) as e:
-        return _fail(f"cannot read curve file: {e}")
+    curve = _read_curve(args.curve)
     names = [c.strip() for c in options.get("check", "self_contracted").split(",")
              if c.strip()]
     unknown = [n for n in names if n not in CHECKS]
@@ -212,29 +212,22 @@ def cmd_verify(args) -> int:
 
 def cmd_audit(args) -> int:
     options = _merged_options(args)
-    try:
-        doc = json.loads(Path(args.curve).read_text())
-        curve = curve_from_json(doc)
-    except (OSError, json.JSONDecodeError, GeometryError, KeyError, TypeError) as e:
-        return _fail(f"cannot read curve file: {e}")
+    curve = _read_curve(args.curve)
     bound = options.get("bound")
     if not bound:
         return _fail("audit needs --bound (euclidean, tree, book, generic)")
     space = curve.space
     seed = options.get("seed", 0)
-    try:
-        if bound == "euclidean":
-            report = euclidean_length_bound(curve, seed=seed)
-        elif bound == "tree":
-            report = tree_length_bound(space, curve)
-        elif bound == "book":
-            report = book_length_bound(space, curve)
-        elif bound == "generic":
-            report = generic_bound_for_curve(space, curve)
-        else:
-            return _fail(f"unknown bound {bound!r}")
-    except (UnsupportedSpaceError, GeometryError) as e:
-        return _fail(str(e))
+    if bound == "euclidean":
+        report = euclidean_length_bound(curve, seed=seed)
+    elif bound == "tree":
+        report = tree_length_bound(space, curve)
+    elif bound == "book":
+        report = book_length_bound(space, curve)
+    elif bound == "generic":
+        report = generic_bound_for_curve(space, curve)
+    else:
+        return _fail(f"unknown bound {bound!r}")
     if "tol" in options:
         report = dataclasses.replace(report, tolerance=options["tol"])
     if "out" in options:
@@ -286,16 +279,17 @@ def cmd_report(args) -> int:
             text = path.read_text()
         except OSError as e:
             return _fail(str(e))
-        header = text.splitlines()[0] if text.strip() else ""
-        if header.startswith("family,"):
-            for line in text.splitlines()[1:]:
-                if not line.strip():
-                    continue
-                fam, kk, length, diam, ratio = line.split(",")
-                growth_rows.append({"family": fam, "k": int(kk),
-                                    "ratio": float(ratio)})
-        else:
-            bound_rows.extend(parse_bound_csv(text))
+        try:
+            for row in parse_csv_rows(text):
+                if "family" in row:
+                    growth_rows.append({"family": row["family"], "k": int(row["k"]),
+                                        "ratio": float(row["ratio"])})
+                else:
+                    bound_rows.append({"space": row["space"], "bound": row["bound"],
+                                       "passed": row["passed"],
+                                       "ratio": float(row["ratio"])})
+        except (KeyError, ValueError) as e:
+            raise GeometryError(f"malformed row in {path}: {e!r}") from None
     if not bound_rows and not growth_rows:
         return _fail("no rows found in input files")
     out = Path(getattr(args, "out", None) or "report")
@@ -307,7 +301,7 @@ def cmd_report(args) -> int:
     for (space, bound), rows in sorted(groups.items()):
         n = len(rows)
         n_passed = sum(1 for r in rows if r["passed"] == "1")
-        max_ratio = max(float(r["ratio"]) for r in rows)
+        max_ratio = max(r["ratio"] for r in rows)
         ok = n_passed == n
         all_pass = all_pass and ok
         lines.append(f"{space},{bound},{n},{n_passed},{max_ratio!r},"

@@ -389,13 +389,7 @@ def _exact(objective: ObjectiveFn, space: Space, x: Point, tau: float
 
 def moreau_yosida(objective: ObjectiveFn, space: Space, x: Point, tau: float) -> float:
     """inf_z f(z) + d(x,z)^2/(2 tau); -inf when divergence is detected."""
-    _check_inputs(objective, space, x, tau)
-    if objective.prox is not None:
-        return _exact(objective, space, x, tau)[1]
-    status, cands, _ = _solve(objective, space, x, tau)
-    if status == UNBOUNDED:
-        return -math.inf
-    return cands[0][1]
+    return resolvent(objective, space, x, tau).value
 
 
 def resolvent(objective: ObjectiveFn, space: Space, x: Point, tau: float

@@ -107,16 +107,19 @@ def bound_report_csv_rows(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_bound_csv(text: str) -> list[dict]:
+def parse_csv_rows(text: str) -> list[dict[str, str]]:
+    """Rows of a CSV file with a header line, each keyed by the header's
+    names; blank lines are skipped and a row of the wrong width is refused."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         return []
     header = lines[0].split(",")
     out = []
-    for line in lines[1:]:
+    for i, line in enumerate(lines[1:], start=1):
         cells = line.split(",")
         if len(cells) != len(header):
-            raise GeometryError("malformed bound CSV row")
+            raise GeometryError(
+                f"CSV row {i} has {len(cells)} fields; the header has {len(header)}")
         out.append(dict(zip(header, cells)))
     return out
 

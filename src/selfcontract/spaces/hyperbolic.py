@@ -47,13 +47,12 @@ class HyperbolicPlane(Space):
             return 0.0
         return 2.0 * math.asinh(0.5 * math.sqrt(q))
 
-    def _tangent_toward(self, a: tuple, b: tuple) -> tuple[tuple, float]:
+    def _log(self, a: tuple, b: tuple) -> tuple[tuple, float]:
         d = self._dist(a, b)
         if d == 0.0:
             raise GeometryError("no tangent between coincident points")
         ch, sh = math.cosh(d), math.sinh(d)
-        u = tuple((b[i] - ch * a[i]) / sh for i in range(3))
-        return u, d
+        return tuple((b[i] - ch * a[i]) / sh for i in range(3)), d
 
     def _geodesic(self, a: tuple, b: tuple, s: float) -> tuple:
         if s == 0.0:
@@ -62,14 +61,8 @@ class HyperbolicPlane(Space):
             return b
         if self._dist(a, b) == 0.0:
             return a
-        u, d = self._tangent_toward(a, b)
-        t = s * d
-        ch, sh = math.cosh(t), math.sinh(t)
-        return self._canonical(tuple(ch * a[i] + sh * u[i] for i in range(3)))
-
-    def _log(self, a: tuple, b: tuple) -> tuple[tuple, float]:
-        u, d = self._tangent_toward(a, b)
-        return u, d
+        u, d = self._log(a, b)
+        return self.exp(a, u, s * d)
 
     def _angle(self, base: tuple, d1: tuple, d2: tuple) -> float:
         # the Minkowski form is Riemannian on tangent planes of the sheet

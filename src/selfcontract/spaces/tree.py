@@ -102,19 +102,17 @@ class TreeSpace(Space):
         c = self._lca(a, b)
         return self._root_dist[a] + self._root_dist[b] - 2.0 * self._root_dist[c]
 
-    def vertex_path(self, a: int, b: int) -> list[int]:
-        c = self._lca(a, b)
-        up = []
-        w = a
-        while w != c:
-            up.append(w)
-            w = self._parent[w]
-        down = []
-        w = b
-        while w != c:
-            down.append(w)
-            w = self._parent[w]
-        return up + [c] + list(reversed(down))
+    def _edge_path(self, a: int, b: int) -> list[tuple[int, int]]:
+        """(edge, vertex it is entered from) along the path from vertex a to b."""
+        up, down = [], []
+        while a != b:
+            if self._depth[a] >= self._depth[b]:
+                up.append((self._parent_edge[a], a))
+                a = self._parent[a]
+            else:
+                down.append((self._parent_edge[b], self._parent[b]))
+                b = self._parent[b]
+        return up + down[::-1]
 
     def vertex_point(self, w: int) -> Point:
         return Point(self, self._canonical(self._vertex_rep[w]))
@@ -132,12 +130,8 @@ class TreeSpace(Space):
 
     def _canonical(self, data: tuple) -> tuple:
         ei, off = int(data[0]), float(data[1])
-        u, v, length = self.edges[ei]
-        if off <= self.tolerance:
-            return self._vertex_rep[u]
-        if off >= length - self.tolerance:
-            return self._vertex_rep[v]
-        return (ei, off)
+        w = self._vertex_of((ei, off))
+        return (ei, off) if w is None else self._vertex_rep[w]
 
     def _vertex_of(self, data: tuple) -> int | None:
         ei, off = data
@@ -148,23 +142,10 @@ class TreeSpace(Space):
             return v
         return None
 
-    def _dist(self, a: tuple, b: tuple) -> float:
-        if a[0] == b[0]:
-            return abs(a[1] - b[1])
-        (e1, o1), (e2, o2) = a, b
-        u1, v1, L1 = self.edges[e1]
-        u2, v2, L2 = self.edges[e2]
-        best = math.inf
-        for w1, d1 in ((u1, o1), (v1, L1 - o1)):
-            for w2, d2 in ((u2, o2), (v2, L2 - o2)):
-                best = min(best, d1 + self.vertex_distance(w1, w2) + d2)
-        return best
-
-    def _walk(self, a: tuple, b: tuple, arc: float) -> tuple:
-        """Point at arclength `arc` along the geodesic from a to b."""
-        if a[0] == b[0]:
-            step = arc if b[1] >= a[1] else -arc
-            return (a[0], a[1] + step)
+    def _route(self, a: tuple, b: tuple) -> tuple[float, int, float, int, float]:
+        """(length, w1, d1, w2, d2) of the geodesic between points on different
+        edges: it leaves a's edge at vertex w1, d1 from a, and enters b's edge
+        at vertex w2, d2 from b.  The first shortest of the four end pairs."""
         (e1, o1), (e2, o2) = a, b
         u1, v1, L1 = self.edges[e1]
         u2, v2, L2 = self.edges[e2]
@@ -173,55 +154,45 @@ class TreeSpace(Space):
             for w2, d2 in ((u2, o2), (v2, L2 - o2)):
                 tot = d1 + self.vertex_distance(w1, w2) + d2
                 if best is None or tot < best[0]:
-                    best = (tot, w1, w2, d1, d2)
-        _, w1, w2, d1, d2 = best
+                    best = (tot, w1, d1, w2, d2)
+        return best
+
+    def _dist(self, a: tuple, b: tuple) -> float:
+        if a[0] == b[0]:
+            return abs(a[1] - b[1])
+        return self._route(a, b)[0]
+
+    def _geodesic(self, a: tuple, b: tuple, s: float) -> tuple:
+        (e1, o1), (e2, o2) = a, b
+        if e1 == e2:
+            arc = s * abs(o1 - o2)
+            return (e1, o1 + (arc if o2 >= o1 else -arc))
+        d, w1, d1, w2, d2 = self._route(a, b)
+        arc = s * d
         if arc <= d1 and d1 > 0:
-            frac = arc / d1
-            target = 0.0 if w1 == u1 else L1
-            return (e1, o1 + frac * (target - o1))
+            target = 0.0 if w1 == self.edges[e1][0] else self.edges[e1][2]
+            return (e1, o1 + arc / d1 * (target - o1))
         arc -= d1
-        path = self.vertex_path(w1, w2)
-        for i in range(len(path) - 1):
-            x, y = path[i], path[i + 1]
-            ei = self._edge_between(x, y)
-            u, v, length = self.edges[ei]
+        for ei, x in self._edge_path(w1, w2):
+            u, _, length = self.edges[ei]
             if arc <= length:
-                if x == u:
-                    return (ei, arc)
-                return (ei, length - arc)
+                return (ei, arc) if x == u else (ei, length - arc)
             arc -= length
+        u2, _, L2 = self.edges[e2]
         target = 0.0 if w2 == u2 else L2
         frac = min(1.0, arc / d2) if d2 > 0 else 1.0
         return (e2, target + frac * (o2 - target))
 
-    def _edge_between(self, a: int, b: int) -> int:
-        for ei, other in self._adj[a]:
-            if other == b:
-                return ei
-        raise GeometryError("no edge between adjacent path vertices")
-
-    def _geodesic(self, a: tuple, b: tuple, s: float) -> tuple:
-        return self._walk(a, b, s * self._dist(a, b))
-
     def _log(self, a: tuple, b: tuple) -> tuple[tuple, float]:
-        d = self._dist(a, b)
-        w = self._vertex_of(a)
-        if w is None:
-            # interior of an edge: probe a step small enough to stay on it
-            length = self.edges[a[0]][2]
-            arc = 0.5 * min(d, a[1], length - a[1])
-            probe = self._walk(a, b, arc)
-            sign = 1 if probe[1] > a[1] else -1
-            return (a[0], sign), d
-        # at a vertex: germ is the first edge of the path
-        step = self._walk(a, b, min(d, self._min_incident_len(w)) * 0.5)
-        ei = step[0]
-        u, v, _ = self.edges[ei]
-        sign = 1 if u == w else -1
-        return (ei, sign), d
-
-    def _min_incident_len(self, w: int) -> float:
-        return min(self.edges[e][2] for e, _ in self._adj[w])
+        if a[0] == b[0]:
+            return (a[0], 1 if b[1] > a[1] else -1), abs(a[1] - b[1])
+        d, w1, d1, w2, _ = self._route(a, b)
+        if d1 > 0:
+            # a is inside its edge, or the geodesic runs along it: toward w1
+            return (a[0], 1 if w1 == self.edges[a[0]][1] else -1), d
+        path = self._edge_path(w1, w2)
+        ei, x = path[0] if path else (b[0], w2)
+        return (ei, 1 if self.edges[ei][0] == x else -1), d
 
     def _angle(self, base: tuple, d1: tuple, d2: tuple) -> float:
         return 0.0 if d1 == d2 else math.pi
@@ -303,7 +274,7 @@ class SpiderSpace(Space):
             raise GeometryError("spider points are (leg, radius)")
         leg, r = integral_index(data[0]), float(data[1])
         if leg == 0:
-            if abs(r) > self.tolerance:
+            if not abs(r) <= self.tolerance:
                 raise GeometryError("center representation is (0, 0.0)")
             return
         if not 1 <= leg <= self.k:
@@ -362,16 +333,12 @@ class SpiderSpace(Space):
             return [(leg, 1) for leg in range(1, self.k + 1)]
         return [(data[0], 1), (data[0], -1)]
 
-    def total_length(self) -> float:
-        return math.fsum(self.leg_lengths)
-
     @property
     def max_degree(self) -> int:
         return self.k
 
     def _random_point(self, rng, scale: float = 1.0) -> tuple:
-        total = self.total_length()
-        r = float(rng.uniform(0.0, total))
+        r = float(rng.uniform(0.0, math.fsum(self.leg_lengths)))
         for leg in range(1, self.k + 1):
             if r <= self.leg_lengths[leg - 1] or leg == self.k:
                 return (leg, min(r, self.leg_lengths[leg - 1]))
@@ -386,8 +353,7 @@ class SpiderSpace(Space):
             "tolerance": self.tolerance,
         }
 
-    def _point_json(self, data: tuple) -> list:
-        return [int(data[0]), float(data[1])]
+    _point_json = TreeSpace._point_json
 
 
 def load_tree_file(text: str, tolerance: float = 1e-9) -> TreeSpace:

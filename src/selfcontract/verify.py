@@ -8,6 +8,7 @@ to stratified subsampling.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -82,6 +83,20 @@ def _payloads(space: Space, samples: list[tuple[float, Point]]) -> list[tuple]:
     return [p.data for _, p in samples]
 
 
+def _running_min_violation(dists: Sequence[float]
+                            ) -> tuple[float, tuple[int, int] | None]:
+    """Largest dists[k] - min(dists[:k]), floored at 0, and the first (j, k)
+    that attains it, j the first index of that minimum; None if nothing does."""
+    worst, pair = 0.0, None
+    run_min, run_j = math.inf, None
+    for k, d in enumerate(dists):
+        if d - run_min > worst:
+            worst, pair = d - run_min, (run_j, k)
+        if d < run_min:
+            run_min, run_j = d, k
+    return worst, pair
+
+
 def is_self_contracted(space: Space, curve: Curve,
                        cfg: SamplingConfig = DEFAULT_SAMPLING) -> ViolationReport:
     """Check d(xi(t2), xi(t3)) <= d(xi(t1), xi(t3)) over sampled triples.
@@ -95,27 +110,20 @@ def is_self_contracted(space: Space, curve: Curve,
     rows = [space._dist_row(p, payloads[i + 1:]) for i, p in enumerate(payloads)]
     worst = 0.0
     witness = None
-    n_checked = 0
     for k in range(1, n):
-        tk, pk = samples[k]
-        run_min = math.inf
-        run_min_t = None
-        for i in range(k):
-            ti = samples[i][0]
-            d = rows[i][k - i - 1]
-            n_checked += 1
-            viol = d - run_min
-            if viol > worst:
-                worst = viol
-                witness = {
-                    "t1": run_min_t, "t2": ti, "t3": tk,
-                    "d_t1_t3": run_min, "d_t2_t3": d,
-                    "p3": space._point_json(pk.data),
-                }
-            if d < run_min:
-                run_min, run_min_t = d, ti
+        column = [rows[i][k - i - 1] for i in range(k)]
+        viol, pair = _running_min_violation(column)
+        if viol > worst:
+            j, i = pair
+            tk, pk = samples[k]
+            worst = viol
+            witness = {
+                "t1": samples[j][0], "t2": samples[i][0], "t3": tk,
+                "d_t1_t3": column[j], "d_t2_t3": column[i],
+                "p3": space._point_json(pk.data),
+            }
     return ViolationReport(
-        check="self_contracted", max_violation=worst, n_checked=n_checked,
+        check="self_contracted", max_violation=worst, n_checked=n * (n - 1) // 2,
         tolerance=cfg.tolerance, witness=witness,
     )
 
@@ -127,24 +135,14 @@ def tail_monotonicity(space: Space, curve: Curve, T: float,
     if not any(abs(t - T) <= 1e-12 for t in times):
         raise GeometryError(f"T={T} is not a sample time")
     target = curve.point_at(T)
-    worst = 0.0
-    witness = None
-    run_min = math.inf
-    run_min_t = None
-    n_checked = 0
-    for t, p in curve.samples:
-        if t > T + 1e-12:
-            break
-        d = space.distance(p, target)
-        n_checked += 1
-        if d - run_min > worst:
-            worst = d - run_min
-            witness = {"t1": run_min_t, "t2": t, "T": T,
-                       "d_t1_T": run_min, "d_t2_T": d}
-        if d < run_min:
-            run_min, run_min_t = d, t
+    head = [(t, p) for t, p in curve.samples if t <= T + 1e-12]
+    dists = [space.distance(p, target) for _, p in head]
+    worst, pair = _running_min_violation(dists)
+    witness = None if pair is None else {
+        "t1": head[pair[0]][0], "t2": head[pair[1]][0], "T": T,
+        "d_t1_T": dists[pair[0]], "d_t2_T": dists[pair[1]]}
     return ViolationReport(
-        check="tail_monotonicity", max_violation=worst, n_checked=n_checked,
+        check="tail_monotonicity", max_violation=worst, n_checked=len(head),
         tolerance=cfg.tolerance, witness=witness,
     )
 
@@ -193,11 +191,7 @@ def reparam_preserves(space: Space, curve: Curve, phi: Callable[[float], float],
     pts = [curve.point_at(min(max(v, t0), t1)) for v in values]
     reparam = make_curve(pts, grid, mode="discrete")
     inner = is_self_contracted(space, reparam, cfg)
-    return ViolationReport(
-        check="reparam_preserves", max_violation=inner.max_violation,
-        n_checked=inner.n_checked, tolerance=inner.tolerance,
-        witness=inner.witness,
-    )
+    return dataclasses.replace(inner, check="reparam_preserves")
 
 
 def angle_estimate_check(space: Space, curve: Curve, tau: float,
@@ -220,8 +214,8 @@ def angle_estimate_check(space: Space, curve: Curve, tau: float,
 
 
 def angle_estimate_sweep(space: Space, curve: Curve,
-                         limit: float = math.pi / 2.0, tol: float = 1e-6,
-                         cfg: SamplingConfig = DEFAULT_SAMPLING
+                         cfg: SamplingConfig = DEFAULT_SAMPLING,
+                         limit: float = math.pi / 2.0, tol: float = 1e-6
                          ) -> ViolationReport:
     """Max angle-estimate excess over all admissible sampled triples.
 
@@ -262,32 +256,19 @@ def ball_confinement_check(space: Space, curve: Curve, x: Point, r: float,
         raise GeometryError("radius must be positive")
     samples = list(curve.samples)
     dists = [space.distance(x, p) for _, p in samples]
-    inside = [d <= r for d in dists]
-    n = len(samples)
-    before = [False] * n
-    after = [False] * n
-    seen = False
-    for i in range(n):
-        before[i] = seen
-        seen = seen or inside[i]
-    seen = False
-    for i in range(n - 1, -1, -1):
-        after[i] = seen
-        seen = seen or inside[i]
+    visits = [i for i, d in enumerate(dists) if d <= r]
+    between = range(visits[0] + 1, visits[-1]) if visits else range(0)
     worst = 0.0
     witness = None
-    n_checked = 0
-    for i in range(n):
-        if before[i] and after[i]:
-            n_checked += 1
-            excess = dists[i] - 3.0 * r
-            if excess > worst:
-                worst = excess
-                witness = {"t": samples[i][0], "d_to_center": dists[i],
-                           "allowed": 3.0 * r}
+    for i in between:
+        excess = dists[i] - 3.0 * r
+        if excess > worst:
+            worst = excess
+            witness = {"t": samples[i][0], "d_to_center": dists[i],
+                       "allowed": 3.0 * r}
     return ViolationReport(
         check="ball_confinement", max_violation=worst,
-        n_checked=max(n_checked, 1), tolerance=cfg.tolerance, witness=witness,
+        n_checked=max(len(between), 1), tolerance=cfg.tolerance, witness=witness,
     )
 
 
@@ -353,21 +334,13 @@ def contraction_check(space: Space, objective: ObjectiveFn,
     """
     if run1.tau_schedule != run2.tau_schedule:
         raise GeometryError("runs must share the step schedule")
-    n = min(len(run1.points), len(run2.points))
-    worst = 0.0
-    witness = None
-    run_min = math.inf
-    run_min_k = None
-    for k in range(n):
-        d = space.distance(run1.points[k], run2.points[k])
-        if d - run_min > worst:
-            worst = d - run_min
-            witness = {"k_earlier": run_min_k, "k": k,
-                       "d_earlier": run_min, "d": d}
-        if d < run_min:
-            run_min, run_min_k = d, k
+    dists = [space.distance(p, q) for p, q in zip(run1.points, run2.points)]
+    worst, pair = _running_min_violation(dists)
+    witness = None if pair is None else {
+        "k_earlier": pair[0], "k": pair[1],
+        "d_earlier": dists[pair[0]], "d": dists[pair[1]]}
     return ViolationReport(
-        check="contraction", max_violation=worst, n_checked=n,
+        check="contraction", max_violation=worst, n_checked=len(dists),
         tolerance=tol, witness=witness,
         informational=not objective.is_convex,
     )
@@ -389,8 +362,5 @@ def run_checks(space: Space, curve: Curve, names: Sequence[str],
             raise GeometryError(
                 f"unknown check {name!r}; available: {sorted(CHECKS)}"
             )
-        if name == "angle_estimate":
-            reports.append(angle_estimate_sweep(space, curve, cfg=cfg))
-        else:
-            reports.append(CHECKS[name](space, curve, cfg))
+        reports.append(CHECKS[name](space, curve, cfg))
     return reports

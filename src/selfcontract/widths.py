@@ -72,11 +72,20 @@ class WidthReport:
         }
 
 
-def _euclidean_width_samples(points: list[Point], dirs: np.ndarray,
+def _euclidean_width_samples(arr: np.ndarray, dirs: np.ndarray,
                              inflate: float) -> np.ndarray:
-    arr = np.array([p.data for p in points], dtype=float)
     dots = dirs @ arr.T
     return dots.max(axis=1) - dots.min(axis=1) + 2.0 * inflate
+
+
+def _sampled_width(widths: np.ndarray, seed: int, method: str) -> WidthReport:
+    """Monte Carlo mean of sampled widths, with its standard error."""
+    n = len(widths)
+    return WidthReport(
+        width=float(widths.mean()), n_directions=n, seed=seed,
+        stderr=float(widths.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
+        method=method,
+    )
 
 
 def mean_width(space: Space, points: Sequence[Point], n_dirs: int = 4096,
@@ -104,12 +113,8 @@ def mean_width(space: Space, points: Sequence[Point], n_dirs: int = 4096,
         rng = np.random.default_rng(seed)
         vecs = rng.normal(size=(n_dirs, space.dim))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        widths = _euclidean_width_samples(pts, vecs, inflate)
-        return WidthReport(
-            width=float(widths.mean()), n_directions=n_dirs, seed=seed,
-            stderr=float(widths.std(ddof=1) / math.sqrt(n_dirs)) if n_dirs > 1 else 0.0,
-            method="mc",
-        )
+        arr = np.array([p.data for p in pts], dtype=float)
+        return _sampled_width(_euclidean_width_samples(arr, vecs, inflate), seed, "mc")
     region = basepoint_region or NeighborhoodRegion(tuple(pts), 1.0)
     rng = np.random.default_rng(seed)
     samples = []
@@ -118,12 +123,7 @@ def mean_width(space: Space, points: Sequence[Point], n_dirs: int = 4096,
         d = Direction(space, base, space.random_direction(rng, base.data))
         lo, hi = projection_extent(space, base, d, pts, inflate)
         samples.append(hi - lo)
-    arr = np.array(samples)
-    return WidthReport(
-        width=float(arr.mean()), n_directions=n_dirs, seed=seed,
-        stderr=float(arr.std(ddof=1) / math.sqrt(n_dirs)) if n_dirs > 1 else 0.0,
-        method="mc_basepoints",
-    )
+    return _sampled_width(np.array(samples), seed, "mc_basepoints")
 
 
 def _plane_quadrature_width(pts: list[Point], inflate: float) -> WidthReport:
@@ -134,9 +134,7 @@ def _plane_quadrature_width(pts: list[Point], inflate: float) -> WidthReport:
     while n <= 2 ** 14:
         thetas = np.arange(n) * (math.pi / n)
         dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-        dots = dirs @ arr.T
-        widths = dots.max(axis=1) - dots.min(axis=1) + 2.0 * inflate
-        width = float(widths.mean())
+        width = float(_euclidean_width_samples(arr, dirs, inflate).mean())
         if prev is not None and abs(width - prev) < 5e-8:
             break
         prev = width
@@ -236,6 +234,21 @@ class BoundReport:
         }
 
 
+def _length_audit(bound_name: str, space: Space, curve: Curve, pts: list[Point],
+                  coef: float, constants: dict, width: float | None = None,
+                  **extra) -> BoundReport:
+    """Audit L <= coef * size, the size being the width if one is given and
+    the diameter of the trajectory points otherwise."""
+    L = curve_length(curve)
+    diam = diameter(pts)
+    bound = coef * (diam if width is None else width)
+    ratio = L / bound if bound > 0 else (0.0 if L == 0.0 else math.inf)
+    return BoundReport(
+        bound_name=bound_name, space_desc=space.describe(), length=L, diam=diam,
+        width=width, constants=constants, bound=bound, ratio=ratio, **extra,
+    )
+
+
 def euclidean_constants(n: int) -> dict:
     """Explicit constants of the Euclidean length bound in dimension n.
 
@@ -288,16 +301,10 @@ def euclidean_length_bound(curve: Curve, n_dirs: int = 4096, seed: int = 0,
     consts = euclidean_constants(space.dim)
     pts = curve_trajectory_points(curve)
     report = mean_width(space, pts, n_dirs=n_dirs, seed=seed, method=method)
-    L = curve_length(curve)
-    diam = diameter(pts)
-    bound = consts["C_n"] * report.width
-    ratio = L / bound if bound > 0 else (0.0 if L == 0.0 else math.inf)
-    return BoundReport(
-        bound_name="euclidean", space_desc=space.describe(),
-        length=L, diam=diam, width=report.width,
-        constants={**consts, "width_method": report.method,
-                   "width_stderr": report.stderr},
-        bound=bound, ratio=ratio, seed=seed,
+    return _length_audit(
+        "euclidean", space, curve, pts, consts["C_n"],
+        {**consts, "width_method": report.method, "width_stderr": report.stderr},
+        width=report.width, seed=seed,
     )
 
 
@@ -313,16 +320,8 @@ def tree_length_bound(space: Space, curve: Curve) -> BoundReport:
     pts = curve_trajectory_points(curve)
     lam = space.max_degree
     h1 = hausdorff_measure_neighborhood(space, pts, 1.0, 1)
-    L = curve_length(curve)
-    diam = diameter(pts)
-    bound = 6.0 * lam * h1 * diam
-    ratio = L / bound if bound > 0 else (0.0 if L == 0.0 else math.inf)
-    return BoundReport(
-        bound_name="tree", space_desc=space.describe(),
-        length=L, diam=diam, width=None,
-        constants={"max_degree": lam, "h1_neighborhood": h1, "sigma": 1.0},
-        bound=bound, ratio=ratio,
-    )
+    return _length_audit("tree", space, curve, pts, 6.0 * lam * h1,
+                         {"max_degree": lam, "h1_neighborhood": h1, "sigma": 1.0})
 
 
 def book_length_bound(space: Space, curve: Curve) -> BoundReport:
@@ -333,17 +332,9 @@ def book_length_bound(space: Space, curve: Curve) -> BoundReport:
         raise GeometryError("curve lives on a different space")
     pts = curve_trajectory_points(curve)
     h2 = hausdorff_measure_neighborhood(space, pts, 1.0, 2)
-    L = curve_length(curve)
-    diam = diameter(pts)
-    bound = BOOK_BOUND_CONSTANT * space.k * h2 * diam
-    ratio = L / bound if bound > 0 else (0.0 if L == 0.0 else math.inf)
-    return BoundReport(
-        bound_name="book", space_desc=space.describe(),
-        length=L, diam=diam, width=None,
-        constants={"C": BOOK_BOUND_CONSTANT, "k": space.k,
-                   "h2_neighborhood": h2, "sigma": 1.0},
-        bound=bound, ratio=ratio,
-    )
+    return _length_audit("book", space, curve, pts, BOOK_BOUND_CONSTANT * space.k * h2,
+                         {"C": BOOK_BOUND_CONSTANT, "k": space.k,
+                          "h2_neighborhood": h2, "sigma": 1.0})
 
 
 def generic_cat0_bound(space: Space, curve: Curve, constants: RadiusConstants,
@@ -361,18 +352,12 @@ def generic_cat0_bound(space: Space, curve: Curve, constants: RadiusConstants,
             "sigma-neighborhood of the trajectory is not inside the region; "
             "no bound claimed"
         )
-    L = curve_length(curve)
-    diam = diameter(pts)
     factor = 2.0 / (constants.a * constants.b * constants.eps_bold)
-    bound = factor * diam
-    ratio = L / bound if bound > 0 else (0.0 if L == 0.0 else math.inf)
-    return BoundReport(
-        bound_name="generic_cat0", space_desc=space.describe(),
-        length=L, diam=diam, width=None,
-        constants={"m": constants.m, "eps": constants.eps_bold,
-                   "a": constants.a, "b": constants.b,
-                   "sigma": constants.sigma, "factor": factor},
-        bound=bound, ratio=ratio, notes=constants.notes,
+    return _length_audit(
+        "generic_cat0", space, curve, pts, factor,
+        {"m": constants.m, "eps": constants.eps_bold, "a": constants.a,
+         "b": constants.b, "sigma": constants.sigma, "factor": factor},
+        notes=constants.notes,
     )
 
 

@@ -128,6 +128,7 @@ NAN = float("nan")
     _curve_doc(SPIDER3, [[1, 0.5], [2, 0.5]], times=(0.0, "abc")),
     _curve_doc(SPIDER3, [[1, 0.5], [2, 0.5]], domain_end="abc"),
     _curve_doc(SPIDER3, [[1, 0.5], [NAN, 0.5]]),
+    _curve_doc(SPIDER3, [[1, 0.5], [0, NAN]]),
     _curve_doc(SPIDER3, [[1, 0.5, 0.2], [2, 0.5]]),
     _curve_doc({**SPIDER3, "leg_lengths": [1.0, NAN, 1.0]}, [[1, 0.5], [3, 0.5]]),
     _curve_doc({**SPIDER3, "leg_lengths": [1.0, float("inf"), 1.0]},
@@ -135,8 +136,8 @@ NAN = float("nan")
     _curve_doc(LINE, [[0.0], 0.5]),
     _curve_doc(LINE, [[0.0], "0.5"]),
 ], ids=["hyperbolic-nan", "book-spine-nan", "book-fractional-sheet", "time-abc",
-        "domain-end-abc", "spider-nan-leg", "spider-extra-field", "spider-nan-length",
-        "spider-inf-length", "bare-number-point", "string-point"])
+        "domain-end-abc", "spider-nan-leg", "spider-nan-centre", "spider-extra-field",
+        "spider-nan-length", "spider-inf-length", "bare-number-point", "string-point"])
 def test_verify_rejects_hostile_curve_files(tmp_path, doc):
     (tmp_path / "bad.json").write_text(json.dumps(doc))
     for command in (["verify", "bad.json"], ["audit", "bad.json", "--bound", "generic"]):
@@ -272,6 +273,23 @@ def test_report_mixed_pass_fail_marks_fail(tmp_path):
     assert r.returncode == 1
     agg = (tmp_path / "agg.aggregate.csv").read_text().splitlines()
     assert agg[1].endswith(",0")  # all_passed flag cleared
+
+
+BOUND_HEADER = ("schema_version,bound,space,length,diam,width,bound_value,"
+                "ratio,passed,seed,constants")
+
+
+@pytest.mark.parametrize("text", [
+    "family,k,length,diam,ratio\northonormal,abc,1.0,1.0,1.0\n",
+    "family,k,length,diam,ratio\northonormal,2,1.0\n",
+    BOUND_HEADER + "\n1,tree,spider:3,2.0,1.0,,10.0,abc,1,0,{}\n",
+], ids=["growth-k-abc", "growth-three-fields", "bound-ratio-abc"])
+def test_report_refuses_malformed_rows(tmp_path, text):
+    (tmp_path / "rows.csv").write_text(text)
+    r = run(["report", "rows.csv", "--out", "agg"], tmp_path)
+    assert r.returncode == 2, (r.stdout, r.stderr)
+    assert "error:" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_byte_determinism(workdir):

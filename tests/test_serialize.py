@@ -10,7 +10,7 @@ from selfcontract.serialize import (
     curve_from_json,
     curve_to_json,
     dumps,
-    parse_bound_csv,
+    parse_csv_rows,
     parse_config_file,
     parse_point_spec,
     write_json_atomic,
@@ -66,7 +66,7 @@ def test_bound_csv_roundtrip():
     curve = spider_jump_curve(4)
     report = tree_length_bound(curve.space, curve)
     text = bound_report_csv_rows([report])
-    rows = parse_bound_csv(text)
+    rows = parse_csv_rows(text)
     assert len(rows) == 1
     assert rows[0]["bound"] == "tree"
     assert float(rows[0]["ratio"]) == report.ratio

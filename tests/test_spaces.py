@@ -1,6 +1,7 @@
 """Per-space geometry: distances, geodesics, directions, serialization."""
 import math
 
+import numpy as np
 import pytest
 
 import selfcontract as sc
@@ -379,7 +380,122 @@ def test_product_of_spider_and_line_matches_book(rng):
 
 
 
+class ProbeWalkTree:
+    """The tree kernels as they stood before the geodesic route was shared:
+    `_dist` and `_walk` each search the four end pairs, and `_log` probes the
+    germ by walking a short step.  The reference for the route kernels."""
+
+    def __init__(self, tree):
+        self.t = tree
+
+    def vertex_path(self, a, b):
+        t = self.t
+        c = t._lca(a, b)
+        up, w = [], a
+        while w != c:
+            up.append(w)
+            w = t._parent[w]
+        down, w = [], b
+        while w != c:
+            down.append(w)
+            w = t._parent[w]
+        return up + [c] + list(reversed(down))
+
+    def edge_between(self, a, b):
+        return next(ei for ei, other in self.t._adj[a] if other == b)
+
+    def dist(self, a, b):
+        t = self.t
+        if a[0] == b[0]:
+            return abs(a[1] - b[1])
+        (e1, o1), (e2, o2) = a, b
+        u1, v1, L1 = t.edges[e1]
+        u2, v2, L2 = t.edges[e2]
+        best = math.inf
+        for w1, d1 in ((u1, o1), (v1, L1 - o1)):
+            for w2, d2 in ((u2, o2), (v2, L2 - o2)):
+                best = min(best, d1 + t.vertex_distance(w1, w2) + d2)
+        return best
+
+    def walk(self, a, b, arc):
+        t = self.t
+        if a[0] == b[0]:
+            step = arc if b[1] >= a[1] else -arc
+            return (a[0], a[1] + step)
+        (e1, o1), (e2, o2) = a, b
+        u1, v1, L1 = t.edges[e1]
+        u2, v2, L2 = t.edges[e2]
+        best = None
+        for w1, d1 in ((u1, o1), (v1, L1 - o1)):
+            for w2, d2 in ((u2, o2), (v2, L2 - o2)):
+                tot = d1 + t.vertex_distance(w1, w2) + d2
+                if best is None or tot < best[0]:
+                    best = (tot, w1, w2, d1, d2)
+        _, w1, w2, d1, d2 = best
+        if arc <= d1 and d1 > 0:
+            frac = arc / d1
+            target = 0.0 if w1 == u1 else L1
+            return (e1, o1 + frac * (target - o1))
+        arc -= d1
+        path = self.vertex_path(w1, w2)
+        for i in range(len(path) - 1):
+            x, y = path[i], path[i + 1]
+            ei = self.edge_between(x, y)
+            u, v, length = t.edges[ei]
+            if arc <= length:
+                return (ei, arc) if x == u else (ei, length - arc)
+            arc -= length
+        target = 0.0 if w2 == u2 else L2
+        frac = min(1.0, arc / d2) if d2 > 0 else 1.0
+        return (e2, target + frac * (o2 - target))
+
+    def geodesic(self, a, b, s):
+        return self.walk(a, b, s * self.dist(a, b))
+
+    def log(self, a, b):
+        t = self.t
+        d = self.dist(a, b)
+        w = t._vertex_of(a)
+        if w is None:
+            length = t.edges[a[0]][2]
+            probe = self.walk(a, b, 0.5 * min(d, a[1], length - a[1]))
+            return (a[0], 1 if probe[1] > a[1] else -1), d
+        min_incident = min(t.edges[e][2] for e, _ in t._adj[w])
+        ei = self.walk(a, b, min(d, min_incident) * 0.5)[0]
+        return (ei, 1 if t.edges[ei][0] == w else -1), d
+
+
+def _bits(value):
+    """Floats by their bits, so that 0.0 and -0.0 differ."""
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value.hex() if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_tree_route_kernels_match_the_probe_walk(seed):
+    """`_dist`, `_geodesic` and `_log` read one route; they agree bit for bit
+    with the probe-walk kernels on every vertex, interior points on each
+    edge (so pairs on one edge), and random points of a branching tree."""
+    tree = sc.random_tree(seed, max_edges=12, max_degree=4)
+    oracle = ProbeWalkTree(tree)
+    rng = np.random.default_rng(seed)
+    pts = list(tree._vertex_rep)
+    for ei, (_, _, length) in enumerate(tree.edges):
+        pts += [tree.point((ei, 0.3 * length)).data, tree.point((ei, 0.71 * length)).data]
+    pts += [tree.random_point(rng).data for _ in range(8)]
+    for a in pts:
+        for b in pts:
+            d = tree._dist(a, b)
+            assert _bits(d) == _bits(oracle.dist(a, b))
+            if d > tree.tolerance:
+                assert _bits(tree._log(a, b)) == _bits(oracle.log(a, b))
+            for s in (0.0, 0.13, 0.5, 0.77, 1.0):
+                assert _bits(tree._geodesic(a, b, s)) == _bits(oracle.geodesic(a, b, s))
+
+
 @pytest.mark.parametrize("space, payload", [
+    (sc.SpiderSpace(3), (0, NAN)),
     (sc.HyperbolicPlane(), (NAN, 0.0, 0.0)),
     (sc.HyperbolicPlane(), (1.0, NAN, 0.0)),
     (sc.HyperbolicPlane(), (INF, INF, 0.0)),

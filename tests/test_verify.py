@@ -7,9 +7,11 @@ import pytest
 import selfcontract as sc
 from selfcontract.errors import GeometryError, SpaceMismatchError
 from selfcontract.objectives import make_objective
-from selfcontract.proximal import discrete_gradient_curve
+from selfcontract.proximal import GradientCurveRun, discrete_gradient_curve
 from selfcontract.spaces.base import Space
 from selfcontract.verify import (
+    VIOLATION_TOL,
+    ViolationReport,
     angle_estimate_check,
     angle_estimate_sweep,
     ball_confinement_check,
@@ -403,3 +405,92 @@ def test_payload_checks_own_the_curve(check, plane):
     twin = sc.EuclideanSpace(2)
     assert twin is not plane
     assert check(twin, curve).to_json() == check(plane, curve).to_json()
+
+
+def loop_tail_monotonicity(space, curve, T, tol=VIOLATION_TOL):
+    """tail_monotonicity as its own running-minimum loop: the reference."""
+    target = curve.point_at(T)
+    worst, witness, run_min, run_min_t, n_checked = 0.0, None, math.inf, None, 0
+    for t, p in curve.samples:
+        if t > T + 1e-12:
+            break
+        d = space.distance(p, target)
+        n_checked += 1
+        if d - run_min > worst:
+            worst = d - run_min
+            witness = {"t1": run_min_t, "t2": t, "T": T, "d_t1_T": run_min, "d_t2_T": d}
+        if d < run_min:
+            run_min, run_min_t = d, t
+    return ViolationReport("tail_monotonicity", worst, n_checked, tol, witness)
+
+
+def loop_contraction(space, objective, run1, run2, tol=1e-6):
+    """contraction_check as its own running-minimum loop: the reference."""
+    worst, witness, run_min, run_min_k = 0.0, None, math.inf, None
+    n = min(len(run1.points), len(run2.points))
+    for k in range(n):
+        d = space.distance(run1.points[k], run2.points[k])
+        if d - run_min > worst:
+            worst = d - run_min
+            witness = {"k_earlier": run_min_k, "k": k, "d_earlier": run_min, "d": d}
+        if d < run_min:
+            run_min, run_min_k = d, k
+    return ViolationReport("contraction", worst, n, tol, witness,
+                           informational=not objective.is_convex)
+
+
+def loop_ball_confinement(space, curve, x, r, tol=VIOLATION_TOL):
+    """ball_confinement_check with its before/after visit passes: the reference."""
+    samples = list(curve.samples)
+    dists = [space.distance(x, p) for _, p in samples]
+    n = len(samples)
+    before, after, seen = [False] * n, [False] * n, False
+    for i in range(n):
+        before[i] = seen
+        seen = seen or dists[i] <= r
+    seen = False
+    for i in range(n - 1, -1, -1):
+        after[i] = seen
+        seen = seen or dists[i] <= r
+    worst, witness, n_checked = 0.0, None, 0
+    for i in range(n):
+        if before[i] and after[i]:
+            n_checked += 1
+            if dists[i] - 3.0 * r > worst:
+                worst = dists[i] - 3.0 * r
+                witness = {"t": samples[i][0], "d_to_center": dists[i], "allowed": 3.0 * r}
+    return ViolationReport("ball_confinement", worst, max(n_checked, 1), tol, witness)
+
+
+def _wandering_curve(space, rng, n):
+    """Random samples, so the checks below see rises, repeats and returns."""
+    pts = [space.random_point(rng, 1.5) for _ in range(n)]
+    pts[n // 2] = pts[1]
+    return sc.make_curve(pts, mode="discrete")
+
+
+@pytest.mark.parametrize("space", KERNEL_SPACES, ids=lambda s: s.describe())
+def test_running_minimum_checks_match_their_loops(space, rng):
+    """tail_monotonicity, contraction_check and ball_confinement_check agree
+    with their own loops in every report field, witnesses included."""
+    violated = {"tail": 0, "contraction": 0, "ball": 0}
+    for trial in range(8):
+        curve = _wandering_curve(space, rng, int(rng.integers(3, 12)))
+        for T in (curve.times[-1], curve.times[len(curve.times) // 2]):
+            rep = tail_monotonicity(space, curve, T)
+            assert rep.to_json() == loop_tail_monotonicity(space, curve, T).to_json()
+            violated["tail"] += not rep.passed
+        f = make_objective(space, "half_sq_dist", target=curve.points[0])
+        n = len(curve.points)
+        runs = [GradientCurveRun(space, f, (0.5,) * (n - 1),
+                                 tuple(_wandering_curve(space, rng, n).points), (0.0,) * n)
+                for _ in range(2)]
+        rep = contraction_check(space, f, *runs)
+        assert rep.to_json() == loop_contraction(space, f, *runs).to_json()
+        violated["contraction"] += not rep.passed
+        for x in (curve.points[0], curve.points[1], space.random_point(rng, 1.0)):
+            for r in (0.05, 0.3, 1.0):
+                rep = ball_confinement_check(space, curve, x, r)
+                assert rep.to_json() == loop_ball_confinement(space, curve, x, r).to_json()
+                violated["ball"] += not rep.passed
+    assert all(violated.values()), violated
