@@ -34,7 +34,6 @@ from .metric import (
     curve_length,
     diameter,
     four_point_subembed,
-    geodesic_point,
     make_curve,
     upper_angle,
 )

@@ -57,6 +57,13 @@ def _seed(value) -> int:
     return seed
 
 
+def _positive(value) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError
+    return n
+
+
 def _finite(value) -> float:
     x = float(value)
     if not math.isfinite(x):
@@ -74,7 +81,7 @@ def _finite_list(value) -> list[float]:
 # numeric option -> (parser, what it must be); other options stay strings
 _NUMERIC = {
     "seed": (_seed, "a non-negative integer"),
-    "steps": (int, "an integer"),
+    "steps": (_positive, "a positive integer"),
     "k": (int, "an integer"),
     "tol": (_finite, "a finite number"),
     "tau": (_finite_list, "a comma list of finite numbers"),
@@ -188,6 +195,8 @@ def cmd_verify(args) -> int:
     curve = _read_curve(args.curve)
     names = [c.strip() for c in options.get("check", "self_contracted").split(",")
              if c.strip()]
+    if not names:
+        return _fail(f"option check names no check; available: {sorted(CHECKS)}")
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         return _fail(f"unknown checks: {unknown}; available: {sorted(CHECKS)}")

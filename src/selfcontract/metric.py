@@ -7,10 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Sequence
-
-import numpy as np
 
 from .errors import GeometryError
 from .spaces.base import Point, Space, check_all_same_space, clamp_cos
@@ -103,10 +100,6 @@ def make_curve(points: Sequence[Point], times: Sequence[float] | None = None,
         domain_end = times[-1] + 1.0 if times else 1.0
     return Curve(tuple(zip([float(t) for t in times], pts)), mode=mode,
                  domain_end=float(domain_end))
-
-
-def geodesic_point(space: Space, x: Point, y: Point, s: float) -> Point:
-    return space.geodesic_point(x, y, s)
 
 
 @dataclass(frozen=True)
@@ -250,70 +243,62 @@ class FourPointResult:
     detail: str = ""
 
 
-def _hinge_gap(d_wx, d_xy, d_yz, d_zw, d_xz, delta):
-    """max ||x~ - z~|| over hinge configs minus d_xz, for diagonal delta.
-
-    w~ = (0,0), y~ = (delta,0); x~ above the axis, z~ below (opposite
-    sides maximize the second diagonal).  Vectorized over delta.
-    """
-    delta = np.asarray(delta, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        px = np.where(delta > 0, (delta**2 + d_wx**2 - d_xy**2) / (2 * delta), 0.0)
-        hx = np.sqrt(np.maximum(d_wx**2 - px**2, 0.0))
-        pz = np.where(delta > 0, (delta**2 + d_zw**2 - d_yz**2) / (2 * delta), 0.0)
-        hz = np.sqrt(np.maximum(d_zw**2 - pz**2, 0.0))
-        diag = np.hypot(px - pz, hx + hz)
-        # delta == 0 collapses w~ = y~: x~ and z~ sit on opposite rays
-        diag = np.where(delta > 0, diag, d_wx + d_zw)
-    return diag - d_xz
+def _cevian(m: float, n: float, c: float, b: float) -> float:
+    """Stewart's theorem: the distance from A to the point D of segment BC
+    with BD = m and DC = n, given AB = c and AC = b."""
+    a = m + n
+    if a == 0.0:
+        return c
+    return math.sqrt(max((b * b * m + c * c * n) / a - m * n, 0.0))
 
 
 def four_point_subembed(d_wx: float, d_xy: float, d_yz: float, d_zw: float,
-                        d_wy: float, d_xz: float,
-                        grid: int = 10_000, refine_steps: int = 60,
-                        coarse: int = 64) -> FourPointResult:
+                        d_wy: float, d_xz: float) -> FourPointResult:
     """Decide the planar sub-embedding property for one metric quadruple.
 
     Looks for a planar quadrilateral with the four side lengths exact
-    and both diagonals at least as long as the given ones, by sweeping
-    the embedded w-y diagonal and hinging the two comparison triangles
-    on opposite sides.  A coarse sweep accepts early; otherwise the full
-    grid plus golden-section refinement around the best bracket decides.
+    and both diagonals at least as long as the given ones (Bridson and
+    Haefliger, II.1.11).  The comparison triangles wxy and wyz are hinged
+    on opposite sides of the diagonal w~y~ = d_wy.  If that hinge is
+    convex (angle sums at w~ and y~ at most pi), lengthening w~y~ only
+    shortens x~z~ (Alexandrov's lemma, I.2.16), so the hinge's own x~z~
+    is the longest.  Otherwise lengthening w~y~ straightens the reflex
+    vertex until x~, w~, z~ (or x~, y~, z~) are collinear, where x~z~
+    reaches its triangle-inequality cap.  The witness is the w~y~ length
+    that attains the longest x~z~.
     """
     sides = (d_wx, d_xy, d_yz, d_zw, d_wy, d_xz)
     if any(d < 0 or not math.isfinite(d) for d in sides):
         raise GeometryError("distances must be nonnegative and finite")
-    scale = max(sides) or 1.0
-    tol = 1e-9 * scale
+    tol = max(1e-9 * max(sides), 1e-12)
     for a, b, c, face in (
         (d_wx, d_xy, d_wy, "wxy"),
         (d_zw, d_yz, d_wy, "wyz"),
     ):
         if a + b < c - tol or abs(a - b) > c + tol:
             raise GeometryError(f"triangle inequality violated on face {face}")
-    lo = d_wy
-    hi = min(d_wx + d_xy, d_zw + d_yz)
-    if hi < lo:
-        hi = lo
-
-    def gap(ds):
-        return _hinge_gap(d_wx, d_xy, d_yz, d_zw, d_xz, ds)
-
-    for n in (coarse, grid):
-        deltas = np.linspace(lo, hi, n + 1)
-        gaps = gap(deltas)
-        k = int(np.argmax(gaps))
-        if gaps[k] >= -tol:
-            return FourPointResult(True, float(deltas[k]), float(gaps[k]))
-    # golden-section maximization around the best bracket of the full grid
-    bracket = golden_section(lambda t: -float(gap(t)),
-                             deltas[max(k - 1, 0)], deltas[min(k + 1, grid)])
-    for _, _, c, fc, d, fd in islice(bracket, max(refine_steps, 0) + 1):
-        pass
-    fc, fd = -fc, -fd
-    best = max(fc, fd, float(gaps[k]))
-    arg = c if fc >= fd else d
-    if best >= -tol:
-        return FourPointResult(True, float(arg), float(best))
-    return FourPointResult(False, None, float(best),
+    delta = d_wy
+    if delta == 0.0:
+        # w~ = y~: x~ and z~ sit on opposite rays
+        best, witness = d_wx + d_zw, 0.0
+    else:
+        # w~ = (0,0), y~ = (delta,0); x~ = (px, hx) above, z~ = (pz, -hz) below
+        px = (delta * delta + d_wx * d_wx - d_xy * d_xy) / (2 * delta)
+        hx = math.sqrt(max(d_wx * d_wx - px * px, 0.0))
+        pz = (delta * delta + d_zw * d_zw - d_yz * d_yz) / (2 * delta)
+        hz = math.sqrt(max(d_zw * d_zw - pz * pz, 0.0))
+        reflex_w = math.atan2(hx, px) + math.atan2(hz, pz) > math.pi
+        reflex_y = math.atan2(hx, delta - px) + math.atan2(hz, delta - pz) > math.pi
+        if reflex_w or reflex_y:
+            best = min(d_wx + d_zw, d_xy + d_yz)
+            root = (_cevian(d_wx, d_zw, d_xy, d_yz) if reflex_w
+                    else _cevian(d_xy, d_yz, d_wx, d_zw))
+            # rounding can leave the range of hinge diagonals by an ulp
+            witness = max(delta, min(root, d_wx + d_xy, d_zw + d_yz))
+        else:
+            best, witness = math.hypot(px - pz, hx + hz), delta
+    margin = best - d_xz
+    if margin >= -tol:
+        return FourPointResult(True, witness, margin)
+    return FourPointResult(False, None, margin,
                            detail="no diagonal admits both long diagonals")

@@ -177,7 +177,7 @@ def _random_quadruple(space, rng, scale=1.5):
 
 
 def test_criterion_07_cat0_certification():
-    with criterion(7, "four-point + quadrilateral residuals", 60.0):
+    with criterion(7, "four-point + quadrilateral residuals", 30.0):
         branching = random_tree(seed=78, max_edges=10, max_degree=5)
         assert branching.max_degree >= 3
         spaces = [

@@ -166,6 +166,8 @@ COMMANDS = {
 
 @pytest.mark.parametrize("option, commands", [
     ("steps = abc", ["simulate"]),
+    ("steps = 0", ["simulate"]),
+    ("--steps -2", ["simulate"]),
     ("seed = x", ["simulate", "verify", "audit"]),
     ("seed = -1", ["simulate", "verify", "audit"]),
     ("--seed -1", ["simulate", "verify", "audit"]),
@@ -190,6 +192,15 @@ def test_malformed_numeric_options_are_usage_errors(workdir, option, commands):
         r = run(args, workdir)
         assert r.returncode == 2, (command, r.stdout, r.stderr)
         assert "error:" in r.stderr and "Traceback" not in r.stderr, (command, r.stderr)
+        assert f"option {option.lstrip('-').split()[0]} " in r.stderr, (command, r.stderr)
+
+
+@pytest.mark.parametrize("check", [",", ", ,"])
+def test_verify_refuses_empty_check_list(workdir, check):
+    r = run(["verify", "run1.curve.json", "--check", check, "--out", "ver.json"], workdir)
+    assert r.returncode == 2, (r.stdout, r.stderr)
+    assert "names no check" in r.stderr
+    assert not (workdir / "ver.json").exists()
 
 
 def test_verify_planted_violation(tmp_path):

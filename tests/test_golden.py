@@ -6,8 +6,9 @@ only these files catch a refactor that changes a result.  The CLI cases
 cover the closed-form proxes of half_sq_dist and dist, every numeric
 resolvent path (spider, box-domain and windowed Euclidean, hyperbolic,
 book, tree) and every audit; primitives.json pins, as exact float.hex
-values, refinement and barycenter cases the CLI never reaches and each
-per-space capability: the direction sampler behind mean_width, the
+values, four-point quadruples on which the sweep oracle needs its
+refinement, barycenter cases the CLI never reaches and each per-space
+capability: the direction sampler behind mean_width, the
 neighbourhood measures, the segment objectives and the cover centres.
 
 Regenerate only for an intended change of results, either every file or
@@ -31,6 +32,7 @@ import selfcontract as sc
 from selfcontract.spaces.base import Direction
 
 from conftest import SMALL_TREE_TEXT
+from test_metric import sphere_quadruple, sweep_four_point
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CLI = [sys.executable, "-m", "selfcontract.cli"]
@@ -204,38 +206,28 @@ def cover_center_values(case: dict) -> dict:
     return {"center": _hex(center.data), "radius": _hex(radius), "m": m}
 
 
-def _sphere_quadruple(rng):
-    """Great-circle distances of four points on the unit sphere: these fail."""
-    pts = rng.normal(size=(4, 3))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-
-    def d(i, j):
-        return math.acos(max(-1.0, min(1.0, float(pts[i] @ pts[j]))))
-
-    return (d(0, 1), d(1, 2), d(2, 3), d(3, 0), d(0, 2), d(1, 3))
-
-
 def _threshold_quadruple(rng):
-    """Sides with d_xz half a tolerance above the longest hinge diagonal.
+    """Sides with d_xz half a tolerance above the sweep oracle's longest
+    hinge diagonal.
 
-    These pass only when the refinement finds that longest diagonal.
+    The oracle passes these only when its refinement finds that diagonal.
     """
     wx, xy, yz, zw = (float(v) for v in rng.uniform(0.3, 2.0, 4))
     lo, hi = max(abs(wx - xy), abs(zw - yz)), min(wx + xy, zw + yz)
     if hi <= lo:
         return None
     wy = float(rng.uniform(lo, hi))
-    longest = 10.0 + sc.four_point_subembed(wx, xy, yz, zw, wy, 10.0).margin
+    longest = 10.0 + sweep_four_point(wx, xy, yz, zw, wy, 10.0).margin
     return (wx, xy, yz, zw, wy, longest + 0.5e-9 * max(wx, xy, yz, zw, wy, longest))
 
 
 def _refinement_quadruples(rng, make, count: int) -> list:
-    """Quadruples from `make` whose answer depends on the refinement loop."""
+    """Quadruples from `make` whose oracle answer depends on its refinement."""
     out = []
     while len(out) < count:
         quad = make(rng)
-        if quad is not None and (sc.four_point_subembed(*quad)
-                                 != sc.four_point_subembed(*quad, refine_steps=0)):
+        if quad is not None and (sweep_four_point(*quad)
+                                 != sweep_four_point(*quad, refine_steps=0)):
             out.append(quad)
     return out
 
@@ -244,7 +236,7 @@ def build_primitives() -> dict:
     """Inputs plus the current build's outputs for the in-process pins."""
     rng = np.random.default_rng(20171124)
     quads = [(math.pi / 2,) * 4 + (math.pi, math.pi),
-             *_refinement_quadruples(rng, _sphere_quadruple, 6),
+             *_refinement_quadruples(rng, sphere_quadruple, 6),
              *_refinement_quadruples(rng, _threshold_quadruple, 4)]
     books = []
     for k in (2, 3, 5):

@@ -1,10 +1,15 @@
 """Curve-level metric operations and the CAT(0) decision procedures."""
+import json
 import math
+from itertools import islice
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import selfcontract as sc
 from selfcontract.errors import GeometryError
+from selfcontract.metric import FourPointResult, golden_section
 from selfcontract.widths import spider_jump_curve
 
 from conftest import random_point_pairs
@@ -203,27 +208,153 @@ def test_upper_angle_flags_non_monotone_geometry():
         sc.upper_angle(warped, x, y, z)
 
 
+def _hinge_gap(d_wx, d_xy, d_yz, d_zw, d_xz, delta):
+    """max ||x~ - z~|| over hinge configs minus d_xz, for diagonal delta.
+
+    w~ = (0,0), y~ = (delta,0); x~ above the axis, z~ below (opposite
+    sides maximize the second diagonal).  Vectorized over delta.
+    """
+    delta = np.asarray(delta, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        px = np.where(delta > 0, (delta**2 + d_wx**2 - d_xy**2) / (2 * delta), 0.0)
+        hx = np.sqrt(np.maximum(d_wx**2 - px**2, 0.0))
+        pz = np.where(delta > 0, (delta**2 + d_zw**2 - d_yz**2) / (2 * delta), 0.0)
+        hz = np.sqrt(np.maximum(d_zw**2 - pz**2, 0.0))
+        diag = np.hypot(px - pz, hx + hz)
+        # delta == 0 collapses w~ = y~: x~ and z~ sit on opposite rays
+        diag = np.where(delta > 0, diag, d_wx + d_zw)
+    return diag - d_xz
+
+
+def sweep_four_point(d_wx: float, d_xy: float, d_yz: float, d_zw: float,
+                     d_wy: float, d_xz: float,
+                     grid: int = 10_000, refine_steps: int = 60,
+                     coarse: int = 64) -> FourPointResult:
+    """Oracle for four_point_subembed: the search it replaced.
+
+    Sweeps the embedded w-y diagonal and hinges the two comparison
+    triangles on opposite sides.  A coarse sweep accepts early;
+    otherwise the full grid plus golden-section refinement around the
+    best bracket decides.
+    """
+    sides = (d_wx, d_xy, d_yz, d_zw, d_wy, d_xz)
+    if any(d < 0 or not math.isfinite(d) for d in sides):
+        raise GeometryError("distances must be nonnegative and finite")
+    scale = max(sides) or 1.0
+    tol = 1e-9 * scale
+    for a, b, c, face in (
+        (d_wx, d_xy, d_wy, "wxy"),
+        (d_zw, d_yz, d_wy, "wyz"),
+    ):
+        if a + b < c - tol or abs(a - b) > c + tol:
+            raise GeometryError(f"triangle inequality violated on face {face}")
+    lo = d_wy
+    hi = min(d_wx + d_xy, d_zw + d_yz)
+    if hi < lo:
+        hi = lo
+
+    def gap(ds):
+        return _hinge_gap(d_wx, d_xy, d_yz, d_zw, d_xz, ds)
+
+    for n in (coarse, grid):
+        deltas = np.linspace(lo, hi, n + 1)
+        gaps = gap(deltas)
+        k = int(np.argmax(gaps))
+        if gaps[k] >= -tol:
+            return FourPointResult(True, float(deltas[k]), float(gaps[k]))
+    # golden-section maximization around the best bracket of the full grid
+    bracket = golden_section(lambda t: -float(gap(t)),
+                             deltas[max(k - 1, 0)], deltas[min(k + 1, grid)])
+    for _, _, c, fc, d, fd in islice(bracket, max(refine_steps, 0) + 1):
+        pass
+    fc, fd = -fc, -fd
+    best = max(fc, fd, float(gaps[k]))
+    arg = c if fc >= fd else d
+    if best >= -tol:
+        return FourPointResult(True, float(arg), float(best))
+    return FourPointResult(False, None, float(best),
+                           detail="no diagonal admits both long diagonals")
+
+
+def sphere_quadruple(rng):
+    """Great-circle distances of four points on the unit sphere: these fail."""
+    pts = rng.normal(size=(4, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+
+    def d(i, j):
+        return math.acos(max(-1.0, min(1.0, float(pts[i] @ pts[j]))))
+
+    return (d(0, 1), d(1, 2), d(2, 3), d(3, 0), d(0, 2), d(1, 3))
+
+
+def _assert_matches_sweep(quad):
+    """The sweep's decision, a margin no smaller than the sweep's or any of
+    20,001 evenly spaced hinges', and a witness diagonal that attains it."""
+    r = sc.four_point_subembed(*quad)
+    oracle = sweep_four_point(*quad)
+    assert r.ok == oracle.ok, quad
+    wx, xy, yz, zw, wy, xz = quad
+    scale = max(quad)
+    excess = min(wx + xy - wy, wy + wx - xy, wy + xy - wx,
+                 zw + yz - wy, wy + zw - yz, wy + yz - zw)
+    # a face flat to rounding leaves its hinge height, and so every
+    # margin here, uncertain by about sqrt(machine epsilon) * scale
+    slack = (1e-7 if excess <= 1e-6 * scale else 1e-12) * scale
+    lo, hi = wy, max(wy, min(wx + xy, zw + yz))
+    dense = float(np.max(_hinge_gap(wx, xy, yz, zw, xz, np.linspace(lo, hi, 20_001))))
+    assert r.margin >= max(oracle.margin, dense) - slack, quad
+    if r.ok:
+        assert lo <= r.witness_diagonal <= hi, quad
+        attained = float(_hinge_gap(wx, xy, yz, zw, xz, r.witness_diagonal))
+        assert abs(attained - r.margin) <= slack, quad
+    return r
+
+
 @pytest.mark.parametrize("space_name",
-                         ["plane2", "plane3", "spider", "book", "hyp", "tree",
-                          "product"])
+                         ["line", "plane2", "plane3", "spider", "book", "hyp", "tree",
+                          "branching_tree", "product"])
 def test_four_point_passes_on_cat0_samples(space_name, rng):
     space = {
+        "line": sc.EuclideanSpace(1),
         "plane2": sc.EuclideanSpace(2),
         "plane3": sc.EuclideanSpace(3),
         "spider": sc.SpiderSpace(5),
         "book": sc.BookSpace(3),
         "hyp": sc.HyperbolicPlane(),
         "tree": sc.load_tree_file("edge a b 1.0\nedge b c 2.0\nedge b d 0.5"),
+        "branching_tree": sc.random_tree(seed=78, max_edges=10, max_degree=5),
         "product": sc.ProductSpace(sc.EuclideanSpace(1), sc.SpiderSpace(3)),
     }[space_name]
     for _ in range(300):
         w, x = space.random_point(rng, 1.5), space.random_point(rng, 1.5)
         y, z = space.random_point(rng, 1.5), space.random_point(rng, 1.5)
-        r = sc.four_point_subembed(
+        r = _assert_matches_sweep((
             space.distance(w, x), space.distance(x, y), space.distance(y, z),
             space.distance(z, w), space.distance(w, y), space.distance(x, z),
-        )
+        ))
         assert r.ok
+
+
+def test_four_point_matches_sweep_on_sphere(rng):
+    results = [_assert_matches_sweep(sphere_quadruple(rng)) for _ in range(300)]
+    assert any(not r.ok for r in results) and any(r.ok for r in results)
+
+
+def test_four_point_matches_sweep_on_golden_pins():
+    pins = json.loads((Path(__file__).parent / "golden" / "primitives.json").read_text())
+    for case in pins["four_point_subembed"]:
+        _assert_matches_sweep(tuple(float.fromhex(v) for v in case["args"]))
+
+
+def test_four_point_absolute_tolerance_floor():
+    """Tolerance max(1e-9 * longest side, 1e-12): sides near 1e-12 (an H2
+    quadruple) are not refused for rounding, a 1e-12 slack is the floor."""
+    tiny = (2.1931645859831521e-13, 3.1295121327416637e-13, 6.319539252578426e-14,
+            1.3922798750597182e-13, 2.0242358795809656e-13, 2.7143197880218604e-13)
+    assert sc.four_point_subembed(*tiny).ok
+    assert sc.four_point_subembed(0.0, 0.0, 0.0, 0.0, 0.9e-12, 0.0).ok
+    with pytest.raises(GeometryError, match="face wxy"):
+        sc.four_point_subembed(0.0, 0.0, 0.0, 0.0, 1.1e-12, 0.0)
 
 
 def test_curve_validation(plane):
