@@ -9,7 +9,8 @@ book, tree) and every audit; primitives.json pins, as exact float.hex
 values, four-point quadruples on which the sweep oracle needs its
 refinement, barycenter cases the CLI never reaches and each per-space
 capability: the direction sampler behind mean_width, the
-neighbourhood measures, the segment objectives and the cover centres.
+neighbourhood measures (the book's 2-dimensional one included), the
+segment objectives and the cover centres.
 
 Regenerate only for an intended change of results, either every file or
 just the named cases:
@@ -186,6 +187,12 @@ def measure_values(case: dict) -> dict:
     return {"measures": out}
 
 
+def book_measure_values(case: dict) -> dict:
+    space, pts = _space_points(case)
+    return {"h2": [_hex(sc.hausdorff_measure_neighborhood(space, pts, radius, 2))
+                   for radius in _from_hex(case["radii"])]}
+
+
 def segment_values(case: dict) -> dict:
     space, pts = _space_points(case)
     objective = sc.make_objective(space, case["name"], **_from_hex(case["params"]))
@@ -259,6 +266,7 @@ def build_primitives() -> dict:
             str(n): euclidean_constants_values(n) for n in (4, 5, 6)
         },
         **_space_primitives(),
+        "book_measures": _book_measure_primitives(),
     }
 
 
@@ -355,6 +363,21 @@ def _space_primitives() -> dict:
     }
 
 
+def _book_measure_primitives() -> list:
+    """The book's H^2 neighbourhood measure on book:2/3/5, from spine points,
+    off-spine points near and far from the spine, and random points, at
+    radii below, near and above the point spacing."""
+    rng = np.random.default_rng(20171126)
+    cases = []
+    for k in (2, 3, 5):
+        book = sc.BookSpace(k)
+        pts = [book.point((0, a, 0.0)) for a in (-0.4, 0.9)]
+        pts += [book.point((1, 0.1, 0.3)), book.point((k, -0.7, 1.6))]
+        pts += [book.random_point(rng, 1.5) for _ in range(3)]
+        cases.append(_case(book, pts, radii=_hex([0.2, 0.7, 2.0])))
+    return [{**c, **book_measure_values(c)} for c in cases]
+
+
 def _from_hex(value):
     """Inverse of _hex: hex strings back to floats, nesting kept as lists."""
     if isinstance(value, dict):
@@ -406,6 +429,7 @@ def test_euclidean_constants_match_golden(primitives):
 @pytest.mark.parametrize("key, values", [
     ("mean_width", mean_width_values),
     ("neighborhood_measures", measure_values),
+    ("book_measures", book_measure_values),
     ("segment_objectives", segment_values),
     ("space_barycenters", barycenter_values),
     ("cover_centers", cover_center_values),
