@@ -31,12 +31,16 @@ class EuclideanSpace(Space):
     def _canonical(self, data: tuple) -> tuple:
         return tuple(float(x) for x in data)
 
-    def _dist(self, a: tuple, b: tuple) -> float:
-        return vec_norm(vec_sub(a, b))
-
     # In up to two coordinates the fsum in vec_norm and vec_dot is one
-    # rounded add, so elementwise numpy (no BLAS, no fused multiply-add)
-    # reproduces the scalar kernels bit for bit; more coordinates loop.
+    # rounded add, so a plain add, and elementwise numpy (no BLAS, no fused
+    # multiply-add), reproduce the scalar kernels bit for bit; more
+    # coordinates loop.
+
+    def _dist(self, a: tuple, b: tuple) -> float:
+        if self.dim == 2:
+            x, y = a[0] - b[0], a[1] - b[1]
+            return math.sqrt(x * x + y * y)
+        return vec_norm(vec_sub(a, b))
 
     def _dist_row(self, a: tuple, payloads) -> list[float]:
         if self.dim > 2:

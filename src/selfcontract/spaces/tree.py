@@ -38,6 +38,8 @@ class TreeSpace(Space):
             if u == v:
                 raise GeometryError("self-loop edge")
             self.edges.append((index[u], index[v], float(length)))
+        self._edge_lengths = [length for _, _, length in self.edges]
+        self._total_length = math.fsum(self._edge_lengths)
         n = len(self.vertex_names)
         if len(self.edges) != n - 1:
             raise GeometryError("a tree on n vertices has exactly n-1 edges")
@@ -83,24 +85,34 @@ class TreeSpace(Space):
             raise GeometryError("tree must be connected")
         self._parent, self._parent_edge = parent, parent_edge
         self._depth, self._root_dist = depth, dist
+        self._order = order
+        # vertex-distance rows, built on first use: O(V) per vertex used
+        self._rows: list[list[float] | None] = [None] * n
 
     def describe(self) -> str:
         return f"tree:{len(self.vertex_names)}v"
 
     # -- vertex-level helpers ------------------------------------------------
 
-    def _lca(self, a: int, b: int) -> int:
-        while self._depth[a] > self._depth[b]:
-            a = self._parent[a]
-        while self._depth[b] > self._depth[a]:
-            b = self._parent[b]
-        while a != b:
-            a, b = self._parent[a], self._parent[b]
-        return a
+    def _row(self, a: int) -> list[float]:
+        """d(a, b) for every vertex b, built once in one pass over the BFS
+        order: lca(a, b) is b on a's root path, else lca(a, parent(b))."""
+        row = self._rows[a]
+        if row is None:
+            lca = [-1] * len(self._parent)
+            w = a
+            while w != -1:
+                lca[w] = w
+                w = self._parent[w]
+            for b in self._order:
+                if lca[b] == -1:
+                    lca[b] = lca[self._parent[b]]
+            rd = self._root_dist
+            row = self._rows[a] = [rd[a] + rd[b] - 2.0 * rd[c] for b, c in enumerate(lca)]
+        return row
 
     def vertex_distance(self, a: int, b: int) -> float:
-        c = self._lca(a, b)
-        return self._root_dist[a] + self._root_dist[b] - 2.0 * self._root_dist[c]
+        return self._row(a)[b]
 
     def _edge_path(self, a: int, b: int) -> list[tuple[int, int]]:
         """(edge, vertex it is entered from) along the path from vertex a to b."""
@@ -151,8 +163,9 @@ class TreeSpace(Space):
         u2, v2, L2 = self.edges[e2]
         best = None
         for w1, d1 in ((u1, o1), (v1, L1 - o1)):
+            row = self._row(w1)
             for w2, d2 in ((u2, o2), (v2, L2 - o2)):
-                tot = d1 + self.vertex_distance(w1, w2) + d2
+                tot = d1 + row[w2] + d2
                 if best is None or tot < best[0]:
                     best = (tot, w1, d1, w2, d2)
         return best
@@ -223,9 +236,8 @@ class TreeSpace(Space):
         return [w for w in range(len(self.vertex_names)) if len(self._adj[w]) == 1]
 
     def _random_point(self, rng, scale: float = 1.0) -> tuple:
-        weights = [length for _, _, length in self.edges]
-        total = math.fsum(weights)
-        r = float(rng.uniform(0.0, total))
+        weights = self._edge_lengths
+        r = float(rng.uniform(0.0, self._total_length))
         for ei, w in enumerate(weights):
             if r <= w or ei == len(weights) - 1:
                 return (ei, min(max(r, 0.0), w))

@@ -439,6 +439,19 @@ def random_tree(seed: int, max_edges: int = 20, max_degree: int = 6,
     return TreeSpace(names, edges)
 
 
+def _distances_fall(dist, payloads: list, q: tuple) -> bool:
+    """Whether d(p_i, q) never rises along the payloads: each newer distance
+    is at most the older one (False on NaN), walked from the newest payload
+    back and stopped at the first rise."""
+    newer = dist(payloads[-1], q)
+    for i in range(len(payloads) - 2, -1, -1):
+        older = dist(payloads[i], q)
+        if not newer <= older:
+            return False
+        newer = older
+    return True
+
+
 def random_self_contracted(space: Space, n_steps: int, seed: int,
                            mode: str = "rejection", scale: float = 1.5,
                            objective_name: str | None = None) -> Curve:
@@ -463,6 +476,7 @@ def random_self_contracted(space: Space, n_steps: int, seed: int,
     if mode != "rejection":
         raise GeometryError("mode must be 'rejection' or 'gradient'")
     accepted = [space.random_point(rng, scale)]
+    payloads = [accepted[0].data]
     step = scale * 0.6
     stalls = 0
     while len(accepted) < n_steps and stalls < 400:
@@ -472,9 +486,9 @@ def random_self_contracted(space: Space, n_steps: int, seed: int,
             stalls += 1
             continue
         q = space.geodesic_point(accepted[-1], target, min(1.0, step / d))
-        dists = [space.distance(p, q) for p in accepted]
-        if all(b <= a for a, b in zip(dists, dists[1:])):
+        if _distances_fall(space._dist, payloads, q.data):
             accepted.append(q)
+            payloads.append(q.data)
             step *= 0.9
             stalls = 0
         else:

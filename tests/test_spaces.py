@@ -6,6 +6,7 @@ import pytest
 
 import selfcontract as sc
 from selfcontract.errors import GeometryError, SpaceMismatchError
+from selfcontract.spaces.base import vec_norm, vec_sub
 
 from conftest import random_point_pairs
 
@@ -382,15 +383,31 @@ def test_product_of_spider_and_line_matches_book(rng):
 
 class ProbeWalkTree:
     """The tree kernels as they stood before the geodesic route was shared:
-    `_dist` and `_walk` each search the four end pairs, and `_log` probes the
-    germ by walking a short step.  The reference for the route kernels."""
+    `_dist` and `_walk` each search the four end pairs, `_log` probes the
+    germ by walking a short step, and each vertex distance walks up to the
+    lowest common ancestor.  The reference for the route kernels and the
+    vertex-distance rows."""
 
     def __init__(self, tree):
         self.t = tree
 
+    def lca(self, a, b):
+        t = self.t
+        while t._depth[a] > t._depth[b]:
+            a = t._parent[a]
+        while t._depth[b] > t._depth[a]:
+            b = t._parent[b]
+        while a != b:
+            a, b = t._parent[a], t._parent[b]
+        return a
+
+    def vertex_distance(self, a, b):
+        rd, c = self.t._root_dist, self.lca(a, b)
+        return rd[a] + rd[b] - 2.0 * rd[c]
+
     def vertex_path(self, a, b):
         t = self.t
-        c = t._lca(a, b)
+        c = self.lca(a, b)
         up, w = [], a
         while w != c:
             up.append(w)
@@ -414,7 +431,7 @@ class ProbeWalkTree:
         best = math.inf
         for w1, d1 in ((u1, o1), (v1, L1 - o1)):
             for w2, d2 in ((u2, o2), (v2, L2 - o2)):
-                best = min(best, d1 + t.vertex_distance(w1, w2) + d2)
+                best = min(best, d1 + self.vertex_distance(w1, w2) + d2)
         return best
 
     def walk(self, a, b, arc):
@@ -428,7 +445,7 @@ class ProbeWalkTree:
         best = None
         for w1, d1 in ((u1, o1), (v1, L1 - o1)):
             for w2, d2 in ((u2, o2), (v2, L2 - o2)):
-                tot = d1 + t.vertex_distance(w1, w2) + d2
+                tot = d1 + self.vertex_distance(w1, w2) + d2
                 if best is None or tot < best[0]:
                     best = (tot, w1, w2, d1, d2)
         _, w1, w2, d1, d2 = best
@@ -492,6 +509,31 @@ def test_tree_route_kernels_match_the_probe_walk(seed):
                 assert _bits(tree._log(a, b)) == _bits(oracle.log(a, b))
             for s in (0.0, 0.13, 0.5, 0.77, 1.0):
                 assert _bits(tree._geodesic(a, b, s)) == _bits(oracle.geodesic(a, b, s))
+
+
+def test_vertex_distance_rows_match_the_lca_walk():
+    """Each row, built on first use, holds the walk's distance bit for bit,
+    and only the rows of the vertices asked for are built."""
+    for seed in range(50):
+        tree = sc.random_tree(seed, max_edges=40, max_degree=5)
+        oracle = ProbeWalkTree(tree)
+        n = len(tree.vertex_names)
+        assert tree.vertex_distance(n - 1, 0) == oracle.vertex_distance(n - 1, 0)
+        assert [row is not None for row in tree._rows] == [w == n - 1 for w in range(n)]
+        for a in range(n):
+            for b in range(n):
+                assert _bits(tree.vertex_distance(a, b)) == _bits(oracle.vertex_distance(a, b))
+
+
+def test_plane_distance_matches_the_fsum_norm():
+    """The 2-D distance adds the two squares once; a two-term fsum is the
+    same correctly rounded add, from 1e-8 to 1e8 in each coordinate."""
+    plane = sc.EuclideanSpace(2)
+    rng = np.random.default_rng(12)
+    for _ in range(3000):
+        a, b = (tuple(float(v) for v in rng.choice((-1.0, 1.0), 2) * 10.0 ** rng.uniform(-8, 8, 2))
+                for _ in range(2))
+        assert _bits(plane._dist(a, b)) == _bits(vec_norm(vec_sub(a, b)))
 
 
 @pytest.mark.parametrize("space, payload", [

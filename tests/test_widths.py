@@ -472,6 +472,64 @@ def test_random_self_contracted_always_passes():
     assert len(single) == 1
 
 
+def list_then_all_sampler(space, n_steps, seed, scale=1.5):
+    """The rejection sampler before its accept test exited early: every
+    distance to the proposal through `Space.distance`, then `all` over the
+    list.  The reference for `random_self_contracted(mode="rejection")`."""
+    rng = np.random.default_rng(seed)
+    accepted = [space.random_point(rng, scale)]
+    step = scale * 0.6
+    stalls = 0
+    while len(accepted) < n_steps and stalls < 400:
+        target = space.random_point(rng, scale)
+        d = space.distance(accepted[-1], target)
+        if d <= 0.0:
+            stalls += 1
+            continue
+        q = space.geodesic_point(accepted[-1], target, min(1.0, step / d))
+        dists = [space.distance(p, q) for p in accepted]
+        if all(b <= a for a, b in zip(dists, dists[1:])):
+            accepted.append(q)
+            step *= 0.9
+            stalls = 0
+        else:
+            stalls += 1
+            if stalls % 40 == 0:
+                step *= 0.6
+    return sc.make_curve(accepted, mode="discrete")
+
+
+def _bits(value):
+    """Floats by their bits, through nested tuples."""
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value.hex() if isinstance(value, float) else value
+
+
+def _curve_bits(curve):
+    return _bits(tuple((t, p.data) for t, p in curve.samples))
+
+
+BRANCHING_TREE = random_tree(seed=5, max_edges=14, max_degree=5)
+
+
+@pytest.mark.parametrize("space", [
+    sc.EuclideanSpace(2),
+    sc.HyperbolicPlane(),
+    BRANCHING_TREE,
+    sc.SpiderSpace(4, (1.0, 2.0, 0.5, 1.5)),
+    sc.BookSpace(3),
+    sc.parse_space_spec("product:[spider:3|book:2]"),
+], ids=lambda space: space.describe())
+def test_early_exit_sampler_matches_list_then_all_oracle(space):
+    """The early-exit accept test draws the same numbers and accepts the
+    same proposals: every curve agrees with the oracle's bit for bit."""
+    assert max(len(adj) for adj in BRANCHING_TREE._adj) >= 3
+    for seed in range(30):
+        got = random_self_contracted(space, 10, seed=seed)
+        assert _curve_bits(got) == _curve_bits(list_then_all_sampler(space, 10, seed)), seed
+
+
 def test_random_self_contracted_gradient_mode(plane):
     curve = random_self_contracted(plane, 6, seed=11, mode="gradient")
     assert is_self_contracted(plane, curve).passed
