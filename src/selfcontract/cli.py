@@ -22,10 +22,10 @@ from .serialize import (
     bound_report_csv_rows,
     curve_from_json,
     curve_to_json,
-    dumps,
     parse_config_file,
     parse_csv_rows,
     parse_point_spec,
+    write_json_atomic,
     write_text_atomic,
 )
 from .spaces import parse_space_spec
@@ -162,10 +162,8 @@ def cmd_simulate(args) -> int:
         start = _default_start(space, seed)
     run = discrete_gradient_curve(objective, space, start, taus)
     out = Path(options["out"])
-    write_text_atomic(out.with_suffix(".curve.json"),
-                      dumps(curve_to_json(run.discrete_curve())))
-    write_text_atomic(out.with_suffix(".interp.json"),
-                      dumps(curve_to_json(run.interpolated_curve())))
+    write_json_atomic(out.with_suffix(".curve.json"), curve_to_json(run.discrete_curve()))
+    write_json_atomic(out.with_suffix(".interp.json"), curve_to_json(run.interpolated_curve()))
     trace = ["k,t,f"]
     for k, (t, v) in enumerate(zip(run.times, run.values)):
         trace.append(f"{k},{t!r},{v!r}")
@@ -182,7 +180,7 @@ def cmd_simulate(args) -> int:
         "final_value": run.values[-1],
         "diagnostic": run.diagnostic,
     }
-    write_text_atomic(out.with_suffix(".log.json"), dumps(log))
+    write_json_atomic(out.with_suffix(".log.json"), log)
     print(f"simulated {len(run.points)} points; final value {run.values[-1]!r}")
     if run.diagnostic:
         print(f"diagnostic: {run.diagnostic}", file=sys.stderr)
@@ -212,7 +210,7 @@ def cmd_verify(args) -> int:
         "passed": all(r.passed or r.informational for r in reports),
     }
     if "out" in options:
-        write_text_atomic(options["out"], dumps(doc))
+        write_json_atomic(options["out"], doc)
     for r in reports:
         print(f"{r.check}: {'PASS' if r.passed else 'FAIL'} "
               f"(max violation {r.max_violation!r}, n={r.n_checked})")
@@ -241,10 +239,9 @@ def cmd_audit(args) -> int:
         report = dataclasses.replace(report, tolerance=options["tol"])
     if "out" in options:
         out = Path(options["out"])
-        write_text_atomic(out.with_suffix(".json"),
-                          dumps({"schema_version": SCHEMA_VERSION,
-                                 "command": "audit", "seed": seed,
-                                 "report": report.to_json()}))
+        write_json_atomic(out.with_suffix(".json"),
+                          {"schema_version": SCHEMA_VERSION, "command": "audit",
+                           "seed": seed, "report": report.to_json()})
         write_text_atomic(out.with_suffix(".csv"), bound_report_csv_rows([report]))
     print(f"{report.bound_name} bound on {report.space_desc}: "
           f"L={report.length!r} bound={report.bound!r} "
@@ -268,10 +265,8 @@ def cmd_counterexample(args) -> int:
         sd = diameter(spider.points)
         rows.append(f"spider,{kk},{sl!r},{sd!r},{(sl / sd)!r}")
         if kk == k:
-            write_text_atomic(out.with_suffix(".orthonormal.json"),
-                              dumps(curve_to_json(curve)))
-            write_text_atomic(out.with_suffix(".spider.json"),
-                              dumps(curve_to_json(spider)))
+            write_json_atomic(out.with_suffix(".orthonormal.json"), curve_to_json(curve))
+            write_json_atomic(out.with_suffix(".spider.json"), curve_to_json(spider))
     write_text_atomic(out.with_suffix(".growth.csv"), "\n".join(rows) + "\n")
     print(f"emitted growth rows for k=2..{k} and curve files for k={k}")
     return OK
