@@ -208,7 +208,7 @@ def test_criterion_07_cat0_certification():
 
 
 def test_criterion_08_euclidean_bound():
-    with criterion(8, "Euclidean length bound, 200 curves", 60.0):
+    with criterion(8, "Euclidean length bound, 200 curves", 20.0):
         c2 = euclidean_constants(2)
         assert c2["eps"] == 1.0 / 54.0
         assert c2["a_n"] == pytest.approx(4.0 * math.asin(1.0 / 108.0), abs=0.0)
@@ -225,7 +225,7 @@ def test_criterion_08_euclidean_bound():
 
 
 def test_criterion_09_tree_and_book_bounds():
-    with criterion(9, "tree + book bound audits", 120.0):
+    with criterion(9, "tree + book bound audits", 60.0):
         n_each = 1000
         for trial in range(n_each):
             tree = random_tree(seed=30_000 + trial, max_edges=14, max_degree=6)
