@@ -252,6 +252,15 @@ def _cevian(m: float, n: float, c: float, b: float) -> float:
     return math.sqrt(max((b * b * m + c * c * n) / a - m * n, 0.0))
 
 
+def _height(a: float, b: float, base: float) -> float:
+    """Height over `base` of the triangle with sides a, b, base: 2·area/base,
+    the area by Kahan's sorted-side Heron formula, which keeps its digits
+    when the triangle is flat to rounding."""
+    z, y, x = sorted((a, b, base))
+    prod = (x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z))
+    return math.sqrt(max(prod, 0.0)) / (2 * base)
+
+
 def four_point_subembed(d_wx: float, d_xy: float, d_yz: float, d_zw: float,
                         d_wy: float, d_xz: float) -> FourPointResult:
     """Decide the planar sub-embedding property for one metric quadruple.
@@ -284,9 +293,9 @@ def four_point_subembed(d_wx: float, d_xy: float, d_yz: float, d_zw: float,
     else:
         # w~ = (0,0), y~ = (delta,0); x~ = (px, hx) above, z~ = (pz, -hz) below
         px = (delta * delta + d_wx * d_wx - d_xy * d_xy) / (2 * delta)
-        hx = math.sqrt(max(d_wx * d_wx - px * px, 0.0))
+        hx = _height(d_wx, d_xy, delta)
         pz = (delta * delta + d_zw * d_zw - d_yz * d_yz) / (2 * delta)
-        hz = math.sqrt(max(d_zw * d_zw - pz * pz, 0.0))
+        hz = _height(d_zw, d_yz, delta)
         reflex_w = math.atan2(hx, px) + math.atan2(hz, pz) > math.pi
         reflex_y = math.atan2(hx, delta - px) + math.atan2(hz, delta - pz) > math.pi
         if reflex_w or reflex_y:

@@ -1,6 +1,7 @@
 """Curve-level metric operations and the CAT(0) decision procedures."""
 import json
 import math
+from decimal import Decimal, localcontext
 from itertools import islice
 from pathlib import Path
 
@@ -355,6 +356,61 @@ def test_four_point_absolute_tolerance_floor():
     assert sc.four_point_subembed(0.0, 0.0, 0.0, 0.0, 0.9e-12, 0.0).ok
     with pytest.raises(GeometryError, match="face wxy"):
         sc.four_point_subembed(0.0, 0.0, 0.0, 0.0, 1.1e-12, 0.0)
+
+
+def decimal_four_point_margin(quad, digits: int = 60) -> float:
+    """The closed form's margin evaluated at `digits` significant digits:
+    the hinge at delta = d_wy, each height from d^2 - p^2, which loses no
+    digit that matters at this precision."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        wx, xy, yz, zw, wy, xz = (Decimal(v) for v in quad)
+        px = (wy * wy + wx * wx - xy * xy) / (2 * wy)
+        pz = (wy * wy + zw * zw - yz * yz) / (2 * wy)
+        hx = max(wx * wx - px * px, Decimal(0)).sqrt()
+        hz = max(zw * zw - pz * pz, Decimal(0)).sqrt()
+
+        def reflex(p1, p2):
+            # the angle sum at the vertex exceeds pi: x~z~ passes beyond it
+            return p1 * hz + p2 * hx < 0 if hx + hz > 0 else p1 < 0 and p2 < 0
+
+        if reflex(px, pz) or reflex(wy - px, wy - pz):
+            best = min(wx + zw, xy + yz)
+        else:
+            best = ((px - pz) ** 2 + (hx + hz) ** 2).sqrt()
+        return float(best - xz)
+
+
+def _flat_face_quadruples(rng) -> list:
+    """Quadruples whose faces are flat to rounding: x on the geodesic w-y of
+    a branching tree (and, every other time, z too), and four points of a
+    line."""
+    tree = sc.random_tree(seed=78, max_edges=10, max_degree=5)
+    quads = []
+    for i in range(300):
+        space = tree if i < 200 else sc.EuclideanSpace(1)
+        w, y, z = (space.random_point(rng, 1.5) for _ in range(3))
+        x = space.geodesic_point(w, y, float(rng.uniform(0.05, 0.95)))
+        if i % 2 and space is tree:
+            z = space.geodesic_point(y, w, float(rng.uniform(0.05, 0.95)))
+        d = space.distance
+        quads.append((d(w, x), d(x, y), d(y, z), d(z, w), d(w, y), d(x, z)))
+    return [q for q in quads if q[4] > 0.0]
+
+
+FLAT_TREE_QUADRUPLE = (4.280589069394699, 4.363710861482673, 1.239423667131195,
+                       3.39021360943027, 4.629637276561464, 3.1242871943514787)
+
+
+def test_four_point_margin_matches_decimal_on_flat_faces(rng):
+    """Heights from Kahan's Heron area keep the margin within 1e-12 * scale
+    of a 60-digit evaluation where a face is flat to rounding; the height
+    sqrt(d^2 - p^2) was 3.3e-8 off on the branching-tree quadruple."""
+    quads = [FLAT_TREE_QUADRUPLE, *_flat_face_quadruples(rng)]
+    assert len(quads) > 250
+    for quad in quads:
+        margin = sc.four_point_subembed(*quad).margin
+        assert abs(margin - decimal_four_point_margin(quad)) <= 1e-12 * max(quad), quad
 
 
 def test_curve_validation(plane):
