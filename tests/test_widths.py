@@ -28,6 +28,8 @@ from selfcontract.widths import (
     unrectifiable_witness,
 )
 
+from test_spaces import _bits
+
 
 def test_projection_extent_examples(plane, spider3):
     base = plane.point((0.0, 0.0))
@@ -497,13 +499,6 @@ def list_then_all_sampler(space, n_steps, seed, scale=1.5):
             if stalls % 40 == 0:
                 step *= 0.6
     return sc.make_curve(accepted, mode="discrete")
-
-
-def _bits(value):
-    """Floats by their bits, through nested tuples."""
-    if isinstance(value, tuple):
-        return tuple(_bits(v) for v in value)
-    return value.hex() if isinstance(value, float) else value
 
 
 def _curve_bits(curve):
