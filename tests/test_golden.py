@@ -98,6 +98,11 @@ CASES = {
                 other="1.1276259652063807,0.0,-0.5210953054937474"),
         [VERIFY],
     ),
+    "book2_max_two_dists": (
+        _config("book:2", "max_two_dists", start="2,1.0,1.0", target="1,0.5,0.5",
+                other="2,-0.5,0.25"),
+        [VERIFY],
+    ),
     "book2_spine_segment": (
         _config("book:2", "dist_to_spine_segment", start="2,1.0,1.0", lo=-0.5, hi=0.5),
         [VERIFY],
