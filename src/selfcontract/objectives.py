@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import GeometryError, UnsupportedSpaceError
 from .spaces.base import Point, Space
 from .spaces.book import BookSpace
 from .spaces.euclidean import EuclideanSpace
+from .spaces.hyperbolic import HyperbolicPlane
 from .spaces.tree import SpiderSpace, TreeSpace
 
 QUASICONVEX = "quasiconvex"
@@ -43,6 +45,9 @@ class ObjectiveFn:
 
     `prox(x, tau)`, when set, is the exact minimizer of
     f(z) + d(x,z)^2/(2 tau); the resolvent then skips its numeric search.
+    `decay_order`, when set, is an order r with f falling like -|z|^r along
+    some ray; r > 2 outruns every quadratic, so the resolvent is unbounded
+    for every tau.
     """
 
     name: str
@@ -54,6 +59,7 @@ class ObjectiveFn:
     domain: BoxDomain | None = None
     params: dict = field(default_factory=dict)
     prox: Callable[[Point, float], Point] | None = None
+    decay_order: float | None = None
 
     def __post_init__(self):
         if self.convexity not in (QUASICONVEX, CONVEX, LAMBDA_CONVEX):
@@ -88,6 +94,88 @@ def _require_point_param(space: Space, params: dict, key: str) -> Point:
     return space.point(tuple(value) if isinstance(value, (list, tuple)) else value)
 
 
+def _step_toward(space: Space, x: Point, c: Point, tau: float) -> Point:
+    """A step of length tau from x toward c, stopping at c: the prox of
+    d(., C) when c is the projection of x onto the convex set C."""
+    d = space.distance(x, c)
+    if d == 0.0:
+        return x
+    if d <= tau:
+        return c
+    return space.geodesic_point(x, c, tau / d)
+
+
+def _midpoint_prox(space: Space, p: Point, q: Point) -> Callable[[Point, float], Point]:
+    """max_two_dists' prox on an R-tree, where max(d(z,p), d(z,q)) is
+    d(z,m) + d(p,q)/2 for the midpoint m of [p, q]: the dist prox toward m."""
+    m = space.geodesic_point(p, q, 0.5)
+    return lambda x, tau: _step_toward(space, x, m, tau)
+
+
+def _bisector_prox(space: Space, p: Point, q: Point,
+                   normal: Callable) -> Callable[[Point, float], Point]:
+    """max_two_dists' prox on R^2 or H^2, whose composite is strongly convex.
+
+    The dist prox toward p is the answer if it is at least as far from p as
+    from q, and likewise with p and q swapped; otherwise the minimizer lies
+    on the perpendicular bisector, the geodesic line `normal(space, m, v)`
+    through the midpoint m normal to the unit germ v toward p, which maps a
+    signed distance t to a payload.  Along it |t| <= d(m,x) + sqrt(2 tau F(m)),
+    since F(z) <= F(m) bounds d(x,z)^2 / (2 tau).  When m is at distance 0
+    from p there is no bisector, and the dist prox toward p is taken.
+    """
+    from .proximal import _golden_min  # proximal imports this module
+
+    m = space.geodesic_point(p, q, 0.5).data
+    line = normal(space, m, space._log(m, p.data)[0]) if space._dist(m, p.data) > 0.0 else None
+
+    def prox(x: Point, tau: float) -> Point:
+        for a, b in ((p, q), (q, p)):
+            z = _step_toward(space, x, a, tau)
+            if line is None or space._dist(z.data, a.data) >= space._dist(z.data, b.data):
+                return z
+
+        def composite(t: float) -> float:
+            z = line(t)
+            d = space._dist(x.data, z)
+            return space._dist(z, p.data) + d * d / (2.0 * tau)
+
+        reach = space._dist(m, x.data) + math.sqrt(2.0 * tau * composite(0.0))
+        t, _ = _golden_min(composite, -reach, reach, 1e-13 * max(1.0, reach))
+        return Point(space, space._canonical(line(t)))
+
+    return prox
+
+
+def _plane_normal(space: EuclideanSpace, m: tuple, v: tuple) -> Callable[[float], tuple]:
+    return lambda t: (m[0] - t * v[1], m[1] + t * v[0])
+
+
+def _hyperbolic_normal(space: HyperbolicPlane, m: tuple, v: tuple
+                       ) -> Callable[[float], tuple]:
+    # J(m x v) with J = diag(-1, 1, 1) is Minkowski-orthogonal to m and v,
+    # so it is the unit tangent at m normal to v
+    u = (m[2] * v[1] - m[1] * v[2], m[2] * v[0] - m[0] * v[2], m[0] * v[1] - m[1] * v[0])
+    return lambda t: space.exp(m, u, t)
+
+
+def _euclidean_max_two_prox(space: EuclideanSpace, p: Point, q: Point):
+    if space.dim == 1:
+        return _midpoint_prox(space, p, q)
+    if space.dim == 2:
+        return _bisector_prox(space, p, q, _plane_normal)
+    return None
+
+
+# space type -> rule(space, p, q) giving max_two_dists' exact prox, or None
+_MAX_TWO_DISTS_PROX = {
+    EuclideanSpace: _euclidean_max_two_prox,
+    HyperbolicPlane: partial(_bisector_prox, normal=_hyperbolic_normal),
+    SpiderSpace: _midpoint_prox,
+    TreeSpace: _midpoint_prox,
+}
+
+
 def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
     """Catalog of objective factories available on this space.
 
@@ -107,33 +195,25 @@ def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
 
     def dist(**params) -> ObjectiveFn:
         p = _require_point_param(space, params, "target")
-
-        def prox(x: Point, tau: float) -> Point:
-            # a step of length tau toward p, stopping at p
-            d = space.distance(x, p)
-            if d == 0.0:
-                return x
-            if d <= tau:
-                return p
-            return space.geodesic_point(x, p, tau / d)
-
         return ObjectiveFn(
             name="dist", space=space,
             fn=lambda z: space.distance(z, p),
             convexity=CONVEX, lower_bound=0.0,
             params={"target": space._point_json(p.data)},
-            prox=prox,
+            prox=lambda x, tau: _step_toward(space, x, p, tau),
         )
 
     def max_two_dists(**params) -> ObjectiveFn:
         p = _require_point_param(space, params, "target")
         q = _require_point_param(space, params, "other")
+        rule = _MAX_TWO_DISTS_PROX.get(type(space))
         return ObjectiveFn(
             name="max_two_dists", space=space,
             fn=lambda z: max(space.distance(z, p), space.distance(z, q)),
             convexity=CONVEX, lower_bound=0.0,
             params={"target": space._point_json(p.data),
                     "other": space._point_json(q.data)},
+            prox=rule and rule(space, p, q),
         )
 
     catalog["half_sq_dist"] = half_sq_dist
@@ -146,7 +226,7 @@ def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
             return ObjectiveFn(
                 name="neg_cube", space=space,
                 fn=lambda z: -z.data[0] ** 3,
-                convexity=QUASICONVEX, lower_bound=None, params={},
+                convexity=QUASICONVEX, lower_bound=None, params={}, decay_order=3.0,
             )
 
         def neg_cube_unit(**params) -> ObjectiveFn:
@@ -196,10 +276,14 @@ def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
                 da = max(a0 - a, 0.0, a - a1)
                 return math.hypot(da, b)
 
+            def project(x: Point) -> Point:
+                return Point(space, (0, min(max(x.data[1], a0), a1), 0.0))
+
             return ObjectiveFn(
                 name="dist_to_spine_segment", space=space, fn=f,
                 convexity=CONVEX, lower_bound=0.0,
                 params={"lo": a0, "hi": a1},
+                prox=lambda x, tau: _step_toward(space, x, project(x), tau),
             )
 
         catalog["dist_to_spine_segment"] = dist_to_spine_segment
@@ -233,10 +317,22 @@ def _segment_objective(space: TreeSpace | SpiderSpace, key: str
             dpv = space._dist(z.data, rep_v)
             return min(dpu + lo, dpv + (length - hi))
 
+        def project(x: Point) -> Point:
+            # the nearest point of [lo, hi], by the same end test as f
+            xe, xo = x.data
+            if xe == index:
+                t = min(max(xo, lo), hi)
+            elif space._dist(x.data, rep_u) + lo <= space._dist(x.data, rep_v) + (length - hi):
+                t = lo
+            else:
+                t = hi
+            return Point(space, space._canonical((index, t)))
+
         return ObjectiveFn(
             name=f"dist_to_{key}_segment", space=space, fn=f,
             convexity=CONVEX, lower_bound=0.0,
             params={key: index, "lo": lo, "hi": hi},
+            prox=lambda x, tau: _step_toward(space, x, project(x), tau),
         )
 
     return factory

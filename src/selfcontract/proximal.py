@@ -1,12 +1,16 @@
 """Moreau-Yosida approximation, resolvent steps, and gradient curves.
 
 The resolvent minimizes f(z) + d(x,z)^2 / (2 tau) globally.  An
-objective with an exact prox (the squared and plain distances, whose
-steps run along the geodesic to the target) is solved in closed form:
-its composite is strongly convex, so the one minimizer is the answer.
-Every other objective goes to the numeric solver, which also serves as
-the closed forms' test oracle.  Because f is only quasi-convex, the
-composite may have several basins; the solver therefore exploits
+objective with an exact prox (the squared and plain distances, the
+distances to a segment or spine interval, and max_two_dists on trees,
+spiders, the line, the plane and H^2) is solved in closed form: its
+composite is strongly convex, so the one minimizer is the answer.  An
+objective that declares a decay order above 2 is unbounded for every
+step, with no search.  Every other objective goes to the numeric
+solver, which also serves as the closed forms' test oracle and is the
+only resolvent of user-built objectives on trees, spiders and H^2.
+Because f is only quasi-convex, the composite may have several basins;
+the solver therefore exploits
 per-space structure, looked up by space type in `_SOLVERS`: exhaustive
 line search along each segment a tree or spider lists, expanding-window
 multi-start grids with deterministic pattern refinement in a chart of
@@ -399,9 +403,12 @@ def resolvent(objective: ObjectiveFn, space: Space, x: Point, tau: float
     Ties within DEFAULT_SOLVER.tie_value of the optimum are all reported; the
     minimizer list is sorted nearest-to-x first (then by coordinates) so
     that downstream tie-breaking is deterministic.  An objective with an
-    exact prox skips the search and reports 0 evaluations.
+    exact prox skips the search and reports 0 evaluations, and so does one
+    whose declared decay order outruns the quadratic, which is unbounded.
     """
     _check_inputs(objective, space, x, tau)
+    if (objective.decay_order or 0.0) > 2.0:
+        return ResolventResult((), -math.inf, UNBOUNDED)
     if objective.prox is not None:
         z, value = _exact(objective, space, x, tau)
         return ResolventResult((z,), value, UNIQUE)

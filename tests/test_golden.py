@@ -3,14 +3,14 @@
 The files under tests/golden/ were written by this module from a
 known-good build.  Criterion 14 compares two runs of the same build, so
 only these files catch a refactor that changes a result.  The CLI cases
-cover the closed-form proxes of half_sq_dist and dist, every numeric
-resolvent path (spider, box-domain and windowed Euclidean, hyperbolic,
-book, tree) and every audit; primitives.json pins, as exact float.hex
-values, four-point quadruples on which the sweep oracle needs its
-refinement, barycenter cases the CLI never reaches and each per-space
-capability: the direction sampler behind mean_width, the
-neighbourhood measures (the book's 2-dimensional one included), the
-segment objectives and the cover centres.
+cover the exact proxes (half_sq_dist, dist, the segment objectives and
+max_two_dists off the book), the numeric resolvent paths the catalogue
+still reaches (the box-domain line and the book) and every audit;
+primitives.json pins, as exact float.hex values, four-point quadruples on
+which the sweep oracle needs its refinement, barycenter cases the CLI never
+reaches and each per-space capability: the direction sampler behind
+mean_width, the neighbourhood measures (the book's 2-dimensional one
+included), the segment objectives and the cover centres.
 
 Regenerate only for an intended change of results, either every file or
 just the named cases:
@@ -86,7 +86,8 @@ CASES = {
         _config("tree:tree.txt", "dist", start="3,1.0", target="1,1.0"),
         [VERIFY, _audit("tree")],
     ),
-    # objectives without a closed-form prox: these reach the numeric solvers
+    # max_two_dists on the book reaches the numeric solver; the other
+    # objectives below take their exact proxes
     "euclidean2_max_two_dists": (
         _config("euclidean:2", "max_two_dists", start="0.5,1.5", target="1.0,0.0",
                 other="-1.0,0.5"),

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import selfcontract as sc
 from selfcontract import proximal
@@ -37,12 +38,17 @@ def test_neg_cube_unit_interval_ties():
 
 
 def test_neg_cube_unbounded_on_line():
+    """-z^3 declares decay order 3 > 2, so every step is unbounded, also
+    from left of 0, where the composite has a local minimum."""
     space = line()
     f = make_objective(space, "neg_cube")
-    res = resolvent(f, space, space.point((0.0,)), 0.5)
-    assert res.status == UNBOUNDED
-    assert not res.minimizers
-    assert moreau_yosida(f, space, space.point((0.0,)), 0.5) == -math.inf
+    for start in (0.0, -1.0, -0.3):
+        for tau in (0.3, 0.5, 0.8):
+            x = space.point((start,))
+            res = resolvent(f, space, x, tau)
+            assert res.status == UNBOUNDED and res.evals == 0, (start, tau)
+            assert not res.minimizers
+            assert moreau_yosida(f, space, x, tau) == -math.inf
 
 
 def test_moreau_value_half_sq_dist(plane):
@@ -111,6 +117,64 @@ def test_numeric_solver_agrees_with_closed_form_prox():
                     landed += name == "dist" and space.distance(x, p) <= tau
     assert landed > 0  # some dist steps reach the target
 
+    # the segment objectives and max_two_dists, whose composites are strongly
+    # convex: the exact prox is never beaten, and the solver lands on it
+    # unless its compass search stalls on the kink ridge d(z,p) = d(z,q) of
+    # the plane or H^2, where strong convexity bounds how far off it stalls
+    spider, book = spaces[3], spaces[5]
+    cases = []
+    for space in spaces[:5]:
+        for _ in range(3):
+            cases.append(make_objective(space, "max_two_dists",
+                                        target=space.random_point(rng, 2.0),
+                                        other=space.random_point(rng, 2.0)))
+    for _ in range(3):
+        leg = int(rng.integers(1, 5))
+        lo, hi = sorted(float(v) for v in rng.uniform(0.0, 1.0, 2))
+        cases.append(make_objective(spider, "dist_to_leg_segment", leg=leg, lo=lo, hi=hi))
+        edge = int(rng.integers(0, len(tree.edges)))
+        lo, hi = sorted(float(v) for v in rng.uniform(0.0, tree.edges[edge][2], 2))
+        cases.append(make_objective(tree, "dist_to_edge_segment", edge=edge, lo=lo, hi=hi))
+        lo, hi = sorted(float(v) for v in rng.uniform(-1.0, 1.0, 2))
+        cases.append(make_objective(book, "dist_to_spine_segment", lo=lo, hi=hi))
+    stalled = set()
+    for f in cases:
+        space = f.space
+        x = space.random_point(rng, 2.0)
+        for tau in (0.3, 0.8, 4.0):
+            res = resolvent(f, space, x, tau)
+            assert res.status == UNIQUE and res.evals == 0
+            z = res.point
+            exact = f(z) + space.distance(x, z) ** 2 / (2.0 * tau)
+            assert res.value == exact
+            status, cands, _ = proximal._solve(f, space, x, tau)
+            assert status == "ok"
+            best, value = cands[0]
+            where = (space.describe(), f.name, tau, x.data, f.params)
+            assert exact <= value + 1e-12, where
+            off = space.distance(best, z)
+            if off > 1e-6:
+                assert off <= math.sqrt(2.0 * tau * (value - exact)), where
+                stalled.add((space.describe(), f.name))
+    assert stalled <= {("euclidean:2", "max_two_dists"), ("hyperbolic2", "max_two_dists")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       where=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                      min_size=3, max_size=3))
+def test_rtree_midpoint_identity(seed, where):
+    """On a branching tree, max(d(z,p), d(z,q)) = d(z,m) + d(p,q)/2 for the
+    midpoint m of [p, q]: the identity behind max_two_dists' tree prox."""
+    tree = random_tree(seed=seed, max_edges=12, max_degree=4)
+    assume(tree.max_degree >= 3)
+    p, q, z = (tree.point((min(int(e * len(tree.edges)), len(tree.edges) - 1),
+                           s * tree.edges[min(int(e * len(tree.edges)), len(tree.edges) - 1)][2]))
+               for e, s in where)
+    m = tree.geodesic_point(p, q, 0.5)
+    lhs = max(tree.distance(z, p), tree.distance(z, q))
+    assert abs(lhs - (tree.distance(z, m) + tree.distance(p, q) / 2.0)) <= 1e-12
+
 
 def test_numeric_minimizers_are_valid_points():
     """The solvers build their candidates without `Space.point`; every
@@ -118,7 +182,9 @@ def test_numeric_minimizers_are_valid_points():
     off the hyperboloid, whose re-projection moves the last bits, is its own
     canonical form.  Covers the segment, book, Euclidean box and
     window, and H^2 chart paths, with ties on the box, segments and sheets
-    and minimizers at a spider's centre, a tree vertex and a book's spine."""
+    and minimizers at a spider's centre, a tree vertex and a book's spine.
+    Catalogue objectives with an exact prox reach the solvers through
+    `proximal._solve`, whose candidates are checked the same way."""
     line, plane, h2 = sc.EuclideanSpace(1), sc.EuclideanSpace(2), sc.HyperbolicPlane()
     spider, book = sc.SpiderSpace(3), sc.BookSpace(3)
     tree = random_tree(seed=78, max_edges=10, max_degree=5)
@@ -153,22 +219,38 @@ def test_numeric_minimizers_are_valid_points():
             cases.append((f, x, tau))
     ties = 0
     for f, x, tau in cases:
-        res = resolvent(f, f.space, x, tau)
-        assert res.evals > 0 and res.minimizers, (f.name, f.space.describe())
-        ties += res.status == MULTIPLE_TIES
-        for p in res.minimizers:
+        if f.prox is None:
+            res = resolvent(f, f.space, x, tau)
+            evals, found = res.evals, res.minimizers
+            ties += res.status == MULTIPLE_TIES
+        else:
+            _, cands, evals = proximal._solve(f, f.space, x, tau)
+            found = [p for p, _ in cands]
+        assert evals > 0 and found, (f.name, f.space.describe())
+        for p in found:
             f.space._check(p.data)
             assert f.space is h2 or f.space.point(p.data).data == p.data
     assert ties >= 3
 
 
 def test_resolvent_reports_evaluations(plane):
+    """0 on the exact path, the numeric solver's count on user-built
+    objectives: in the plane's chart and in the exp chart of H^2."""
     x = plane.point((0.5, 1.5))
     for name in ("half_sq_dist", "dist"):
         f = make_objective(plane, name, target=(1.0, 0.0))
         assert resolvent(f, plane, x, 0.5).evals == 0
     f = make_objective(plane, "max_two_dists", target=(1.0, 0.0), other=(-1.0, 0.5))
+    assert resolvent(f, plane, x, 0.5).evals == 0
+    assert proximal._solve(f, plane, x, 0.5)[2] > 0
+    f = ObjectiveFn(name="max_two_dists", space=plane, fn=f.fn, convexity="convex")
     assert resolvent(f, plane, x, 0.5).evals > 0
+    h2 = sc.HyperbolicPlane()
+    p = h2.point((math.cosh(0.8), math.sinh(0.8), 0.0))
+    f = ObjectiveFn(name="to_p", space=h2, fn=lambda z: h2.distance(z, p), convexity="convex")
+    res = resolvent(f, h2, h2.point(h2.origin()), 0.5)
+    assert res.evals > 0 and h2.distance(res.point, h2.geodesic_point(
+        h2.point(h2.origin()), p, 0.5 / 0.8)) <= 1e-6
 
 
 @pytest.mark.parametrize("space", [
