@@ -258,7 +258,10 @@ def check_all_same_space(points: Iterable[Point]) -> Space:
 
 
 def vec_norm(v: tuple) -> float:
-    return math.sqrt(math.fsum(x * x for x in v))
+    try:
+        return math.sqrt(math.fsum(x * x for x in v))
+    except OverflowError:  # finite squares whose sum is not
+        return math.inf
 
 
 def vec_sub(a: tuple, b: tuple) -> tuple:

@@ -59,6 +59,19 @@ def test_simulate_beyond_the_numeric_solver(tmp_path):
     assert log["n_points"] == 9 and log["diagnostic"] is None
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_simulate_where_the_squared_distance_overflows(tmp_path, dim):
+    """Coordinates near 1e154 square to finite values whose sum overflows:
+    the distance is inf, and the run exits 0 without a traceback."""
+    (tmp_path / "far.cfg").write_text(
+        f"space = euclidean:{dim}\nobjective = half_sq_dist\n"
+        f"objective.target = {','.join(['0'] * dim)}\n"
+        f"start = {','.join(['1e154'] * dim)}\nsteps = 3\nout = far\n")
+    r = run(["simulate", "--config", "far.cfg"], tmp_path)
+    assert r.returncode == 0 and "Traceback" not in r.stderr, r.stderr
+    assert json.loads((tmp_path / "far.log.json").read_text())["n_points"] == 4
+
+
 def test_verify_pass_and_exit_codes(workdir):
     r = run(["verify", "run1.curve.json",
              "--check", "self_contracted,stationarity,angle_estimate",
