@@ -127,7 +127,9 @@ def _bisector_prox(space: Space, p: Point, q: Point,
     from .proximal import _golden_min  # proximal imports this module
 
     m = space.geodesic_point(p, q, 0.5).data
-    line = normal(space, m, space._log(m, p.data)[0]) if space._dist(m, p.data) > 0.0 else None
+    line = None
+    if space._dist(m, p.data) > 0.0:
+        line = normal(space, m, space._log(m, p.data)[0])
 
     def prox(x: Point, tau: float) -> Point:
         for a, b in ((p, q), (q, p)):
@@ -213,7 +215,7 @@ def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
             convexity=CONVEX, lower_bound=0.0,
             params={"target": space._point_json(p.data),
                     "other": space._point_json(q.data)},
-            prox=rule and rule(space, p, q),
+            prox=rule(space, p, q) if rule else None,
         )
 
     catalog["half_sq_dist"] = half_sq_dist
@@ -322,10 +324,10 @@ def _segment_objective(space: TreeSpace | SpiderSpace, key: str
             xe, xo = x.data
             if xe == index:
                 t = min(max(xo, lo), hi)
-            elif space._dist(x.data, rep_u) + lo <= space._dist(x.data, rep_v) + (length - hi):
-                t = lo
             else:
-                t = hi
+                dpu = space._dist(x.data, rep_u)
+                dpv = space._dist(x.data, rep_v)
+                t = lo if dpu + lo <= dpv + (length - hi) else hi
             return Point(space, space._canonical((index, t)))
 
         return ObjectiveFn(

@@ -168,9 +168,13 @@ def test_rtree_midpoint_identity(seed, where):
     midpoint m of [p, q]: the identity behind max_two_dists' tree prox."""
     tree = random_tree(seed=seed, max_edges=12, max_degree=4)
     assume(tree.max_degree >= 3)
-    p, q, z = (tree.point((min(int(e * len(tree.edges)), len(tree.edges) - 1),
-                           s * tree.edges[min(int(e * len(tree.edges)), len(tree.edges) - 1)][2]))
-               for e, s in where)
+    n = len(tree.edges)
+
+    def at(e, s):
+        edge = min(int(e * n), n - 1)
+        return tree.point((edge, s * tree.edges[edge][2]))
+
+    p, q, z = (at(e, s) for e, s in where)
     m = tree.geodesic_point(p, q, 0.5)
     lhs = max(tree.distance(z, p), tree.distance(z, q))
     assert abs(lhs - (tree.distance(z, m) + tree.distance(p, q) / 2.0)) <= 1e-12
