@@ -121,21 +121,19 @@ def _bisector_prox(space: Space, p: Point, q: Point,
     on the perpendicular bisector, the geodesic line `normal(space, m, v)`
     through the midpoint m normal to the unit germ v toward p, which maps a
     signed distance t to a payload.  Along it |t| <= d(m,x) + sqrt(2 tau F(m)),
-    since F(z) <= F(m) bounds d(x,z)^2 / (2 tau).  When m is at distance 0
-    from p there is no bisector, and the dist prox toward p is taken.
+    since F(z) <= F(m) bounds d(x,z)^2 / (2 tau).
     """
     from .proximal import _golden_min  # proximal imports this module
-
-    m = space.geodesic_point(p, q, 0.5).data
-    line = None
-    if space._dist(m, p.data) > 0.0:
-        line = normal(space, m, space._log(m, p.data)[0])
 
     def prox(x: Point, tau: float) -> Point:
         for a, b in ((p, q), (q, p)):
             z = _step_toward(space, x, a, tau)
-            if line is None or space._dist(z.data, a.data) >= space._dist(z.data, b.data):
+            if space._dist(z.data, a.data) >= space._dist(z.data, b.data):
                 return z
+        m = space.geodesic_point(p, q, 0.5).data
+        if space._dist(m, p.data) == 0.0:
+            return z  # p and q a rounding error apart: no bisector to search
+        line = normal(space, m, space._log(m, p.data)[0])
 
         def composite(t: float) -> float:
             z = line(t)
