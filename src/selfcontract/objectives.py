@@ -94,7 +94,7 @@ def _require_point_param(space: Space, params: dict, key: str) -> Point:
     return space.point(tuple(value) if isinstance(value, (list, tuple)) else value)
 
 
-def _step_toward(space: Space, x: Point, c: Point, tau: float) -> Point:
+def _step_toward(space: Space, c: Point, x: Point, tau: float) -> Point:
     """A step of length tau from x toward c, stopping at c: the prox of
     d(., C) when c is the projection of x onto the convex set C."""
     d = space.distance(x, c)
@@ -108,8 +108,7 @@ def _step_toward(space: Space, x: Point, c: Point, tau: float) -> Point:
 def _midpoint_prox(space: Space, p: Point, q: Point) -> Callable[[Point, float], Point]:
     """max_two_dists' prox on an R-tree, where max(d(z,p), d(z,q)) is
     d(z,m) + d(p,q)/2 for the midpoint m of [p, q]: the dist prox toward m."""
-    m = space.geodesic_point(p, q, 0.5)
-    return lambda x, tau: _step_toward(space, x, m, tau)
+    return partial(_step_toward, space, space.geodesic_point(p, q, 0.5))
 
 
 def _bisector_prox(space: Space, p: Point, q: Point,
@@ -127,7 +126,7 @@ def _bisector_prox(space: Space, p: Point, q: Point,
 
     def prox(x: Point, tau: float) -> Point:
         for a, b in ((p, q), (q, p)):
-            z = _step_toward(space, x, a, tau)
+            z = _step_toward(space, a, x, tau)
             if space._dist(z.data, a.data) >= space._dist(z.data, b.data):
                 return z
         m = space.geodesic_point(p, q, 0.5).data
@@ -200,7 +199,7 @@ def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
             fn=lambda z: space.distance(z, p),
             convexity=CONVEX, lower_bound=0.0,
             params={"target": space._point_json(p.data)},
-            prox=lambda x, tau: _step_toward(space, x, p, tau),
+            prox=partial(_step_toward, space, p),
         )
 
     def max_two_dists(**params) -> ObjectiveFn:
@@ -283,7 +282,7 @@ def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
                 name="dist_to_spine_segment", space=space, fn=f,
                 convexity=CONVEX, lower_bound=0.0,
                 params={"lo": a0, "hi": a1},
-                prox=lambda x, tau: _step_toward(space, x, project(x), tau),
+                prox=lambda x, tau: _step_toward(space, project(x), x, tau),
             )
 
         catalog["dist_to_spine_segment"] = dist_to_spine_segment
@@ -332,7 +331,7 @@ def _segment_objective(space: TreeSpace | SpiderSpace, key: str
             name=f"dist_to_{key}_segment", space=space, fn=f,
             convexity=CONVEX, lower_bound=0.0,
             params={key: index, "lo": lo, "hi": hi},
-            prox=lambda x, tau: _step_toward(space, x, project(x), tau),
+            prox=lambda x, tau: _step_toward(space, project(x), x, tau),
         )
 
     return factory
