@@ -10,8 +10,10 @@ from selfcontract.objectives import make_objective
 from selfcontract.proximal import GradientCurveRun, discrete_gradient_curve
 from selfcontract.spaces.base import Space
 from selfcontract.verify import (
+    DEFAULT_SAMPLING,
     VIOLATION_TOL,
     ViolationReport,
+    _effective_samples,
     angle_estimate_check,
     angle_estimate_sweep,
     ball_confinement_check,
@@ -302,6 +304,16 @@ def _germs(space, base, rng, m):
     return germs
 
 
+def _spine_germs(book, base, rng, per_sheet):
+    """Germs at a spine base toward `per_sheet` points in every sheet and
+    toward spine points on both sides, so that germs (0, +-1.0, 0.0) run
+    along the spine."""
+    targets = [(sheet, float(rng.uniform(-1.5, 1.5)), float(rng.uniform(0.05, 1.5)))
+               for _ in range(per_sheet) for sheet in range(1, book.k + 1)]
+    targets += [(0, base[1] + 0.7, 0.0), (0, base[1] - 1.1, 0.0)]
+    return [book._log(base, targets[i])[0] for i in rng.permutation(len(targets))]
+
+
 def _germ_cases(space, rng):
     """(base, germs) cases: random bases, one germ, all-equal germs, and
     the book spine and tree vertex bases where germs branch."""
@@ -318,6 +330,17 @@ def _germ_cases(space, rng):
         cases.append((base, _germs(space, base, rng, 1) * 4))
         for m in (2, 5, 12):
             cases.append((base, _germs(space, base, rng, m)))
+    if isinstance(space, sc.BookSpace):
+        spine = (0, 0.3, 0.0)
+        for per_sheet in (1, 3):
+            cases.append((spine, _spine_germs(space, spine, rng, per_sheet)))
+        along = [(0, 1.0, 0.0), (0, -1.0, 0.0)]
+        cases.append((spine, along + _germs(space, spine, rng, 4)))
+        # a cross-sheet pair and the along-spine pair both at angle pi:
+        # loop order alone picks the witness
+        up = [(1, 0.0, 1.0), (2, 0.0, 1.0)]
+        cases.append((spine, up + along))
+        cases.append((spine, along[:1] + up + along[1:]))
     return cases
 
 
@@ -380,11 +403,19 @@ def scalar_angle_sweep(space, curve, limit=math.pi / 2.0):
 
 @pytest.mark.parametrize("space", KERNEL_SPACES, ids=lambda s: s.describe())
 def test_angle_sweep_matches_the_scalar_sweep(space, rng):
-    """Random curves, passing and failing, with repeated samples."""
+    """Random curves, passing and failing, with repeated samples, and on
+    books a curve that crosses the spine between sheets."""
+    curves = []
     for trial in range(6):
         pts = [space.random_point(rng, 1.3) for _ in range(int(rng.integers(1, 6)))]
         if len(pts) > 3:
             pts[2] = pts[0]
+        curves.append(pts)
+    if isinstance(space, sc.BookSpace):
+        curves.append([space.point(p) for p in ((1, -0.6, 0.8), (0, 0.1, 0.0),
+                                                (2, 0.5, 0.4), (3, -0.2, 1.1),
+                                                (1, 0.9, 0.3), (0, -0.7, 0.0))])
+    for pts in curves:
         for mode in ("discrete", "geodesic"):
             curve = sc.make_curve(pts, mode=mode)
             rep = angle_estimate_sweep(space, curve)
@@ -462,11 +493,11 @@ def loop_ball_confinement(space, curve, x, r, tol=VIOLATION_TOL):
     return ViolationReport("ball_confinement", worst, max(n_checked, 1), tol, witness)
 
 
-def _wandering_curve(space, rng, n):
+def _wandering_curve(space, rng, n, mode="discrete"):
     """Random samples, so the checks below see rises, repeats and returns."""
     pts = [space.random_point(rng, 1.5) for _ in range(n)]
     pts[n // 2] = pts[1]
-    return sc.make_curve(pts, mode="discrete")
+    return sc.make_curve(pts, mode=mode)
 
 
 @pytest.mark.parametrize("space", KERNEL_SPACES, ids=lambda s: s.describe())
@@ -493,4 +524,61 @@ def test_running_minimum_checks_match_their_loops(space, rng):
                 rep = ball_confinement_check(space, curve, x, r)
                 assert rep.to_json() == loop_ball_confinement(space, curve, x, r).to_json()
                 violated["ball"] += not rep.passed
+    assert all(violated.values()), violated
+
+
+def loop_self_contracted(space, curve, tol=VIOLATION_TOL):
+    """is_self_contracted as a running minimum over t1 < t2 per t3, through
+    the public `distance`: the reference."""
+    samples = _effective_samples(curve, DEFAULT_SAMPLING)
+    n = len(samples)
+    worst, witness = 0.0, None
+    for k in range(1, n):
+        tk, pk = samples[k]
+        run_min, run_min_t = math.inf, None
+        for i in range(k):
+            ti, pi = samples[i]
+            d = space.distance(pi, pk)
+            if d - run_min > worst:
+                worst = d - run_min
+                witness = {"t1": run_min_t, "t2": ti, "t3": tk, "d_t1_t3": run_min,
+                           "d_t2_t3": d, "p3": space._point_json(pk.data)}
+            if d < run_min:
+                run_min, run_min_t = d, ti
+    return ViolationReport("self_contracted", worst, n * (n - 1) // 2, tol, witness)
+
+
+def loop_tail_halving(space, curve, tol=VIOLATION_TOL):
+    """tail_halving_check with the minimum over later samples taken afresh
+    for every (tau, T): the reference."""
+    samples = _effective_samples(curve, DEFAULT_SAMPLING)
+    n = len(samples)
+    worst, witness, n_checked = 0.0, None, 0
+    for i, (ti, pi) in enumerate(samples):
+        dists = [space.distance(pi, p) for _, p in samples]
+        for j in range(i + 1, n):
+            later = min(dists[j:])
+            n_checked += 1
+            if dists[j] / 2.0 - later > worst:
+                worst = dists[j] / 2.0 - later
+                witness = {"tau": ti, "T": samples[j][0], "d_T_tau": dists[j],
+                           "min_later": later}
+    return ViolationReport("tail_halving", worst, max(n_checked, 1), tol, witness)
+
+
+@pytest.mark.parametrize("space", KERNEL_SPACES, ids=lambda s: s.describe())
+def test_sampled_checks_match_their_loops(space, rng):
+    """is_self_contracted and tail_halving_check agree with their own loops
+    in every report field on wandering curves, discrete and densified."""
+    violated = {"self_contracted": 0, "tail_halving": 0}
+    for trial in range(6):
+        for mode, n in (("discrete", int(rng.integers(2, 12))),
+                        ("geodesic", int(rng.integers(2, 5)))):
+            curve = _wandering_curve(space, rng, n, mode)
+            rep = is_self_contracted(space, curve)
+            assert rep.to_json() == loop_self_contracted(space, curve).to_json()
+            violated["self_contracted"] += not rep.passed
+            rep = tail_halving_check(space, curve)
+            assert rep.to_json() == loop_tail_halving(space, curve).to_json()
+            violated["tail_halving"] += not rep.passed
     assert all(violated.values()), violated
