@@ -6,6 +6,7 @@ and geodesic formulas, and the direction (geodesic germ) calculus.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -89,6 +90,12 @@ class Space(ABC):
     def _dist_row(self, a: tuple, payloads: Sequence[tuple]) -> list[float]:
         """[_dist(a, b) for b in payloads], bit for bit."""
         return [self._dist(a, b) for b in payloads]
+
+    def _log_row(self, base: tuple, payloads: Sequence[tuple],
+                 dists: Sequence[float]) -> list[tuple]:
+        """[_log(base, b)[0] for b in payloads], bit for bit, where `dists`
+        is `_dist_row(base, payloads)` and no payload is base itself."""
+        return [self._log(base, b)[0] for b in payloads]
 
     def _germ_diameter(self, base: tuple, germs: Sequence[tuple],
                        limit: float) -> tuple[float, int, int]:
@@ -219,9 +226,14 @@ def clamp_cos(c: float) -> float:
     return max(-1.0, min(1.0, c))
 
 
+def germ_array(germs: Sequence[tuple]) -> np.ndarray:
+    """Germs of one length as the rows of a float array, shape (m, k)."""
+    return np.fromiter(itertools.chain.from_iterable(germs), float).reshape(len(germs), -1)
+
+
 def germ_products(germs: Sequence[tuple]) -> np.ndarray:
     """g_a[k] * g_b[k] for every germ pair (a, b) and coordinate k, shape (k, m, m)."""
-    g = np.array(germs, dtype=float).T
+    g = germ_array(germs).T
     return g[:, :, None] * g[:, None, :]
 
 
@@ -229,20 +241,38 @@ def widest_pair(cos: np.ndarray, limit: float) -> tuple[float, int, int]:
     """`Space._germ_diameter` from the symmetric m x m matrix of germ cosines.
 
     The cosines must be bit for bit those the scalar `_angle` takes the
-    arccos of.  The angle acos(clamp_cos(c)) falls as c rises, so only the
-    cosines within 1e-12 of the smallest can reach the largest
-    `angle - limit`; only those distinct values go through `math.acos`.  Two
-    of them may round to the same excess, so the pair is chosen by excess:
-    the first in row-major order, which lies on or above the diagonal
-    because the matrix is symmetric.
+    arccos of.  Two pairs may round to the same excess, so the pair is
+    chosen by excess: the first in row-major order, which lies on or above
+    the diagonal because the matrix is symmetric.
+    """
+    best, hits = acos_excess(cos, limit)
+    return best, *first_pair(hits)
+
+
+def acos_excess(cos: np.ndarray, limit: float,
+                keep: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """The largest acos(clamp_cos(c)) - limit over the cells of `cos` (or
+    only the `keep` cells), and the mask of the cells that attain it.
+
+    The angle falls as c rises, so only the cosines within 1e-12 of the
+    smallest can reach the largest excess; only those distinct values go
+    through `math.acos`.
     """
     cos = np.fmax(np.fmin(cos, 1.0), -1.0)  # clamp_cos, which maps NaN to 1
-    near = np.unique(cos[cos <= cos.min() + 1e-12]).tolist()
+    kept = cos if keep is None else cos[keep]
+    near = np.unique(kept[kept <= kept.min() + 1e-12]).tolist()
     excess = [math.acos(c) - limit for c in near]
     best = max(excess)
-    top = [c for c, e in zip(near, excess) if e == best]
-    a, b = divmod(int(np.argmax(np.isin(cos, top))), cos.shape[0])
-    return best, a, b
+    hits = np.zeros(cos.shape, dtype=bool)
+    for c, e in zip(near, excess):
+        if e == best:
+            hits |= cos == c
+    return best, hits if keep is None else hits & keep
+
+
+def first_pair(hits: np.ndarray) -> tuple[int, int]:
+    """The first set cell of a square mask, in row-major order."""
+    return divmod(int(np.argmax(hits)), hits.shape[0])
 
 
 def check_all_same_space(points: Iterable[Point]) -> Space:

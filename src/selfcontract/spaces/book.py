@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..errors import GeometryError
-from .base import Space, clamp_cos, integral_index
+from .base import (Space, acos_excess, clamp_cos, first_pair, germ_array, integral_index,
+                   widest_pair)
 
 
 class BookSpace(Space):
@@ -82,11 +85,17 @@ class BookSpace(Space):
         if a[0] != 0:
             # interior basepoint: germ lives in a's sheet with its own sign of b
             return (a[0], ux, uy), r
-        # spine basepoint: germ either runs along the spine or enters a sheet
-        if abs(uy) <= 1e-15:
-            return (0, 1.0 if ux > 0 else -1.0, 0.0), r
-        sheet = up if uy > 0 else down
-        return (sheet, ux, abs(uy)), r
+        return _spine_germ(up if uy > 0 else down, ux, uy), r
+
+    def _log_row(self, base: tuple, payloads, dists) -> list[tuple]:
+        # _log with r from the row; _dist's hypot is _log's, up to signs
+        s0, a1, a2 = base
+        if s0 == 0:
+            return [_spine_germ(b[0], (b[1] - a1) / r, (b[2] - a2) / r)
+                    for b, r in zip(payloads, dists)]
+        # _unfold reflects b below the spine when it is in another sheet
+        return [(s0, (b[1] - a1) / r, ((b[2] if b[0] in (s0, 0) else -b[2]) - a2) / r)
+                for b, r in zip(payloads, dists)]
 
     def _angle(self, base: tuple, d1: tuple, d2: tuple) -> float:
         s1, x1, y1 = d1
@@ -100,6 +109,27 @@ class BookSpace(Space):
         a1 = math.atan2(abs(y1), x1)
         a2 = math.atan2(abs(y2), x2)
         return min(a1 + a2, 2.0 * math.pi - a1 - a2)
+
+    def _germ_diameter(self, base: tuple, germs, limit: float) -> tuple[float, int, int]:
+        s, x, y = germ_array(germs).T
+        cos = x[:, None] * x + y[:, None] * y  # _angle's planar cosine
+        if base[0] != 0:
+            return widest_pair(cos, limit)
+        cross = (s[:, None] != s) & (s[:, None] != 0) & (s != 0)
+        if not cross.any():
+            return widest_pair(cos, limit)
+        # at a spine base, germs in two different sheets meet through a
+        # spine ray: _angle's turn, elementwise, on the pairs (a, b > a)
+        best, hits = acos_excess(cos, limit, ~cross)
+        t = np.array([math.atan2(abs(g[2]), g[1]) for g in germs])
+        turn = np.fmin(t[:, None] + t, (2.0 * math.pi - t)[:, None] - t) - limit
+        turn = np.where(np.triu(cross), turn, -math.inf)
+        top = float(turn.max())
+        if top > best:
+            best, hits = top, turn == top
+        elif top == best:
+            hits |= turn == top
+        return best, *first_pair(hits)
 
     def spine_point(self, a: float):
         return self.point((0, a, 0.0))
@@ -125,3 +155,11 @@ class BookSpace(Space):
 
     def _point_json(self, data: tuple) -> list:
         return [int(data[0]), float(data[1]), float(data[2])]
+
+
+def _spine_germ(sheet: int, ux: float, uy: float) -> tuple:
+    """The germ at a spine point with unfolded unit tangent (ux, uy): along
+    the spine, or into `sheet`."""
+    if abs(uy) <= 1e-15:
+        return (0, 1.0 if ux > 0 else -1.0, 0.0)
+    return (sheet, ux, abs(uy))

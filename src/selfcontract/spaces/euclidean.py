@@ -56,6 +56,16 @@ class EuclideanSpace(Space):
         r = vec_norm(diff)
         return vec_scale(1.0 / r, diff), r
 
+    def _log_row(self, base: tuple, payloads, dists) -> list[tuple]:
+        # r from the row is _log's vec_norm: (a - b)^2 is (b - a)^2
+        if self.dim == 1:
+            return [((1.0 / r) * (b[0] - base[0]),) for b, r in zip(payloads, dists)]
+        if self.dim == 2:
+            x, y = base
+            return [((1.0 / r) * (b[0] - x), (1.0 / r) * (b[1] - y))
+                    for b, r in zip(payloads, dists)]
+        return super()._log_row(base, payloads, dists)
+
     def _angle(self, base: tuple, d1: tuple, d2: tuple) -> float:
         return math.acos(clamp_cos(vec_dot(d1, d2)))
 

@@ -17,6 +17,12 @@ def mdot(a: tuple, b: tuple) -> float:
     return a[1] * b[1] + a[2] * b[2] - a[0] * b[0]
 
 
+def _germ(a: tuple, b: tuple, d: float) -> tuple:
+    """The unit tangent at a toward b, which lies at distance d > 0."""
+    ch, sh = math.cosh(d), math.sinh(d)
+    return ((b[0] - ch * a[0]) / sh, (b[1] - ch * a[1]) / sh, (b[2] - ch * a[2]) / sh)
+
+
 class HyperbolicPlane(Space):
     kind = "hyperbolic2"
 
@@ -51,8 +57,10 @@ class HyperbolicPlane(Space):
         d = self._dist(a, b)
         if d == 0.0:
             raise GeometryError("no tangent between coincident points")
-        ch, sh = math.cosh(d), math.sinh(d)
-        return tuple((b[i] - ch * a[i]) / sh for i in range(3)), d
+        return _germ(a, b, d), d
+
+    def _log_row(self, base: tuple, payloads, dists) -> list[tuple]:
+        return [_germ(base, b, d) for b, d in zip(payloads, dists)]
 
     def _geodesic(self, a: tuple, b: tuple, s: float) -> tuple:
         if s == 0.0:

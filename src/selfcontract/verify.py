@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -30,6 +31,16 @@ class SamplingConfig:
     densify_levels: int = 3
     seed: int = 0
     tolerance: float = VIOLATION_TOL
+
+    def __post_init__(self):
+        if not isinstance(self.max_exhaustive, numbers.Integral) or self.max_exhaustive < 2:
+            raise GeometryError(
+                f"max_exhaustive must be an integer >= 2, got {self.max_exhaustive!r}")
+        if self.densify_levels < 0:
+            raise GeometryError(f"densify_levels must be >= 0, got {self.densify_levels!r}")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise GeometryError(
+                f"tolerance must be finite and >= 0, got {self.tolerance!r}")
 
 
 DEFAULT_SAMPLING = SamplingConfig()
@@ -219,10 +230,11 @@ def angle_estimate_sweep(space: Space, curve: Curve,
                          ) -> ViolationReport:
     """Max angle-estimate excess over all admissible sampled triples.
 
-    At each base xi(tau) the germs toward the later samples that are not
-    the same point go through one `Space._germ_diameter` call; it returns
-    the first pair (a, b >= a) of the scalar double loop that attains the
-    largest excess, so the witness is the one that loop would record.
+    At each base xi(tau) one `Space._log_row` call builds the germs toward
+    the later samples that are not the same point, from their distances in
+    the row, and one `Space._germ_diameter` call returns the first pair
+    (a, b >= a) of the scalar double loop that attains the largest excess,
+    so the witness is the one that loop would record.
     """
     samples = _effective_samples(curve, cfg)
     payloads = _payloads(space, samples)
@@ -234,7 +246,8 @@ def angle_estimate_sweep(space: Space, curve: Curve,
         later = [j for j, d in enumerate(row, start=i + 1) if d > space.tolerance]
         if not later:
             continue
-        germs = [space._log(base, payloads[j])[0] for j in later]
+        germs = space._log_row(base, [payloads[j] for j in later],
+                               [row[j - i - 1] for j in later])
         n_checked += len(germs) * (len(germs) + 1) // 2
         excess, a, b = space._germ_diameter(base, germs, limit)
         if excess > worst:

@@ -76,6 +76,20 @@ def test_long_curve_stratified_subsampling(plane):
     assert not rep.passed
 
 
+@pytest.mark.parametrize("field", [
+    {"max_exhaustive": 1}, {"max_exhaustive": 0}, {"max_exhaustive": 400.0},
+    {"max_exhaustive": True}, {"densify_levels": -1}, {"tolerance": -1e-12},
+    {"tolerance": math.nan}, {"tolerance": math.inf}])
+def test_sampling_config_is_validated(field, plane):
+    """A sampling config no check can run with is refused when it is made."""
+    from selfcontract.verify import SamplingConfig
+
+    with pytest.raises(GeometryError, match=next(iter(field))):
+        SamplingConfig(**field)
+    edge = SamplingConfig(max_exhaustive=2, densify_levels=0, tolerance=0.0)
+    assert is_self_contracted(plane, segment_curve(plane), edge).n_checked == 1
+
+
 def test_geodesic_mode_samples_within_segments(plane):
     # a geodesic-interpolated V-shape fails even though the 3 raw samples
     # are consistent at their own times
@@ -341,6 +355,10 @@ def _germ_cases(space, rng):
         up = [(1, 0.0, 1.0), (2, 0.0, 1.0)]
         cases.append((spine, up + along))
         cases.append((spine, along[:1] + up + along[1:]))
+        # a cross-sheet pair whose turn (2 pi - a1) - a2 rounds lower than
+        # (2 pi - a2) - a1: only the pair in loop order counts
+        cases.append((spine, [(1, -0.030199081137974683, 0.9995439037373106),
+                              (2, -0.038294307549995396, 0.9992665039964396)]))
     return cases
 
 
@@ -362,6 +380,33 @@ def test_dist_row_matches_the_scalar_distance(space, rng):
         assert [d.hex() for d in row] == [space._dist(a, b).hex() for b in pts]
         assert type(row[0]) is float
         assert space._dist_row(a, []) == []
+
+
+def _exact(value):
+    """A payload with every float as its hex string, every other leaf kept
+    with its type, so == compares bit for bit."""
+    if isinstance(value, tuple):
+        return tuple(_exact(v) for v in value)
+    return value.hex() if type(value) is float else (type(value), value)
+
+
+@pytest.mark.parametrize("space", KERNEL_SPACES, ids=lambda s: s.describe())
+def test_log_row_matches_the_scalar_log(space, rng):
+    """Every `_log_row` override is the scalar `_log` loop, bit for bit, at
+    random bases and at the book spine and tree vertex bases."""
+    pts = [space.random_point(rng, 1.5).data for _ in range(20)]
+    bases = pts[:5]
+    if isinstance(space, sc.BookSpace):
+        bases += [(0, 0.3, 0.0), (0, -0.8, 0.0)]
+        pts += [(0, 1.2, 0.0), (0, -1.4, 0.0), (0, 0.3, 0.0)]
+    if isinstance(space, sc.TreeSpace):
+        bases += [space.vertex_point(w).data for w in range(len(space.vertex_names))]
+        pts += bases[5:]
+    for base in bases:
+        later = [b for b in pts if space._dist(base, b) > space.tolerance]
+        row = space._log_row(base, later, space._dist_row(base, later))
+        assert [_exact(g) for g in row] == [_exact(space._log(base, b)[0]) for b in later]
+        assert space._log_row(base, [], []) == []
 
 
 def test_germ_diameter_witness_is_first_by_excess():
