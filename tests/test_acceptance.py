@@ -143,7 +143,7 @@ def _criterion5_runs():
 
 
 def test_criteria_05_06_gradient_run_suite():
-    with criterion(5, "gradient-run self-contraction suite", 15.0):
+    with criterion(5, "gradient-run self-contraction suite", 6.0):
         runs = _criterion5_runs()
         worst_discrete = 0.0
         worst_angle = -math.inf

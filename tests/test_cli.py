@@ -208,6 +208,13 @@ def test_malformed_numeric_options_are_usage_errors(workdir, option, commands):
         assert f"option {option.lstrip('-').split()[0]} " in r.stderr, (command, r.stderr)
 
 
+def test_verify_refuses_a_negative_tolerance(workdir):
+    """The sampling config refuses tol < 0, under which every check would fail."""
+    r = run(["verify", "run1.curve.json", "--tol", "-1"], workdir)
+    assert r.returncode == 2, (r.stdout, r.stderr)
+    assert "tolerance must be finite and >= 0" in r.stderr and "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize("check", [",", ", ,"])
 def test_verify_refuses_empty_check_list(workdir, check):
     r = run(["verify", "run1.curve.json", "--check", check, "--out", "ver.json"], workdir)

@@ -12,6 +12,7 @@ from selfcontract.spaces.base import Space
 from selfcontract.verify import (
     DEFAULT_SAMPLING,
     VIOLATION_TOL,
+    SamplingConfig,
     ViolationReport,
     _effective_samples,
     angle_estimate_check,
@@ -82,8 +83,6 @@ def test_long_curve_stratified_subsampling(plane):
     {"tolerance": math.nan}, {"tolerance": math.inf}])
 def test_sampling_config_is_validated(field, plane):
     """A sampling config no check can run with is refused when it is made."""
-    from selfcontract.verify import SamplingConfig
-
     with pytest.raises(GeometryError, match=next(iter(field))):
         SamplingConfig(**field)
     edge = SamplingConfig(max_exhaustive=2, densify_levels=0, tolerance=0.0)
