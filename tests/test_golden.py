@@ -10,7 +10,8 @@ primitives.json pins, as exact float.hex values, four-point quadruples on
 which the sweep oracle needs its refinement, barycenter cases the CLI never
 reaches and each per-space capability: the direction sampler behind
 mean_width, the neighbourhood measures (the book's 2-dimensional one
-included), the segment objectives and the cover centres.
+included), the plane's mean width and condition constants, the segment
+objectives and the cover centres.
 
 Regenerate only for an intended change of results, either every file or
 just the named cases:
@@ -193,6 +194,25 @@ def measure_values(case: dict) -> dict:
     return {"measures": out}
 
 
+def plane_width_values(case: dict) -> dict:
+    space, pts = _space_points(case)
+    rep = sc.mean_width(space, pts, inflate=_from_hex(case["inflate"]),
+                        method="quadrature")
+    return {"width": _hex(rep.width), "stderr": _hex(rep.stderr), "method": rep.method,
+            "n_directions": rep.n_directions, "report_seed": rep.seed}
+
+
+def plane_constant_values(case: dict) -> dict:
+    space, pts = _space_points(case)
+    out = []
+    for radius in _from_hex(case["radii"]):
+        rc = sc.estimate_condition_constants(
+            space, sc.NeighborhoodRegion(tuple(pts), radius), sigma=case["sigma"])
+        out.append({"a": _hex(rc.a), "b": _hex(rc.b), "m": rc.m,
+                    "eps": _hex(rc.eps_bold)})
+    return {"constants": out}
+
+
 def book_measure_values(case: dict) -> dict:
     space, pts = _space_points(case)
     return {"h2": [_hex(sc.hausdorff_measure_neighborhood(space, pts, radius, 2))
@@ -273,6 +293,7 @@ def build_primitives() -> dict:
         },
         **_space_primitives(),
         "book_measures": _book_measure_primitives(),
+        **_plane_primitives(),
     }
 
 
@@ -384,6 +405,28 @@ def _book_measure_primitives() -> list:
     return [{**c, **book_measure_values(c)} for c in cases]
 
 
+def _plane_primitives() -> dict:
+    """The plane's mean width (a segment, a square, random sets and a random
+    self-contracted curve, with and without inflation) and its condition
+    constants, whose b divides by the unclipped area of a union of disks."""
+    rng = np.random.default_rng(20171127)
+    plane = sc.EuclideanSpace(2)
+    segment = [plane.point((0.0, 0.0)), plane.point((3.0, 0.0))]
+    square = [plane.point(p) for p in ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))]
+    randoms = [[plane.point(tuple(float(v) for v in rng.uniform(-1, 1, 2)))
+                for _ in range(n)] for n in (5, 15, 40)]
+    curve = sc.random_self_contracted(plane, 14, seed=20_372).points
+    sets = [segment, square, *randoms, curve]
+    widths = [_case(plane, pts, inflate=_hex(inflate))
+              for pts in sets for inflate in (0.0, 0.25)]
+    constants = [_case(plane, pts, radii=_hex([0.25, 0.8, 2.5]), sigma=1.0)
+                 for pts in (segment, randoms[0], randoms[1], curve)]
+    return {
+        "plane_widths": [{**c, **plane_width_values(c)} for c in widths],
+        "plane_constants": [{**c, **plane_constant_values(c)} for c in constants],
+    }
+
+
 def _from_hex(value):
     """Inverse of _hex: hex strings back to floats, nesting kept as lists."""
     if isinstance(value, dict):
@@ -436,6 +479,8 @@ def test_euclidean_constants_match_golden(primitives):
     ("mean_width", mean_width_values),
     ("neighborhood_measures", measure_values),
     ("book_measures", book_measure_values),
+    ("plane_widths", plane_width_values),
+    ("plane_constants", plane_constant_values),
     ("segment_objectives", segment_values),
     ("space_barycenters", barycenter_values),
     ("cover_centers", cover_center_values),
