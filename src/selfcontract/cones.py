@@ -9,7 +9,8 @@ dimension-like counting constant.
 `cone_barycenter` looks the space's type up in `_BARYCENTERS`: Euclidean
 and hyperbolic spaces share the tangent-vector mean (each space supplies
 its `tangent_norm`), trees and spiders enumerate their finitely many
-germs, books search angles per sheet at spine points, and products
+germs, books fold the other sheets' germs into each sheet at spine
+points and take the mean vector's maximum in closed form, and products
 recombine the factors' barycenters.  `direction_cover_center` takes the
 barycenter of a separated subset on every space.
 """
@@ -17,11 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Sequence
 
 from .errors import GeometryError, UnsupportedSpaceError
-from .metric import golden_section
 from .spaces.base import Direction, Point, Space, clamp_cos
 from .spaces.book import BookSpace
 from .spaces.euclidean import EuclideanSpace
@@ -81,8 +80,8 @@ def cone_barycenter(dirs: Sequence[Direction],
 
     Default radii are 1 (directions identified with unit cone points).
     Linear tangent spaces use the closed-form vector mean; graph-like
-    direction spaces enumerate candidate rays; book spine points run an
-    exact-radius angular search per sheet.
+    direction spaces enumerate candidate rays; book spine points take the
+    best sheet's folded mean vector.
     """
     space, base, payloads = _dir_payloads(dirs)
     rs = [1.0] * len(payloads) if radii is None else [float(r) for r in radii]
@@ -166,48 +165,32 @@ def _discrete_barycenter(space, base, payloads, rs) -> ConePoint:
     return ConePoint(Direction(space, base, best[1]), best[2])
 
 
-def _book_angle_between(alpha: float, sheet: int, payload: tuple) -> float:
-    """Angle from candidate (sheet, alpha-from-positive-spine) to a germ."""
-    s2, x2, y2 = payload
-    a2 = math.atan2(abs(y2), x2)
-    if s2 == 0 or s2 == sheet:
-        return abs(alpha - a2)
-    return min(alpha + a2, 2.0 * math.pi - alpha - a2)
-
-
 def _book_barycenter(space: BookSpace, base, payloads, rs) -> ConePoint:
+    n = len(payloads)
+    mx = math.fsum(r * p[1] for p, r in zip(payloads, rs)) / n
     if base.data[0] != 0:
         # interior point: the direction space is a plain circle
-        vx = math.fsum(r * p[1] for p, r in zip(payloads, rs)) / len(rs)
-        vy = math.fsum(r * p[2] for p, r in zip(payloads, rs)) / len(rs)
-        norm = math.hypot(vx, vy)
+        vy = math.fsum(r * p[2] for p, r in zip(payloads, rs)) / n
+        norm = math.hypot(mx, vy)
         if norm <= 1e-14:
             return ConePoint(None, 0.0)
         return ConePoint(
-            Direction(space, base, (base.data[0], vx / norm, vy / norm)), norm
+            Direction(space, base, (base.data[0], mx / norm, vy / norm)), norm
         )
-    n = len(payloads)
+    # At a spine point the unit direction u at angle alpha in sheet s has
+    # mean cosine <u, m_s>: a germ of another sheet lies at min(alpha + a,
+    # 2 pi - alpha - a), whose cosine is cos(alpha + a), so its ordinate
+    # enters m_s reflected.  Over alpha in [0, pi] the maximum is |m_s| at
+    # m_s / |m_s| when m_s points into the sheet, |m_x| on a spine ray if not.
     sheets = sorted({p[0] for p in payloads if p[0] != 0}) or [1]
-
-    def mean_cos(sheet: int, alpha: float) -> float:
-        return math.fsum(
-            r * math.cos(min(_book_angle_between(alpha, sheet, p), math.pi))
-            for p, r in zip(payloads, rs)
-        ) / n
-
     best = (-math.inf, sheets[0], 0.0)
     for sheet in sheets:
-        grid = 1024
-        alphas = [math.pi * i / grid for i in range(grid + 1)]
-        vals = [mean_cos(sheet, a) for a in alphas]
-        k = max(range(len(vals)), key=lambda i: vals[i])
-        bracket = golden_section(lambda a, sheet=sheet: -mean_cos(sheet, a),
-                                 alphas[max(k - 1, 0)], alphas[min(k + 1, grid)])
-        for _, _, c, fc, d, fd in islice(bracket, 61):  # set-up + 60 steps
-            pass
-        fc, fd = -fc, -fd
-        cands = [(vals[k], alphas[k]), (fc, c), (fd, d)]
-        val, alpha = max(cands, key=lambda t: t[0])
+        my = math.fsum(r * (abs(p[2]) if p[0] in (0, sheet) else -abs(p[2]))
+                       for p, r in zip(payloads, rs)) / n
+        if my > 0.0:
+            val, alpha = math.hypot(mx, my), math.atan2(my, mx)
+        else:
+            val, alpha = abs(mx), (0.0 if mx >= 0.0 else math.pi)
         if val > best[0]:
             best = (val, sheet, alpha)
     val, sheet, alpha = best
@@ -232,22 +215,6 @@ _BARYCENTERS = {
     BookSpace: _book_barycenter,
     ProductSpace: _product_barycenter,
 }
-
-
-def variance_gap(dirs: Sequence[Direction], center: ConePoint,
-                 probe: ConePoint) -> float:
-    """Slack of the variance inequality at a probe cone point.
-
-    Nonnegative (up to float noise) when `center` is the true barycenter
-    of the unit cone points over `dirs`.
-    """
-    space, _, _ = _dir_payloads(dirs)
-    k = len(dirs)
-    unit = [ConePoint(d, 1.0) for d in dirs]
-    mean_probe = math.fsum(cone_point_distance(space, probe, u) ** 2 for u in unit) / k
-    mean_center = math.fsum(cone_point_distance(space, center, u) ** 2 for u in unit) / k
-    dcp = cone_point_distance(space, probe, center)
-    return mean_probe - dcp * dcp - mean_center
 
 
 def greedy_separated_subset(space: Space, dirs: Sequence[Direction],

@@ -4,8 +4,10 @@ Neighborhood regions are described by (points, radius): the closed
 radius-neighborhood of a finite point set.  Trees carry the
 1-dimensional measure via exact interval arithmetic on the segments
 their `segments()` lists; spiders list their legs the same way and use
-the tree's measure.  Books carry the 2-dimensional measure via
-closed-form integration of slice lengths between structural breakpoints.
+the tree's measure.  Books carry the 2-dimensional measure: per sheet,
+the area of a union of disks (the other sheets' disks reflected through
+the spine) above the spine, exactly by Green's theorem along the free
+boundary arcs; the plane's region volume is the same area unclipped.
 `_MEASURES` maps each space type to its dimension and measure.
 """
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Sequence
 
 from .cones import RadiusConstants, radius_constants
 from .errors import GeometryError, UnsupportedSpaceError
+from .metric import _height
 from .spaces.base import Point, Space, check_all_same_space
 from .spaces.book import BookSpace
 from .spaces.euclidean import EuclideanSpace
@@ -32,8 +35,8 @@ class NeighborhoodRegion:
     def __post_init__(self):
         if not self.points:
             raise GeometryError("region needs at least one point")
-        if self.radius <= 0:
-            raise GeometryError("region radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise GeometryError("region radius must be positive and finite")
         check_all_same_space(self.points)
 
     @property
@@ -81,12 +84,6 @@ def _tree_h1(space: TreeSpace | SpiderSpace, payloads: list[tuple],
     return math.fsum(per_edge)
 
 
-def _sqrt_primitive(u: float, r: float) -> float:
-    """Antiderivative of sqrt(r^2 - u^2)."""
-    u = min(max(u, -r), r)
-    return 0.5 * (u * math.sqrt(max(r * r - u * u, 0.0)) + r * r * math.asin(u / r))
-
-
 def _book_sheet_disks(space: BookSpace, payloads: list[tuple],
                       radius: float, sheet: int) -> list[tuple[float, float, float]]:
     disks = []
@@ -101,84 +98,47 @@ def _disk_union_halfplane_area(disks: list[tuple[float, float, float]],
                                clip: bool = True) -> float:
     """Area of a union of disks, optionally clipped to the half-plane b >= 0.
 
-    Integrates the slice length between structural breakpoints; within a
-    segment the union structure is constant, so each envelope piece has
-    a closed-form antiderivative.
+    Green's theorem: the area is the integral of x dy around the boundary,
+    which is made of the arcs of each circle that no other disk covers
+    (and, clipped, that lie above the axis, where the axis adds nothing
+    since dy = 0 on it).  Abscissae are taken relative to the first disk,
+    which leaves the closed-path integral unchanged and its terms small.
     """
     if not disks:
         return 0.0
-    cuts: set[float] = set()
-    for (ac, bc, r) in disks:
-        cuts.add(ac - r)
-        cuts.add(ac + r)
-        if clip and abs(bc) < r:
-            w = math.sqrt(r * r - bc * bc)
-            cuts.add(ac - w)
-            cuts.add(ac + w)
-    n = len(disks)
-    for i in range(n):
-        a1, b1, r1 = disks[i]
-        for j in range(i + 1, n):
-            a2, b2, r2 = disks[j]
-            dx, dy = a2 - a1, b2 - b1
-            d2 = dx * dx + dy * dy
-            d = math.sqrt(d2)
-            if d >= r1 + r2 or d <= abs(r1 - r2) or d == 0.0:
-                continue
-            # radical-line intersection points of the two circles
-            t = (d2 + r1 * r1 - r2 * r2) / (2.0 * d2)
-            h2 = r1 * r1 - t * t * d2
-            if h2 <= 0:
-                continue
-            h = math.sqrt(h2) / d
-            mx, my = a1 + t * dx, b1 + t * dy
-            cuts.add(mx + h * dy)
-            cuts.add(mx - h * dy)
-    xs = sorted(cuts)
-    total = 0.0
-    for a0, a1 in zip(xs, xs[1:]):
-        if a1 - a0 <= 1e-14:
+    a0 = disks[0][0]
+    terms = []
+    for i, (ac, bc, r) in enumerate(disks):
+        if clip and bc <= -r:
             continue
-        # probe the (constant) slice structure at an asymmetric interior
-        # point: the midpoint can coincide with a tangency of the lower
-        # envelope and the axis, which would misclassify the clipping
-        am = a0 + 0.37371356 * (a1 - a0)
-        active = []
-        for di, (ac, bc, r) in enumerate(disks):
-            u = am - ac
-            if abs(u) >= r:
+        # (centre, half-width) of the angles below the axis or in another disk
+        covered = [(-0.5 * math.pi, math.acos(bc / r))] if clip and bc < r else []
+        for j, (aj, bj, rj) in enumerate(disks):
+            d = math.hypot(aj - ac, bj - bc)
+            if abs(r - rj) + d <= 1e-15 * (r + rj):
+                # the same disk to rounding (where Kahan's height would
+                # underflow): only the first counts
+                if j < i:
+                    break
                 continue
-            h = math.sqrt(r * r - u * u)
-            lo, hi = bc - h, bc + h
-            if clip and hi <= 0.0:
-                continue
-            active.append((lo, hi, di))
-        if not active:
-            continue
-        active.sort()
-        # merge into components, remembering which disk provides each envelope
-        comps: list[tuple[float, int, float, int]] = []  # lo, lo_disk, hi, hi_disk
-        cur_lo, cur_hi, lo_d, hi_d = active[0][0], active[0][1], active[0][2], active[0][2]
-        for lo, hi, di in active[1:]:
-            if lo <= cur_hi:
-                if hi > cur_hi:
-                    cur_hi, hi_d = hi, di
-            else:
-                comps.append((cur_lo, lo_d, cur_hi, hi_d))
-                cur_lo, cur_hi, lo_d, hi_d = lo, hi, di, di
-        comps.append((cur_lo, lo_d, cur_hi, hi_d))
-        for lo, lo_d, hi, hi_d in comps:
-            ac, bc, r = disks[hi_d]
-            upper = bc * (a1 - a0) + (_sqrt_primitive(a1 - ac, r)
-                                      - _sqrt_primitive(a0 - ac, r))
-            if clip and lo < 0.0:
-                lower = 0.0
-            else:
-                ac2, bc2, r2 = disks[lo_d]
-                lower = bc2 * (a1 - a0) - (_sqrt_primitive(a1 - ac2, r2)
-                                           - _sqrt_primitive(a0 - ac2, r2))
-            total += upper - lower
-    return total
+            if d <= rj - r:
+                break  # inside disk j
+            if abs(r - rj) < d < r + rj:
+                # Kahan's height keeps its digits near tangency, unlike acos
+                w = math.atan2(_height(r, rj, d), (r * r + d * d - rj * rj) / (2.0 * d))
+                covered.append((math.atan2(bj - bc, aj - ac), w))
+        else:
+            pieces = sorted((t - w + s, t + w + s) for t, w in covered
+                            for s in (-2.0 * math.pi, 0.0, 2.0 * math.pi))
+            t0 = -math.pi
+            for lo, hi in pieces + [(math.pi, math.pi)]:
+                lo = min(lo, math.pi)
+                if lo > t0:  # a free arc from t0 to lo
+                    terms.append((ac - a0) * r * (math.sin(lo) - math.sin(t0)))
+                    terms.append(0.5 * r * r * (lo - t0 + 0.5 * (math.sin(2.0 * lo)
+                                                                - math.sin(2.0 * t0))))
+                t0 = max(t0, hi)
+    return math.fsum(terms)
 
 
 def _book_h2(space: BookSpace, payloads: list[tuple], radius: float) -> float:
@@ -210,8 +170,8 @@ def hausdorff_measure_neighborhood(space: Space, points: Sequence[Point],
     Trees and spiders support dim=1 (total covered edge length); books
     support dim=2 (covered area summed over sheets).
     """
-    if radius <= 0:
-        raise GeometryError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise GeometryError("radius must be positive and finite")
     pts = list(points)
     if not pts:
         raise GeometryError("need at least one point")
@@ -241,8 +201,8 @@ def estimate_condition_constants(space: Space, region: NeighborhoodRegion,
     (H^1 on directions + H^2), Euclidean n <= 3 (sphere-cap and
     ball-sector ratios).
     """
-    if sigma <= 0:
-        raise GeometryError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise GeometryError("sigma must be positive and finite")
     payloads = [p.data for p in region.points]
 
     if isinstance(space, EuclideanSpace):

@@ -217,8 +217,7 @@ def golden_section(fn, a: float, b: float):
 
     Yields (a, b, c, fc, d, fd), the bracket with its two probes, first
     as set up and then after each shrink step; the caller picks when to
-    stop and which point to keep.  Maximize by minimizing -fn: the
-    branch taken on every step is the same.
+    stop and which point to keep.
     """
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)

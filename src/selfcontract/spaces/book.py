@@ -131,9 +131,6 @@ class BookSpace(Space):
             hits |= turn == top
         return best, *first_pair(hits)
 
-    def spine_point(self, a: float):
-        return self.point((0, a, 0.0))
-
     def _random_point(self, rng, scale: float = 1.0) -> tuple:
         sheet = int(rng.integers(1, self.k + 1))
         a = float(rng.uniform(-scale, scale))

@@ -126,9 +126,6 @@ class TreeSpace(Space):
                 b = self._parent[b]
         return up + down[::-1]
 
-    def vertex_point(self, w: int) -> Point:
-        return Point(self, self._canonical(self._vertex_rep[w]))
-
     # -- payload interface -----------------------------------------------------
 
     def _check(self, data: tuple) -> None:

@@ -56,6 +56,9 @@ def projection_extent(space: Space, basepoint: Point, direction: Direction,
 
 @dataclass(frozen=True)
 class WidthReport:
+    """A mean width.  The plane's exact width (method "quadrature") samples
+    no direction: n_directions is 0, seed None and stderr 0."""
+
     width: float
     n_directions: int
     seed: int | None
@@ -94,7 +97,7 @@ def mean_width(space: Space, points: Sequence[Point], n_dirs: int = 4096,
     """Average projected extent of a point set over directions.
 
     Euclidean spaces average over directions of the sphere (Monte Carlo,
-    or exact angular quadrature on the plane).  Other spaces average
+    or on the plane exactly, by Cauchy's formula).  Other spaces average
     over sampled (basepoint, direction) pairs, with basepoints drawn
     from `basepoint_region` (default: unit neighborhood of the points).
     """
@@ -103,12 +106,14 @@ def mean_width(space: Space, points: Sequence[Point], n_dirs: int = 4096,
         raise GeometryError("need at least one point")
     if n_dirs < 1:
         raise GeometryError("n_dirs must be >= 1")
+    if not 0.0 <= inflate < math.inf:
+        raise GeometryError("inflate must be finite and nonnegative")
     if isinstance(space, EuclideanSpace):
         if method == "auto":
             method = "quadrature" if space.dim == 2 else "mc"
         if method == "quadrature":
             if space.dim != 2:
-                raise UnsupportedSpaceError("angular quadrature needs the plane")
+                raise UnsupportedSpaceError("the exact width needs the plane")
             return _plane_quadrature_width(pts, inflate)
         rng = np.random.default_rng(seed)
         vecs = rng.normal(size=(n_dirs, space.dim))
@@ -127,20 +132,23 @@ def mean_width(space: Space, points: Sequence[Point], n_dirs: int = 4096,
 
 
 def _plane_quadrature_width(pts: list[Point], inflate: float) -> WidthReport:
-    arr = np.array([p.data for p in pts], dtype=float)
-    prev = None
-    n = 64  # symmetric sets can alias coarser grids
-    width = 0.0
-    while n <= 2 ** 14:
-        thetas = np.arange(n) * (math.pi / n)
-        dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-        width = float(_euclidean_width_samples(arr, dirs, inflate).mean())
-        if prev is not None and abs(width - prev) < 5e-8:
-            break
-        prev = width
-        n *= 2
-    return WidthReport(width=width, n_directions=n, seed=None, stderr=0.0,
-                       method="quadrature")
+    """Cauchy's formula: the mean width of a planar set is the perimeter of
+    its convex hull over pi, and inflating by r adds 2 r.  The hull comes
+    from Andrew's monotone chain, one half-chain per pass."""
+    def half(chain):
+        out = []
+        for p in chain:
+            while len(out) >= 2 and ((out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                                     - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    ordered = sorted({p.data for p in pts})
+    hull = half(ordered) + half(reversed(ordered))
+    perimeter = math.fsum(math.dist(hull[i - 1], hull[i]) for i in range(len(hull)))
+    return WidthReport(width=perimeter / math.pi + 2.0 * inflate, n_directions=0,
+                       seed=None, stderr=0.0, method="quadrature")
 
 
 def _sample_region_point(space: Space, region: NeighborhoodRegion, rng) -> Point:

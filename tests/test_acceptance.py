@@ -39,6 +39,8 @@ from selfcontract.widths import (
     unrectifiable_witness,
 )
 
+from test_cones import variance_gap
+
 
 @contextmanager
 def criterion(n: int, desc: str, budget_s: float):
@@ -248,10 +250,14 @@ def test_criterion_10_mean_width_sanity():
             rep = mean_width(plane, [origin], n_dirs=2048, seed=7, inflate=r,
                              method="mc")
             assert abs(rep.width - 2.0 * r) <= 3.0 * rep.stderr + 1e-12
+            exact = mean_width(plane, [origin], inflate=r, method="quadrature")
+            assert exact.width == pytest.approx(2.0 * r, rel=1e-12)
         for L in (1.0, 3.0):
             seg = [origin, plane.point((L, 0.0))]
             rep = mean_width(plane, seg, n_dirs=4096, seed=8, method="mc")
             assert abs(rep.width - 2.0 * L / math.pi) <= 3.0 * rep.stderr
+            exact = mean_width(plane, seg, method="quadrature")
+            assert exact.width == pytest.approx(2.0 * L / math.pi, rel=1e-12)
 
 
 def test_criterion_11_directional_decrease():
@@ -320,7 +326,6 @@ def test_criterion_12_cone_barycenter_and_cover():
                 vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
                 dirs = [Direction(space, base, tuple(map(float, v))) for v in vecs]
                 center = cone_barycenter(dirs)
-                from selfcontract.cones import variance_gap
                 for _ in range(10):
                     v = rng.normal(size=dim)
                     v /= np.linalg.norm(v)

@@ -64,6 +64,25 @@ def test_space_dispatch_sites_are_pinned():
     assert found == ALLOWED_SITES
 
 
+def test_one_bracketed_line_search():
+    """`metric.golden_section` is the one bracketed line search, and
+    `proximal._golden_min` its one caller."""
+    callers = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+
+        def visit(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scope = scope + (node.name,)
+            if isinstance(node, ast.Call) and "golden_section" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                callers.append((path.stem, ".".join(scope)))
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text()), ())
+    assert callers == [("proximal", "_golden_min")]
+
+
 def test_validation_stays_at_the_boundary():
     """`Space.point` is the one payload parser, and the solver builds its own
     candidates without it."""

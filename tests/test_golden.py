@@ -309,7 +309,8 @@ def _space_primitives() -> dict:
     rng = np.random.default_rng(20171125)
     tree = sc.random_tree(seed=78, max_edges=10, max_degree=5)
     spider = sc.SpiderSpace(4, (1.0, 2.0, 0.5, 1.5))
-    hub = tree.vertex_point(next(w for w, adj in enumerate(tree._adj) if len(adj) >= 3))
+    hub = tree.point(tree._vertex_rep[next(w for w, adj in enumerate(tree._adj)
+                                           if len(adj) >= 3)])
     book = sc.BookSpace(3)
     hyperbolic = sc.HyperbolicPlane()
     product = sc.parse_space_spec("product:[spider:3|book:2]")
@@ -333,7 +334,7 @@ def _space_primitives() -> dict:
     spider_pts = [spider.center(), *(spider.point((i, f * length)) for f in (0.5, 1.0)
                                      for i, length in enumerate(spider.leg_lengths, 1))]
     spider_pts += [spider.point(q) for q in leg]
-    tree_pts = [tree.vertex_point(w) for w in range(len(tree.vertex_names))]
+    tree_pts = [tree.point(rep) for rep in tree._vertex_rep]
     tree_pts += [tree.point((ei, 0.5 * length)) for ei, (_, _, length) in enumerate(tree.edges)]
     length3 = tree.edges[3][2]
     tree_pts += [tree.point((3, f * length3)) for f in (0.1, 0.4, 0.8)]

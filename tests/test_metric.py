@@ -87,7 +87,7 @@ def test_upper_angle_examples(plane, spider3, small_tree):
     assert sc.upper_angle(plane, x, plane.point((2.0, 1.0)),
                           plane.point((2.0, 1.0))) == 0.0
     # tree: distinct edges at a vertex are at angle pi
-    b = small_tree.vertex_point(1)
+    b = small_tree.point(small_tree._vertex_rep[1])
     a = small_tree.point((0, 0.0))
     c = small_tree.point((1, 2.0))
     assert sc.upper_angle(small_tree, b, a, c) == pytest.approx(math.pi)

@@ -201,13 +201,14 @@ def test_numeric_minimizers_are_valid_points():
         (ObjectiveFn(name="neg_radius", space=spider, fn=lambda z: -z.data[1]),
          spider.center(), 0.5),
         (ObjectiveFn(name="neg_height", space=book, fn=lambda z: -z.data[2]),
-         book.spine_point(0.0), 0.5),
+         book.point((0, 0.0, 0.0)), 0.5),
         (ObjectiveFn(name="radius", space=spider, fn=lambda z: z.data[1]),
          spider.point((1, 0.3)), 1.0),
         (ObjectiveFn(name="height", space=book, fn=lambda z: z.data[2]),
          book.point((1, 0.2, 0.3)), 1.0),
     ]
-    hub = tree.vertex_point(max(range(len(tree.vertex_names)), key=lambda w: len(tree._adj[w])))
+    hub = tree.point(tree._vertex_rep[max(range(len(tree.vertex_names)),
+                                          key=lambda w: len(tree._adj[w]))])
     cases.append((ObjectiveFn(name="to_hub", space=tree, fn=lambda z: tree.distance(z, hub)),
                   tree.random_point(rng, 1.0), 10.0))
     for space, name, params in [

@@ -97,7 +97,7 @@ def test_book_distance_vs_crossing_search_oracle(rng):
 
 
 def test_book_spine_angle_gluing(book2):
-    sp = book2.spine_point(0.0)
+    sp = book2.point((0, 0.0, 0.0))
     up1 = sc.Direction(book2, sp, (1, math.cos(math.pi / 4), math.sin(math.pi / 4)))
     up2 = sc.Direction(book2, sp, (2, math.cos(math.pi / 4), math.sin(math.pi / 4)))
     assert book2.direction_angle(up1, up2) == pytest.approx(math.pi / 2)
@@ -128,10 +128,10 @@ def test_tree_distances_and_walks(small_tree):
     assert mid.data == (1, 0.5)
     # halfway from c to e (arclength 2) is exactly vertex b
     q = t.geodesic_point(c, e, 0.5)
-    assert t.distance(q, t.vertex_point(1)) == pytest.approx(0.0, abs=1e-12)
+    assert t.distance(q, t.point(t._vertex_rep[1])) == pytest.approx(0.0, abs=1e-12)
     # arclength 2.5 of 4 is vertex d
     q = t.geodesic_point(c, e, 0.625)
-    assert t.distance(q, t.vertex_point(3)) == pytest.approx(0.0, abs=1e-12)
+    assert t.distance(q, t.point(t._vertex_rep[3])) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tree_file_grammar_errors():
@@ -316,7 +316,7 @@ def test_book_spine_angle_matches_comparison_limit(rng):
     """The glued-angle formula at spine points must agree with the limit
     of Euclidean comparison angles along shrinking radii."""
     book = sc.BookSpace(3)
-    sp = book.spine_point(0.0)
+    sp = book.point((0, 0.0, 0.0))
     for _ in range(60):
         s1, s2 = rng.integers(1, 4, 2)
         a1 = float(rng.uniform(0.05, math.pi - 0.05))

@@ -334,7 +334,7 @@ def _germ_cases(space, rng):
     if isinstance(space, sc.BookSpace):
         bases += [(0, 0.3, 0.0), (0, -0.8, 0.0), (2, 0.1, 0.4)]
     if isinstance(space, sc.TreeSpace):
-        bases += [space.vertex_point(w).data for w in range(len(space.vertex_names))]
+        bases += [space.point(rep).data for rep in space._vertex_rep]
     if isinstance(space, sc.SpiderSpace):
         bases.append((0, 0.0))
     cases = []
@@ -399,7 +399,7 @@ def test_log_row_matches_the_scalar_log(space, rng):
         bases += [(0, 0.3, 0.0), (0, -0.8, 0.0)]
         pts += [(0, 1.2, 0.0), (0, -1.4, 0.0), (0, 0.3, 0.0)]
     if isinstance(space, sc.TreeSpace):
-        bases += [space.vertex_point(w).data for w in range(len(space.vertex_names))]
+        bases += [space.point(rep).data for rep in space._vertex_rep]
         pts += bases[5:]
     for base in bases:
         later = [b for b in pts if space._dist(base, b) > space.tolerance]

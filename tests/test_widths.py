@@ -46,48 +46,75 @@ def test_projection_extent_examples(plane, spider3):
 def test_mean_width_segment(plane):
     pts = [plane.point((0.0, 0.0)), plane.point((3.0, 0.0))]
     rep = mean_width(plane, pts, method="quadrature")
-    assert rep.width == pytest.approx(2.0 * 3.0 / math.pi, abs=1e-6)
+    assert rep.width == pytest.approx(2.0 * 3.0 / math.pi, rel=1e-15)
     mc = mean_width(plane, pts, n_dirs=4096, seed=0, method="mc")
     assert abs(mc.width - 2.0 * 3.0 / math.pi) <= 3.0 * mc.stderr
 
 
+def hull(points):
+    """Andrew's monotone chain, counter-clockwise."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower, upper = [], []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
 def test_mean_width_quadrature_matches_hull_perimeter(plane, rng):
     """Cauchy's formula: mean width of a planar convex body = perimeter/pi."""
-
-    def hull(points):
-        pts = sorted(set(points))
-        if len(pts) <= 2:
-            return pts
-
-        def cross(o, a, b):
-            return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-        lower, upper = [], []
-        for p in pts:
-            while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-                lower.pop()
-            lower.append(p)
-        for p in reversed(pts):
-            while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-                upper.pop()
-            upper.append(p)
-        return lower[:-1] + upper[:-1]
-
-    for _ in range(5):
-        pts = [plane.point(tuple(rng.uniform(-1, 1, 2))) for _ in range(15)]
+    for n in (1, 2, 3, 15, 15, 15, 60):
+        pts = [plane.point(tuple(rng.uniform(-1, 1, 2))) for _ in range(n)]
         h = hull([p.data for p in pts])
         perim = sum(math.dist(h[i], h[(i + 1) % len(h)]) for i in range(len(h)))
         rep = mean_width(plane, pts, method="quadrature")
-        assert rep.width == pytest.approx(perim / math.pi, abs=1e-6)
+        assert rep.width == pytest.approx(perim / math.pi, rel=1e-12, abs=1e-15)
+        assert (rep.n_directions, rep.seed, rep.stderr) == (0, None, 0.0)
+        inflated = mean_width(plane, pts, inflate=0.3, method="quadrature")
+        assert inflated.width == pytest.approx(perim / math.pi + 0.6, rel=1e-12)
 
 
 def test_mean_width_quadrature_square_no_aliasing(plane):
     """An axis-aligned square's width function aliases coarse symmetric
-    grids; the quadrature must still converge to perimeter/pi."""
+    grids; the exact width is perimeter/pi."""
     pts = [plane.point(p) for p in ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0),
                                     (0.0, 1.0))]
     rep = mean_width(plane, pts, method="quadrature")
-    assert rep.width == pytest.approx(4.0 / math.pi, abs=1e-6)
+    assert rep.width == pytest.approx(4.0 / math.pi, rel=1e-15)
+
+
+def test_plane_width_matches_a_fine_direction_rule(plane):
+    """On a random self-contracted curve the exact width matches the mean over
+    2^18 equally spaced directions to 1e-10; the former quadrature's doubling
+    rule stopped at 512 directions, 2.07e-6 away."""
+    pts = random_self_contracted(plane, 14, seed=20_372).points
+    arr = np.array([p.data for p in pts])
+    n = 2 ** 18
+    thetas = np.arange(n) * (math.pi / n)
+    dots = np.stack([np.cos(thetas), np.sin(thetas)], axis=1) @ arr.T
+    fine = float((dots.max(axis=1) - dots.min(axis=1)).mean())
+    assert mean_width(plane, pts, method="quadrature").width == pytest.approx(fine, abs=1e-10)
+
+
+@pytest.mark.parametrize("method", ["quadrature", "mc"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_mean_width_refuses_hostile_inflate(plane, spider3, method, bad):
+    pts = [plane.point((0.0, 0.0)), plane.point((1.0, 0.0))]
+    with pytest.raises(GeometryError, match="inflate"):
+        mean_width(plane, pts, inflate=bad, method=method)
+    with pytest.raises(GeometryError, match="inflate"):
+        mean_width(spider3, [spider3.point((1, 0.5))], n_dirs=4, inflate=bad)
 
 
 def test_mean_width_ball_and_singleton(plane):
