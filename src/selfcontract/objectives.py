@@ -45,6 +45,9 @@ class ObjectiveFn:
 
     `prox(x, tau)`, when set, is the exact minimizer of
     f(z) + d(x,z)^2/(2 tau); the resolvent then skips its numeric search.
+    `candidates(x, tau)`, when set, lists a few points among which lie all
+    the global minimizers of that composite; the resolvent scores them in
+    place of the search.
     `decay_order`, when set, is an order r with f falling like -|z|^r along
     some ray; r > 2 outruns every quadratic, so the resolvent is unbounded
     for every tau.
@@ -59,6 +62,7 @@ class ObjectiveFn:
     domain: BoxDomain | None = None
     params: dict = field(default_factory=dict)
     prox: Callable[[Point, float], Point] | None = None
+    candidates: Callable[[Point, float], list[Point]] | None = None
     decay_order: float | None = None
 
     def __post_init__(self):
@@ -107,8 +111,16 @@ def _step_toward(space: Space, c: Point, x: Point, tau: float) -> Point:
 
 def _midpoint_prox(space: Space, p: Point, q: Point) -> Callable[[Point, float], Point]:
     """max_two_dists' prox on an R-tree, where max(d(z,p), d(z,q)) is
-    d(z,m) + d(p,q)/2 for the midpoint m of [p, q]: the dist prox toward m."""
-    return partial(_step_toward, space, space.geodesic_point(p, q, 0.5))
+    d(z,m) + d(p,q)/2 for the midpoint m of [p, q]: the dist prox toward m.
+
+    m is the geodesic payload, not its canonical form, which may sit on a
+    vertex up to the space tolerance away; only the step is canonicalized."""
+    m = Point(space, space._geodesic(p.data, q.data, 0.5))
+
+    def prox(x: Point, tau: float) -> Point:
+        return Point(space, space._canonical(_step_toward(space, m, x, tau).data))
+
+    return prox
 
 
 def _bisector_prox(space: Space, p: Point, q: Point,
@@ -175,6 +187,82 @@ _MAX_TWO_DISTS_PROX = {
 }
 
 
+def _rising_root(g: Callable[[float], float], lo: float, hi: float) -> list[float]:
+    """[the point where g, increasing on [lo, hi], rises through 0], bisected
+    until the bracket ends are adjacent floats; [] unless g(lo) <= 0 <= g(hi)."""
+    glo, ghi = g(lo), g(hi)
+    if not glo <= 0.0 <= ghi:
+        return []
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return [lo if -glo <= ghi else hi]
+        gm = g(mid)
+        if gm < 0.0:
+            lo, glo = mid, gm
+        else:
+            hi, ghi = mid, gm
+
+
+# Candidate sets of the line's quasi-convex objectives: with F(z) = f(z) +
+# (z - x)^2/(2 tau), each lists the box ends or kinks of f and the stationary
+# points of F where F' rises through 0, its only interior local minima.
+
+def _neg_cube_unit_candidates(space: EuclideanSpace, x: Point, tau: float) -> list[Point]:
+    """F' = -(3 tau z^2 - z + x)/tau rises through 0 at the smaller root,
+    2x / (1 + sqrt(1 - 12 tau x)) without cancellation, and falls at the larger."""
+    zs = [0.0, 1.0]
+    disc = 1.0 - 12.0 * tau * x.data[0]
+    if disc >= 0.0:
+        z = 2.0 * x.data[0] / (1.0 + math.sqrt(disc))
+        if 0.0 <= z <= 1.0:
+            zs.append(z)
+    return [Point(space, (z,)) for z in zs]
+
+
+def _sqrt_abs_candidates(space: EuclideanSpace, c: float, x: Point, tau: float
+                         ) -> list[Point]:
+    """Off the kink z = c, F' has the sign of a = x - c at z = c + a t^2,
+    t > 0, exactly where h(t) = 2t(t^2 - 1) + tau/|a|^1.5 is positive.  h is
+    positive at 0 and 1 and least at 1/sqrt(3), so F' rises through 0 at
+    one t in [1/sqrt(3), 1], where h rises through 0, or nowhere."""
+    a = x.data[0] - c
+    out = [Point(space, (c,))]
+    if a != 0.0:
+        k = tau / abs(a) / math.sqrt(abs(a))  # no overflow in a power
+        for t in _rising_root(lambda t: 2.0 * t * (t * t - 1.0) + k, 1.0 / math.sqrt(3.0),
+                              1.0):
+            out.append(Point(space, (c + a * t * t,)))
+    return out
+
+
+def _ripple_vee_candidates(space: EuclideanSpace, x: Point, tau: float) -> list[Point]:
+    """At z = s w, s the sign of x and w > 0, F = g(w) + sin(w)/2 for the
+    parabola g(w) = w + (w - |x|)^2/(2 tau) with vertex w0 = |x| - tau; on
+    the other side of the kink z = 0, F exceeds F(0).  A point w beyond
+    max(w0, 0) + 2 pi or below w0 - 2 pi loses to its shift by 2 pi toward
+    w0, which keeps sin(w) and lowers g.  F'' = 1/tau - sin(w)/2 changes
+    sign only where sin w = 2/tau, never for tau <= 2; between those
+    splits F' is monotone and rises through 0 at most once."""
+    a, s = abs(x.data[0]), math.copysign(1.0, x.data[0])
+    period = 2.0 * math.pi
+    lo, hi = max(a - tau - period, 0.0), max(a - tau, 0.0) + period
+    cuts = [lo, hi]
+    if tau > 2.0:
+        theta = math.asin(2.0 / tau)
+        for k in range(math.floor(lo / period), math.floor(hi / period) + 1):
+            cuts += [w for w in (theta + period * k, math.pi - theta + period * k)
+                     if lo < w < hi]
+        cuts.sort()
+
+    def slope(w: float) -> float:  # s F'(s w)
+        return 1.0 + 0.5 * math.cos(w) + (w - a) / tau
+
+    return [Point(space, (0.0,))] + [Point(space, (s * w,))
+                                     for p0, p1 in zip(cuts, cuts[1:])
+                                     for w in _rising_root(slope, p0, p1)]
+
+
 def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
     """Catalog of objective factories available on this space.
 
@@ -234,6 +322,7 @@ def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
                 fn=lambda z: -z.data[0] ** 3,
                 convexity=QUASICONVEX, lower_bound=-1.0,
                 domain=BoxDomain(((0.0, 1.0),)), params={},
+                candidates=partial(_neg_cube_unit_candidates, space),
             )
 
         def sqrt_abs(**params) -> ObjectiveFn:
@@ -242,6 +331,7 @@ def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
                 name="sqrt_abs", space=space,
                 fn=lambda z: math.sqrt(abs(z.data[0] - c)),
                 convexity=QUASICONVEX, lower_bound=0.0, params={"center": c},
+                candidates=partial(_sqrt_abs_candidates, space, c),
             )
 
         def ripple_vee(**params) -> ObjectiveFn:
@@ -250,6 +340,7 @@ def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
                 name="ripple_vee", space=space,
                 fn=lambda z: abs(z.data[0]) + 0.5 * math.sin(abs(z.data[0])),
                 convexity=QUASICONVEX, lower_bound=0.0, params={},
+                candidates=partial(_ripple_vee_candidates, space),
             )
 
         catalog["neg_cube"] = neg_cube

@@ -6,12 +6,17 @@ distances to a segment or spine interval, and max_two_dists on trees,
 spiders, the line, the plane and H^2) is solved in closed form: its
 composite is strongly convex, so the one minimizer is the answer.  An
 objective that declares a decay order above 2 is unbounded for every
-step, with no search.  Every other objective goes to the numeric
-solver, which also serves as the closed forms' test oracle and is the
-only resolvent of user-built objectives on trees, spiders and H^2.
+step, with no search.  The line's quasi-convex objectives (neg_cube_unit,
+sqrt_abs, ripple_vee) list candidate points that hold every global
+minimizer: box ends, kinks and the stationary points where the composite
+turns upward.  The resolvent scores those and applies the same tie rule
+as to a search (Bacak, Convex Analysis and Optimization in Hadamard
+Spaces, 2014).  Every other objective goes to the numeric solver, which
+also serves as the closed forms' and candidate sets' test oracle.  It is
+the only resolvent of user-built objectives and of max_two_dists on books.
 Because f is only quasi-convex, the composite may have several basins;
-the solver therefore exploits
-per-space structure, looked up by space type in `_SOLVERS`: exhaustive
+the solver therefore exploits per-space structure, looked up by space
+type in `_SOLVERS`: exhaustive
 line search along each segment a tree or spider lists, expanding-window
 multi-start grids with deterministic pattern refinement in a chart of
 Euclidean (dimensions 1 and 2) or hyperbolic space, and per-sheet plus
@@ -61,7 +66,7 @@ class ResolventResult:
     minimizers: tuple[Point, ...]
     value: float
     status: str
-    evals: int = 0  # composite evaluations of the numeric solver; 0 when exact
+    evals: int = 0  # composite evaluations: searched or candidates; 0 when exact
 
     @property
     def point(self) -> Point:
@@ -405,6 +410,7 @@ def resolvent(objective: ObjectiveFn, space: Space, x: Point, tau: float
     that downstream tie-breaking is deterministic.  An objective with an
     exact prox skips the search and reports 0 evaluations, and so does one
     whose declared decay order outruns the quadratic, which is unbounded.
+    One with a candidate set reports one evaluation per candidate.
     """
     _check_inputs(objective, space, x, tau)
     if (objective.decay_order or 0.0) > 2.0:
@@ -412,7 +418,13 @@ def resolvent(objective: ObjectiveFn, space: Space, x: Point, tau: float
     if objective.prox is not None:
         z, value = _exact(objective, space, x, tau)
         return ResolventResult((z,), value, UNIQUE)
-    status, cands, evals = _solve(objective, space, x, tau)
+    if objective.candidates is None:
+        status, cands, evals = _solve(objective, space, x, tau)
+    else:
+        comp = _Composite(objective, space, x, tau)
+        cands = sorted(((p, comp.at_point(p)) for p in objective.candidates(x, tau)),
+                       key=lambda t: t[1])
+        status, evals = "ok", comp.evals
     if status == UNBOUNDED:
         return ResolventResult((), -math.inf, UNBOUNDED, evals)
     if not cands:

@@ -7,6 +7,7 @@ this the smooth negatively-curved test bed; no ODE integration anywhere.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 from ..errors import GeometryError
 from .base import Space, clamp_cos, germ_products, widest_pair
@@ -110,6 +111,10 @@ class HyperbolicPlane(Space):
         e2 = tuple(x / n2 for x in e2)
         return e1, e2
 
+    @cached_property
+    def _origin_basis(self) -> tuple[tuple, tuple]:
+        return self.tangent_basis(self.origin())
+
     def _project_tangent(self, p: tuple, v: tuple) -> tuple:
         c = mdot(p, v)
         return tuple(v[i] + c * p[i] for i in range(3))
@@ -117,10 +122,9 @@ class HyperbolicPlane(Space):
     def _random_point(self, rng, scale: float = 1.0) -> tuple:
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         r = float(rng.uniform(0.0, scale))
-        o = self.origin()
-        e1, e2 = self.tangent_basis(o)
+        e1, e2 = self._origin_basis
         v = tuple(math.cos(theta) * e1[i] + math.sin(theta) * e2[i] for i in range(3))
-        return self.exp(o, v, r)
+        return self.exp(self.origin(), v, r)
 
     def random_direction(self, rng, base: tuple) -> tuple:
         theta = float(rng.uniform(0.0, 2.0 * math.pi))

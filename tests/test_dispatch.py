@@ -125,3 +125,29 @@ def test_resolvent_needs_a_solver(spec):
     objective = sc.make_objective(space, "max_two_dists", target=p, other=q)
     with pytest.raises(UnsupportedSpaceError):
         sc.resolvent(objective, space, x, 0.5)
+
+
+def test_line_catalogue_never_reaches_the_numeric_solver(monkeypatch):
+    """Every catalogue objective on the line has an exact prox, a candidate
+    set or a declared decay order, so gradient runs never call the numeric
+    search, which only user-built objectives and the oracle tests reach."""
+    from selfcontract import proximal
+
+    line = sc.EuclideanSpace(1)
+    calls, solve = [], proximal._solve
+
+    def spy(objective, *args):
+        calls.append(objective.name)
+        return solve(objective, *args)
+
+    monkeypatch.setattr(proximal, "_solve", spy)
+    params = {"target": (0.4,), "other": (-0.7,)}
+    catalogue = sc.builtin_objectives(line)
+    assert set(catalogue) == {"half_sq_dist", "dist", "max_two_dists", "neg_cube",
+                              "neg_cube_unit", "sqrt_abs", "ripple_vee"}
+    for name, factory in catalogue.items():
+        f = factory(**params)
+        for start in (0.0, 0.3, 0.9) if f.domain else (-2.5, 0.3, 1.7):
+            for tau in (0.3, 0.8, 4.0):
+                sc.discrete_gradient_curve(f, line, line.point((start,)), [tau] * 4)
+    assert calls == []

@@ -4,8 +4,9 @@ The files under tests/golden/ were written by this module from a
 known-good build.  Criterion 14 compares two runs of the same build, so
 only these files catch a refactor that changes a result.  The CLI cases
 cover the exact proxes (half_sq_dist, dist, the segment objectives and
-max_two_dists off the book), the numeric resolvent paths the catalogue
-still reaches (the box-domain line and the book) and every audit;
+max_two_dists off the book), the candidate set of the box-domain line,
+the one numeric resolvent path the catalogue still reaches (the book)
+and every audit;
 primitives.json pins, as exact float.hex values, four-point quadruples on
 which the sweep oracle needs its refinement, barycenter cases the CLI never
 reaches and each per-space capability: the direction sampler behind

@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import selfcontract as sc
 from selfcontract import proximal
 from selfcontract.errors import GeometryError
-from selfcontract.objectives import ObjectiveFn, make_objective
+from selfcontract.objectives import BoxDomain, ObjectiveFn, make_objective
 from selfcontract.proximal import (
     MULTIPLE_TIES,
     UNBOUNDED,
@@ -160,15 +160,23 @@ def test_numeric_solver_agrees_with_closed_form_prox():
     assert stalled <= {("euclidean:2", "max_two_dists"), ("hyperbolic2", "max_two_dists")}
 
 
+# q sits 1.9e-9 along edge 0 from the vertex p = (0, 0.0) of this tree, so
+# the midpoint of [p, q] lies within the 1e-9 tolerance of p
+WITNESS_TREE = {"seed": 1, "max_edges": 12, "max_degree": 4}
+WITNESS_EDGE_LENGTH = random_tree(**WITNESS_TREE).edges[0][2]
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 10_000),
        where=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
                       min_size=3, max_size=3))
+@example(seed=WITNESS_TREE["seed"],
+         where=[(0.0, 0.0), (0.0, 1.9e-9 / WITNESS_EDGE_LENGTH), (0.0, 0.0)])
 def test_rtree_midpoint_identity(seed, where):
     """On a branching tree, max(d(z,p), d(z,q)) = d(z,m) + d(p,q)/2 for the
     midpoint m of [p, q]: the identity behind max_two_dists' tree prox.  m is
     the geodesic payload itself; its canonical form snaps to a vertex within
-    the space tolerance, which moves it by up to 1e-9."""
+    the space tolerance, which would move it by up to 1e-9 (the example)."""
     tree = random_tree(seed=seed, max_edges=12, max_degree=4)
     assume(tree.max_degree >= 3)
     n = len(tree.edges)
@@ -183,6 +191,31 @@ def test_rtree_midpoint_identity(seed, where):
     assert abs(lhs - (tree.distance(z, m) + tree.distance(p, q) / 2.0)) <= 1e-12
 
 
+def test_tree_max_two_dists_prox_steps_toward_the_midpoint_payload():
+    """At the identity's witness, the prox is the canonical form of the dist
+    step toward the midpoint payload m, not toward the vertex that m snaps
+    to; a step that stops short of m has the composite d(x,m) - tau/2 +
+    d(p,q)/2 to 1e-12."""
+    tree = random_tree(**WITNESS_TREE)
+    p, q = tree.point((0, 0.0)), tree.point((0, 1.9e-9))
+    m = Point(tree, tree._geodesic(p.data, q.data, 0.5))
+    assert tree.point(m.data).data != m.data
+    f = make_objective(tree, "max_two_dists", target=p, other=q)
+    rng = np.random.default_rng(8)
+    short = 0
+    for _ in range(300):
+        x, tau = tree.random_point(rng, 1.0), float(rng.uniform(0.05, 2.0))
+        z = f.prox(x, tau)
+        d = tree.distance(x, z)
+        assert z.data == tree._canonical(
+            tree._geodesic(x.data, m.data, min(tau / tree.distance(x, m), 1.0)))
+        if tree.distance(x, m) > tau + tree.tolerance:
+            short += 1
+            expected = tree.distance(x, m) - tau / 2.0 + tree.distance(p, q) / 2.0
+            assert abs(f(z) + d * d / (2.0 * tau) - expected) <= 1e-12
+    assert short > 100
+
+
 def test_numeric_minimizers_are_valid_points():
     """The solvers build their candidates without `Space.point`; every
     minimizer they return still passes the space's own payload check and,
@@ -190,14 +223,17 @@ def test_numeric_minimizers_are_valid_points():
     canonical form.  Covers the segment, book, Euclidean box and
     window, and H^2 chart paths, with ties on the box, segments and sheets
     and minimizers at a spider's centre, a tree vertex and a book's spine.
-    Catalogue objectives with an exact prox reach the solvers through
-    `proximal._solve`, whose candidates are checked the same way."""
+    Catalogue objectives with an exact prox or a candidate set reach the
+    solvers through `proximal._solve`, whose candidates are checked the same
+    way."""
     line, plane, h2 = sc.EuclideanSpace(1), sc.EuclideanSpace(2), sc.HyperbolicPlane()
     spider, book = sc.SpiderSpace(3), sc.BookSpace(3)
     tree = random_tree(seed=78, max_edges=10, max_degree=5)
     rng = np.random.default_rng(57)
     cases = [
         (make_objective(line, "neg_cube_unit"), line.point((0.0,)), 0.5),
+        (ObjectiveFn(name="neg_cube_box", space=line, fn=lambda z: -z.data[0] ** 3,
+                     domain=BoxDomain(((0.0, 1.0),))), line.point((0.0,)), 0.5),
         (ObjectiveFn(name="neg_radius", space=spider, fn=lambda z: -z.data[1]),
          spider.center(), 0.5),
         (ObjectiveFn(name="neg_height", space=book, fn=lambda z: -z.data[2]),
@@ -227,7 +263,7 @@ def test_numeric_minimizers_are_valid_points():
             cases.append((f, x, tau))
     ties = 0
     for f, x, tau in cases:
-        if f.prox is None:
+        if f.prox is None and f.candidates is None:
             res = resolvent(f, f.space, x, tau)
             evals, found = res.evals, res.minimizers
             ties += res.status == MULTIPLE_TIES
@@ -242,8 +278,15 @@ def test_numeric_minimizers_are_valid_points():
 
 
 def test_resolvent_reports_evaluations(plane):
-    """0 on the exact path, the numeric solver's count on user-built
-    objectives: in the plane's chart and in the exp chart of H^2."""
+    """0 on the exact path, one per candidate on the line's candidate sets,
+    the numeric solver's count on user-built objectives: in the plane's
+    chart and in the exp chart of H^2."""
+    space = line()
+    for name in ("neg_cube_unit", "sqrt_abs", "ripple_vee"):
+        f = make_objective(space, name)
+        for x in (0.0, 0.2, 0.9):
+            got = resolvent(f, space, space.point((x,)), 2.5).evals
+            assert got == len(f.candidates(space.point((x,)), 2.5)) >= 1
     x = plane.point((0.5, 1.5))
     for name in ("half_sq_dist", "dist"):
         f = make_objective(plane, name, target=(1.0, 0.0))
@@ -280,22 +323,53 @@ def test_exact_prox_beyond_the_numeric_solver(space):
             assert space.distance(b, exact_step(space, name, a, p, 0.4)) <= 1e-12
 
 
-def test_resolvent_vs_grid_oracle_sweep():
-    """No point of a dense domain sweep beats the reported minimizer."""
+# the line objectives in numpy, on a grid zs, for the center c of sqrt_abs
+LINE_OBJECTIVES = {
+    "neg_cube_unit": lambda zs, c: -zs ** 3,
+    "sqrt_abs": lambda zs, c: np.sqrt(np.abs(zs - c)),
+    "ripple_vee": lambda zs, c: np.abs(zs) + 0.5 * np.sin(np.abs(zs)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINE_OBJECTIVES))
+def test_resolvent_vs_grid_oracle_sweep(name):
+    """No point of a dense grid beats the reported minimizer, over 1,000
+    (x, tau) draws per line objective; every minimizer reported lies within
+    the tie value of the least."""
     space = line()
     rng = np.random.default_rng(4)
-    for name in ("sqrt_abs", "ripple_vee", "neg_cube_unit"):
+    box = name == "neg_cube_unit"
+    zs = np.linspace(0.0, 1.0, 20_001) if box else np.linspace(-10.0, 10.0, 100_001)
+    fz = LINE_OBJECTIVES[name](zs, 0.0)
+    for _ in range(1000):
+        tau = float(rng.choice([0.3, 0.5, 0.8, 2.0, 4.0]))
+        c = float(rng.uniform(-1.0, 1.0)) if name == "sqrt_abs" else 0.0
+        f = make_objective(space, name, center=c)
+        x = float(rng.uniform(0.0, 1.0) if box else rng.uniform(-8.0, 8.0))
+        res = resolvent(f, space, space.point((x,)), tau)
+        if c != 0.0:
+            fz = LINE_OBJECTIVES[name](zs, c)
+        grid = float(np.min(fz + (zs - x) ** 2 / (2.0 * tau)))
+        assert res.value <= grid + 1e-9, (name, x, tau, c)
+        assert 1 <= res.evals <= 6
+        for p in res.minimizers:
+            value = f(p) + (p.data[0] - x) ** 2 / (2.0 * tau)
+            assert value <= res.value + proximal.DEFAULT_SOLVER.tie_value
+
+
+def test_line_resolvent_witnesses():
+    """Minimizers at a kink that the numeric grid never evaluates: sqrt_abs
+    at its centre for a step of 0.5, and ripple_vee at 0 for a step of 4,
+    where the composite is x^2 / (2 tau)."""
+    space = line()
+    for name, x, tau in [("sqrt_abs", 0.8645536149147341, 0.5),
+                         ("ripple_vee", 5.260769135624358, 4.0)]:
         f = make_objective(space, name)
-        x = space.point((float(rng.uniform(-0.5, 1.5)),))
-        if f.domain is not None and not f.domain.contains(x.data):
-            x = space.point((0.3,))
-        tau = 0.7
-        res = resolvent(f, space, x, tau)
-        lo, hi = (f.domain.bounds[0] if f.domain is not None else (-8.0, 8.0))
-        zs = np.linspace(lo, hi, 100_001)
-        vals = [f(space.point((float(z),))) + (float(z) - x.data[0]) ** 2 / (2 * tau)
-                for z in zs]
-        assert res.value <= min(vals) + 1e-9
+        res = resolvent(f, space, space.point((x,)), tau)
+        assert res.status == UNIQUE and res.point.data == (0.0,), name
+        assert res.value == x * x / (2.0 * tau), name
+        _, cands, _ = proximal._solve(f, space, space.point((x,)), tau)
+        assert cands[0][1] > res.value + 0.03, name  # the numeric search misses it
 
 
 def test_spider_resolvent_vs_leg_sweep_oracle():

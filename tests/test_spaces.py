@@ -116,6 +116,19 @@ def test_hyperbolic_distance_stability(hyperbolic, rng):
         assert hyperbolic.distance(o, p) == pytest.approx(r, abs=1e-10, rel=1e-10)
 
 
+def test_hyperbolic_random_point_reuses_the_origin_basis(hyperbolic):
+    """`_random_point` keeps the origin's tangent basis; its payloads are the
+    bits of the draw that recomputes that basis every time."""
+    rng, ref = np.random.default_rng(1), np.random.default_rng(1)
+    o = hyperbolic.origin()
+    for _ in range(2000):
+        theta = float(ref.uniform(0.0, 2.0 * math.pi))
+        r = float(ref.uniform(0.0, 1.5))
+        e1, e2 = hyperbolic.tangent_basis(o)
+        v = tuple(math.cos(theta) * e1[i] + math.sin(theta) * e2[i] for i in range(3))
+        assert hyperbolic._random_point(rng, 1.5) == hyperbolic.exp(o, v, r)
+
+
 def test_tree_distances_and_walks(small_tree):
     t = small_tree
     a = t.point((0, 0.0))          # vertex a
