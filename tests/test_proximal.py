@@ -331,30 +331,30 @@ LINE_OBJECTIVES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(LINE_OBJECTIVES))
-def test_resolvent_vs_grid_oracle_sweep(name):
+def test_resolvent_vs_grid_oracle_sweep():
     """No point of a dense grid beats the reported minimizer, over 1,000
     (x, tau) draws per line objective; every minimizer reported lies within
     the tie value of the least."""
     space = line()
     rng = np.random.default_rng(4)
-    box = name == "neg_cube_unit"
-    zs = np.linspace(0.0, 1.0, 20_001) if box else np.linspace(-10.0, 10.0, 100_001)
-    fz = LINE_OBJECTIVES[name](zs, 0.0)
-    for _ in range(1000):
-        tau = float(rng.choice([0.3, 0.5, 0.8, 2.0, 4.0]))
-        c = float(rng.uniform(-1.0, 1.0)) if name == "sqrt_abs" else 0.0
-        f = make_objective(space, name, center=c)
-        x = float(rng.uniform(0.0, 1.0) if box else rng.uniform(-8.0, 8.0))
-        res = resolvent(f, space, space.point((x,)), tau)
-        if c != 0.0:
-            fz = LINE_OBJECTIVES[name](zs, c)
-        grid = float(np.min(fz + (zs - x) ** 2 / (2.0 * tau)))
-        assert res.value <= grid + 1e-9, (name, x, tau, c)
-        assert 1 <= res.evals <= 6
-        for p in res.minimizers:
-            value = f(p) + (p.data[0] - x) ** 2 / (2.0 * tau)
-            assert value <= res.value + proximal.DEFAULT_SOLVER.tie_value
+    for name, objective in LINE_OBJECTIVES.items():
+        box = name == "neg_cube_unit"
+        zs = np.linspace(0.0, 1.0, 20_001) if box else np.linspace(-10.0, 10.0, 100_001)
+        fz = objective(zs, 0.0)
+        for _ in range(1000):
+            tau = float(rng.choice([0.3, 0.5, 0.8, 2.0, 4.0]))
+            c = float(rng.uniform(-1.0, 1.0)) if name == "sqrt_abs" else 0.0
+            f = make_objective(space, name, center=c)
+            x = float(rng.uniform(0.0, 1.0) if box else rng.uniform(-8.0, 8.0))
+            res = resolvent(f, space, space.point((x,)), tau)
+            if c != 0.0:
+                fz = objective(zs, c)
+            grid = float(np.min(fz + (zs - x) ** 2 / (2.0 * tau)))
+            assert res.value <= grid + 1e-9, (name, x, tau, c)
+            assert 1 <= res.evals <= 6
+            for p in res.minimizers:
+                value = f(p) + (p.data[0] - x) ** 2 / (2.0 * tau)
+                assert value <= res.value + proximal.DEFAULT_SOLVER.tie_value
 
 
 def test_line_resolvent_witnesses():
