@@ -54,15 +54,6 @@ class ConePoint:
             raise GeometryError("cone radius must be nonnegative")
 
 
-def cone_point_distance(space: Space, v: ConePoint, w: ConePoint) -> float:
-    if v.radius == 0.0:
-        return w.radius
-    if w.radius == 0.0:
-        return v.radius
-    ang = space.direction_angle(v.direction, w.direction)
-    return cone_distance(ang, v.radius, w.radius)
-
-
 def _dir_payloads(dirs: Sequence[Direction]) -> tuple[Space, Point, list[tuple]]:
     if not dirs:
         raise GeometryError("need at least one direction")

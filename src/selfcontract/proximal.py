@@ -14,19 +14,18 @@ as to a search (Bacak, Convex Analysis and Optimization in Hadamard
 Spaces, 2014).  Every other objective goes to the numeric solver, which
 also serves as the closed forms' and candidate sets' test oracle.  It is
 the only resolvent of user-built objectives and of max_two_dists on books.
-Because f is only quasi-convex, the composite may have several basins;
-the solver therefore exploits per-space structure, looked up by space
-type in `_SOLVERS`: exhaustive
-line search along each segment a tree or spider lists, expanding-window
-multi-start grids with deterministic pattern refinement in a chart of
-Euclidean (dimensions 1 and 2) or hyperbolic space, and per-sheet plus
-spine solves on books.
+Because f is only quasi-convex, the composite may have several basins.
+Each space therefore lists its search pieces in `_PIECES`, looked up by
+space type: a window or box of R^1 or R^2, the exp chart of H^2 at x,
+every segment of a tree or spider, and a book's spine and sheets.  One
+loop searches them all: every grid basin of a 1-D piece is refined by
+golden section, the best four grid points of a 2-D piece by compass
+search, and a window grows until its best candidate lies inside it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 
 from .errors import GeometryError, SolverError, UnsupportedSpaceError
@@ -119,12 +118,11 @@ def _golden_min(fn, a: float, b: float, tol: float) -> tuple[float, float]:
     return x, fx
 
 
-def _line_minima(fn, lo: float, hi: float, grid: int, tol: float
-                 ) -> list[tuple[float, float]]:
+def _line_minima(fn, lo: float, hi: float) -> list[tuple[float, float]]:
     """All local-basin minima of fn over [lo, hi] found on a grid + refine."""
     if hi <= lo:
-        v = fn(lo)
-        return [(lo, v)]
+        return [(lo, fn(lo))]
+    grid = DEFAULT_SOLVER.grid_1d
     xs = [lo + (hi - lo) * i / grid for i in range(grid + 1)]
     vs = [fn(x) for x in xs]
     out: list[tuple[float, float]] = []
@@ -134,12 +132,12 @@ def _line_minima(fn, lo: float, hi: float, grid: int, tol: float
         if vs[i] <= left and vs[i] <= right:
             a = xs[max(i - 1, 0)]
             b = xs[min(i + 1, grid)]
-            out.append(_golden_min(fn, a, b, tol * max(1.0, hi - lo)))
+            out.append(_golden_min(fn, a, b, DEFAULT_SOLVER.refine_tol * max(1.0, hi - lo)))
     return out
 
 
 def _pattern_refine(fn, start: list[float], step: float, lo: list[float],
-                    hi: list[float], tol: float) -> tuple[list[float], float]:
+                    hi: list[float]) -> tuple[list[float], float]:
     """Deterministic compass search; coordinates clipped to the [lo, hi] box.
 
     Finishes with coordinate-wise parabola fits, which sharpen smooth
@@ -149,7 +147,7 @@ def _pattern_refine(fn, start: list[float], step: float, lo: list[float],
     fx = fn(x)
     n = len(x)
     h = step
-    floor = max(tol * max(1.0, step), 1e-9)
+    floor = max(DEFAULT_SOLVER.refine_tol * max(1.0, step), 1e-9)
     while h > floor:
         improved = False
         for i in range(n):
@@ -180,11 +178,25 @@ def _pattern_refine(fn, start: list[float], step: float, lo: list[float],
     return x, fx
 
 
+def _piece_minima(fn, los: list[float], his: list[float]
+                  ) -> list[tuple[list[float], float]]:
+    """Local minima of fn over the box [los, his]: on a line every grid
+    basin, on a plane the best four grid points after compass search."""
+    if len(los) == 1:
+        return [([t], v) for t, v in _line_minima(lambda t: fn([t]), los[0], his[0])]
+    cells = DEFAULT_SOLVER.grid_2d
+    axes = [[lo + (hi - lo) * i / cells for i in range(cells + 1)]
+            for lo, hi in zip(los, his)]
+    scored = sorted(((fn(list(c)), c) for c in product(*axes)), key=lambda t: t[0])
+    cell = max((hi - lo) / cells for lo, hi in zip(los, his))
+    return [_pattern_refine(fn, list(c), cell, los, his) for _, c in scored[:4]]
+
+
 class _Composite:
     """f(z) + d(x,z)^2/(2 tau) with an evaluation counter.
 
-    The solvers build every point they evaluate, so the composite trusts
-    them: it skips the space and domain checks of `Space.distance` and
+    The solver builds every point it evaluates, so the composite trusts
+    it: it skips the space and domain checks of `Space.distance` and
     `ObjectiveFn.__call__`, and makes one `fn` call per evaluation.
     """
 
@@ -201,50 +213,14 @@ class _Composite:
         return float(self.objective.fn(p)) + d * d / (2.0 * self.tau)
 
 
-def _grid_scores(eval_coords, los, his) -> tuple[list[tuple[float, tuple]], float]:
-    """Score a full grid over the box; returns sorted (value, coords) + cell."""
-    n = len(los)
-    cells = DEFAULT_SOLVER.grid_1d if n == 1 else DEFAULT_SOLVER.grid_2d
-    axes = [
-        [lo + (hi - lo) * i / cells for i in range(cells + 1)]
-        for lo, hi in zip(los, his)
-    ]
-    scored = sorted(((eval_coords(list(c)), c) for c in product(*axes)),
-                    key=lambda t: t[0])
-    cell = max((hi - lo) / cells for lo, hi in zip(los, his))
-    return scored, cell
+# A search piece is (coordinates -> point, lower corner, upper corner, one
+# flag per side, lower then upper for each axis, set on a window side).
+# Each builder takes the composite and a window radius and returns the
+# radius it used with its pieces.
 
-
-def _refine_top(eval_coords, scored, cell, los, his,
-                keep: int = 4) -> list[tuple[list[float], float]]:
-    out = []
-    for v0, c0 in scored[:keep]:
-        c, v = _pattern_refine(eval_coords, list(c0), cell, los, his,
-                               DEFAULT_SOLVER.refine_tol)
-        out.append((c, v))
-    out.sort(key=lambda t: t[1])
-    return out
-
-
-def _expanding_window(radius: float, scan) -> tuple[str, list[tuple[Point, float]]]:
-    """Widen a search window x4 until its best candidate lies inside it.
-
-    `scan(radius)` returns (best value, best lies inside, finish), where
-    `finish()` gives that window's candidates sorted by value.
-    """
-    while True:
-        best_v, inside, finish = scan(radius)
-        if best_v < DEFAULT_SOLVER.unbounded_value:
-            return UNBOUNDED, []
-        if inside:
-            return "ok", finish()
-        if radius > DEFAULT_SOLVER.max_radius:
-            return UNBOUNDED, []
-        radius *= 4.0
-
-
-def _identity_chart(comp: _Composite):
-    """Euclidean coordinates: windows centred at x, or the box domain."""
+def _euclidean_pieces(comp: _Composite, radius: float):
+    """One box: the window centred at x, or the box domain, which has no
+    window sides."""
     space = comp.space
     if space.dim > 2:
         raise UnsupportedSpaceError("resolvent solver covers Euclidean dimensions 1 and 2")
@@ -252,11 +228,16 @@ def _identity_chart(comp: _Composite):
     def to_point(coords) -> Point:
         return Point(space, space._canonical(tuple(coords)))
 
-    return to_point, list(comp.x.data), comp.objective.domain
+    box = comp.objective.domain
+    if box is not None:
+        return radius, [(to_point, [b[0] for b in box.bounds], [b[1] for b in box.bounds],
+                         (False,) * (2 * space.dim))]
+    return radius, [(to_point, [c - radius for c in comp.x.data],
+                     [c + radius for c in comp.x.data], (True,) * (2 * space.dim))]
 
 
-def _exp_chart(comp: _Composite):
-    """exp at x on the tangent plane of H^2: windows centred at 0."""
+def _hyperbolic_pieces(comp: _Composite, radius: float):
+    """The exp chart at x: a window centred at 0 of the tangent plane."""
     space = comp.space
     base = comp.x.data
     e1, e2 = space.tangent_basis(base)
@@ -269,107 +250,74 @@ def _exp_chart(comp: _Composite):
         u = tuple((v1 * e1[i] + v2 * e2[i]) / r for i in range(3))
         return Point(space, space.exp(base, u, r))
 
-    return to_point, [0.0, 0.0], None
+    return radius, [(to_point, [-radius, -radius], [radius, radius], (True,) * 4)]
 
 
-def _solve_chart(chart, comp: _Composite) -> tuple[str, list[tuple[Point, float]]]:
-    """Grid plus pattern refinement in a chart of R^1, R^2 or H^2.
-
-    `chart(comp)` gives (coordinates -> point, window centre, box domain
-    or None); a box domain is searched as the one window.
-    """
-    to_point, center, box = chart(comp)
-
-    def eval_coords(coords) -> float:
-        return comp.at_point(to_point(coords))
-
-    def refined(los, his, scored, cell):
-        cands = _refine_top(eval_coords, scored, cell, los, his)
-        return [(to_point(c), v) for c, v in cands]
-
-    if box is not None:
-        los = [b[0] for b in box.bounds]
-        his = [b[1] for b in box.bounds]
-        scored, cell = _grid_scores(eval_coords, los, his)
-        return "ok", refined(los, his, scored, cell)
-
-    def scan(radius):
-        los = [c - radius for c in center]
-        his = [c + radius for c in center]
-        scored, cell = _grid_scores(eval_coords, los, his)
-        best_v, best_c = scored[0]
-        eps = 1e-12 * max(1.0, radius)
-        on_edge = any(x - lo < eps or hi - x < eps for x, lo, hi in zip(best_c, los, his))
-        return best_v, not on_edge, lambda: refined(los, his, scored, cell)
-
-    return _expanding_window(DEFAULT_SOLVER.start_radius * max(1.0, math.sqrt(comp.tau)),
-                             scan)
-
-
-def _solve_segments(comp: _Composite) -> tuple[str, list[tuple[Point, float]]]:
-    """Exhaustive line search along every tree edge or spider leg."""
+def _segment_pieces(comp: _Composite, radius: float):
+    """Every tree edge or spider leg that `segments()` lists, whole."""
     space = comp.space
-    out: list[tuple[Point, float]] = []
-    for seg, length, _, _ in space.segments():
 
-        def at(t, seg=seg) -> Point:
-            return Point(space, space._canonical((seg, t)))
+    def along(seg):
+        return lambda coords: Point(space, space._canonical((seg, coords[0])))
 
-        for t, v in _line_minima(lambda t: comp.at_point(at(t)), 0.0, length,
-                                 DEFAULT_SOLVER.grid_1d, DEFAULT_SOLVER.refine_tol):
-            out.append((at(t), v))
-    out.sort(key=lambda t: t[1])
-    return "ok", out
+    return radius, [(along(seg), [0.0], [length], (False, False))
+                    for seg, length, _, _ in space.segments()]
 
 
-def _solve_book(comp: _Composite) -> tuple[str, list[tuple[Point, float]]]:
-    space: BookSpace = comp.space
-    xa = comp.x.data[1]
+def _book_pieces(comp: _Composite, radius: float):
+    """The spine, then each sheet as a half-plane whose b = 0 side, the
+    spine, is not a window side; the window reaches x's height."""
+    space = comp.space
+    _, xa, xb = comp.x.data
+    radius = max(radius, DEFAULT_SOLVER.start_radius * xb)
 
-    def at(sheet, a, b) -> Point:
-        return Point(space, space._canonical((sheet, a, max(b, 0.0))))
+    def on_sheet(sheet):
+        return lambda coords: Point(space, space._canonical(
+            (sheet, coords[0], max(coords[1], 0.0) if sheet else 0.0)))
 
-    def scan(radius):
-        out = [(at(0, a, 0.0), v) for a, v in _line_minima(
-            lambda a: comp.at_point(at(0, a, 0.0)), xa - radius, xa + radius,
-            DEFAULT_SOLVER.grid_1d, DEFAULT_SOLVER.refine_tol)]
-        for sheet in range(1, space.k + 1):
-
-            def eval_coords(coords, sheet=sheet):
-                return comp.at_point(at(sheet, *coords))
-
-            los = [xa - radius, 0.0]
-            his = [xa + radius, radius]
-            scored, cell = _grid_scores(eval_coords, los, his)
-            for c, v in _refine_top(eval_coords, scored, cell, los, his):
-                out.append((at(sheet, *c), v))
-        out.sort(key=lambda t: t[1])
-        pa, pb = out[0][0].data[1], out[0][0].data[2]
-        inside = abs(pa - xa) < radius * (1 - 1e-9) and pb < radius * (1 - 1e-9)
-        return out[0][1], inside, lambda: out
-
-    radius = DEFAULT_SOLVER.start_radius * max(1.0, math.sqrt(comp.tau), abs(comp.x.data[2]))
-    return _expanding_window(radius, scan)
+    lo, hi = xa - radius, xa + radius
+    return radius, [(on_sheet(0), [lo], [hi], (True, True))] + [
+        (on_sheet(sheet), [lo, 0.0], [hi, radius], (True, True, False, True))
+        for sheet in range(1, space.k + 1)]
 
 
-# space type -> solver(composite)
-_SOLVERS = {
-    EuclideanSpace: partial(_solve_chart, _identity_chart),
-    HyperbolicPlane: partial(_solve_chart, _exp_chart),
-    SpiderSpace: _solve_segments,
-    TreeSpace: _solve_segments,
-    BookSpace: _solve_book,
+# space type -> search pieces(composite, window radius)
+_PIECES = {
+    EuclideanSpace: _euclidean_pieces,
+    HyperbolicPlane: _hyperbolic_pieces,
+    SpiderSpace: _segment_pieces,
+    TreeSpace: _segment_pieces,
+    BookSpace: _book_pieces,
 }
 
 
 def _solve(objective: ObjectiveFn, space: Space, x: Point, tau: float
            ) -> tuple[str, list[tuple[Point, float]], int]:
-    solver = _SOLVERS.get(type(space))
-    if solver is None:
+    """Search every piece of the space's entry; the candidates come back
+    sorted by value, ties in the order the pieces list them.  While the
+    best lies within 1e-9 radius of a window side the window grows x4;
+    only a windowed search can be unbounded."""
+    pieces_at = _PIECES.get(type(space))
+    if pieces_at is None:
         raise UnsupportedSpaceError(f"no resolvent solver for {space.describe()}")
     comp = _Composite(objective, space, x, tau)
-    status, cands = solver(comp)
-    return status, cands, comp.evals
+    radius = DEFAULT_SOLVER.start_radius * max(1.0, math.sqrt(tau))
+    while True:
+        radius, pieces = pieces_at(comp, radius)
+        found = []
+        for to_point, los, his, window in pieces:
+            for coords, v in _piece_minima(lambda c: comp.at_point(to_point(c)), los, his):
+                found.append((v, coords, to_point, los, his, window))
+        found.sort(key=lambda t: t[0])
+        best, coords, _, los, his, window = found[0]
+        if any(window) and best < DEFAULT_SOLVER.unbounded_value:
+            return UNBOUNDED, [], comp.evals
+        gaps = [g for c, lo, hi in zip(coords, los, his) for g in (c - lo, hi - c)]
+        if not any(w and g <= 1e-9 * radius for w, g in zip(window, gaps)):
+            return "ok", [(to_point(c), v) for v, c, to_point, *_ in found], comp.evals
+        if radius > DEFAULT_SOLVER.max_radius:
+            return UNBOUNDED, [], comp.evals
+        radius *= 4.0
 
 
 def _check_inputs(objective: ObjectiveFn, space: Space, x: Point, tau: float):

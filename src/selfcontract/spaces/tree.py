@@ -111,9 +111,6 @@ class TreeSpace(Space):
             row = self._rows[a] = [rd[a] + rd[b] - 2.0 * rd[c] for b, c in enumerate(lca)]
         return row
 
-    def vertex_distance(self, a: int, b: int) -> float:
-        return self._row(a)[b]
-
     def _edge_path(self, a: int, b: int) -> list[tuple[int, int]]:
         """(edge, vertex it is entered from) along the path from vertex a to b."""
         up, down = [], []

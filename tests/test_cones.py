@@ -10,7 +10,6 @@ from selfcontract.cones import (
     ConePoint,
     cone_barycenter,
     cone_distance,
-    cone_point_distance,
     direction_cover_center,
     greedy_separated_subset,
     radius_constants,
@@ -18,6 +17,16 @@ from selfcontract.cones import (
 from selfcontract.errors import GeometryError
 from selfcontract.metric import golden_section
 from selfcontract.spaces.base import Direction
+
+
+def cone_point_distance(space, v, w) -> float:
+    """The cone metric between two cone points at one basepoint."""
+    if v.radius == 0.0:
+        return w.radius
+    if w.radius == 0.0:
+        return v.radius
+    ang = space.direction_angle(v.direction, w.direction)
+    return cone_distance(ang, v.radius, w.radius)
 
 
 def variance_gap(dirs, center, probe) -> float:

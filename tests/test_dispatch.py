@@ -66,21 +66,28 @@ def test_space_dispatch_sites_are_pinned():
 
 def test_one_bracketed_line_search():
     """`metric.golden_section` is the one bracketed line search, and
-    `proximal._golden_min` its one caller."""
-    callers = []
+    `proximal._golden_min` its one caller; the numeric resolvent has one
+    search per dimension, `_line_minima` and `_pattern_refine`, both called
+    only from its per-piece search."""
+    searches = ("golden_section", "_line_minima", "_pattern_refine")
+    callers = {name: [] for name in searches}
     for path in sorted(PACKAGE.rglob("*.py")):
 
         def visit(node, scope):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 scope = scope + (node.name,)
-            if isinstance(node, ast.Call) and "golden_section" in (
-                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-                callers.append((path.stem, ".".join(scope)))
+            if isinstance(node, ast.Call):
+                for name in searches:
+                    if name in (getattr(node.func, "id", None),
+                                getattr(node.func, "attr", None)):
+                        callers[name].append((path.stem, ".".join(scope)))
             for child in ast.iter_child_nodes(node):
                 visit(child, scope)
 
         visit(ast.parse(path.read_text()), ())
-    assert callers == [("proximal", "_golden_min")]
+    assert callers == {"golden_section": [("proximal", "_golden_min")],
+                       "_line_minima": [("proximal", "_piece_minima")],
+                       "_pattern_refine": [("proximal", "_piece_minima")]}
 
 
 def test_validation_stays_at_the_boundary():

@@ -217,14 +217,16 @@ def test_tree_max_two_dists_prox_steps_toward_the_midpoint_payload():
 
 
 def test_numeric_minimizers_are_valid_points():
-    """The solvers build their candidates without `Space.point`; every
-    minimizer they return still passes the space's own payload check and,
+    """The solver builds its candidates without `Space.point`; every
+    minimizer it returns still passes the space's own payload check and,
     off the hyperboloid, whose re-projection moves the last bits, is its own
-    canonical form.  Covers the segment, book, Euclidean box and
-    window, and H^2 chart paths, with ties on the box, segments and sheets
-    and minimizers at a spider's centre, a tree vertex and a book's spine.
+    canonical form.  Covers every kind of search piece: tree and spider
+    segments, the book's spine and sheets, the line's box, windows on the
+    line and the plane, and the exp chart of H^2, with ties on the box,
+    segments and sheets and minimizers at a spider's centre, a tree vertex
+    and a book's spine.
     Catalogue objectives with an exact prox or a candidate set reach the
-    solvers through `proximal._solve`, whose candidates are checked the same
+    solver through `proximal._solve`, whose candidates are checked the same
     way."""
     line, plane, h2 = sc.EuclideanSpace(1), sc.EuclideanSpace(2), sc.HyperbolicPlane()
     spider, book = sc.SpiderSpace(3), sc.BookSpace(3)
@@ -279,8 +281,8 @@ def test_numeric_minimizers_are_valid_points():
 
 def test_resolvent_reports_evaluations(plane):
     """0 on the exact path, one per candidate on the line's candidate sets,
-    the numeric solver's count on user-built objectives: in the plane's
-    chart and in the exp chart of H^2."""
+    the numeric solver's count on user-built objectives: in a window of the
+    plane and in the exp chart of H^2."""
     space = line()
     for name in ("neg_cube_unit", "sqrt_abs", "ripple_vee"):
         f = make_objective(space, name)
@@ -334,14 +336,15 @@ LINE_OBJECTIVES = {
 def test_resolvent_vs_grid_oracle_sweep():
     """No point of a dense grid beats the reported minimizer, over 1,000
     (x, tau) draws per line objective; every minimizer reported lies within
-    the tie value of the least."""
+    the tie value of the least.  On the first 300 draws of sqrt_abs and
+    neg_cube_unit, the numeric line search lies within 1e-6 of it."""
     space = line()
     rng = np.random.default_rng(4)
     for name, objective in LINE_OBJECTIVES.items():
         box = name == "neg_cube_unit"
         zs = np.linspace(0.0, 1.0, 20_001) if box else np.linspace(-10.0, 10.0, 100_001)
         fz = objective(zs, 0.0)
-        for _ in range(1000):
+        for draw in range(1000):
             tau = float(rng.choice([0.3, 0.5, 0.8, 2.0, 4.0]))
             c = float(rng.uniform(-1.0, 1.0)) if name == "sqrt_abs" else 0.0
             f = make_objective(space, name, center=c)
@@ -352,6 +355,9 @@ def test_resolvent_vs_grid_oracle_sweep():
             grid = float(np.min(fz + (zs - x) ** 2 / (2.0 * tau)))
             assert res.value <= grid + 1e-9, (name, x, tau, c)
             assert 1 <= res.evals <= 6
+            if draw < 300 and name != "ripple_vee":
+                _, cands, _ = proximal._solve(f, space, space.point((x,)), tau)
+                assert cands[0][1] <= res.value + 1e-6, (name, x, tau, c)
             for p in res.minimizers:
                 value = f(p) + (p.data[0] - x) ** 2 / (2.0 * tau)
                 assert value <= res.value + proximal.DEFAULT_SOLVER.tie_value
@@ -360,7 +366,9 @@ def test_resolvent_vs_grid_oracle_sweep():
 def test_line_resolvent_witnesses():
     """Minimizers at a kink that the numeric grid never evaluates: sqrt_abs
     at its centre for a step of 0.5, and ripple_vee at 0 for a step of 4,
-    where the composite is x^2 / (2 tau)."""
+    where the composite is x^2 / (2 tau).  The numeric line search comes
+    within 1e-6 of the sqrt_abs kink; on ripple_vee its first window's
+    best point is interior, so the window never grows to reach 0."""
     space = line()
     for name, x, tau in [("sqrt_abs", 0.8645536149147341, 0.5),
                          ("ripple_vee", 5.260769135624358, 4.0)]:
@@ -369,7 +377,10 @@ def test_line_resolvent_witnesses():
         assert res.status == UNIQUE and res.point.data == (0.0,), name
         assert res.value == x * x / (2.0 * tau), name
         _, cands, _ = proximal._solve(f, space, space.point((x,)), tau)
-        assert cands[0][1] > res.value + 0.03, name  # the numeric search misses it
+        if name == "sqrt_abs":
+            assert res.value < cands[0][1] <= res.value + 1e-6
+        else:
+            assert cands[0][1] > res.value + 0.03, name  # the numeric search misses it
 
 
 def test_spider_resolvent_vs_leg_sweep_oracle():
