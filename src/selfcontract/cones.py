@@ -208,18 +208,17 @@ _BARYCENTERS = {
 }
 
 
-def greedy_separated_subset(space: Space, dirs: Sequence[Direction],
-                            separation: float = math.pi / 3.0) -> list[Direction]:
-    """Maximal subset with pairwise angles >= separation, in input order."""
+def greedy_separated_subset(space: Space, dirs: Sequence[Direction]) -> list[Direction]:
+    """Maximal subset with pairwise angles >= pi/3, in input order."""
     chosen: list[Direction] = []
     for d in dirs:
-        if all(space.direction_angle(d, c) >= separation - 1e-12 for c in chosen):
+        if all(space.direction_angle(d, c) >= math.pi / 3.0 - 1e-12 for c in chosen):
             chosen.append(d)
     return chosen
 
 
-def direction_cover_center(space: Space, x: Point, dirs: Sequence[Direction],
-                           tol: float = 1e-7) -> tuple[Direction, float, int]:
+def direction_cover_center(space: Space, x: Point, dirs: Sequence[Direction]
+                           ) -> tuple[Direction, float, int]:
     """Covering direction for a direction set of angular diameter <= pi/2.
 
     Greedily extracts a maximal pi/3-separated subset of size m, takes
@@ -235,7 +234,7 @@ def direction_cover_center(space: Space, x: Point, dirs: Sequence[Direction],
     n = len(ds)
     for i in range(n):
         for j in range(i + 1, n):
-            if space.direction_angle(ds[i], ds[j]) > math.pi / 2.0 + tol:
+            if space.direction_angle(ds[i], ds[j]) > math.pi / 2.0 + 1e-7:
                 raise GeometryError("direction set has angular diameter > pi/2")
 
     subset = greedy_separated_subset(space, ds)
@@ -246,7 +245,7 @@ def direction_cover_center(space: Space, x: Point, dirs: Sequence[Direction],
     center = cp.direction
     radius = max(space.direction_angle(center, d) for d in ds)
     bound = math.acos(clamp_cos(1.0 / (2.0 * m)))
-    if radius > bound + tol:
+    if radius > bound + 1e-7:
         raise GeometryError(
             f"cover radius {radius} exceeds the arccos(1/(2m)) bound {bound}"
         )

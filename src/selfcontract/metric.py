@@ -152,12 +152,11 @@ def comparison_angle(space: Space, x: Point, y: Point, z: Point) -> float:
     return math.acos(clamp_cos(c))
 
 
-DEFAULT_SHRINK_SCHEDULE = tuple(0.5 ** j for j in range(1, 9))
+SHRINK_SCHEDULE = tuple(0.5 ** j for j in range(1, 9))  # decreasing, in (0, 1)
+MONOTONE_TOL = 1e-7
 
 
-def upper_angle(space: Space, x: Point, y: Point, z: Point,
-                schedule: Sequence[float] = DEFAULT_SHRINK_SCHEDULE,
-                monotone_tol: float = 1e-7) -> float:
+def upper_angle(space: Space, x: Point, y: Point, z: Point) -> float:
     """Limit of comparison angles along shrinking geodesic parameters.
 
     The comparison angle between gamma_xy(s) and gamma_xz(s) is monotone
@@ -169,15 +168,12 @@ def upper_angle(space: Space, x: Point, y: Point, z: Point,
         return 0.0
     if space.same_point(x, y) or space.same_point(x, z):
         raise GeometryError("upper angle needs y, z distinct from x")
-    stages = sorted(set(float(s) for s in schedule), reverse=True)
-    if any(not 0.0 < s <= 1.0 for s in stages):
-        raise GeometryError("shrink schedule must lie in (0, 1]")
     prev = None
-    for s in stages:
+    for s in SHRINK_SCHEDULE:
         ys = space.geodesic_point(x, y, s)
         zs = space.geodesic_point(x, z, s)
         ang = comparison_angle(space, x, ys, zs)
-        if prev is not None and ang > prev + monotone_tol:
+        if prev is not None and ang > prev + MONOTONE_TOL:
             raise GeometryError(
                 f"comparison angles not monotone along shrink schedule "
                 f"({ang} > {prev} at s={s})"
@@ -186,7 +182,7 @@ def upper_angle(space: Space, x: Point, y: Point, z: Point,
     d1, _ = space.log_direction(x, y)
     d2, _ = space.log_direction(x, z)
     limit = space.direction_angle(d1, d2)
-    if prev is not None and limit > prev + monotone_tol:
+    if limit > prev + MONOTONE_TOL:
         raise GeometryError("direction angle exceeds the comparison stages")
     return limit
 

@@ -35,8 +35,8 @@ class BoxDomain:
 
     bounds: tuple[tuple[float, float], ...]
 
-    def contains(self, data: tuple, tol: float = 1e-12) -> bool:
-        return all(lo - tol <= x <= hi + tol for x, (lo, hi) in zip(data, self.bounds))
+    def contains(self, data: tuple) -> bool:
+        return all(lo - 1e-12 <= x <= hi + 1e-12 for x, (lo, hi) in zip(data, self.bounds))
 
 
 @dataclass(frozen=True)

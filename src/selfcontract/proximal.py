@@ -74,16 +74,16 @@ class ResolventResult:
         return self.minimizers[0]
 
 
-def _parabolic_polish(fn, x: float, h: float, lo: float, hi: float,
-                      rounds: int = 3) -> tuple[float, float]:
-    """Refine a smooth interior minimum by successive parabola fits.
+def _parabolic_polish(fn, x: float, h: float, lo: float, hi: float
+                      ) -> tuple[float, float]:
+    """Refine a smooth interior minimum by three successive parabola fits.
 
     Value-only descent stalls at sqrt(machine eps) in position; fitting
     a parabola through three nearby samples recovers the vertex to near
     full precision when the function is locally quadratic.
     """
     best_x, best_f = x, fn(x)
-    for _ in range(rounds):
+    for _ in range(3):
         xl, xr = max(best_x - h, lo), min(best_x + h, hi)
         if xr - xl <= 0:
             break

@@ -81,14 +81,6 @@ class EuclideanSpace(Space):
     def tangent_norm(self, v: tuple) -> float:
         return vec_norm(v)
 
-    def random_direction(self, rng, base=None) -> tuple:
-        v = rng.normal(size=self.dim)
-        n = float(math.sqrt(float((v * v).sum())))
-        if n == 0.0:
-            v = [1.0] + [0.0] * (self.dim - 1)
-            return tuple(v)
-        return tuple(float(x) / n for x in v)
-
     def _to_json(self) -> dict:
         return {"kind": self.kind, "dim": self.dim, "tolerance": self.tolerance}
 

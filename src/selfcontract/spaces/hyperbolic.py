@@ -43,7 +43,10 @@ class HyperbolicPlane(Space):
     def _canonical(self, data: tuple) -> tuple:
         # re-project onto the sheet to stop drift from accumulating
         x = tuple(float(v) for v in data)
-        n = math.sqrt(-mdot(x, x))
+        q = -mdot(x, x)
+        if q <= 0.0:
+            raise GeometryError("point lost the hyperboloid: <x,x> >= 0")
+        n = math.sqrt(q)
         return (x[0] / n, x[1] / n, x[2] / n)
 
     def _dist(self, a: tuple, b: tuple) -> float:
@@ -94,19 +97,12 @@ class HyperbolicPlane(Space):
         return math.sqrt(max(mdot(v, v), 0.0))
 
     def tangent_basis(self, p: tuple) -> tuple[tuple, tuple]:
-        """Orthonormal tangent basis at p (Minkowski-orthogonal to p)."""
-        for seed in ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0)):
-            e1 = self._project_tangent(p, seed)
-            n = math.sqrt(max(mdot(e1, e1), 0.0))
-            if n > 1e-8:
-                e1 = tuple(x / n for x in e1)
-                break
+        """Orthonormal tangent basis at p (Minkowski-orthogonal to p).  Both
+        projections onto p's tangent plane have square <v,v> + <p,v>^2 >= 1."""
+        e1 = self._project_tangent(p, (0.0, 1.0, 0.0))
+        n = math.sqrt(max(mdot(e1, e1), 0.0))
+        e1 = tuple(x / n for x in e1)
         e2 = self._project_tangent(p, (0.0, -e1[2], e1[1]))
-        # fallback via Gram-Schmidt when the cheap rotation degenerates
-        if math.sqrt(max(mdot(e2, e2), 0.0)) < 1e-8:
-            e2 = self._project_tangent(p, (0.0, 0.0, 1.0))
-            c = mdot(e2, e1)
-            e2 = tuple(e2[i] - c * e1[i] for i in range(3))
         n2 = math.sqrt(mdot(e2, e2))
         e2 = tuple(x / n2 for x in e2)
         return e1, e2

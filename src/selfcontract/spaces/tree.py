@@ -362,7 +362,7 @@ class SpiderSpace(Space):
     _point_json = TreeSpace._point_json
 
 
-def load_tree_file(text: str, tolerance: float = 1e-9) -> TreeSpace:
+def load_tree_file(text: str) -> TreeSpace:
     """Parse the plain-text tree grammar: `vertex NAME` and `edge U V LENGTH`.
 
     Lines starting with '#' and blank lines are ignored.  Vertices first
@@ -391,4 +391,4 @@ def load_tree_file(text: str, tolerance: float = 1e-9) -> TreeSpace:
             edges.append((u, v, length))
         else:
             raise GeometryError(f"line {lineno}: cannot parse {line!r}")
-    return TreeSpace(vertices, edges, tolerance=tolerance)
+    return TreeSpace(vertices, edges)

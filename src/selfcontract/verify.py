@@ -187,15 +187,14 @@ def stationarity_check(space: Space, curve: Curve,
 
 
 def reparam_preserves(space: Space, curve: Curve, phi: Callable[[float], float],
-                      n_grid: int = 64,
                       cfg: SamplingConfig = DEFAULT_SAMPLING) -> ViolationReport:
     """Self-contractedness of t -> xi(phi(t)) for non-decreasing phi.
 
     phi need not be continuous or injective, but decreasing anywhere on
-    the probe grid is an error.
+    the 64-point probe grid is an error.
     """
     t0, t1 = curve.times[0], curve.times[-1]
-    grid = [t0 + (t1 - t0) * i / max(n_grid - 1, 1) for i in range(n_grid)]
+    grid = [t0 + (t1 - t0) * i / 63 for i in range(64)]
     values = [float(phi(t)) for t in grid]
     if any(b < a - 1e-12 for a, b in zip(values, values[1:])):
         raise GeometryError("phi must be non-decreasing")
@@ -225,8 +224,7 @@ def angle_estimate_check(space: Space, curve: Curve, tau: float,
 
 
 def angle_estimate_sweep(space: Space, curve: Curve,
-                         cfg: SamplingConfig = DEFAULT_SAMPLING,
-                         limit: float = math.pi / 2.0, tol: float = 1e-6
+                         cfg: SamplingConfig = DEFAULT_SAMPLING, tol: float = 1e-6
                          ) -> ViolationReport:
     """Max angle-estimate excess over all admissible sampled triples.
 
@@ -249,7 +247,7 @@ def angle_estimate_sweep(space: Space, curve: Curve,
         germs = space._log_row(base, [payloads[j] for j in later],
                                [row[j - i - 1] for j in later])
         n_checked += len(germs) * (len(germs) + 1) // 2
-        excess, a, b = space._germ_diameter(base, germs, limit)
+        excess, a, b = space._germ_diameter(base, germs, math.pi / 2.0)
         if excess > worst:
             worst = excess
             witness = {"tau": samples[i][0], "t1": samples[later[a]][0],

@@ -65,15 +65,6 @@ class WidthReport:
     stderr: float
     method: str
 
-    def to_json(self) -> dict:
-        return {
-            "width": self.width,
-            "n_directions": self.n_directions,
-            "seed": self.seed,
-            "stderr": self.stderr,
-            "method": self.method,
-        }
-
 
 def _euclidean_width_samples(arr: np.ndarray, dirs: np.ndarray,
                              inflate: float) -> np.ndarray:
@@ -92,14 +83,13 @@ def _sampled_width(widths: np.ndarray, seed: int, method: str) -> WidthReport:
 
 
 def mean_width(space: Space, points: Sequence[Point], n_dirs: int = 4096,
-               seed: int = 0, basepoint_region: NeighborhoodRegion | None = None,
-               inflate: float = 0.0, method: str = "auto") -> WidthReport:
+               seed: int = 0, inflate: float = 0.0, method: str = "auto") -> WidthReport:
     """Average projected extent of a point set over directions.
 
     Euclidean spaces average over directions of the sphere (Monte Carlo,
     or on the plane exactly, by Cauchy's formula).  Other spaces average
     over sampled (basepoint, direction) pairs, with basepoints drawn
-    from `basepoint_region` (default: unit neighborhood of the points).
+    from the unit neighborhood of the points.
     """
     pts = list(points)
     if not pts:
@@ -120,7 +110,7 @@ def mean_width(space: Space, points: Sequence[Point], n_dirs: int = 4096,
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         arr = np.array([p.data for p in pts], dtype=float)
         return _sampled_width(_euclidean_width_samples(arr, vecs, inflate), seed, "mc")
-    region = basepoint_region or NeighborhoodRegion(tuple(pts), 1.0)
+    region = NeighborhoodRegion(tuple(pts), 1.0)
     rng = np.random.default_rng(seed)
     samples = []
     for _ in range(n_dirs):
@@ -296,19 +286,16 @@ def euclidean_constants(n: int) -> dict:
     }
 
 
-def euclidean_length_bound(curve: Curve, n_dirs: int = 4096, seed: int = 0,
-                           max_dim: int = 4, method: str = "auto") -> BoundReport:
-    """Audit L <= C_n * W(Xi(0)) for a curve in R^n."""
+def euclidean_length_bound(curve: Curve, seed: int = 0, method: str = "auto") -> BoundReport:
+    """Audit L <= C_n * W(Xi(0)) for a curve in R^n, n <= 4."""
     space = curve.space
     if not isinstance(space, EuclideanSpace):
         raise UnsupportedSpaceError("this bound audits Euclidean curves")
-    if space.dim > max_dim:
-        raise UnsupportedSpaceError(
-            f"constants blow up combinatorially; n <= {max_dim} supported"
-        )
+    if space.dim > 4:
+        raise UnsupportedSpaceError("constants blow up combinatorially; n <= 4 supported")
     consts = euclidean_constants(space.dim)
     pts = curve_trajectory_points(curve)
-    report = mean_width(space, pts, n_dirs=n_dirs, seed=seed, method=method)
+    report = mean_width(space, pts, seed=seed, method=method)
     return _length_audit(
         "euclidean", space, curve, pts, consts["C_n"],
         {**consts, "width_method": report.method, "width_stderr": report.stderr},
@@ -369,12 +356,11 @@ def generic_cat0_bound(space: Space, curve: Curve, constants: RadiusConstants,
     )
 
 
-def generic_bound_for_curve(space: Space, curve: Curve, sigma: float = 1.0
-                            ) -> BoundReport:
-    """Estimate condition constants on the sigma-neighborhood and audit."""
+def generic_bound_for_curve(space: Space, curve: Curve) -> BoundReport:
+    """Estimate condition constants on the unit neighborhood and audit."""
     pts = curve_trajectory_points(curve)
-    region = NeighborhoodRegion(tuple(pts), sigma)
-    constants = estimate_condition_constants(space, region, sigma=sigma)
+    region = NeighborhoodRegion(tuple(pts), 1.0)
+    constants = estimate_condition_constants(space, region)
     return generic_cat0_bound(space, curve, constants, region)
 
 
@@ -411,27 +397,26 @@ def unrectifiable_witness(k: int) -> tuple[Curve, BoundReport]:
     return curve, report
 
 
-def spider_jump_curve(k: int, radius: float = 1.0) -> Curve:
+def spider_jump_curve(k: int) -> Curve:
     """Jump curve visiting the tip of each leg of the unit k-spider."""
     if k < 2:
         raise GeometryError("need k >= 2")
-    space = SpiderSpace(k, max(radius, 1.0))
-    pts = [space.point((leg, radius)) for leg in range(1, k + 1)]
+    space = SpiderSpace(k)
+    pts = [space.point((leg, 1.0)) for leg in range(1, k + 1)]
     return make_curve(pts, mode="discrete")
 
 
-def book_spine_jump_curve(k: int, height: float = 1.0) -> Curve:
-    """Jump curve visiting (i, 0, height) in each sheet of the k-book."""
+def book_spine_jump_curve(k: int) -> Curve:
+    """Jump curve visiting (i, 0, 1) in each sheet of the k-book."""
     if k < 2:
         raise GeometryError("need k >= 2")
     space = BookSpace(k)
-    pts = [space.point((sheet, 0.0, height)) for sheet in range(1, k + 1)]
+    pts = [space.point((sheet, 0.0, 1.0)) for sheet in range(1, k + 1)]
     return make_curve(pts, mode="discrete")
 
 
-def random_tree(seed: int, max_edges: int = 20, max_degree: int = 6,
-                length_range: tuple[float, float] = (0.3, 2.0)) -> TreeSpace:
-    """Random tree with bounded degree (test-input generator)."""
+def random_tree(seed: int, max_edges: int = 20, max_degree: int = 6) -> TreeSpace:
+    """Random tree with bounded degree, edges 0.3 to 2 long (test-input generator)."""
     rng = np.random.default_rng(seed)
     n_edges = int(rng.integers(2, max_edges + 1))
     names = [f"v{i}" for i in range(n_edges + 1)]
@@ -440,7 +425,7 @@ def random_tree(seed: int, max_edges: int = 20, max_degree: int = 6,
     for i in range(1, n_edges + 1):
         candidates = [v for v in names[:i] if degree[v] < max_degree]
         parent = candidates[int(rng.integers(0, len(candidates)))]
-        length = float(rng.uniform(*length_range))
+        length = float(rng.uniform(0.3, 2.0))
         edges.append((parent, names[i], length))
         degree[parent] += 1
         degree[names[i]] = 1
@@ -461,22 +446,22 @@ def _distances_fall(dist, payloads: list, q: tuple) -> bool:
 
 
 def random_self_contracted(space: Space, n_steps: int, seed: int,
-                           mode: str = "rejection", scale: float = 1.5,
-                           objective_name: str | None = None) -> Curve:
+                           mode: str = "rejection") -> Curve:
     """Generate a curve that is self-contracted at its own samples.
 
     mode="rejection" proposes shrinking random steps and accepts only
     moves that keep every distance-to-new-point non-increasing; mode
-    ="gradient" runs a proximal trajectory of a catalog objective.
+    ="gradient" runs a proximal trajectory of `half_sq_dist`.
     Generation stalls return the (shorter) accepted prefix.
     """
     if n_steps < 1:
         raise GeometryError("n_steps must be >= 1")
     rng = np.random.default_rng(seed)
+    scale = 1.5
     if mode == "gradient":
-        name = objective_name or "half_sq_dist"
         target = space.random_point(rng, scale)
-        objective = make_objective(space, name, target=target, other=space.random_point(rng, scale))
+        objective = make_objective(space, "half_sq_dist", target=target,
+                                   other=space.random_point(rng, scale))
         start = space.random_point(rng, scale)
         taus = [0.5] * max(n_steps - 1, 1)
         run = discrete_gradient_curve(objective, space, start, taus)

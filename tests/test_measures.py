@@ -139,6 +139,19 @@ def test_condition_constants_euclidean():
     assert rc.a == pytest.approx(cap / math.pi)
     # b = area of the sector over the region area (unit disk)
     assert rc.b == pytest.approx(math.pi * rc.a / math.pi)
+    # on the line the region is [-1, 2.5], length 3.5, and a = 1/2
+    line = sc.EuclideanSpace(1)
+    rc = estimate_condition_constants(
+        line, NeighborhoodRegion((line.point((0.0,)), line.point((1.5,))), 1.0))
+    assert rc.a == 0.5 and rc.b == pytest.approx(2.0 / 7.0, rel=1e-15)
+    # in R^3 a is the cap fraction of the sphere and b = (4 pi / 3) a / vol,
+    # vol being the 60^3 midpoint-grid volume of the unit ball (measured
+    # error +5.9e-5 relative)
+    space = sc.EuclideanSpace(3)
+    rc = estimate_condition_constants(
+        space, NeighborhoodRegion((space.point((0.0, 0.0, 0.0)),), 1.0))
+    assert rc.a == pytest.approx(0.5 * (1.0 - math.cos(2.0 * math.asin(rc.eps_bold / 2.0))))
+    assert abs(rc.a / rc.b - 1.0) <= 1e-4
     with pytest.raises(UnsupportedSpaceError):
         estimate_condition_constants(
             sc.EuclideanSpace(4),

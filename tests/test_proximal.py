@@ -10,6 +10,7 @@ from selfcontract import proximal
 from selfcontract.errors import GeometryError
 from selfcontract.objectives import BoxDomain, ObjectiveFn, make_objective
 from selfcontract.proximal import (
+    EMPTY,
     MULTIPLE_TIES,
     UNBOUNDED,
     UNIQUE,
@@ -279,10 +280,11 @@ def test_numeric_minimizers_are_valid_points():
     assert ties >= 3
 
 
-def test_resolvent_reports_evaluations(plane):
+def test_resolvent_reports_evaluations(plane, monkeypatch):
     """0 on the exact path, one per candidate on the line's candidate sets,
     the numeric solver's count on user-built objectives: in a window of the
-    plane and in the exp chart of H^2."""
+    plane and in the exp chart of H^2, and on the line through every way
+    out of the window loop."""
     space = line()
     for name in ("neg_cube_unit", "sqrt_abs", "ripple_vee"):
         f = make_objective(space, name)
@@ -304,6 +306,54 @@ def test_resolvent_reports_evaluations(plane):
     res = resolvent(f, h2, h2.point(h2.origin()), 0.5)
     assert res.evals > 0 and h2.distance(res.point, h2.geodesic_point(
         h2.point(h2.origin()), p, 0.5 / 0.8)) <= 1e-6
+    radii = []
+
+    def line_pieces(comp, radius):
+        radii.append(radius)
+        return proximal._euclidean_pieces(comp, radius)
+
+    monkeypatch.setitem(proximal._PIECES, sc.EuclideanSpace, line_pieces)
+    x = space.point((0.3,))
+
+    def user_built(fn):
+        return ObjectiveFn(name="user", space=space, fn=lambda z: fn(z.data[0]))
+
+    # the minimum at 50 lies outside the first window, radius 2 sqrt(tau)
+    res = resolvent(user_built(lambda z: abs(z - 50.0)), space, x, 100.0)
+    assert radii == [20.0, 80.0] and res.status == UNIQUE
+    assert abs(res.point.data[0] - 50.0) <= 1e-9
+    # unbounded by value: the best falls below -1e12 inside the window
+    radii.clear()
+    res = resolvent(user_built(lambda z: -z ** 3), space, x, 0.5)
+    assert res.status == UNBOUNDED and res.evals == 1488
+    assert radii[-1] == 32768.0 < proximal.DEFAULT_SOLVER.max_radius
+    # unbounded by radius: the composite -0.6 z + 0.09 is linear, so the
+    # best stays on a window side, above -1e12, until the radius passes 1e6
+    radii.clear()
+    res = resolvent(user_built(lambda z: -z * z), space, x, 0.5)
+    assert res.status == UNBOUNDED and res.evals > 0
+    assert radii[-1] == 2097152.0 > proximal.DEFAULT_SOLVER.max_radius
+
+
+def test_exp_chart_off_the_sheet_raises_geometry_error():
+    """Once the exp chart's window grows far enough, cancellation loses the
+    hyperboloid (<x,x> >= 0) and the chart point is refused with a
+    GeometryError.  Nearer minimizers keep their exact composite values."""
+    h2 = sc.HyperbolicPlane()
+    o = h2.point(h2.origin())
+
+    def dist_to(d):
+        p = h2.point((math.cosh(d), math.sinh(d), 0.0))
+        return ObjectiveFn(name="to_p", space=h2, fn=lambda z: h2.distance(z, p))
+
+    for d, tau, value in ((5, 4, 3.0), (5, 10, 1.25), (9, 4, 7.0)):
+        assert resolvent(dist_to(d), h2, o, tau).value == pytest.approx(value, abs=1e-8)
+    for d, tau in ((5, 6), (7, 4), (7, 6), (7, 10), (9, 6), (9, 10)):
+        with pytest.raises(GeometryError, match="hyperboloid"):
+            resolvent(dist_to(d), h2, o, tau)
+    for data in ((1.0, 1.0, 0.0), (1.0, 0.0, 2.0)):
+        with pytest.raises(GeometryError, match="hyperboloid"):
+            h2._canonical(data)
 
 
 @pytest.mark.parametrize("space", [
@@ -432,11 +482,19 @@ def test_gradient_run_spider_through_center(spider3):
 
 
 def test_gradient_run_aborts_on_unbounded():
+    """An unbounded or an empty resolvent stops the run at its prefix."""
     space = line()
     f = make_objective(space, "neg_cube")
     run = discrete_gradient_curve(f, space, space.point((0.0,)), [0.5] * 3)
     assert len(run.points) == 1
     assert run.diagnostic is not None and "unbounded" in run.diagnostic
+    f = ObjectiveFn(name="no_candidates", space=space, fn=lambda z: z.data[0] ** 2,
+                    candidates=lambda x, tau: [])
+    res = resolvent(f, space, space.point((0.3,)), 0.5)
+    assert res.status == EMPTY and res.value == math.inf and res.evals == 0
+    run = discrete_gradient_curve(f, space, space.point((0.3,)), [0.5] * 3)
+    assert len(run.points) == 1
+    assert run.diagnostic is not None and "empty" in run.diagnostic
 
 
 def test_lambda_step_guard(plane):
