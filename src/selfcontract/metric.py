@@ -1,4 +1,4 @@
-"""Space-agnostic metric primitives: curves, lengths, angles, CAT(0) tests.
+"""Space-agnostic metric primitives: curves, lengths, angles, CAT(0) tests, line search.
 
 Everything here is defined against the abstract space interface; the
 per-space formulas live in the `spaces` subpackage.
@@ -228,6 +228,50 @@ def golden_section(fn, a: float, b: float):
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
             fd = fn(d)
+
+
+def _parabolic_polish(fn, x: float, h: float, lo: float, hi: float
+                      ) -> tuple[float, float]:
+    """Refine a smooth interior minimum by three successive parabola fits.
+
+    Value-only descent stalls at sqrt(machine eps) in position; fitting
+    a parabola through three nearby samples recovers the vertex to near
+    full precision when the function is locally quadratic.
+    """
+    best_x, best_f = x, fn(x)
+    for _ in range(3):
+        xl, xr = max(best_x - h, lo), min(best_x + h, hi)
+        if xr - xl <= 0:
+            break
+        xm = 0.5 * (xl + xr)
+        fl, fm, fr = fn(xl), fn(xm), fn(xr)
+        denom = fl - 2.0 * fm + fr
+        if denom <= 0:
+            h *= 0.25
+            continue
+        v = xm + 0.5 * (xr - xl) / 2.0 * (fl - fr) / denom
+        v = min(max(v, lo), hi)
+        fv = fn(v)
+        if fv <= best_f:
+            best_x, best_f = v, fv
+        h *= 0.125
+    return best_x, best_f
+
+
+def _golden_min(fn, a: float, b: float, tol: float) -> tuple[float, float]:
+    """Golden-section minimum of fn over [a, b] (assumed unimodal there)."""
+    lo0, hi0 = a, b
+    for a, b, c, fc, d, fd in golden_section(fn, a, b):
+        if not b - a > tol:
+            break
+    xs = [(fn(a), a), (fc, c), (fd, d), (fn(b), b)]
+    fx, x = min(xs, key=lambda t: t[0])
+    if lo0 < x < hi0:
+        h_fit = max(1e-5 * max(1.0, abs(x)), 2.0 * (b - a))
+        px, pf = _parabolic_polish(fn, x, h_fit, lo0, hi0)
+        if pf <= fx:
+            return px, pf
+    return x, fx
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GeometryError, UnsupportedSpaceError
+from .metric import _golden_min
 from .spaces.base import Point, Space
 from .spaces.book import BookSpace
 from .spaces.euclidean import EuclideanSpace
@@ -58,7 +59,6 @@ class ObjectiveFn:
     fn: Callable[[Point], float]
     convexity: str = QUASICONVEX
     lam: float | None = None
-    lower_bound: float | None = None
     domain: BoxDomain | None = None
     params: dict = field(default_factory=dict)
     prox: Callable[[Point, float], Point] | None = None
@@ -134,8 +134,6 @@ def _bisector_prox(space: Space, p: Point, q: Point,
     signed distance t to a payload.  Along it |t| <= d(m,x) + sqrt(2 tau F(m)),
     since F(z) <= F(m) bounds d(x,z)^2 / (2 tau).
     """
-    from .proximal import _golden_min  # proximal imports this module
-
     def prox(x: Point, tau: float) -> Point:
         for a, b in ((p, q), (q, p)):
             z = _step_toward(space, a, x, tau)
@@ -275,7 +273,7 @@ def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
         return ObjectiveFn(
             name="half_sq_dist", space=space,
             fn=lambda z: 0.5 * space.distance(z, p) ** 2,
-            convexity=LAMBDA_CONVEX, lam=1.0, lower_bound=0.0,
+            convexity=LAMBDA_CONVEX, lam=1.0,
             params={"target": space._point_json(p.data)},
             prox=lambda x, tau: space.geodesic_point(x, p, tau / (1.0 + tau)),
         )
@@ -285,7 +283,7 @@ def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
         return ObjectiveFn(
             name="dist", space=space,
             fn=lambda z: space.distance(z, p),
-            convexity=CONVEX, lower_bound=0.0,
+            convexity=CONVEX,
             params={"target": space._point_json(p.data)},
             prox=partial(_step_toward, space, p),
         )
@@ -297,7 +295,7 @@ def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
         return ObjectiveFn(
             name="max_two_dists", space=space,
             fn=lambda z: max(space.distance(z, p), space.distance(z, q)),
-            convexity=CONVEX, lower_bound=0.0,
+            convexity=CONVEX,
             params={"target": space._point_json(p.data),
                     "other": space._point_json(q.data)},
             prox=rule(space, p, q) if rule else None,
@@ -313,14 +311,14 @@ def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
             return ObjectiveFn(
                 name="neg_cube", space=space,
                 fn=lambda z: -z.data[0] ** 3,
-                convexity=QUASICONVEX, lower_bound=None, params={}, decay_order=3.0,
+                convexity=QUASICONVEX, params={}, decay_order=3.0,
             )
 
         def neg_cube_unit(**params) -> ObjectiveFn:
             return ObjectiveFn(
                 name="neg_cube_unit", space=space,
                 fn=lambda z: -z.data[0] ** 3,
-                convexity=QUASICONVEX, lower_bound=-1.0,
+                convexity=QUASICONVEX,
                 domain=BoxDomain(((0.0, 1.0),)), params={},
                 candidates=partial(_neg_cube_unit_candidates, space),
             )
@@ -330,7 +328,7 @@ def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
             return ObjectiveFn(
                 name="sqrt_abs", space=space,
                 fn=lambda z: math.sqrt(abs(z.data[0] - c)),
-                convexity=QUASICONVEX, lower_bound=0.0, params={"center": c},
+                convexity=QUASICONVEX, params={"center": c},
                 candidates=partial(_sqrt_abs_candidates, space, c),
             )
 
@@ -339,7 +337,7 @@ def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
             return ObjectiveFn(
                 name="ripple_vee", space=space,
                 fn=lambda z: abs(z.data[0]) + 0.5 * math.sin(abs(z.data[0])),
-                convexity=QUASICONVEX, lower_bound=0.0, params={},
+                convexity=QUASICONVEX, params={},
                 candidates=partial(_ripple_vee_candidates, space),
             )
 
@@ -371,7 +369,7 @@ def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
 
             return ObjectiveFn(
                 name="dist_to_spine_segment", space=space, fn=f,
-                convexity=CONVEX, lower_bound=0.0,
+                convexity=CONVEX,
                 params={"lo": a0, "hi": a1},
                 prox=lambda x, tau: _step_toward(space, project(x), x, tau),
             )
@@ -420,7 +418,7 @@ def _segment_objective(space: TreeSpace | SpiderSpace, key: str
 
         return ObjectiveFn(
             name=f"dist_to_{key}_segment", space=space, fn=f,
-            convexity=CONVEX, lower_bound=0.0,
+            convexity=CONVEX,
             params={key: index, "lo": lo, "hi": hi},
             prox=lambda x, tau: _step_toward(space, project(x), x, tau),
         )
@@ -435,7 +433,12 @@ def make_objective(space: Space, name: str, **params) -> ObjectiveFn:
             f"unknown objective {name!r} on {space.describe()}; "
             f"available: {sorted(catalog)}"
         )
-    return catalog[name](**params)
+    objective = catalog[name](**params)
+    unread = sorted(set(params) - set(objective.params))
+    if unread:
+        raise GeometryError(f"objective {name!r} reads no parameter {unread}; "
+                            f"it reads {sorted(objective.params)}")
+    return objective
 
 
 @dataclass(frozen=True)
@@ -444,10 +447,6 @@ class ConvexityProbeReport:
     max_violation: float
     witness: dict | None
     lambda_max_violation: float | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.max_violation <= 1e-9
 
 
 def _domain_sample(objective: ObjectiveFn, rng, scale: float) -> Point:

@@ -15,6 +15,16 @@ from ..errors import GeometryError
 from .base import Point, Space, integral_index
 
 
+def _uniform_on_segments(rng, lengths: Sequence[float], total: float) -> tuple[int, float]:
+    """(index, offset) of a point drawn uniformly from segments of these
+    lengths, whose fsum is `total`; the last segment takes any overshoot."""
+    r = float(rng.uniform(0.0, total))
+    for i, length in enumerate(lengths):
+        if r <= length or i == len(lengths) - 1:
+            return (i, min(r, length))
+        r -= length
+
+
 class TreeSpace(Space):
     kind = "tree"
 
@@ -230,13 +240,7 @@ class TreeSpace(Space):
         return [w for w in range(len(self.vertex_names)) if len(self._adj[w]) == 1]
 
     def _random_point(self, rng, scale: float = 1.0) -> tuple:
-        weights = self._edge_lengths
-        r = float(rng.uniform(0.0, self._total_length))
-        for ei, w in enumerate(weights):
-            if r <= w or ei == len(weights) - 1:
-                return (ei, min(max(r, 0.0), w))
-            r -= w
-        raise AssertionError("unreachable")
+        return _uniform_on_segments(rng, self._edge_lengths, self._total_length)
 
     def _to_json(self) -> dict:
         return {
@@ -344,12 +348,8 @@ class SpiderSpace(Space):
         return self.k
 
     def _random_point(self, rng, scale: float = 1.0) -> tuple:
-        r = float(rng.uniform(0.0, math.fsum(self.leg_lengths)))
-        for leg in range(1, self.k + 1):
-            if r <= self.leg_lengths[leg - 1] or leg == self.k:
-                return (leg, min(r, self.leg_lengths[leg - 1]))
-            r -= self.leg_lengths[leg - 1]
-        raise AssertionError("unreachable")
+        leg, r = _uniform_on_segments(rng, self.leg_lengths, math.fsum(self.leg_lengths))
+        return (leg + 1, r)
 
     def _to_json(self) -> dict:
         return {

@@ -367,11 +367,7 @@ CHECKS: dict[str, Callable] = {
 
 def run_checks(space: Space, curve: Curve, names: Sequence[str],
                cfg: SamplingConfig = DEFAULT_SAMPLING) -> list[ViolationReport]:
-    reports = []
-    for name in names:
-        if name not in CHECKS:
-            raise GeometryError(
-                f"unknown check {name!r}; available: {sorted(CHECKS)}"
-            )
-        reports.append(CHECKS[name](space, curve, cfg))
-    return reports
+    unknown = [name for name in names if name not in CHECKS]
+    if unknown:
+        raise GeometryError(f"unknown checks {unknown}; available: {sorted(CHECKS)}")
+    return [CHECKS[name](space, curve, cfg) for name in names]

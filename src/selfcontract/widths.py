@@ -20,12 +20,11 @@ from .measures import (
     hausdorff_measure_neighborhood,
 )
 from .metric import Curve, curve_length, diameter, make_curve
-from .objectives import make_objective
-from .proximal import discrete_gradient_curve
 from .spaces.base import Direction, Point, Space
 from .spaces.book import BookSpace
 from .spaces.euclidean import EuclideanSpace
 from .spaces.tree import SpiderSpace, TreeSpace
+from .verify import is_self_contracted
 
 BOOK_BOUND_CONSTANT = 54.0 * math.sqrt(2.0) * math.pi
 
@@ -150,11 +149,6 @@ def _sample_region_point(space: Space, region: NeighborhoodRegion, rng) -> Point
         return anchor
     step = float(rng.uniform(0.0, region.radius))
     return space.geodesic_point(anchor, target, min(1.0, step / d))
-
-
-def curve_trajectory_points(curve: Curve) -> list[Point]:
-    """Sample points standing in for the trajectory (densified if geodesic)."""
-    return curve.densified().points
 
 
 def tail_cover_direction(space: Space, curve: Curve, tau: float
@@ -294,7 +288,7 @@ def euclidean_length_bound(curve: Curve, seed: int = 0, method: str = "auto") ->
     if space.dim > 4:
         raise UnsupportedSpaceError("constants blow up combinatorially; n <= 4 supported")
     consts = euclidean_constants(space.dim)
-    pts = curve_trajectory_points(curve)
+    pts = curve.densified().points
     report = mean_width(space, pts, seed=seed, method=method)
     return _length_audit(
         "euclidean", space, curve, pts, consts["C_n"],
@@ -312,7 +306,7 @@ def tree_length_bound(space: Space, curve: Curve) -> BoundReport:
         raise UnsupportedSpaceError("this bound audits tree or spider curves")
     if curve.space != space:
         raise GeometryError("curve lives on a different space")
-    pts = curve_trajectory_points(curve)
+    pts = curve.densified().points
     lam = space.max_degree
     h1 = hausdorff_measure_neighborhood(space, pts, 1.0, 1)
     return _length_audit("tree", space, curve, pts, 6.0 * lam * h1,
@@ -325,7 +319,7 @@ def book_length_bound(space: Space, curve: Curve) -> BoundReport:
         raise UnsupportedSpaceError("this bound audits book curves")
     if curve.space != space:
         raise GeometryError("curve lives on a different space")
-    pts = curve_trajectory_points(curve)
+    pts = curve.densified().points
     h2 = hausdorff_measure_neighborhood(space, pts, 1.0, 2)
     return _length_audit("book", space, curve, pts, BOOK_BOUND_CONSTANT * space.k * h2,
                          {"C": BOOK_BOUND_CONSTANT, "k": space.k,
@@ -341,7 +335,7 @@ def generic_cat0_bound(space: Space, curve: Curve, constants: RadiusConstants,
     """
     if constants.a is None or constants.b is None or constants.sigma is None:
         raise GeometryError("constants must carry a, b and sigma")
-    pts = curve_trajectory_points(curve)
+    pts = curve.densified().points
     if not region.contains_neighborhood(pts, constants.sigma):
         raise GeometryError(
             "sigma-neighborhood of the trajectory is not inside the region; "
@@ -358,7 +352,7 @@ def generic_cat0_bound(space: Space, curve: Curve, constants: RadiusConstants,
 
 def generic_bound_for_curve(space: Space, curve: Curve) -> BoundReport:
     """Estimate condition constants on the unit neighborhood and audit."""
-    pts = curve_trajectory_points(curve)
+    pts = curve.densified().points
     region = NeighborhoodRegion(tuple(pts), 1.0)
     constants = estimate_condition_constants(space, region)
     return generic_cat0_bound(space, curve, constants, region)
@@ -371,8 +365,6 @@ def unrectifiable_witness(k: int) -> tuple[Curve, BoundReport]:
     with length sqrt(2) (k-1) while its diameter stays sqrt(2): the
     length-to-diameter ratio grows linearly in the dimension.
     """
-    from .verify import is_self_contracted
-
     if k < 2:
         raise GeometryError("need k >= 2")
     space = EuclideanSpace(k)
@@ -384,16 +376,9 @@ def unrectifiable_witness(k: int) -> tuple[Curve, BoundReport]:
     check = is_self_contracted(space, curve)
     if not check.passed:
         raise GeometryError("witness curve failed its own verification")
-    L = curve_length(curve)
-    diam = diameter(pts)
-    predicted = math.sqrt(2.0) * (k - 1)
-    report = BoundReport(
-        bound_name="orthonormal_witness", space_desc=space.describe(),
-        length=L, diam=diam, width=None,
-        constants={"k": k, "predicted_length": predicted,
-                   "ratio_L_diam": L / diam},
-        bound=predicted, ratio=L / predicted if predicted > 0 else 0.0,
-    )
+    report = _length_audit("orthonormal_witness", space, curve, pts, k - 1, {"k": k})
+    report.constants.update(predicted_length=report.bound,
+                            ratio_L_diam=report.length / report.diam)
     return curve, report
 
 
@@ -445,29 +430,17 @@ def _distances_fall(dist, payloads: list, q: tuple) -> bool:
     return True
 
 
-def random_self_contracted(space: Space, n_steps: int, seed: int,
-                           mode: str = "rejection") -> Curve:
+def random_self_contracted(space: Space, n_steps: int, seed: int) -> Curve:
     """Generate a curve that is self-contracted at its own samples.
 
-    mode="rejection" proposes shrinking random steps and accepts only
-    moves that keep every distance-to-new-point non-increasing; mode
-    ="gradient" runs a proximal trajectory of `half_sq_dist`.
-    Generation stalls return the (shorter) accepted prefix.
+    Proposes shrinking random steps and accepts only moves that keep every
+    distance-to-new-point non-increasing.  Generation stalls return the
+    (shorter) accepted prefix.
     """
     if n_steps < 1:
         raise GeometryError("n_steps must be >= 1")
     rng = np.random.default_rng(seed)
     scale = 1.5
-    if mode == "gradient":
-        target = space.random_point(rng, scale)
-        objective = make_objective(space, "half_sq_dist", target=target,
-                                   other=space.random_point(rng, scale))
-        start = space.random_point(rng, scale)
-        taus = [0.5] * max(n_steps - 1, 1)
-        run = discrete_gradient_curve(objective, space, start, taus)
-        return run.discrete_curve()
-    if mode != "rejection":
-        raise GeometryError("mode must be 'rejection' or 'gradient'")
     accepted = [space.random_point(rng, scale)]
     payloads = [accepted[0].data]
     step = scale * 0.6

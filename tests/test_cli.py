@@ -48,6 +48,21 @@ def test_simulate_unknown_objective(tmp_path):
     assert "unknown objective" in r.stderr
 
 
+@pytest.mark.parametrize("config, key, reads", [
+    ("space = book:2\nobjective = dist_to_spine_segment\nobjective.hii = 3\n",
+     "hii", "['hi', 'lo']"),
+    ("space = euclidean:2\nobjective = half_sq_dist\nobjective.target = 0,0\n"
+     "objective.sheet = 1.5\n", "sheet", "['target']"),
+], ids=["book-hii", "plane-sheet"])
+def test_simulate_refuses_unread_objective_keys(tmp_path, config, key, reads):
+    """A misspelt optional key would otherwise run with the default."""
+    (tmp_path / "typo.cfg").write_text(config + "out = typo\n")
+    r = run(["simulate", "--config", "typo.cfg"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert f"reads no parameter ['{key}']; it reads {reads}" in r.stderr
+    assert not (tmp_path / "typo.log.json").exists()
+
+
 def test_simulate_beyond_the_numeric_solver(tmp_path):
     """half_sq_dist steps in closed form on a space no numeric solver covers."""
     (tmp_path / "r3.cfg").write_text(
@@ -80,8 +95,8 @@ def test_verify_pass_and_exit_codes(workdir):
     doc = json.loads((workdir / "ver.json").read_text())
     assert doc["passed"] and len(doc["reports"]) == 3
 
-    r = run(["verify", "run1.curve.json", "--check", "bogus"], workdir)
-    assert r.returncode == 2
+    r = run(["verify", "run1.curve.json", "--check", "self_contracted,bogus"], workdir)
+    assert r.returncode == 2 and "unknown checks ['bogus']" in r.stderr
 
     r = run(["verify", "missing.json"], workdir)
     assert r.returncode == 2

@@ -1,6 +1,7 @@
 """Per-space capability tables: misses raise UnsupportedSpaceError, and
 the remaining isinstance tests on space classes are pinned."""
 import ast
+import graphlib
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +67,7 @@ def test_space_dispatch_sites_are_pinned():
 
 def test_one_bracketed_line_search():
     """`metric.golden_section` is the one bracketed line search, and
-    `proximal._golden_min` its one caller; the numeric resolvent has one
+    `metric._golden_min` its one caller; the numeric resolvent has one
     search per dimension, `_line_minima` and `_pattern_refine`, both called
     only from its per-piece search."""
     searches = ("golden_section", "_line_minima", "_pattern_refine")
@@ -85,9 +86,36 @@ def test_one_bracketed_line_search():
                 visit(child, scope)
 
         visit(ast.parse(path.read_text()), ())
-    assert callers == {"golden_section": [("proximal", "_golden_min")],
+    assert callers == {"golden_section": [("metric", "_golden_min")],
                        "_line_minima": [("proximal", "_piece_minima")],
                        "_pattern_refine": [("proximal", "_piece_minima")]}
+
+
+def test_imports_run_one_way():
+    """No import sits inside a function or class, the module-level imports
+    inside the package form no cycle, and the bound audits in `widths`
+    import neither the objectives nor the resolvent.  The package's own
+    `__init__` only re-exports, so it is left out of the graph."""
+    graph, nested = {}, []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        parts = path.relative_to(PACKAGE).with_suffix("").parts
+        package = parts[:-1]
+        module = ".".join(package if parts[-1] == "__init__" else parts)
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                nested += [(module, node.name) for child in ast.walk(node)
+                           if isinstance(child, (ast.Import, ast.ImportFrom))]
+        if module:
+            graph[module] = {
+                ".".join(package[:len(package) + 1 - node.level]
+                         + tuple(node.module.split(".") if node.module else ()))
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert nested == []
+    assert {"objectives", "proximal", "widths", "spaces.tree"} <= set(graph)
+    list(graphlib.TopologicalSorter(graph).static_order())  # CycleError on a cycle
+    assert not graph["widths"] & {"objectives", "proximal"}
 
 
 def test_validation_stays_at_the_boundary():

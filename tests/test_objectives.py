@@ -68,7 +68,6 @@ def test_neg_cube_metadata():
     line = sc.EuclideanSpace(1)
     f = make_objective(line, "neg_cube")
     assert f.convexity == "quasiconvex"
-    assert f.lower_bound is None
     g = make_objective(line, "neg_cube_unit")
     assert g.domain is not None
     with pytest.raises(GeometryError):

@@ -61,8 +61,7 @@ def test_moreau_value_half_sq_dist(plane):
 
 
 def test_moreau_constant_objective(plane):
-    f = ObjectiveFn(name="const", space=plane, fn=lambda p: 3.5,
-                    convexity="convex", lower_bound=3.5)
+    f = ObjectiveFn(name="const", space=plane, fn=lambda p: 3.5, convexity="convex")
     assert moreau_yosida(f, plane, plane.point((0.2, -0.3)), 2.0) == pytest.approx(3.5, abs=1e-10)
     res = resolvent(f, plane, plane.point((0.2, -0.3)), 2.0)
     assert res.status == UNIQUE
@@ -397,7 +396,7 @@ def test_resolvent_vs_grid_oracle_sweep():
         for draw in range(1000):
             tau = float(rng.choice([0.3, 0.5, 0.8, 2.0, 4.0]))
             c = float(rng.uniform(-1.0, 1.0)) if name == "sqrt_abs" else 0.0
-            f = make_objective(space, name, center=c)
+            f = make_objective(space, name, **({"center": c} if name == "sqrt_abs" else {}))
             x = float(rng.uniform(0.0, 1.0) if box else rng.uniform(-8.0, 8.0))
             res = resolvent(f, space, space.point((x,)), tau)
             if name == "sqrt_abs":

@@ -549,6 +549,37 @@ def test_plane_distance_matches_the_fsum_norm():
         assert _bits(plane._dist(a, b)) == _bits(vec_norm(vec_sub(a, b)))
 
 
+def _tree_draw_loop(tree, rng):
+    weights = tree._edge_lengths
+    r = float(rng.uniform(0.0, tree._total_length))
+    for ei, w in enumerate(weights):
+        if r <= w or ei == len(weights) - 1:
+            return (ei, min(max(r, 0.0), w))
+        r -= w
+
+
+def _spider_draw_loop(spider, rng):
+    r = float(rng.uniform(0.0, math.fsum(spider.leg_lengths)))
+    for leg in range(1, spider.k + 1):
+        if r <= spider.leg_lengths[leg - 1] or leg == spider.k:
+            return (leg, min(r, spider.leg_lengths[leg - 1]))
+        r -= spider.leg_lengths[leg - 1]
+
+
+@pytest.mark.parametrize("space, oracle", [
+    (sc.random_tree(seed=5, max_edges=14, max_degree=5), _tree_draw_loop),
+    (sc.SpiderSpace(4, (1.0, 2.0, 0.5, 1.5)), _spider_draw_loop),
+], ids=["tree", "spider"])
+def test_random_point_matches_the_per_space_loops(space, oracle):
+    """Trees and spiders share one uniform draw over their segments; it
+    gives the bits of the two loops it replaced, kept here as oracles."""
+    assert space.max_degree >= 3
+    got, want = np.random.default_rng(17), np.random.default_rng(17)
+    for _ in range(2000):
+        assert (_bits(space.random_point(got).data)
+                == _bits(space._canonical(oracle(space, want))))
+
+
 @pytest.mark.parametrize("space, payload", [
     (sc.SpiderSpace(3), (0, NAN)),
     (sc.HyperbolicPlane(), (NAN, 0.0, 0.0)),

@@ -503,7 +503,7 @@ def test_random_self_contracted_always_passes():
 def list_then_all_sampler(space, n_steps, seed, scale=1.5):
     """The rejection sampler before its accept test exited early: every
     distance to the proposal through `Space.distance`, then `all` over the
-    list.  The reference for `random_self_contracted(mode="rejection")`."""
+    list.  The reference for `random_self_contracted`."""
     rng = np.random.default_rng(seed)
     accepted = [space.random_point(rng, scale)]
     step = scale * 0.6
@@ -549,8 +549,3 @@ def test_early_exit_sampler_matches_list_then_all_oracle(space):
     for seed in range(30):
         got = random_self_contracted(space, 10, seed=seed)
         assert _curve_bits(got) == _curve_bits(list_then_all_sampler(space, 10, seed)), seed
-
-
-def test_random_self_contracted_gradient_mode(plane):
-    curve = random_self_contracted(plane, 6, seed=11, mode="gradient")
-    assert is_self_contracted(plane, curve).passed
