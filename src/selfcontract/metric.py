@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import GeometryError
-from .spaces.base import Point, Space, check_all_same_space, clamp_cos
+from .spaces.base import Point, Space, check_all_same_space
 
 DISCRETE = "discrete"
 GEODESIC = "geodesic"
@@ -142,14 +142,24 @@ def diameter(points: Sequence[Point]) -> float:
 
 
 def comparison_angle(space: Space, x: Point, y: Point, z: Point) -> float:
-    """Angle at the x-vertex of the Euclidean triangle with the same sides."""
+    """Angle at the x-vertex of the Euclidean triangle with the same sides.
+
+    Kahan's formula for needle-like triangles keeps its digits near 0 and
+    pi, where the arccos of the law of cosines keeps half ("Miscalculating
+    Area and Angles of a Needle-like Triangle", 2014).  Sides that break
+    the triangle inequality by rounding give 0 or pi.
+    """
     dxy = space.distance(x, y)
     dxz = space.distance(x, z)
     if dxy <= space.tolerance or dxz <= space.tolerance:
         raise GeometryError("comparison angle needs y, z distinct from x")
-    dyz = space.distance(y, z)
-    c = (dxy * dxy + dxz * dxz - dyz * dyz) / (2.0 * dxy * dxz)
-    return math.acos(clamp_cos(c))
+    a, b, c = max(dxy, dxz), min(dxy, dxz), space.distance(y, z)
+    mu = c - (a - b) if b >= c else b - (a - c)
+    if mu <= 0.0:  # c <= a - b
+        return 0.0
+    if (a - c) + b <= 0.0:  # c >= a + b
+        return math.pi
+    return 2.0 * math.atan(math.sqrt(((a - b) + c) * mu / ((a + (b + c)) * ((a - c) + b))))
 
 
 SHRINK_SCHEDULE = tuple(0.5 ** j for j in range(1, 9))  # decreasing, in (0, 1)

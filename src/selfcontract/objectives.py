@@ -264,7 +264,8 @@ def _ripple_vee_candidates(space: EuclideanSpace, x: Point, tau: float) -> list[
 def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
     """Catalog of objective factories available on this space.
 
-    Each factory takes keyword parameters and returns an ObjectiveFn.
+    Each factory takes keyword parameters and returns an ObjectiveFn; it
+    refuses a parameter that the objective does not read.
     """
     catalog: dict[str, Callable[..., ObjectiveFn]] = {}
 
@@ -376,7 +377,20 @@ def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
 
         catalog["dist_to_spine_segment"] = dist_to_spine_segment
 
-    return catalog
+    return {name: _refusing_unread(name, factory) for name, factory in catalog.items()}
+
+
+def _refusing_unread(name: str, factory: Callable[..., ObjectiveFn]
+                     ) -> Callable[..., ObjectiveFn]:
+    def checked(**params) -> ObjectiveFn:
+        objective = factory(**params)
+        unread = sorted(set(params) - set(objective.params))
+        if unread:
+            raise GeometryError(f"objective {name!r} reads no parameter {unread}; "
+                                f"it reads {sorted(objective.params)}")
+        return objective
+
+    return checked
 
 
 def _segment_objective(space: TreeSpace | SpiderSpace, key: str
@@ -433,12 +447,7 @@ def make_objective(space: Space, name: str, **params) -> ObjectiveFn:
             f"unknown objective {name!r} on {space.describe()}; "
             f"available: {sorted(catalog)}"
         )
-    objective = catalog[name](**params)
-    unread = sorted(set(params) - set(objective.params))
-    if unread:
-        raise GeometryError(f"objective {name!r} reads no parameter {unread}; "
-                            f"it reads {sorted(objective.params)}")
-    return objective
+    return catalog[name](**params)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ and geodesic formulas, and the direction (geodesic germ) calculus.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -226,53 +225,32 @@ def clamp_cos(c: float) -> float:
     return max(-1.0, min(1.0, c))
 
 
-def germ_array(germs: Sequence[tuple]) -> np.ndarray:
-    """Germs of one length as the rows of a float array, shape (m, k)."""
-    return np.fromiter(itertools.chain.from_iterable(germs), float).reshape(len(germs), -1)
+def polar_gap(t1: float, t2: float) -> float:
+    """The angle in [0, pi] between two germs with polar angles t1, t2 in
+    [-pi, pi] of one frame: exact in the rounded inputs and symmetric."""
+    gap = abs(t1 - t2)
+    return min(gap, 2.0 * math.pi - gap)
 
 
-def germ_products(germs: Sequence[tuple]) -> np.ndarray:
-    """g_a[k] * g_b[k] for every germ pair (a, b) and coordinate k, shape (k, m, m)."""
-    g = germ_array(germs).T
-    return g[:, :, None] * g[:, None, :]
+def polar_diameter(polar: Sequence[float], limit: float,
+                   fold: np.ndarray | None = None) -> tuple[float, int, int]:
+    """`Space._germ_diameter` from the germs' polar angles, where the angle
+    of a pair is `polar_gap`, or, on the `fold` cells (germs in two sheets
+    of a book, at its spine), the turn min(s, 2 pi - s) with s = t1 + t2.
 
-
-def widest_pair(cos: np.ndarray, limit: float) -> tuple[float, int, int]:
-    """`Space._germ_diameter` from the symmetric m x m matrix of germ cosines.
-
-    The cosines must be bit for bit those the scalar `_angle` takes the
-    arccos of.  Two pairs may round to the same excess, so the pair is
-    chosen by excess: the first in row-major order, which lies on or above
-    the diagonal because the matrix is symmetric.
+    The m x m matrix holds those expressions elementwise, so it is the
+    scalar loop's values bit for bit and exactly symmetric: the first cell
+    of the largest excess in row-major order is the loop's first pair
+    (a, b >= a), though two pairs may round to the same excess.
     """
-    best, hits = acos_excess(cos, limit)
-    return best, *first_pair(hits)
-
-
-def acos_excess(cos: np.ndarray, limit: float,
-                keep: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """The largest acos(clamp_cos(c)) - limit over the cells of `cos` (or
-    only the `keep` cells), and the mask of the cells that attain it.
-
-    The angle falls as c rises, so only the cosines within 1e-12 of the
-    smallest can reach the largest excess; only those distinct values go
-    through `math.acos`.
-    """
-    cos = np.fmax(np.fmin(cos, 1.0), -1.0)  # clamp_cos, which maps NaN to 1
-    kept = cos if keep is None else cos[keep]
-    near = np.unique(kept[kept <= kept.min() + 1e-12]).tolist()
-    excess = [math.acos(c) - limit for c in near]
-    best = max(excess)
-    hits = np.zeros(cos.shape, dtype=bool)
-    for c, e in zip(near, excess):
-        if e == best:
-            hits |= cos == c
-    return best, hits if keep is None else hits & keep
-
-
-def first_pair(hits: np.ndarray) -> tuple[int, int]:
-    """The first set cell of a square mask, in row-major order."""
-    return divmod(int(np.argmax(hits)), hits.shape[0])
+    t = np.array(polar, dtype=float)
+    gap = np.abs(t[:, None] - t)
+    excess = np.fmin(gap, 2.0 * math.pi - gap) - limit
+    if fold is not None:
+        turn = t[:, None] + t
+        excess = np.where(fold, np.fmin(turn, 2.0 * math.pi - turn) - limit, excess)
+    best = excess.max()
+    return float(best), *divmod(int(np.argmax(excess == best)), len(t))
 
 
 def check_all_same_space(points: Iterable[Point]) -> Space:

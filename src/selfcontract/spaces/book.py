@@ -12,8 +12,7 @@ import math
 import numpy as np
 
 from ..errors import GeometryError
-from .base import (Space, acos_excess, clamp_cos, first_pair, germ_array, integral_index,
-                   widest_pair)
+from .base import Space, integral_index, polar_diameter, polar_gap
 
 
 class BookSpace(Space):
@@ -97,39 +96,24 @@ class BookSpace(Space):
         return [(s0, (b[1] - a1) / r, ((b[2] if b[0] in (s0, 0) else -b[2]) - a2) / r)
                 for b, r in zip(payloads, dists)]
 
+    # A germ's polar angle atan2(y, x) is taken in the base's sheet, with
+    # other sheets unfolded below the spine, or at a spine base from the
+    # +spine ray, in [0, pi].  There, germs in two different sheets meet
+    # through a spine ray, at min(s, 2 pi - s) with s the sum of the two.
+
     def _angle(self, base: tuple, d1: tuple, d2: tuple) -> float:
-        s1, x1, y1 = d1
-        s2, x2, y2 = d2
-        planar = math.acos(clamp_cos(x1 * x2 + y1 * y2))
-        if base[0] != 0:
-            return planar
-        if s1 == 0 or s2 == 0 or s1 == s2:
-            return planar
-        # different sheets at a spine point: paths run through a spine ray
-        a1 = math.atan2(abs(y1), x1)
-        a2 = math.atan2(abs(y2), x2)
-        return min(a1 + a2, 2.0 * math.pi - a1 - a2)
+        t1, t2 = math.atan2(d1[2], d1[1]), math.atan2(d2[2], d2[1])
+        if base[0] == 0 and d1[0] != d2[0] and d1[0] != 0 and d2[0] != 0:
+            turn = t1 + t2
+            return min(turn, 2.0 * math.pi - turn)
+        return polar_gap(t1, t2)
 
     def _germ_diameter(self, base: tuple, germs, limit: float) -> tuple[float, int, int]:
-        s, x, y = germ_array(germs).T
-        cos = x[:, None] * x + y[:, None] * y  # _angle's planar cosine
+        polar = [math.atan2(g[2], g[1]) for g in germs]
         if base[0] != 0:
-            return widest_pair(cos, limit)
-        cross = (s[:, None] != s) & (s[:, None] != 0) & (s != 0)
-        if not cross.any():
-            return widest_pair(cos, limit)
-        # at a spine base, germs in two different sheets meet through a
-        # spine ray: _angle's turn, elementwise, on the pairs (a, b > a)
-        best, hits = acos_excess(cos, limit, ~cross)
-        t = np.array([math.atan2(abs(g[2]), g[1]) for g in germs])
-        turn = np.fmin(t[:, None] + t, (2.0 * math.pi - t)[:, None] - t) - limit
-        turn = np.where(np.triu(cross), turn, -math.inf)
-        top = float(turn.max())
-        if top > best:
-            best, hits = top, turn == top
-        elif top == best:
-            hits |= turn == top
-        return best, *first_pair(hits)
+            return polar_diameter(polar, limit)
+        s = np.array([g[0] for g in germs])
+        return polar_diameter(polar, limit, (s[:, None] != s) & (s[:, None] != 0) & (s != 0))
 
     def _random_point(self, rng, scale: float = 1.0) -> tuple:
         sheet = int(rng.integers(1, self.k + 1))

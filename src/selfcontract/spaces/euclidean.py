@@ -6,8 +6,8 @@ import math
 import numpy as np
 
 from ..errors import GeometryError
-from .base import (Space, clamp_cos, germ_products, vec_dot, vec_norm, vec_scale,
-                   vec_sub, widest_pair)
+from .base import (Space, clamp_cos, polar_diameter, polar_gap, vec_dot, vec_norm,
+                   vec_scale, vec_sub)
 
 
 class EuclideanSpace(Space):
@@ -66,14 +66,19 @@ class EuclideanSpace(Space):
                     for b, r in zip(payloads, dists)]
         return super()._log_row(base, payloads, dists)
 
+    def _polar(self, d: tuple) -> float:
+        """The polar angle of a germ of R^1 or R^2."""
+        return math.atan2(d[1] if self.dim == 2 else 0.0, d[0])
+
     def _angle(self, base: tuple, d1: tuple, d2: tuple) -> float:
-        return math.acos(clamp_cos(vec_dot(d1, d2)))
+        if self.dim > 2:
+            return math.acos(clamp_cos(vec_dot(d1, d2)))
+        return polar_gap(self._polar(d1), self._polar(d2))
 
     def _germ_diameter(self, base: tuple, germs, limit: float) -> tuple[float, int, int]:
         if self.dim > 2:
             return super()._germ_diameter(base, germs, limit)
-        p = germ_products(germs)
-        return widest_pair(p[0] if self.dim == 1 else p[0] + p[1], limit)
+        return polar_diameter([self._polar(g) for g in germs], limit)
 
     def _random_point(self, rng, scale: float = 1.0) -> tuple:
         return tuple(float(x) for x in rng.uniform(-scale, scale, self.dim))

@@ -10,7 +10,7 @@ import math
 from functools import cached_property
 
 from ..errors import GeometryError
-from .base import Space, clamp_cos, germ_products, widest_pair
+from .base import Space, polar_diameter, polar_gap
 
 
 def mdot(a: tuple, b: tuple) -> float:
@@ -76,13 +76,17 @@ class HyperbolicPlane(Space):
         u, d = self._log(a, b)
         return self.exp(a, u, s * d)
 
+    def _polars(self, base: tuple, germs) -> list[float]:
+        """The germs' polar angles in the frame `tangent_basis(base)`, where
+        the Minkowski form is Riemannian."""
+        e1, e2 = self.tangent_basis(base)
+        return [math.atan2(mdot(g, e2), mdot(g, e1)) for g in germs]
+
     def _angle(self, base: tuple, d1: tuple, d2: tuple) -> float:
-        # the Minkowski form is Riemannian on tangent planes of the sheet
-        return math.acos(clamp_cos(mdot(d1, d2)))
+        return polar_gap(*self._polars(base, (d1, d2)))
 
     def _germ_diameter(self, base: tuple, germs, limit: float) -> tuple[float, int, int]:
-        p = germ_products(germs)
-        return widest_pair((p[1] + p[2]) - p[0], limit)  # mdot's operation order
+        return polar_diameter(self._polars(base, germs), limit)
 
     def exp(self, p: tuple, v: tuple, t: float) -> tuple:
         """Exponential map: walk distance t from payload p along unit tangent v."""

@@ -1,4 +1,6 @@
+import math
 import os
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -63,3 +65,34 @@ def small_tree():
 def random_point_pairs(space, rng, n, scale=1.5):
     for _ in range(n):
         yield space.random_point(rng, scale), space.random_point(rng, scale)
+
+
+def decimal_atan2(y: float, x: float, digits: int = 50) -> Decimal:
+    """atan2 of two doubles to `digits` significant digits, with the
+    signed zeros of `math.atan2`: halve the angle with
+    atan u = 2 atan(u / (1 + sqrt(1 + u^2))) until |u| < 0.1, then sum the
+    arctan series."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        if x == 0.0:
+            return decimal_pi(digits) / 2 * int(math.copysign(1.0, y))
+        u, halvings = Decimal(y) / Decimal(x), 0
+        while abs(u) >= Decimal("0.1"):
+            u /= 1 + (1 + u * u).sqrt()
+            halvings += 1
+        total, term, k = Decimal(0), u, 1
+        while abs(term) > abs(u).scaleb(-ctx.prec):
+            total += term / k
+            term *= -u * u
+            k += 2
+        angle = total * 2 ** halvings
+        if x < 0.0:
+            angle += decimal_pi(digits) * int(math.copysign(1.0, y))
+        return +angle
+
+
+def decimal_pi(digits: int = 50) -> Decimal:
+    """pi to `digits` significant digits, as 4 atan(1)."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        return 4 * decimal_atan2(1.0, 1.0, digits)

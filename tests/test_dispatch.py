@@ -91,6 +91,27 @@ def test_one_bracketed_line_search():
                        "_pattern_refine": [("proximal", "_piece_minima")]}
 
 
+def test_acos_angles_only_where_no_polar_frame():
+    """The plane, H^2 and books take germ angles as differences of polar
+    angles; `math.acos` of a cosine is left only in `euclidean:n >= 3` and
+    in products."""
+    sites = []
+    for path in sorted((PACKAGE / "spaces").glob("*.py")):
+
+        def visit(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scope = scope + (node.name,)
+            if (isinstance(node, ast.Attribute) and node.attr == "acos"
+                    and getattr(node.value, "id", None) == "math"):
+                sites.append((path.stem, ".".join(scope)))
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text()), ())
+    assert sites == [("euclidean", "EuclideanSpace._angle"),
+                     ("product", "ProductSpace._angle")]
+
+
 def test_imports_run_one_way():
     """No import sits inside a function or class, the module-level imports
     inside the package form no cycle, and the bound audits in `widths`
@@ -176,12 +197,13 @@ def test_line_catalogue_never_reaches_the_numeric_solver(monkeypatch):
         return solve(objective, *args)
 
     monkeypatch.setattr(proximal, "_solve", spy)
-    params = {"target": (0.4,), "other": (-0.7,)}
+    params = {"half_sq_dist": {"target": (0.4,)}, "dist": {"target": (0.4,)},
+              "max_two_dists": {"target": (0.4,), "other": (-0.7,)}}
     catalogue = sc.builtin_objectives(line)
     assert set(catalogue) == {"half_sq_dist", "dist", "max_two_dists", "neg_cube",
                               "neg_cube_unit", "sqrt_abs", "ripple_vee"}
     for name, factory in catalogue.items():
-        f = factory(**params)
+        f = factory(**params.get(name, {}))
         for start in (0.0, 0.3, 0.9) if f.domain else (-2.5, 0.3, 1.7):
             for tau in (0.3, 0.8, 4.0):
                 sc.discrete_gradient_curve(f, line, line.point((start,)), [tau] * 4)

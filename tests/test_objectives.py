@@ -24,6 +24,17 @@ def test_catalog_contents(plane, spider3, book2, small_tree):
     assert "dist_to_edge_segment" in builtin_objectives(small_tree)
 
 
+@pytest.mark.parametrize("name, params", [
+    ("dist_to_spine_segment", {"hii": 3}),
+    ("half_sq_dist", {"target": (0, 0.0, 0.0), "other": (1, 0.0, 1.0)}),
+])
+def test_catalogue_factories_refuse_unread_keys(book2, name, params):
+    """A factory from `builtin_objectives` refuses what it does not read,
+    as `make_objective` does: it used to return `hi` = 1 for `hii` = 3."""
+    with pytest.raises(GeometryError, match="reads no parameter"):
+        builtin_objectives(book2)[name](**params)
+
+
 @pytest.mark.parametrize("key, index", [
     ("leg", 0), ("leg", 4), ("leg", 2.7), ("leg", float("nan")),
     ("edge", -1), ("edge", 4), ("edge", 0.5),

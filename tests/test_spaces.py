@@ -1,5 +1,6 @@
 """Per-space geometry: distances, geodesics, directions, serialization."""
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import selfcontract as sc
 from selfcontract.errors import GeometryError, SpaceMismatchError
 from selfcontract.spaces.base import vec_norm, vec_sub
 
-from conftest import random_point_pairs
+from conftest import decimal_atan2, decimal_pi, random_point_pairs
 
 NAN, INF = float("nan"), float("inf")
 
@@ -343,6 +344,102 @@ def test_book_spine_angle_matches_comparison_limit(rng):
             z = book.point((int(s2), r * math.cos(a2), r * math.sin(a2)))
             comp = sc.comparison_angle(book, sp, y, z)
             assert comp == pytest.approx(got, abs=1e-9)
+
+
+ANGLE_BUDGET = 4 * math.ulp(math.pi)
+
+
+def _turns(rng, n):
+    """n (polar angle, turn) pairs: a third of the turns at random, a
+    third tiny (near-parallel germs) and a third pi plus a tiny one
+    (near-antipodal germs)."""
+    tiny = 10.0 ** rng.uniform(-17.0, -1.0, n) * rng.choice((-1.0, 1.0), n)
+    spread = rng.uniform(-math.pi, math.pi, n)
+    return [(float(t), float((spread[i], tiny[i], math.pi + tiny[i])[i % 3]))
+            for i, t in enumerate(rng.uniform(-math.pi, math.pi, n))]
+
+
+def _decimal_gap(t1, t2, turn=False):
+    """The angle of two exact polar angles: their circular distance, or
+    across two book sheets at the spine, the turn min(s, 2 pi - s)."""
+    gap = t1 + t2 if turn else abs(t1 - t2)
+    return min(gap, 2 * decimal_pi() - gap)
+
+
+def _angle_error(angle, exact):
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return float(abs(Decimal(angle) - exact))
+
+
+def test_plane_and_book_angles_within_four_ulps_of_pi(rng):
+    """`_angle` on the plane and on books, at an interior and a spine
+    base, is within 4 ulp(pi) of a 50-digit angle between the same germ
+    doubles, over 1,000 pairs per case, near-parallel and near-antipodal
+    ones included: the worst is 2.03 ulp(pi) at this seed, where the acos
+    of a rounded cosine was 1.5e-8 off."""
+    plane, book = sc.EuclideanSpace(2), sc.BookSpace(3)
+    cases = [(plane, None, ((-1.0, 0.0), (-1.0, -0.0)))]
+    for t, turn in _turns(rng, 1000):
+        g1, g2 = (math.cos(t), math.sin(t)), (math.cos(t + turn), math.sin(t + turn))
+        cases.append((plane, None, (g1, g2)))
+        cases.append((book, (2, 0.1, 0.4), ((2, *g1), (2, *g2))))
+        # at a spine base: the pair in one sheet, and reflected across
+        # the vertical into two sheets, where a turn near pi meets pi
+        a1, a2 = abs(t), abs(t + turn) % math.pi
+        s1, s2 = (int(s) for s in rng.integers(1, 4, 2))
+        cases.append((book, (0, 0.3, 0.0), ((s1, math.cos(a1), math.sin(a1)),
+                                            (s2, -math.cos(a2), math.sin(a2)))))
+    for space, base, (g1, g2) in cases:
+        if space is plane:
+            exact = _decimal_gap(decimal_atan2(g1[1], g1[0]), decimal_atan2(g2[1], g2[0]))
+        else:
+            exact = _decimal_gap(decimal_atan2(g1[2], g1[1]), decimal_atan2(g2[2], g2[1]),
+                                 base[0] == 0 and g1[0] != g2[0])
+        err = _angle_error(space._angle(base, g1, g2), exact)
+        assert err <= ANGLE_BUDGET, (space.describe(), base, g1, g2, err)
+
+
+def _decimal_tangent_angle(base, g1, g2):
+    """The 50-digit angle between the projections of g1 and g2 onto the
+    tangent plane at `base`, in the Minkowski form."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        p = [Decimal(v) for v in base]
+
+        def mdot(a, b):
+            return a[1] * b[1] + a[2] * b[2] - a[0] * b[0]
+
+        def project(g):
+            v = [Decimal(c) for c in g]
+            c = mdot(p, v) / -mdot(p, p)
+            return [vi + c * pi for vi, pi in zip(v, p)]
+
+        u, w = project(g1), project(g2)
+        dot = mdot(u, w)
+        cross = max(mdot(u, u) * mdot(w, w) - dot * dot, Decimal(0)).sqrt()
+        return decimal_atan2(cross, dot)
+
+
+def test_hyperbolic_angle_error_budget(hyperbolic, rng):
+    """On H^2 the frame `tangent_basis(base)` is itself rounded.  Over 1,000
+    germ pairs from `_log` at bases within distance 1.5 of the origin,
+    near-parallel and near-antipodal ones included, the worst error against
+    the 50-digit angle between the germs' tangent projections is 1.99
+    ulp(pi) at this seed (2.26 to 2.96 at numpy seeds 0 to 4), so the
+    plane's 4 ulp(pi) holds; the acos of a rounded cosine was 1.2e-7 off."""
+    worst = 0.0
+    for t, turn in _turns(rng, 1000):
+        base = hyperbolic.random_point(rng, 1.5).data
+        e1, e2 = hyperbolic.tangent_basis(base)
+        germs = []
+        for a in (t, t + turn):
+            v = tuple(math.cos(a) * x + math.sin(a) * y for x, y in zip(e1, e2))
+            q = hyperbolic.exp(base, v, float(rng.uniform(0.1, 2.0)))
+            germs.append(hyperbolic._log(base, q)[0])
+        exact = _decimal_tangent_angle(base, *germs)
+        worst = max(worst, _angle_error(hyperbolic._angle(base, *germs), exact))
+    assert worst <= ANGLE_BUDGET, worst / math.ulp(math.pi)
 
 
 @pytest.mark.parametrize("space", spaces_under_test(), ids=lambda s: s.describe())

@@ -1,5 +1,6 @@
 """Self-contractedness checks and their consequence checks."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -327,8 +328,41 @@ def _spine_germs(book, base, rng, per_sheet):
     return [book._log(base, targets[i])[0] for i in rng.permutation(len(targets))]
 
 
+def _line_targets(space, base, rng):
+    """Points on both sides of `base` along one geodesic through it, and
+    along a second geodesic turned 1e-9 from the first, for the spaces
+    with polar angles: their germs are near-parallel or near-antipodal."""
+    theta = float(rng.uniform(-math.pi, math.pi))
+    steps = (0.3, 0.7, 1.1, -0.2, -0.9)
+    if isinstance(space, sc.EuclideanSpace):
+        v = rng.normal(size=space.dim)
+        w = rng.normal(size=space.dim)
+        return [tuple(float(c) for c in np.array(base) + t * (v + e * w))
+                for e in (0.0, 1e-9) for t in steps]
+    if isinstance(space, sc.HyperbolicPlane):
+        e1, e2 = space.tangent_basis(base)
+        return [space.exp(base, tuple(math.cos(theta + e) * x + math.sin(theta + e) * y
+                                      for x, y in zip(e1, e2)), t)
+                for e in (0.0, 1e-9) for t in steps]
+    if isinstance(space, sc.BookSpace):
+        sheet, a, b = base
+        targets = []
+        for e in (0.0, 1e-9):
+            for t in steps:
+                x, y = a + t * math.cos(theta + e), b + t * math.sin(theta + e)
+                if sheet == 0:  # the line runs from sheet 1 into sheet 2
+                    targets.append((1 if t > 0 else 2, x, abs(y)))
+                elif y > 0:
+                    targets.append((sheet, x, y))
+                else:  # unfolded below the spine: the next sheet
+                    targets.append((sheet % space.k + 1, x, -y))
+        return targets
+    return []
+
+
 def _germ_cases(space, rng):
-    """(base, germs) cases: random bases, one germ, all-equal germs, and
+    """(base, germs) cases: random bases, one germ, all-equal and
+    duplicated germs, antipodal, near-parallel and near-antipodal sets, and
     the book spine and tree vertex bases where germs branch."""
     bases = [space.random_point(rng, 1.5).data for _ in range(6)]
     if isinstance(space, sc.BookSpace):
@@ -343,10 +377,24 @@ def _germ_cases(space, rng):
         cases.append((base, _germs(space, base, rng, 1) * 4))
         for m in (2, 5, 12):
             cases.append((base, _germs(space, base, rng, m)))
+        germs = _germs(space, base, rng, 5)
+        cases.append((base, germs + germs[3:0:-1]))
+        targets = [q for q in _line_targets(space, base, rng)
+                   if space._dist(base, q) > space.tolerance]
+        if targets:
+            cases.append((base, [space._log(base, q)[0] for q in targets]))
+        if isinstance(space, (sc.EuclideanSpace, sc.HyperbolicPlane)):
+            g = germs[0]
+            cases.append((base, [g, tuple(-c for c in g)] + germs[1:]))
+    if isinstance(space, sc.EuclideanSpace) and space.dim == 2:
+        # atan2 gives pi and -pi on the negative axis: one germ, angle 0
+        axis = [(-1.0, 0.0), (-1.0, -0.0), (1.0, 0.0), (1.0, -0.0), (0.0, 1.0)]
+        cases += [(None, axis), (None, axis[::-1])]
     if isinstance(space, sc.BookSpace):
+        for spine in ((0, 0.3, 0.0), (0, -0.8, 0.0)):
+            for per_sheet in (1, 3):
+                cases.append((spine, _spine_germs(space, spine, rng, per_sheet)))
         spine = (0, 0.3, 0.0)
-        for per_sheet in (1, 3):
-            cases.append((spine, _spine_germs(space, spine, rng, per_sheet)))
         along = [(0, 1.0, 0.0), (0, -1.0, 0.0)]
         cases.append((spine, along + _germs(space, spine, rng, 4)))
         # a cross-sheet pair and the along-spine pair both at angle pi:
@@ -354,10 +402,10 @@ def _germ_cases(space, rng):
         up = [(1, 0.0, 1.0), (2, 0.0, 1.0)]
         cases.append((spine, up + along))
         cases.append((spine, along[:1] + up + along[1:]))
-        # a cross-sheet pair whose turn (2 pi - a1) - a2 rounds lower than
-        # (2 pi - a2) - a1: only the pair in loop order counts
+        # a cross-sheet pair near pi/2 from the sweep of a bending run
         cases.append((spine, [(1, -0.030199081137974683, 0.9995439037373106),
                               (2, -0.038294307549995396, 0.9992665039964396)]))
+        cases.append(((2, 0.1, 0.4), [(2, -1.0, 0.0), (2, -1.0, -0.0), (2, 0.6, 0.8)]))
     return cases
 
 
@@ -409,12 +457,12 @@ def test_log_row_matches_the_scalar_log(space, rng):
 
 
 def test_germ_diameter_witness_is_first_by_excess():
-    """Two distinct angles below pi/4 that round to the same excess: the
-    pair that comes first in loop order wins, though its angle is smaller."""
+    """Two distinct polar gaps below pi/4 that round to the same excess:
+    the pair that comes first in loop order wins, though its angle is
+    smaller."""
     plane = sc.EuclideanSpace(2)
-    c1 = 0.899999999999996
-    c2 = math.nextafter(c1, -1.0)
-    germs = [(1.0, 0.0), (c1, math.sqrt(1.0 - c1 * c1)), (c2, math.sqrt(1.0 - c2 * c2))]
+    y = math.sqrt(1.0 - 0.9 * 0.9)
+    germs = [(1.0, 0.0), (0.9, y), (0.9, math.nextafter(y, 1.0))]
     limit = math.pi / 2.0
     ang1 = plane._angle(None, germs[0], germs[1])
     ang2 = plane._angle(None, germs[0], germs[2])
@@ -422,6 +470,14 @@ def test_germ_diameter_witness_is_first_by_excess():
     assert ang1 - limit == ang2 - limit
     assert plane._germ_diameter(None, germs, limit) == (ang1 - limit, 0, 1)
     assert Space._germ_diameter(plane, None, germs, limit) == (ang1 - limit, 0, 1)
+
+
+def test_polar_angle_is_zero_across_the_negative_axis():
+    """atan2 gives pi and -pi for the germs (-1, +0.0) and (-1, -0.0)."""
+    plane = sc.EuclideanSpace(2)
+    assert plane._angle(None, (-1.0, 0.0), (-1.0, -0.0)) == 0.0
+    book = sc.BookSpace(2)
+    assert book._angle((1, 0.2, 0.5), (1, -1.0, 0.0), (1, -1.0, -0.0)) == 0.0
 
 
 def scalar_angle_sweep(space, curve, limit=math.pi / 2.0):
@@ -467,6 +523,23 @@ def test_angle_sweep_matches_the_scalar_sweep(space, rng):
             assert rep.max_violation.hex() == worst.hex()
             assert rep.witness == witness
             assert rep.n_checked == n_checked
+
+
+def test_angle_sweep_budget_on_a_481_sample_plane_run():
+    """One sweep of a 60-step half_sq_dist run at tau = 0.05, interpolated
+    and densified to 481 samples, in under 1.2 s (0.4-0.5 s against 1.1-1.8 s
+    for the germ-cosine matrix it replaced).  The run is straight, so its
+    witness angle is rounding: 1.3e-13, where the arccos gave 3.7e-8."""
+    plane = sc.EuclideanSpace(2)
+    f = make_objective(plane, "half_sq_dist", target=(0.5, -0.25))
+    run = discrete_gradient_curve(f, plane, plane.point((1.5, 1.0)), [0.05] * 60)
+    curve = sc.geodesic_interpolation(plane, run)
+    assert len(_effective_samples(curve, DEFAULT_SAMPLING)) == 481
+    t0 = time.perf_counter()
+    rep = angle_estimate_sweep(plane, curve)
+    dt = time.perf_counter() - t0
+    assert rep.witness["angle"] < 1e-11
+    assert dt < 1.2, f"angle sweep took {dt:.2f}s"
 
 
 @pytest.mark.parametrize("check", [angle_estimate_sweep, is_self_contracted,
