@@ -377,17 +377,16 @@ def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
 
         catalog["dist_to_spine_segment"] = dist_to_spine_segment
 
-    return {name: _refusing_unread(name, factory) for name, factory in catalog.items()}
+    return {name: _refusing_unread(factory) for name, factory in catalog.items()}
 
 
-def _refusing_unread(name: str, factory: Callable[..., ObjectiveFn]
-                     ) -> Callable[..., ObjectiveFn]:
+def _refusing_unread(factory: Callable[..., ObjectiveFn]) -> Callable[..., ObjectiveFn]:
     def checked(**params) -> ObjectiveFn:
         objective = factory(**params)
         unread = sorted(set(params) - set(objective.params))
         if unread:
-            raise GeometryError(f"objective {name!r} reads no parameter {unread}; "
-                                f"it reads {sorted(objective.params)}")
+            raise GeometryError(f"objective {objective.name!r} reads no parameter "
+                                f"{unread}; it reads {sorted(objective.params)}")
         return objective
 
     return checked

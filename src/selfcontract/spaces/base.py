@@ -249,8 +249,8 @@ def polar_diameter(polar: Sequence[float], limit: float,
     if fold is not None:
         turn = t[:, None] + t
         excess = np.where(fold, np.fmin(turn, 2.0 * math.pi - turn) - limit, excess)
-    best = excess.max()
-    return float(best), *divmod(int(np.argmax(excess == best)), len(t))
+    k = int(np.argmax(excess))  # the first largest cell in row-major order
+    return float(excess.flat[k]), *divmod(k, len(t))
 
 
 def check_all_same_space(points: Iterable[Point]) -> Space:

@@ -67,9 +67,9 @@ def random_point_pairs(space, rng, n, scale=1.5):
         yield space.random_point(rng, scale), space.random_point(rng, scale)
 
 
-def decimal_atan2(y: float, x: float, digits: int = 50) -> Decimal:
-    """atan2 of two doubles to `digits` significant digits, with the
-    signed zeros of `math.atan2`: halve the angle with
+def decimal_atan2(y, x, digits: int = 50) -> Decimal:
+    """atan2 of two doubles (or Decimals) to `digits` significant digits,
+    with the signed zeros of `math.atan2`: halve the angle with
     atan u = 2 atan(u / (1 + sqrt(1 + u^2))) until |u| < 0.1, then sum the
     arctan series."""
     with localcontext() as ctx:

@@ -39,22 +39,27 @@ def _space_names(node) -> tuple:
     return tuple(sorted(n for n in names if n in SPACE_CLASSES))
 
 
-def _isinstance_sites(module: str) -> list[tuple]:
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
-    sites = []
-
+def _scoped_nodes(path: Path):
+    """Every AST node of a module file, in document order, with the names
+    of the definitions that enclose it (its own name included)."""
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
+        yield node, scope
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    return visit(ast.parse(path.read_text()), ())
+
+
+def _isinstance_sites(module: str) -> list[tuple]:
+    sites = []
+    for node, scope in _scoped_nodes(PACKAGE / f"{module}.py"):
         if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
                 and len(node.args) == 2):
             classes = _space_names(node.args[1])
             if classes:
                 sites.append((module, ".".join(scope[:2]), classes))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(tree, ())
     return sites
 
 
@@ -73,19 +78,12 @@ def test_one_bracketed_line_search():
     searches = ("golden_section", "_line_minima", "_pattern_refine")
     callers = {name: [] for name in searches}
     for path in sorted(PACKAGE.rglob("*.py")):
-
-        def visit(node, scope):
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                scope = scope + (node.name,)
+        for node, scope in _scoped_nodes(path):
             if isinstance(node, ast.Call):
                 for name in searches:
                     if name in (getattr(node.func, "id", None),
                                 getattr(node.func, "attr", None)):
                         callers[name].append((path.stem, ".".join(scope)))
-            for child in ast.iter_child_nodes(node):
-                visit(child, scope)
-
-        visit(ast.parse(path.read_text()), ())
     assert callers == {"golden_section": [("metric", "_golden_min")],
                        "_line_minima": [("proximal", "_piece_minima")],
                        "_pattern_refine": [("proximal", "_piece_minima")]}
@@ -95,19 +93,11 @@ def test_acos_angles_only_where_no_polar_frame():
     """The plane, H^2 and books take germ angles as differences of polar
     angles; `math.acos` of a cosine is left only in `euclidean:n >= 3` and
     in products."""
-    sites = []
-    for path in sorted((PACKAGE / "spaces").glob("*.py")):
-
-        def visit(node, scope):
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                scope = scope + (node.name,)
-            if (isinstance(node, ast.Attribute) and node.attr == "acos"
-                    and getattr(node.value, "id", None) == "math"):
-                sites.append((path.stem, ".".join(scope)))
-            for child in ast.iter_child_nodes(node):
-                visit(child, scope)
-
-        visit(ast.parse(path.read_text()), ())
+    sites = [(path.stem, ".".join(scope))
+             for path in sorted((PACKAGE / "spaces").glob("*.py"))
+             for node, scope in _scoped_nodes(path)
+             if isinstance(node, ast.Attribute) and node.attr == "acos"
+             and getattr(node.value, "id", None) == "math"]
     assert sites == [("euclidean", "EuclideanSpace._angle"),
                      ("product", "ProductSpace._angle")]
 

@@ -379,7 +379,9 @@ def test_plane_and_book_angles_within_four_ulps_of_pi(rng):
     ones included: the worst is 2.03 ulp(pi) at this seed, where the acos
     of a rounded cosine was 1.5e-8 off."""
     plane, book = sc.EuclideanSpace(2), sc.BookSpace(3)
-    cases = [(plane, None, ((-1.0, 0.0), (-1.0, -0.0)))]
+    # atan2 gives pi and -pi on the negative axis, and the angle is 0
+    cases = [(plane, None, ((-1.0, 0.0), (-1.0, -0.0))),
+             (book, (2, 0.1, 0.4), ((2, -1.0, 0.0), (2, -1.0, -0.0)))]
     for t, turn in _turns(rng, 1000):
         g1, g2 = (math.cos(t), math.sin(t)), (math.cos(t + turn), math.sin(t + turn))
         cases.append((plane, None, (g1, g2)))

@@ -402,9 +402,13 @@ def _germ_cases(space, rng):
         up = [(1, 0.0, 1.0), (2, 0.0, 1.0)]
         cases.append((spine, up + along))
         cases.append((spine, along[:1] + up + along[1:]))
-        # a cross-sheet pair near pi/2 from the sweep of a bending run
+        # a cross-sheet pair from a bending run's sweep: its turn must not
+        # depend on the order of the pair
         cases.append((spine, [(1, -0.030199081137974683, 0.9995439037373106),
                               (2, -0.038294307549995396, 0.9992665039964396)]))
+        # a spine ray and a germ in a sheet meet at the gap of their polar
+        # angles, which here differs from the turn in the last bits
+        cases.append((spine, [(0, -1.0, 0.0), (1, -0.41712332493858084, 0.9088498950828916)]))
         cases.append(((2, 0.1, 0.4), [(2, -1.0, 0.0), (2, -1.0, -0.0), (2, 0.6, 0.8)]))
     return cases
 
@@ -470,14 +474,6 @@ def test_germ_diameter_witness_is_first_by_excess():
     assert ang1 - limit == ang2 - limit
     assert plane._germ_diameter(None, germs, limit) == (ang1 - limit, 0, 1)
     assert Space._germ_diameter(plane, None, germs, limit) == (ang1 - limit, 0, 1)
-
-
-def test_polar_angle_is_zero_across_the_negative_axis():
-    """atan2 gives pi and -pi for the germs (-1, +0.0) and (-1, -0.0)."""
-    plane = sc.EuclideanSpace(2)
-    assert plane._angle(None, (-1.0, 0.0), (-1.0, -0.0)) == 0.0
-    book = sc.BookSpace(2)
-    assert book._angle((1, 0.2, 0.5), (1, -1.0, 0.0), (1, -1.0, -0.0)) == 0.0
 
 
 def scalar_angle_sweep(space, curve, limit=math.pi / 2.0):
