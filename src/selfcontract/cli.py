@@ -120,8 +120,6 @@ def _objective_params(space, options: dict[str, str]) -> dict:
         name = key[len("objective."):]
         if name in ("target", "other"):
             params[name] = parse_point_spec(space, value)
-        elif name == "leg":
-            params[name] = int(value)
         else:
             params[name] = float(value)
     return params

@@ -45,11 +45,9 @@ class NeighborhoodRegion:
 
     def contains_neighborhood(self, points: Sequence[Point], margin: float) -> bool:
         """Is the margin-neighborhood of `points` inside this region?"""
-        space = self.space
-        for p in points:
-            if min(space.distance(p, q) for q in self.points) > self.radius - margin + 1e-12:
-                return False
-        return True
+        space, centres = self.space, [q.data for q in self.points]
+        bound = self.radius - margin + 1e-12
+        return not any(min(space._dist_row(space.own(p), centres)) > bound for p in points)
 
 
 def _merge_length(intervals: list[tuple[float, float]]) -> float:

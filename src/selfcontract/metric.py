@@ -132,12 +132,10 @@ def curve_length(curve: Curve) -> float:
 def diameter(points: Sequence[Point]) -> float:
     pts = list(points)
     space = check_all_same_space(pts)
+    payloads = [p.data for p in pts]
     best = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = space.distance(pts[i], pts[j])
-            if d > best:
-                best = d
+    for i, a in enumerate(payloads):
+        best = max([best, *space._dist_row(a, payloads[i + 1:])])
     return best
 
 

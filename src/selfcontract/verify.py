@@ -12,7 +12,7 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +38,8 @@ class SamplingConfig:
                 f"max_exhaustive must be an integer >= 2, got {self.max_exhaustive!r}")
         if self.densify_levels < 0:
             raise GeometryError(f"densify_levels must be >= 0, got {self.densify_levels!r}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise GeometryError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise GeometryError(
                 f"tolerance must be finite and >= 0, got {self.tolerance!r}")
@@ -60,15 +62,7 @@ class ViolationReport:
         return self.max_violation <= self.tolerance
 
     def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "passed": self.passed,
-            "max_violation": self.max_violation,
-            "n_checked": self.n_checked,
-            "tolerance": self.tolerance,
-            "witness": self.witness,
-            "informational": self.informational,
-        }
+        return {**dataclasses.asdict(self), "passed": self.passed}
 
 
 def _effective_samples(curve: Curve, cfg: SamplingConfig
@@ -87,11 +81,13 @@ def _effective_samples(curve: Curve, cfg: SamplingConfig
     return [samples[i] for i in sorted(keep)]
 
 
-def _payloads(space: Space, samples: list[tuple[float, Point]]) -> list[tuple]:
-    """Raw sample payloads; a Curve's samples share one space, so owning
-    the first sample checks them all."""
+def _triangle(space: Space, samples: list[tuple[float, Point]]
+              ) -> tuple[list[tuple], Iterator[list[float]]]:
+    """Sample payloads, and rows[i] = d(i, i + 1), d(i, i + 2), ... built as
+    the caller reaches them; owning a Curve's first sample owns them all."""
     space.own(samples[0][1])
-    return [p.data for _, p in samples]
+    payloads = [p.data for _, p in samples]
+    return payloads, (space._dist_row(p, payloads[i + 1:]) for i, p in enumerate(payloads))
 
 
 def _running_min_violation(dists: Sequence[float]
@@ -116,9 +112,8 @@ def is_self_contracted(space: Space, curve: Curve,
     effective sample set (running-minimum reduction per t3).
     """
     samples = _effective_samples(curve, cfg)
-    payloads = _payloads(space, samples)
+    rows = list(_triangle(space, samples)[1])
     n = len(samples)
-    rows = [space._dist_row(p, payloads[i + 1:]) for i, p in enumerate(payloads)]
     worst = 0.0
     witness = None
     for k in range(1, n):
@@ -160,26 +155,26 @@ def tail_monotonicity(space: Space, curve: Curve, T: float,
 
 def stationarity_check(space: Space, curve: Curve,
                        cfg: SamplingConfig = DEFAULT_SAMPLING) -> ViolationReport:
-    """Revisiting a point forces the curve to have stayed there in between."""
+    """Revisiting a point forces the curve to have stayed there in between.
+
+    A revisit counts every sample in between but compares only those no
+    earlier revisit of the same point compared, which cannot win again."""
     samples = list(curve.samples)
-    n = len(samples)
     worst = 0.0
     witness = None
     n_checked = 0
-    for i in range(n):
-        ti, pi = samples[i]
-        for j in range(i + 2, n):
-            tj, pj = samples[j]
-            if space.distance(pi, pj) > space.tolerance:
+    for i, row in enumerate(_triangle(space, samples)[1]):
+        scanned = 0
+        for m in range(1, len(row)):
+            if row[m] > space.tolerance:
                 continue
-            for k in range(i + 1, j):
-                tk, pk = samples[k]
-                dev = space.distance(pi, pk)
-                n_checked += 1
-                if dev > worst:
-                    worst = dev
-                    witness = {"t1": ti, "t2": tk, "t3": tj,
-                               "deviation": dev}
+            n_checked += m
+            for k in range(scanned, m):
+                if row[k] > worst:
+                    worst = row[k]
+                    witness = {"t1": samples[i][0], "t2": samples[i + 1 + k][0],
+                               "t3": samples[i + 1 + m][0], "deviation": row[k]}
+            scanned = m
     return ViolationReport(
         check="stationarity", max_violation=worst, n_checked=max(n_checked, 1),
         tolerance=max(cfg.tolerance, space.tolerance), witness=witness,
@@ -235,12 +230,11 @@ def angle_estimate_sweep(space: Space, curve: Curve,
     so the witness is the one that loop would record.
     """
     samples = _effective_samples(curve, cfg)
-    payloads = _payloads(space, samples)
+    payloads, rows = _triangle(space, samples)
     worst = -math.inf
     witness = None
     n_checked = 0
-    for i, base in enumerate(payloads):
-        row = space._dist_row(base, payloads[i + 1:])
+    for i, (base, row) in enumerate(zip(payloads, rows)):
         later = [j for j, d in enumerate(row, start=i + 1) if d > space.tolerance]
         if not later:
             continue
@@ -266,7 +260,7 @@ def ball_confinement_check(space: Space, curve: Curve, x: Point, r: float,
     if r <= 0:
         raise GeometryError("radius must be positive")
     samples = list(curve.samples)
-    dists = [space.distance(x, p) for _, p in samples]
+    dists = space._dist_row(space.own(x), [space.own(p) for _, p in samples])
     visits = [i for i, d in enumerate(dists) if d <= r]
     between = range(visits[0] + 1, visits[-1]) if visits else range(0)
     worst = 0.0
@@ -291,13 +285,11 @@ def tail_halving_check(space: Space, curve: Curve,
     decrease arguments.
     """
     samples = _effective_samples(curve, cfg)
-    payloads = _payloads(space, samples)
     worst = 0.0
     witness = None
     n_checked = 0
-    for i, pi in enumerate(payloads):
+    for i, dists in enumerate(_triangle(space, samples)[1]):
         ti = samples[i][0]
-        dists = space._dist_row(pi, payloads[i + 1:])
         if not dists:
             continue
         suffix_min = list(dists)

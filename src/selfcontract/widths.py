@@ -97,13 +97,15 @@ def mean_width(space: Space, points: Sequence[Point], n_dirs: int = 4096,
         raise GeometryError("n_dirs must be >= 1")
     if not 0.0 <= inflate < math.inf:
         raise GeometryError("inflate must be finite and nonnegative")
-    if isinstance(space, EuclideanSpace):
-        if method == "auto":
-            method = "quadrature" if space.dim == 2 else "mc"
-        if method == "quadrature":
-            if space.dim != 2:
-                raise UnsupportedSpaceError("the exact width needs the plane")
-            return _plane_quadrature_width(pts, inflate)
+    if method not in ("auto", "quadrature", "mc"):
+        raise GeometryError(f"unknown width method {method!r}; use auto, quadrature or mc")
+    euclidean = isinstance(space, EuclideanSpace)
+    plane = euclidean and space.dim == 2
+    if method == "quadrature" and not plane:
+        raise UnsupportedSpaceError("the exact width needs the plane")
+    if plane and method != "mc":
+        return _plane_quadrature_width(pts, inflate)
+    if euclidean:
         rng = np.random.default_rng(seed)
         vecs = rng.normal(size=(n_dirs, space.dim))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)

@@ -356,3 +356,19 @@ def test_byte_determinism(workdir):
             workdir)
     assert r.returncode == 0, r.stderr
     assert (workdir / "v1.json").read_bytes() == v1
+
+
+def test_simulate_reads_objective_keys_as_numbers(tmp_path):
+    """Every `objective.*` key but a point is a number: `leg = 2` selects
+    leg 2, and `leg = 1.5` is refused as a leg the spider does not have."""
+    cfg = ("space = spider:3\nobjective = dist_to_leg_segment\nobjective.lo = 0.2\n"
+           "start = 1,1.0\nsteps = 2\nout = x\n")
+    (tmp_path / "two.cfg").write_text(cfg + "objective.leg = 2\n")
+    r = run(["simulate", "--config", "two.cfg"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    # the start lies on leg 1, 0.2 from leg 2's segment through the centre
+    assert json.loads((tmp_path / "x.log.json").read_text())["final_value"] == 0.2
+    (tmp_path / "half.cfg").write_text(cfg + "objective.leg = 1.5\n")
+    r = run(["simulate", "--config", "half.cfg"], tmp_path)
+    assert r.returncode == 2
+    assert "no leg 1.5 on spider:3" in r.stderr

@@ -102,6 +102,22 @@ def test_acos_angles_only_where_no_polar_frame():
                      ("product", "ProductSpace._angle")]
 
 
+def _distance_callers(module: str) -> set[str]:
+    return {".".join(scope) for node, scope in _scoped_nodes(PACKAGE / f"{module}.py")
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "distance"}
+
+
+def test_one_to_many_distances_read_rows():
+    """The verify checks, `diameter` and the region test take one
+    `_dist_row` per point; the scalar `distance` is left where a row would
+    start from the other point of each pair (`tail_monotonicity`) or where
+    there is no shared point (the EVI residual and run contraction)."""
+    assert _distance_callers("verify") == {"tail_monotonicity", "evi_residual",
+                                           "contraction_check"}
+    assert "diameter" not in _distance_callers("metric")
+    assert "NeighborhoodRegion.contains_neighborhood" not in _distance_callers("measures")
+
+
 def test_imports_run_one_way():
     """No import sits inside a function or class, the module-level imports
     inside the package form no cycle, and the bound audits in `widths`

@@ -27,6 +27,7 @@ from selfcontract.verify import (
     tail_halving_check,
     tail_monotonicity,
 )
+from selfcontract.measures import NeighborhoodRegion
 from selfcontract.widths import unrectifiable_witness
 
 
@@ -81,7 +82,7 @@ def test_long_curve_stratified_subsampling(plane):
 @pytest.mark.parametrize("field", [
     {"max_exhaustive": 1}, {"max_exhaustive": 0}, {"max_exhaustive": 400.0},
     {"max_exhaustive": True}, {"densify_levels": -1}, {"tolerance": -1e-12},
-    {"tolerance": math.nan}, {"tolerance": math.inf}])
+    {"tolerance": math.nan}, {"tolerance": math.inf}, {"seed": -1}, {"seed": 1.5}])
 def test_sampling_config_is_validated(field, plane):
     """A sampling config no check can run with is refused when it is made."""
     with pytest.raises(GeometryError, match=next(iter(field))):
@@ -124,6 +125,10 @@ def test_stationarity(plane):
     assert stationarity_check(plane, injective).passed
     constant = sc.make_curve([p0, p0, p0], times=[0.0, 1.0, 2.0])
     assert stationarity_check(plane, constant).passed
+    # a return at exactly the space's tolerance is a revisit
+    edge = sc.make_curve([p0, plane.point((1.0, 0.0)), plane.point((plane.tolerance, 0.0))])
+    assert stationarity_check(plane, edge).witness == {
+        "t1": 0.0, "t2": 1.0, "t3": 2.0, "deviation": 1.0}
 
 
 def test_reparam_preserves(plane):
@@ -539,7 +544,7 @@ def test_angle_sweep_budget_on_a_481_sample_plane_run():
 
 
 @pytest.mark.parametrize("check", [angle_estimate_sweep, is_self_contracted,
-                                   tail_halving_check])
+                                   tail_halving_check, stationarity_check])
 def test_payload_checks_own_the_curve(check, plane):
     """The checks work on raw payloads, but a curve from another space is
     still refused, and one from an equal space object is accepted."""
@@ -695,3 +700,138 @@ def test_sampled_checks_match_their_loops(space, rng):
             assert rep.to_json() == loop_tail_halving(space, curve).to_json()
             violated["tail_halving"] += not rep.passed
     assert all(violated.values()), violated
+
+
+def loop_stationarity(space, curve, tol=VIOLATION_TOL):
+    """stationarity_check as the cubic loop over every revisit (i, j) and
+    every k between them, through the public `distance`: the reference."""
+    samples = list(curve.samples)
+    n = len(samples)
+    worst, witness, n_checked = 0.0, None, 0
+    for i in range(n):
+        ti, pi = samples[i]
+        for j in range(i + 2, n):
+            tj, pj = samples[j]
+            if space.distance(pi, pj) > space.tolerance:
+                continue
+            for k in range(i + 1, j):
+                tk, pk = samples[k]
+                dev = space.distance(pi, pk)
+                n_checked += 1
+                if dev > worst:
+                    worst = dev
+                    witness = {"t1": ti, "t2": tk, "t3": tj, "deviation": dev}
+    return ViolationReport("stationarity", worst, max(n_checked, 1),
+                           max(tol, space.tolerance), witness)
+
+
+def loop_diameter(points):
+    """metric.diameter as the double loop over pairs: the reference."""
+    best = 0.0
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            d = points[0].space.distance(points[i], points[j])
+            if d > best:
+                best = d
+    return best
+
+
+def loop_contains_neighborhood(region, points, margin):
+    """NeighborhoodRegion.contains_neighborhood as a loop over the points,
+    each taking the minimum over the centres: the reference."""
+    for p in points:
+        if min(region.space.distance(p, q) for q in region.points) > region.radius - margin + 1e-12:
+            return False
+    return True
+
+
+def _bits(value):
+    """`value` with every float replaced by its float.hex, so that equal
+    means equal bit for bit (signed zeros included)."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return value
+
+
+ROW_SPACES = [sc.parse_space_spec(spec) for spec in (
+    "euclidean:1", "euclidean:2", "euclidean:3", "hyperbolic2", "spider:3", "book:2",
+    "book:3", "product:[euclidean:1|spider:3]")] + [sc.random_tree(5, 14, 5)]
+
+
+def _revisiting_curve(space, rng, mode):
+    """Random samples that come back: exact repeats of an earlier sample,
+    points within the space's tolerance of one, and runs that stay put."""
+    n = int(rng.integers(3, 13))
+    pts = [space.random_point(rng, 1.5) for _ in range(n)]
+    for _ in range(int(rng.integers(1, 4))):
+        i, j = sorted(int(v) for v in rng.choice(n, 2, replace=False))
+        kind = int(rng.integers(3))
+        if kind == 0:
+            pts[j] = pts[i]
+        elif kind == 1:
+            pts[j] = space.geodesic_point(pts[i], pts[(i + 1) % n], 1e-12)
+        else:
+            pts[i:j + 1] = [pts[i]] * (j - i + 1)
+    return sc.make_curve(pts, mode=mode)
+
+
+@pytest.mark.parametrize("space", ROW_SPACES, ids=lambda s: s.describe())
+def test_row_readers_match_their_loops_bit_for_bit(space, rng):
+    """stationarity_check, ball_confinement_check, diameter and
+    contains_neighborhood read distance rows, and agree with their scalar
+    loops bit for bit on 60 revisiting curves, half discrete and half
+    geodesic."""
+    seen = {"revisits": 0, "stationarity": 0, "ball": 0, "inside": 0, "outside": 0}
+    for trial in range(60):
+        curve = _revisiting_curve(space, rng, ("discrete", "geodesic")[trial % 2])
+        rep = stationarity_check(space, curve)
+        assert _bits(rep.to_json()) == _bits(loop_stationarity(space, curve).to_json())
+        seen["revisits"] += rep.n_checked > 1
+        seen["stationarity"] += not rep.passed
+        pts = curve.points
+        for x in (pts[0], pts[-1], space.random_point(rng, 1.0)):
+            for r in (0.05, 0.3, 1.0):
+                rep = ball_confinement_check(space, curve, x, r)
+                assert _bits(rep.to_json()) == _bits(
+                    loop_ball_confinement(space, curve, x, r).to_json())
+                seen["ball"] += not rep.passed
+        assert sc.diameter(pts).hex() == loop_diameter(pts).hex()
+        region = NeighborhoodRegion(tuple(pts[:3]), 1.0)
+        reach = max(min(space.distance(p, q) for q in region.points) for p in pts)
+        for margin in (0.0, 0.5, region.radius + 1e-12 - reach):
+            inside = region.contains_neighborhood(pts, margin)
+            assert inside == loop_contains_neighborhood(region, pts, margin)
+            seen["inside" if inside else "outside"] += 1
+    assert all(seen.values()), seen
+
+
+def test_row_readers_own_their_points(plane):
+    """The row readers work on payloads, but a point from another space is
+    still refused."""
+    curve, foreign = segment_curve(plane), sc.SpiderSpace(3).point((1, 0.5))
+    with pytest.raises(SpaceMismatchError):
+        ball_confinement_check(plane, curve, foreign, 1.0)
+    with pytest.raises(SpaceMismatchError):
+        ball_confinement_check(sc.SpiderSpace(3), curve, foreign, 1.0)
+    with pytest.raises(SpaceMismatchError):
+        NeighborhoodRegion(tuple(curve.points), 1.0).contains_neighborhood([foreign], 0.0)
+
+
+def test_stationarity_budget_on_a_701_sample_spider_run():
+    """A run that reaches its target at step 4 revisits it at every later
+    step, so 56 million (i, j, k) triples count; one distance row per
+    sample keeps the check quadratic."""
+    spider = sc.SpiderSpace(3)
+    f = make_objective(spider, "dist", target=spider.point((1, 1.0)))
+    curve = discrete_gradient_curve(f, spider, spider.point((2, 1.0)),
+                                    [0.5] * 700).discrete_curve()
+    assert len(curve) == 701
+    t0 = time.perf_counter()
+    rep = stationarity_check(spider, curve)
+    dt = time.perf_counter() - t0
+    assert rep.passed and rep.n_checked == 56_192_140
+    assert dt < 1.0, f"stationarity took {dt:.2f}s"

@@ -116,6 +116,19 @@ def test_mean_width_refuses_hostile_inflate(plane, spider3, method, bad):
         mean_width(spider3, [spider3.point((1, 0.5))], n_dirs=4, inflate=bad)
 
 
+def test_mean_width_refuses_unknown_methods(plane, spider3, book2):
+    """Only auto, quadrature and mc are methods, and quadrature needs the plane."""
+    pts = [plane.point((0.0, 0.0)), plane.point((1.0, 0.0))]
+    for space, where in ((plane, pts), (book2, [book2.point((1, 0.0, 0.5))])):
+        with pytest.raises(GeometryError, match="bogus"):
+            mean_width(space, where, n_dirs=4, method="bogus")
+    for space in (spider3, book2, sc.HyperbolicPlane(), sc.EuclideanSpace(3)):
+        with pytest.raises(UnsupportedSpaceError, match="plane"):
+            mean_width(space, [space.random_point(np.random.default_rng(0))], method="quadrature")
+    assert mean_width(book2, [book2.point((1, 0.0, 0.5))], n_dirs=4, method="mc").method \
+        == "mc_basepoints"
+
+
 def test_mean_width_ball_and_singleton(plane):
     for r in (0.5, 1.0, 2.0):
         rep = mean_width(plane, [plane.point((0.0, 0.0))], n_dirs=256, seed=3,
