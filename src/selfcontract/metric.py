@@ -76,7 +76,8 @@ class Curve:
         return samples[-1][1]
 
     def densified(self, levels: int = 3) -> "Curve":
-        """Insert geodesic midpoints `levels` times (geodesic mode only)."""
+        """Insert geodesic midpoints `levels` times (geodesic mode only).
+        The curve owns its samples, so the midpoints are taken on payloads."""
         if self.mode != GEODESIC or levels <= 0 or len(self.samples) < 2:
             return self
         space = self.space
@@ -84,8 +85,9 @@ class Curve:
         for _ in range(levels):
             out: list[tuple[float, Point]] = []
             for (t0, p0), (t1, p1) in zip(samples, samples[1:]):
+                mid = space._canonical(space._geodesic(p0.data, p1.data, 0.5))
                 out.append((t0, p0))
-                out.append((0.5 * (t0 + t1), space.geodesic_point(p0, p1, 0.5)))
+                out.append((0.5 * (t0 + t1), Point(space, mid)))
             out.append(samples[-1])
             samples = out
         return Curve(tuple(samples), mode=GEODESIC, domain_end=self.domain_end)

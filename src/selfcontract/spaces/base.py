@@ -87,7 +87,9 @@ class Space(ABC):
         ...
 
     def _dist_row(self, a: tuple, payloads: Sequence[tuple]) -> list[float]:
-        """[_dist(a, b) for b in payloads], bit for bit."""
+        """[_dist(a, b) for b in payloads].  Every concrete space overrides
+        this with a kernel that must agree with the loop bit for bit; the
+        loop is their oracle."""
         return [self._dist(a, b) for b in payloads]
 
     def _log_row(self, base: tuple, payloads: Sequence[tuple],
@@ -265,11 +267,16 @@ def check_all_same_space(points: Iterable[Point]) -> Space:
     return space
 
 
-def vec_norm(v: tuple) -> float:
+def sqrt_fsum(squares: Iterable[float]) -> float:
+    """The square root of the exactly rounded sum of the squares."""
     try:
-        return math.sqrt(math.fsum(x * x for x in v))
+        return math.sqrt(math.fsum(squares))
     except OverflowError:  # finite squares whose sum is not
         return math.inf
+
+
+def vec_norm(v: tuple) -> float:
+    return sqrt_fsum(x * x for x in v)
 
 
 def vec_sub(a: tuple, b: tuple) -> tuple:

@@ -53,6 +53,13 @@ class BookSpace(Space):
             return math.hypot(a[1] - b[1], a[2] - b[2])
         return math.hypot(a[1] - b[1], a[2] + b[2])
 
+    def _dist_row(self, a: tuple, payloads) -> list[float]:
+        s, x, y = a
+        if s == 0:
+            return [math.hypot(x - u, y - v) for _, u, v in payloads]
+        return [math.hypot(x - u, y - v if t == s or t == 0 else y + v)
+                for t, u, v in payloads]
+
     def _unfold(self, a: tuple, b: tuple) -> tuple[tuple, tuple, int, int]:
         """Planar coordinates of a and b with a in the upper half-plane.
 

@@ -6,8 +6,8 @@ import math
 import numpy as np
 
 from ..errors import GeometryError
-from .base import (Space, clamp_cos, polar_diameter, polar_gap, vec_dot, vec_norm,
-                   vec_scale, vec_sub)
+from .base import (Space, clamp_cos, polar_diameter, polar_gap, sqrt_fsum, vec_dot,
+                   vec_norm, vec_scale, vec_sub)
 
 
 class EuclideanSpace(Space):
@@ -32,9 +32,8 @@ class EuclideanSpace(Space):
         return tuple(float(x) for x in data)
 
     # In up to two coordinates the fsum in vec_norm and vec_dot is one
-    # rounded add, so a plain add, and elementwise numpy (no BLAS, no fused
-    # multiply-add), reproduce the scalar kernels bit for bit; more
-    # coordinates loop.
+    # rounded add, so a plain add reproduces the scalar kernels bit for bit.
+    # sqrt(dx * dx), not abs(dx), on the line: the square can underflow.
 
     def _dist(self, a: tuple, b: tuple) -> float:
         if self.dim == 2:
@@ -44,9 +43,22 @@ class EuclideanSpace(Space):
 
     def _dist_row(self, a: tuple, payloads) -> list[float]:
         if self.dim > 2:
-            return super()._dist_row(a, payloads)
-        sq = np.square(np.array(payloads, dtype=float).reshape(-1, self.dim) - a)
-        return np.sqrt(sq[:, 0] if self.dim == 1 else sq[:, 0] + sq[:, 1]).tolist()
+            # (b - a)^2 is (a - b)^2, and fsum rounds once in any order
+            with np.errstate(over="ignore"):
+                sq = np.square(np.array(payloads, dtype=float).reshape(-1, self.dim) - a)
+            return [sqrt_fsum(squares) for squares in sq.tolist()]
+        row = []
+        if self.dim == 1:
+            (x,) = a
+            for (u,) in payloads:
+                dx = x - u
+                row.append(math.sqrt(dx * dx))
+        else:
+            x, y = a
+            for u, v in payloads:
+                dx, dy = x - u, y - v
+                row.append(math.sqrt(dx * dx + dy * dy))
+        return row
 
     def _geodesic(self, a: tuple, b: tuple, s: float) -> tuple:
         return tuple((1.0 - s) * x + s * y for x, y in zip(a, b))

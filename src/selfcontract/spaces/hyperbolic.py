@@ -57,6 +57,15 @@ class HyperbolicPlane(Space):
             return 0.0
         return 2.0 * math.asinh(0.5 * math.sqrt(q))
 
+    def _dist_row(self, a: tuple, payloads) -> list[float]:
+        a0, a1, a2 = a
+        row = []
+        for b0, b1, b2 in payloads:
+            d0, d1, d2 = a0 - b0, a1 - b1, a2 - b2
+            q = d1 * d1 + d2 * d2 - d0 * d0
+            row.append(0.0 if q <= 0.0 else 2.0 * math.asinh(0.5 * math.sqrt(q)))
+        return row
+
     def _log(self, a: tuple, b: tuple) -> tuple[tuple, float]:
         d = self._dist(a, b)
         if d == 0.0:
@@ -71,10 +80,10 @@ class HyperbolicPlane(Space):
             return a
         if s == 1.0:
             return b
-        if self._dist(a, b) == 0.0:
+        d = self._dist(a, b)
+        if d == 0.0:
             return a
-        u, d = self._log(a, b)
-        return self.exp(a, u, s * d)
+        return self.exp(a, _germ(a, b, d), s * d)
 
     def _polars(self, base: tuple, germs) -> list[float]:
         """The germs' polar angles in the frame `tangent_basis(base)`, where

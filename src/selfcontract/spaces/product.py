@@ -37,6 +37,11 @@ class ProductSpace(Space):
     def _dist(self, a: tuple, b: tuple) -> float:
         return math.hypot(self.left._dist(a[0], b[0]), self.right._dist(a[1], b[1]))
 
+    def _dist_row(self, a: tuple, payloads) -> list[float]:
+        left = self.left._dist_row(a[0], [b[0] for b in payloads])
+        right = self.right._dist_row(a[1], [b[1] for b in payloads])
+        return [math.hypot(x, y) for x, y in zip(left, right)]
+
     def _geodesic(self, a: tuple, b: tuple, s: float) -> tuple:
         return (self.left._geodesic(a[0], b[0], s), self.right._geodesic(a[1], b[1], s))
 

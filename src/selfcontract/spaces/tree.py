@@ -179,6 +179,22 @@ class TreeSpace(Space):
             return abs(a[1] - b[1])
         return self._route(a, b)[0]
 
+    def _dist_row(self, a: tuple, payloads) -> list[float]:
+        # _route's four end-pair sums, in its order and association
+        e1, o1 = a
+        u1, v1, L1 = self.edges[e1]
+        ru, rv, r1 = self._row(u1), self._row(v1), L1 - o1
+        row = []
+        for e2, o2 in payloads:
+            if e2 == e1:
+                row.append(abs(o1 - o2))
+                continue
+            u2, v2, L2 = self.edges[e2]
+            r2 = L2 - o2
+            row.append(min(o1 + ru[u2] + o2, o1 + ru[v2] + r2,
+                           r1 + rv[u2] + o2, r1 + rv[v2] + r2))
+        return row
+
     def _geodesic(self, a: tuple, b: tuple, s: float) -> tuple:
         (e1, o1), (e2, o2) = a, b
         if e1 == e2:
@@ -309,6 +325,12 @@ class SpiderSpace(Space):
         if b[0] == 0:
             return a[1]
         return a[1] + b[1]
+
+    def _dist_row(self, a: tuple, payloads) -> list[float]:
+        leg, r = a
+        if leg == 0:
+            return [abs(r - u) if k == 0 else u for k, u in payloads]
+        return [abs(r - u) if k == leg else r if k == 0 else r + u for k, u in payloads]
 
     def _geodesic(self, a: tuple, b: tuple, s: float) -> tuple:
         if a[0] == b[0]:

@@ -290,11 +290,13 @@ def tail_halving_check(space: Space, curve: Curve,
     n_checked = 0
     for i, dists in enumerate(_triangle(space, samples)[1]):
         ti = samples[i][0]
-        if not dists:
-            continue
-        suffix_min = list(dists)
-        for j in range(len(dists) - 2, -1, -1):
-            suffix_min[j] = min(suffix_min[j], suffix_min[j + 1])
+        # min(d, low) keeps d unless low < d
+        suffix_min, low = list(dists), math.inf
+        for j in range(len(dists) - 1, -1, -1):
+            if low < suffix_min[j]:
+                suffix_min[j] = low
+            else:
+                low = suffix_min[j]
         for j, dT in enumerate(dists):
             n_checked += 1
             viol = dT / 2.0 - suffix_min[j]

@@ -2,6 +2,9 @@
 the remaining isinstance tests on space classes are pinned."""
 import ast
 import graphlib
+import importlib
+import inspect
+import pkgutil
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +119,20 @@ def test_one_to_many_distances_read_rows():
                                            "contraction_check"}
     assert "diameter" not in _distance_callers("metric")
     assert "NeighborhoodRegion.contains_neighborhood" not in _distance_callers("measures")
+
+
+def test_every_space_has_a_row_kernel():
+    """Each concrete space under `spaces/` defines its own `_dist_row`, so
+    none falls back to the base class's per-pair loop, which stays as the
+    oracle of the row tests."""
+    modules = [importlib.import_module(f"{spaces.__name__}.{info.name}")
+               for info in pkgutil.iter_modules(spaces.__path__)]
+    concrete = {cls.__name__: cls for module in modules for cls in vars(module).values()
+                if isinstance(cls, type) and issubclass(cls, sc.Space)
+                and cls.__module__ == module.__name__ and not inspect.isabstract(cls)}
+    assert set(concrete) == SPACE_CLASSES - {"Space"}
+    assert [name for name, cls in sorted(concrete.items())
+            if "_dist_row" not in vars(cls)] == []
 
 
 def test_imports_run_one_way():

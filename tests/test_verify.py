@@ -428,13 +428,53 @@ def test_germ_diameter_matches_the_base_loop(space, rng):
             assert (excess.hex(), a, b) == (ref[0].hex(), ref[1], ref[2])
 
 
+def _row_payloads(space, rng):
+    """20 random payloads and the ones where `_dist` branches or rounds
+    apart: tree vertex representatives and pairs on one edge, the spider
+    centre and one leg, both book spine rays and every sheet, coincident
+    and far H^2 points, overflowing and underflowing Euclidean squares,
+    and -0.0 coordinates."""
+    if isinstance(space, sc.ProductSpace):
+        left, right = _row_payloads(space.left, rng), _row_payloads(space.right, rng)
+        return (list(zip(left, right))
+                + [(p, right[-1]) for p in left[20:]] + [(left[-1], p) for p in right[20:]])
+    pts = [space.random_point(rng, 1.5).data for _ in range(20)]
+    if isinstance(space, sc.EuclideanSpace):
+        # in three coordinates, squares of 1e154 sum past the largest double
+        ext = [1e154, -1e154, 1e-200, -1e-200, 0.0, -0.0]
+        extremes = [(c,) * space.dim for c in ext]
+        extremes += [tuple(ext[(i + j) % 6] for j in range(space.dim)) for i in range(6)]
+        pts += [space.point(p).data for p in extremes]
+    if isinstance(space, sc.HyperbolicPlane):
+        e1, e2 = space._origin_basis
+        for r in (0.5, 2.0, 4.0, 6.0, 8.0):
+            theta = float(rng.uniform(-math.pi, math.pi))
+            pts.append(space.exp(space.origin(), tuple(
+                math.cos(theta) * x + math.sin(theta) * y for x, y in zip(e1, e2)), r))
+        pts += [space.point(1.0, -0.0, 0.0).data, space.origin(),
+                space._canonical(space._geodesic(pts[0], pts[1], 1e-12))]
+    if isinstance(space, sc.SpiderSpace):
+        pts += [(0, 0.0), (1, 0.25), (1, 0.75), (2, 1.0)]
+    if isinstance(space, sc.BookSpace):
+        pts += [space.point(p).data for p in ((0, 0.7, 0.0), (0, -1.2, 0.0), (0, -0.0, 0.0))]
+        pts += [(sheet, 0.3, 0.5) for sheet in range(1, space.k + 1)] + [(1, -0.0, 1.0)]
+    if isinstance(space, sc.TreeSpace):
+        pts += [space.point(rep).data for rep in space._vertex_rep]
+        pts += [(ei, f * length) for ei, (_, _, length) in enumerate(space.edges)
+                for f in (0.25, 0.75)]
+    return pts
+
+
 @pytest.mark.parametrize("space", KERNEL_SPACES, ids=lambda s: s.describe())
 def test_dist_row_matches_the_scalar_distance(space, rng):
-    pts = [space.random_point(rng, 1.5).data for _ in range(20)]
-    for a in pts[:5]:
+    """Every row kernel is the base class's `_dist` loop from its first
+    point, bit for bit, over all ordered pairs, each point with itself
+    included."""
+    pts = _row_payloads(space, rng)
+    for a in pts:
         row = space._dist_row(a, pts)
-        assert [d.hex() for d in row] == [space._dist(a, b).hex() for b in pts]
-        assert type(row[0]) is float
+        assert [d.hex() for d in row] == [d.hex() for d in Space._dist_row(space, a, pts)]
+        assert all(type(d) is float for d in row)
         assert space._dist_row(a, []) == []
 
 
@@ -745,6 +785,40 @@ def loop_contains_neighborhood(region, points, margin):
     return True
 
 
+def loop_densified(curve, levels=3):
+    """Curve.densified with each midpoint through the public
+    `geodesic_point`: the reference."""
+    if curve.mode != "geodesic" or levels <= 0 or len(curve.samples) < 2:
+        return curve
+    samples = list(curve.samples)
+    for _ in range(levels):
+        out = []
+        for (t0, p0), (t1, p1) in zip(samples, samples[1:]):
+            out += [(t0, p0), (0.5 * (t0 + t1), curve.space.geodesic_point(p0, p1, 0.5))]
+        samples = out + samples[-1:]
+    return sc.Curve(tuple(samples), mode="geodesic", domain_end=curve.domain_end)
+
+
+def loop_suffix_tail_halving(space, curve, tol=VIOLATION_TOL):
+    """tail_halving_check with its suffix minimum built by one `min()` per
+    element, on the `loop_densified` samples, through the public
+    `distance`: the reference."""
+    samples = _effective_samples(loop_densified(curve), SamplingConfig(densify_levels=0))
+    worst, witness, n_checked = 0.0, None, 0
+    for i, (ti, pi) in enumerate(samples):
+        dists = [space.distance(pi, p) for _, p in samples[i + 1:]]
+        suffix_min = list(dists)
+        for j in range(len(dists) - 2, -1, -1):
+            suffix_min[j] = min(suffix_min[j], suffix_min[j + 1])
+        for j, dT in enumerate(dists):
+            n_checked += 1
+            if dT / 2.0 - suffix_min[j] > worst:
+                worst = dT / 2.0 - suffix_min[j]
+                witness = {"tau": ti, "T": samples[i + 1 + j][0], "d_T_tau": dT,
+                           "min_later": suffix_min[j]}
+    return ViolationReport("tail_halving", worst, max(n_checked, 1), tol, witness)
+
+
 def _bits(value):
     """`value` with every float replaced by its float.hex, so that equal
     means equal bit for bit (signed zeros included)."""
@@ -781,17 +855,24 @@ def _revisiting_curve(space, rng, mode):
 
 @pytest.mark.parametrize("space", ROW_SPACES, ids=lambda s: s.describe())
 def test_row_readers_match_their_loops_bit_for_bit(space, rng):
-    """stationarity_check, ball_confinement_check, diameter and
-    contains_neighborhood read distance rows, and agree with their scalar
-    loops bit for bit on 60 revisiting curves, half discrete and half
+    """stationarity_check, tail_halving_check, ball_confinement_check,
+    diameter and contains_neighborhood read distance rows, and
+    Curve.densified takes payload midpoints; each agrees with its scalar
+    loop bit for bit on 60 revisiting curves, half discrete and half
     geodesic."""
-    seen = {"revisits": 0, "stationarity": 0, "ball": 0, "inside": 0, "outside": 0}
+    seen = {"revisits": 0, "stationarity": 0, "halving": 0, "ball": 0,
+            "inside": 0, "outside": 0}
     for trial in range(60):
         curve = _revisiting_curve(space, rng, ("discrete", "geodesic")[trial % 2])
+        assert (_bits([(t, p.data) for t, p in curve.densified().samples])
+                == _bits([(t, p.data) for t, p in loop_densified(curve).samples]))
         rep = stationarity_check(space, curve)
         assert _bits(rep.to_json()) == _bits(loop_stationarity(space, curve).to_json())
         seen["revisits"] += rep.n_checked > 1
         seen["stationarity"] += not rep.passed
+        rep = tail_halving_check(space, curve)
+        assert _bits(rep.to_json()) == _bits(loop_suffix_tail_halving(space, curve).to_json())
+        seen["halving"] += not rep.passed
         pts = curve.points
         for x in (pts[0], pts[-1], space.random_point(rng, 1.0)):
             for r in (0.05, 0.3, 1.0):
