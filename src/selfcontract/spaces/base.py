@@ -234,6 +234,15 @@ def polar_gap(t1: float, t2: float) -> float:
     return min(gap, 2.0 * math.pi - gap)
 
 
+def first_unlike(keys: Sequence, limit: float) -> tuple[float, int, int]:
+    """`Space._germ_diameter` where two germs meet at angle 0 if their keys
+    are equal and at pi otherwise: pi at the first germ unlike the first."""
+    for b, key in enumerate(keys):
+        if key != keys[0]:
+            return math.pi - limit, 0, b
+    return 0.0 - limit, 0, 0
+
+
 def polar_diameter(polar: Sequence[float], limit: float,
                    fold: np.ndarray | None = None) -> tuple[float, int, int]:
     """`Space._germ_diameter` from the germs' polar angles, where the angle

@@ -6,8 +6,8 @@ import math
 import numpy as np
 
 from ..errors import GeometryError
-from .base import (Space, clamp_cos, polar_diameter, polar_gap, sqrt_fsum, vec_dot,
-                   vec_norm, vec_scale, vec_sub)
+from .base import (Space, clamp_cos, first_unlike, polar_diameter, polar_gap, sqrt_fsum,
+                   vec_dot, vec_norm, vec_scale, vec_sub)
 
 
 class EuclideanSpace(Space):
@@ -90,6 +90,9 @@ class EuclideanSpace(Space):
     def _germ_diameter(self, base: tuple, germs, limit: float) -> tuple[float, int, int]:
         if self.dim > 2:
             return super()._germ_diameter(base, germs, limit)
+        if self.dim == 1:
+            # polar angles 0 and pi, as the sign of the germ, -0.0 included
+            return first_unlike([math.copysign(1.0, g[0]) for g in germs], limit)
         return polar_diameter([self._polar(g) for g in germs], limit)
 
     def _random_point(self, rng, scale: float = 1.0) -> tuple:

@@ -12,7 +12,7 @@ import math
 from typing import Sequence
 
 from ..errors import GeometryError
-from .base import Point, Space, integral_index
+from .base import Point, Space, first_unlike, integral_index
 
 
 def _uniform_on_segments(rng, lengths: Sequence[float], total: float) -> tuple[int, float]:
@@ -227,15 +227,36 @@ class TreeSpace(Space):
         ei, x = path[0] if path else (b[0], w2)
         return (ei, 1 if self.edges[ei][0] == x else -1), d
 
+    def _log_row(self, base: tuple, payloads, dists) -> list[tuple]:
+        # _route's four end-pair sums, in its order and association; the
+        # first least one names the ends w1 and w2 that _log reads
+        e1, o1 = base
+        u1, v1, L1 = self.edges[e1]
+        ru, rv, r1 = self._row(u1), self._row(v1), L1 - o1
+        germs = []
+        for e2, o2 in payloads:
+            if e2 == e1:
+                germs.append((e1, 1 if o2 > o1 else -1))
+                continue
+            u2, v2, L2 = self.edges[e2]
+            r2 = L2 - o2
+            sums = [o1 + ru[u2] + o2, o1 + ru[v2] + r2, r1 + rv[u2] + o2, r1 + rv[v2] + r2]
+            k = sums.index(min(sums))
+            w1, d1 = (u1, o1) if k < 2 else (v1, r1)
+            if d1 > 0:
+                germs.append((e1, 1 if w1 == v1 else -1))
+                continue
+            w2 = u2 if k % 2 == 0 else v2
+            path = self._edge_path(w1, w2)
+            ei, x = path[0] if path else (e2, w2)
+            germs.append((ei, 1 if self.edges[ei][0] == x else -1))
+        return germs
+
     def _angle(self, base: tuple, d1: tuple, d2: tuple) -> float:
         return 0.0 if d1 == d2 else math.pi
 
     def _germ_diameter(self, base: tuple, germs, limit: float) -> tuple[float, int, int]:
-        # angles are 0 or pi: pi at the first germ unlike germs[0], if any
-        for b, g in enumerate(germs):
-            if g != germs[0]:
-                return math.pi - limit, 0, b
-        return 0.0 - limit, 0, 0
+        return first_unlike(germs, limit)
 
     def segments(self) -> list[tuple[int, float, tuple, tuple]]:
         """(edge index, length, start vertex payload, end vertex payload) per edge."""
@@ -351,6 +372,12 @@ class SpiderSpace(Space):
         if a[0] == b[0] and b[1] > a[1]:
             return (a[0], 1), d
         return (a[0], -1), d
+
+    def _log_row(self, base: tuple, payloads, dists) -> list[tuple]:
+        leg, r = base
+        if leg == 0:
+            return [(k, 1) for k, _ in payloads]
+        return [(leg, 1 if k == leg and u > r else -1) for k, u in payloads]
 
     _angle = TreeSpace._angle
     _germ_diameter = TreeSpace._germ_diameter

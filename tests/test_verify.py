@@ -391,6 +391,14 @@ def _germ_cases(space, rng):
         if isinstance(space, (sc.EuclideanSpace, sc.HyperbolicPlane)):
             g = germs[0]
             cases.append((base, [g, tuple(-c for c in g)] + germs[1:]))
+    if isinstance(space, sc.EuclideanSpace) and space.dim == 1:
+        # _log rounds (b - a) / r to 1 or a neighbour of 1; -0.0 has polar
+        # angle pi, as atan2 gives it
+        below, above = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
+        near = [(below,), (1.0,), (above,), (below,)]
+        cases += [(None, near), (None, near + [(-below,), (-1.0,)]),
+                  (None, [(-below,), (-above,), (-1.0,)] + near),
+                  (None, [(0.0,), (-0.0,)]), (None, [(-0.0,), (-1.0,), (below,)])]
     if isinstance(space, sc.EuclideanSpace) and space.dim == 2:
         # atan2 gives pi and -pi on the negative axis: one germ, angle 0
         axis = [(-1.0, 0.0), (-1.0, -0.0), (1.0, 0.0), (1.0, -0.0), (0.0, 1.0)]
@@ -489,7 +497,9 @@ def _exact(value):
 @pytest.mark.parametrize("space", KERNEL_SPACES, ids=lambda s: s.describe())
 def test_log_row_matches_the_scalar_log(space, rng):
     """Every `_log_row` override is the scalar `_log` loop, bit for bit, at
-    random bases and at the book spine and tree vertex bases."""
+    random bases and at the book spine, tree vertex, spider centre and
+    spider leg bases, toward payloads on the base's own edge or leg, and on
+    products toward payloads of which one factor is the base's."""
     pts = [space.random_point(rng, 1.5).data for _ in range(20)]
     bases = pts[:5]
     if isinstance(space, sc.BookSpace):
@@ -498,6 +508,15 @@ def test_log_row_matches_the_scalar_log(space, rng):
     if isinstance(space, sc.TreeSpace):
         bases += [space.point(rep).data for rep in space._vertex_rep]
         pts += bases[5:]
+        pts += [(ei, f * length) for ei, (_, _, length) in enumerate(space.edges)
+                for f in (0.25, 0.75)]
+    if isinstance(space, sc.SpiderSpace):
+        bases += [(0, 0.0), (1, 0.25), (1, 0.75), (space.k, 1.0)]
+        pts += [(0, 0.0), (1, 0.25), (1, 0.5), (1, 0.75), (1, 1.0), (2, 0.25)]
+    if isinstance(space, sc.ProductSpace):
+        pts += [(base[0], p[1]) for base in bases for p in pts[5:10]]
+        pts += [(p[0], base[1]) for base in bases for p in pts[5:10]]
+        pts += [(base[0], (0, 0.0)) for base in bases]
     for base in bases:
         later = [b for b in pts if space._dist(base, b) > space.tolerance]
         row = space._log_row(base, later, space._dist_row(base, later))
