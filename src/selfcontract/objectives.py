@@ -18,11 +18,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import GeometryError, UnsupportedSpaceError
-from .metric import _golden_min
 from .spaces.base import Point, Space
 from .spaces.book import BookSpace
 from .spaces.euclidean import EuclideanSpace
-from .spaces.hyperbolic import HyperbolicPlane
+from .spaces.hyperbolic import HyperbolicPlane, mdot
 from .spaces.tree import SpiderSpace, TreeSpace
 
 QUASICONVEX = "quasiconvex"
@@ -124,15 +123,22 @@ def _midpoint_prox(space: Space, p: Point, q: Point) -> Callable[[Point, float],
 
 
 def _bisector_prox(space: Space, p: Point, q: Point,
-                   normal: Callable) -> Callable[[Point, float], Point]:
+                   bisector: Callable) -> Callable[[Point, float], Point]:
     """max_two_dists' prox on R^2 or H^2, whose composite is strongly convex.
 
     The dist prox toward p is the answer if it is at least as far from p as
     from q, and likewise with p and q swapped; otherwise the minimizer lies
-    on the perpendicular bisector, the geodesic line `normal(space, m, v)`
-    through the midpoint m normal to the unit germ v toward p, which maps a
-    signed distance t to a payload.  Along it |t| <= d(m,x) + sqrt(2 tau F(m)),
-    since F(z) <= F(m) bounds d(x,z)^2 / (2 tau).
+    on the perpendicular bisector.  `bisector(space, m, v, h, x, tau)` gives
+    the geodesic line through the midpoint m normal to the unit germ v
+    toward p, h = d(m, p), as a map from a signed distance t to a payload,
+    and along it the slope F'(t) of F = d(., p) + d(., x)^2/(2 tau), the foot
+    t_f of x, and reach(s), the |t| where the slope of d(., p) reaches s.
+
+    F is strictly convex, and its two terms are least at 0 and at t_f, so F'
+    rises through 0 between them.  There the other term's slope is smaller
+    in size than at 0, where it is F'(0), so the slope of d(., p) is below
+    |F'(0)|: the root lies within reach(|F'(0)|) of 0.  That bound keeps the
+    bisection short when h is tiny beside tau.
     """
     def prox(x: Point, tau: float) -> Point:
         for a, b in ((p, q), (q, p)):
@@ -140,46 +146,81 @@ def _bisector_prox(space: Space, p: Point, q: Point,
             if space._dist(z.data, a.data) >= space._dist(z.data, b.data):
                 return z
         m = space.geodesic_point(p, q, 0.5).data
-        if space._dist(m, p.data) == 0.0:
+        h = space._dist(m, p.data)
+        if h == 0.0:
             return z  # p and q a rounding error apart: no bisector to search
-        line = normal(space, m, space._log(m, p.data)[0])
-
-        def composite(t: float) -> float:
-            z = line(t)
-            d = space._dist(x.data, z)
-            return space._dist(z, p.data) + d * d / (2.0 * tau)
-
-        reach = space._dist(m, x.data) + math.sqrt(2.0 * tau * composite(0.0))
-        t, _ = _golden_min(composite, -reach, reach, 1e-13 * max(1.0, reach))
+        line, slope, foot, reach = bisector(space, m, space._log(m, p.data)[0], h,
+                                            x.data, tau)
+        g0 = slope(0.0)
+        if g0 == 0.0:
+            t = 0.0
+        else:
+            lo, hi = sorted((0.0, math.copysign(min(abs(foot), reach(abs(g0))), -g0)))
+            roots = _rising_root(slope, lo, hi)
+            # a bracket that rounding leaves empty: its end nearer the root
+            t = roots[0] if roots else lo if slope(lo) > 0.0 else hi
         return Point(space, space._canonical(line(t)))
 
     return prox
 
 
-def _plane_normal(space: EuclideanSpace, m: tuple, v: tuple) -> Callable[[float], tuple]:
-    return lambda t: (m[0] - t * v[1], m[1] + t * v[0])
+def _plane_bisector(space: EuclideanSpace, m: tuple, v: tuple, h: float, x: tuple,
+                    tau: float) -> tuple:
+    # n is the unit normal: |x - line(t)|^2 = |x - m|^2 - 2 t b + t^2, and
+    # d(line(t), p) = hypot(h, t), whose slope t / hypot(h, t) is s < 1 at
+    # t = h s / sqrt(1 - s^2)
+    n = (-v[1], v[0])
+    b = (x[0] - m[0]) * n[0] + (x[1] - m[1]) * n[1]
+    return (lambda t: (m[0] + t * n[0], m[1] + t * n[1]),
+            lambda t: t / math.hypot(h, t) + (t - b) / tau, b,
+            lambda s: h * s / math.sqrt((1.0 - s) * (1.0 + s)) if s < 1.0 else math.inf)
 
 
-def _hyperbolic_normal(space: HyperbolicPlane, m: tuple, v: tuple
-                       ) -> Callable[[float], tuple]:
-    # J(m x v) with J = diag(-1, 1, 1) is Minkowski-orthogonal to m and v,
-    # so it is the unit tangent at m normal to v
+def _hyperbolic_bisector(space: HyperbolicPlane, m: tuple, v: tuple, h: float, x: tuple,
+                         tau: float) -> tuple:
+    # J(m x v) with J = diag(-1, 1, 1) is Minkowski-orthogonal to m and v, so
+    # normalized it is the unit tangent at m normal to v; v is unit only to
+    # rounding (1e-12 when p lies far out), and line(t) must run at unit speed.
+    # Along line(t) = cosh(t) m + sinh(t) u, cosh d_p = cosh(t) cosh(h), whose
+    # slope is s at tanh(t) = s sinh(h) / sqrt(cosh(h)^2 - s^2).  With b =
+    # <u, x> and c = <v, x>, the foot of x lies at sinh(t_f) = b / R, where
+    # R = sqrt(1 + c^2) = cosh d(x, line), and cosh d_x = R cosh(t - t_f), so
+    # the slope of d_x^2/2 is d_x / sinh(d_x) times R sinh(t - t_f): no
+    # cancellation, as in -<m, x> sinh(t) - b cosh(t), far from m.
     u = (m[2] * v[1] - m[1] * v[2], m[2] * v[0] - m[0] * v[2], m[0] * v[1] - m[1] * v[0])
-    return lambda t: space.exp(m, u, t)
+    n = math.sqrt(mdot(u, u))
+    u = (u[0] / n, u[1] / n, u[2] / n)
+    r = math.hypot(1.0, mdot(v, x))
+    foot = math.asinh(mdot(u, x) / r)
+    ch, sh = math.cosh(h), math.sinh(h)
+
+    def slope(t: float) -> float:
+        st, ct = math.sinh(t), math.cosh(t)
+        dx = math.acosh(r * math.cosh(t - foot))
+        ratio = dx / math.sinh(dx) if dx > 0.0 else 1.0
+        # sinh^2 d_p = sinh^2 t + sinh^2 h cosh^2 t, a sum without cancellation
+        return (st * ch / math.sqrt(st * st + sh * sh * ct * ct)
+                + ratio * r * math.sinh(t - foot) / tau)
+
+    def reach(s: float) -> float:
+        q = s * sh / math.sqrt((ch - s) * (ch + s)) if s < 1.0 else 1.0
+        return math.atanh(q) if q < 1.0 else math.inf
+
+    return lambda t: space.exp(m, u, t), slope, foot, reach
 
 
 def _euclidean_max_two_prox(space: EuclideanSpace, p: Point, q: Point):
     if space.dim == 1:
         return _midpoint_prox(space, p, q)
     if space.dim == 2:
-        return _bisector_prox(space, p, q, _plane_normal)
+        return _bisector_prox(space, p, q, _plane_bisector)
     return None
 
 
 # space type -> rule(space, p, q) giving max_two_dists' exact prox, or None
 _MAX_TWO_DISTS_PROX = {
     EuclideanSpace: _euclidean_max_two_prox,
-    HyperbolicPlane: partial(_bisector_prox, normal=_hyperbolic_normal),
+    HyperbolicPlane: partial(_bisector_prox, bisector=_hyperbolic_bisector),
     SpiderSpace: _midpoint_prox,
     TreeSpace: _midpoint_prox,
 }

@@ -75,10 +75,14 @@ def test_space_dispatch_sites_are_pinned():
 
 def test_one_bracketed_line_search():
     """`metric.golden_section` is the one bracketed line search, and
-    `metric._golden_min` its one caller; the numeric resolvent has one
-    search per dimension, `_line_minima` and `_pattern_refine`, both called
-    only from its per-piece search."""
-    searches = ("golden_section", "_line_minima", "_pattern_refine")
+    `metric._golden_min` its one caller, itself called only from the numeric
+    resolvent's `_line_minima`; the resolvent has one search per dimension,
+    `_line_minima` and `_pattern_refine`, both called only from its
+    per-piece search.  The exact proxes and candidate sets find roots of a
+    slope with `objectives._rising_root`: the line's candidate sets and the
+    bisector prox of the plane and H^2."""
+    searches = ("golden_section", "_golden_min", "_line_minima", "_pattern_refine",
+                "_rising_root")
     callers = {name: [] for name in searches}
     for path in sorted(PACKAGE.rglob("*.py")):
         for node, scope in _scoped_nodes(path):
@@ -88,8 +92,12 @@ def test_one_bracketed_line_search():
                                 getattr(node.func, "attr", None)):
                         callers[name].append((path.stem, ".".join(scope)))
     assert callers == {"golden_section": [("metric", "_golden_min")],
+                       "_golden_min": [("proximal", "_line_minima")],
                        "_line_minima": [("proximal", "_piece_minima")],
-                       "_pattern_refine": [("proximal", "_piece_minima")]}
+                       "_pattern_refine": [("proximal", "_piece_minima")],
+                       "_rising_root": [("objectives", "_bisector_prox.prox"),
+                                        ("objectives", "_sqrt_abs_candidates"),
+                                        ("objectives", "_ripple_vee_candidates")]}
 
 
 def test_acos_angles_only_where_no_polar_frame():
@@ -121,18 +129,30 @@ def test_one_to_many_distances_read_rows():
     assert "NeighborhoodRegion.contains_neighborhood" not in _distance_callers("measures")
 
 
+def _concrete_spaces() -> dict[str, type]:
+    modules = [importlib.import_module(f"{spaces.__name__}.{info.name}")
+               for info in pkgutil.iter_modules(spaces.__path__)]
+    return {cls.__name__: cls for module in modules for cls in vars(module).values()
+            if isinstance(cls, type) and issubclass(cls, sc.Space)
+            and cls.__module__ == module.__name__ and not inspect.isabstract(cls)}
+
+
 def test_every_space_has_a_row_kernel():
     """Each concrete space under `spaces/` defines its own `_dist_row`, so
     none falls back to the base class's per-pair loop, which stays as the
     oracle of the row tests."""
-    modules = [importlib.import_module(f"{spaces.__name__}.{info.name}")
-               for info in pkgutil.iter_modules(spaces.__path__)]
-    concrete = {cls.__name__: cls for module in modules for cls in vars(module).values()
-                if isinstance(cls, type) and issubclass(cls, sc.Space)
-                and cls.__module__ == module.__name__ and not inspect.isabstract(cls)}
+    concrete = _concrete_spaces()
     assert set(concrete) == SPACE_CLASSES - {"Space"}
     assert [name for name, cls in sorted(concrete.items())
             if "_dist_row" not in vars(cls)] == []
+
+
+def test_every_space_has_a_germ_row_kernel():
+    """Each concrete space defines its own `_log_row`, so the angle sweep
+    never falls back to the base class's loop of `_log`, which computes
+    again the distance that the row already holds."""
+    assert [name for name, cls in sorted(_concrete_spaces().items())
+            if "_log_row" not in vars(cls)] == []
 
 
 def test_imports_run_one_way():
