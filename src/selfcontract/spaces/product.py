@@ -53,14 +53,6 @@ class ProductSpace(Space):
         germ_r = self.right._log(a[1], b[1])[0] if dr > 0 else None
         return ((germ_l, dl / d), (germ_r, dr / d)), d
 
-    def _log_row(self, base: tuple, payloads, dists) -> list[tuple]:
-        lefts, rights = [b[0] for b in payloads], [b[1] for b in payloads]
-        dl = self.left._dist_row(base[0], lefts)
-        dr = self.right._dist_row(base[1], rights)
-        gl = _moved_germs(self.left, base[0], lefts, dl)
-        gr = _moved_germs(self.right, base[1], rights, dr)
-        return [((a, x / d), (b, y / d)) for a, x, b, y, d in zip(gl, dl, gr, dr, dists)]
-
     def _angle(self, base: tuple, d1: tuple, d2: tuple) -> float:
         (g1l, w1l), (g1r, w1r) = d1
         (g2l, w2l), (g2r, w2r) = d2
@@ -84,13 +76,3 @@ class ProductSpace(Space):
 
     def _point_json(self, data: tuple) -> list:
         return [self.left._point_json(data[0]), self.right._point_json(data[1])]
-
-
-def _moved_germs(space: Space, base: tuple, payloads: list, dists: list) -> list:
-    """A factor's `_log_row`, with None at the payloads at distance 0."""
-    moved = [i for i, d in enumerate(dists) if d > 0]
-    germs = [None] * len(payloads)
-    for i, g in zip(moved, space._log_row(base, [payloads[i] for i in moved],
-                                          [dists[i] for i in moved])):
-        germs[i] = g
-    return germs

@@ -498,8 +498,7 @@ def _exact(value):
 def test_log_row_matches_the_scalar_log(space, rng):
     """Every `_log_row` override is the scalar `_log` loop, bit for bit, at
     random bases and at the book spine, tree vertex, spider centre and
-    spider leg bases, toward payloads on the base's own edge or leg, and on
-    products toward payloads of which one factor is the base's."""
+    spider leg bases, toward payloads on the base's own edge or leg."""
     pts = [space.random_point(rng, 1.5).data for _ in range(20)]
     bases = pts[:5]
     if isinstance(space, sc.BookSpace):
@@ -513,10 +512,6 @@ def test_log_row_matches_the_scalar_log(space, rng):
     if isinstance(space, sc.SpiderSpace):
         bases += [(0, 0.0), (1, 0.25), (1, 0.75), (space.k, 1.0)]
         pts += [(0, 0.0), (1, 0.25), (1, 0.5), (1, 0.75), (1, 1.0), (2, 0.25)]
-    if isinstance(space, sc.ProductSpace):
-        pts += [(base[0], p[1]) for base in bases for p in pts[5:10]]
-        pts += [(p[0], base[1]) for base in bases for p in pts[5:10]]
-        pts += [(base[0], (0, 0.0)) for base in bases]
     for base in bases:
         later = [b for b in pts if space._dist(base, b) > space.tolerance]
         row = space._log_row(base, later, space._dist_row(base, later))
