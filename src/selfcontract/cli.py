@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GeometryError, SolverError, UnsupportedSpaceError
+from .errors import GeometryError, SolverError
 from .metric import curve_length, diameter
 from .objectives import make_objective
 from .proximal import discrete_gradient_curve
@@ -128,7 +128,7 @@ def _objective_params(space, options: dict[str, str]) -> dict:
 def _read_curve(path: str):
     try:
         return curve_from_json(json.loads(Path(path).read_text()))
-    except (OSError, json.JSONDecodeError, GeometryError, KeyError, TypeError) as e:
+    except (OSError, ValueError, OverflowError, GeometryError, KeyError, TypeError) as e:
         raise GeometryError(f"cannot read curve file: {e}") from None
 
 
@@ -141,7 +141,7 @@ def cmd_simulate(args) -> int:
         space = parse_space_spec(options["space"])
         params = _objective_params(space, options)
         objective = make_objective(space, options["objective"], **params)
-    except (GeometryError, UnsupportedSpaceError, FileNotFoundError, ValueError) as e:
+    except ValueError as e:
         return _fail(str(e))
     seed = options.get("seed", 0)
     steps = options.get("steps", 8)
@@ -269,11 +269,7 @@ def cmd_report(args) -> int:
     growth_rows: list[dict] = []
     for path in paths:
         try:
-            text = path.read_text()
-        except OSError as e:
-            return _fail(str(e))
-        try:
-            for row in parse_csv_rows(text):
+            for row in parse_csv_rows(path.read_text()):
                 if "family" in row:
                     growth_rows.append({"family": row["family"], "k": int(row["k"]),
                                         "ratio": float(row["ratio"])})
@@ -366,7 +362,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.fn(args)
-    except (GeometryError, UnsupportedSpaceError, SolverError) as e:
+    except (GeometryError, SolverError, OSError) as e:
         return _fail(str(e))
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .errors import GeometryError, UnsupportedSpaceError
 from .spaces.base import Direction, Point, Space, clamp_cos
-from .spaces.book import BookSpace
+from .spaces.book import BookSpace, spine_germ
 from .spaces.euclidean import EuclideanSpace
 from .spaces.hyperbolic import HyperbolicPlane
 from .spaces.product import ProductSpace
@@ -188,13 +188,8 @@ def _book_barycenter(space: BookSpace, base, payloads, rs) -> ConePoint:
     t = max(val, 0.0)
     if t <= 1e-14:
         return ConePoint(None, 0.0)
-    if alpha <= 1e-12:
-        payload = (0, 1.0, 0.0)
-    elif alpha >= math.pi - 1e-12:
-        payload = (0, -1.0, 0.0)
-    else:
-        payload = (sheet, math.cos(alpha), math.sin(alpha))
-    return ConePoint(Direction(space, base, payload), t)
+    germ = spine_germ(sheet, math.cos(alpha), math.sin(alpha))
+    return ConePoint(Direction(space, base, germ), t)
 
 
 # space type -> barycenter(space, base, payloads, radii)

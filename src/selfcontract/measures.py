@@ -82,16 +82,6 @@ def _tree_h1(space: TreeSpace | SpiderSpace, payloads: list[tuple],
     return math.fsum(per_edge)
 
 
-def _book_sheet_disks(space: BookSpace, payloads: list[tuple],
-                      radius: float, sheet: int) -> list[tuple[float, float, float]]:
-    disks = []
-    for p in payloads:
-        i, a, b = p
-        center_b = b if (i == sheet or i == 0) else -b
-        disks.append((a, center_b, radius))
-    return disks
-
-
 def _disk_union_halfplane_area(disks: list[tuple[float, float, float]],
                                clip: bool = True) -> float:
     """Area of a union of disks, optionally clipped to the half-plane b >= 0.
@@ -141,7 +131,8 @@ def _disk_union_halfplane_area(disks: list[tuple[float, float, float]],
 
 def _book_h2(space: BookSpace, payloads: list[tuple], radius: float) -> float:
     return math.fsum(
-        _disk_union_halfplane_area(_book_sheet_disks(space, payloads, radius, sheet))
+        _disk_union_halfplane_area([(a, b if (i == sheet or i == 0) else -b, radius)
+                                    for i, a, b in payloads])
         for sheet in range(1, space.k + 1)
     )
 
@@ -224,19 +215,12 @@ def estimate_condition_constants(space: Space, region: NeighborhoodRegion,
     if dimension == 1:  # trees and spiders
         eps = 1.0 / 6.0
         if isinstance(space, TreeSpace):
-            leaves = space.leaf_vertices()
-            notes = []
-            if leaves:
-                names = ",".join(space.vertex_names[w] for w in leaves)
-                notes.append(
-                    f"volume-ratio condition fails at boundary (leaf) vertices: {names}; "
-                    "constants assume geodesics extend past them"
-                )
+            names = ",".join(space.vertex_names[w] for w in space.leaf_vertices())
+            notes = [f"volume-ratio condition fails at boundary (leaf) vertices: {names}; "
+                     "constants assume geodesics extend past them"]
         else:
-            notes = [
-                "volume-ratio condition fails at leg tips; constants assume "
-                "geodesics extend past them"
-            ]
+            notes = ["volume-ratio condition fails at leg tips; constants assume "
+                     "geodesics extend past them"]
         return RadiusConstants(
             n=1, theta=math.acos(1.0 / 2.0), theta_improved=None,
             eps=eps, m=1, eps_bold=eps,

@@ -292,14 +292,6 @@ def _check_inputs(objective: ObjectiveFn, space: Space, x: Point, tau: float):
         raise GeometryError("base point outside the objective domain")
 
 
-def _exact(objective: ObjectiveFn, space: Space, x: Point, tau: float
-           ) -> tuple[Point, float]:
-    """The objective's closed-form prox and its composite value."""
-    z = objective.prox(x, tau)
-    d = space.distance(x, z)
-    return z, objective(z) + d * d / (2.0 * tau)
-
-
 def moreau_yosida(objective: ObjectiveFn, space: Space, x: Point, tau: float) -> float:
     """inf_z f(z) + d(x,z)^2/(2 tau); -inf when divergence is detected."""
     return resolvent(objective, space, x, tau).value
@@ -320,8 +312,9 @@ def resolvent(objective: ObjectiveFn, space: Space, x: Point, tau: float
     if (objective.decay_order or 0.0) > 2.0:
         return ResolventResult((), -math.inf, UNBOUNDED)
     if objective.prox is not None:
-        z, value = _exact(objective, space, x, tau)
-        return ResolventResult((z,), value, UNIQUE)
+        z = objective.prox(x, tau)
+        d = space.distance(x, z)
+        return ResolventResult((z,), objective(z) + d * d / (2.0 * tau), UNIQUE)
     if objective.candidates is None:
         status, cands, evals = _solve(objective, space, x, tau)
     else:

@@ -29,18 +29,17 @@ __all__ = [
 
 def space_from_json(obj: dict) -> Space:
     kind = obj.get("kind")
-    tol = float(obj.get("tolerance", 1e-9))
+    tol = obj.get("tolerance", 1e-9)
     if kind == "euclidean":
-        return EuclideanSpace(int(obj["dim"]), tolerance=tol)
+        return EuclideanSpace(obj["dim"], tolerance=tol)
     if kind == "hyperbolic2":
         return HyperbolicPlane(tolerance=tol)
     if kind == "spider":
-        return SpiderSpace(int(obj["k"]), obj.get("leg_lengths", 1.0), tolerance=tol)
+        return SpiderSpace(obj["k"], obj.get("leg_lengths", 1.0), tolerance=tol)
     if kind == "book":
-        return BookSpace(int(obj["k"]), tolerance=tol)
+        return BookSpace(obj["k"], tolerance=tol)
     if kind == "tree":
-        edges = [(u, v, float(length)) for u, v, length in obj["edges"]]
-        return TreeSpace(obj["vertices"], edges, tolerance=tol)
+        return TreeSpace(obj["vertices"], obj["edges"], tolerance=tol)
     if kind == "product":
         return ProductSpace(
             space_from_json(obj["left"]), space_from_json(obj["right"]), tolerance=tol

@@ -52,9 +52,9 @@ class Space(ABC):
     kind: str = "abstract"
 
     def __init__(self, tolerance: float = DEFAULT_TOLERANCE):
-        if tolerance <= 0:
-            raise GeometryError("tolerance must be positive")
         self.tolerance = float(tolerance)
+        if not 0.0 < self.tolerance < math.inf:
+            raise GeometryError("tolerance must be positive and finite")
 
     # -- payload-level interface ------------------------------------------
 

@@ -20,9 +20,9 @@ class BookSpace(Space):
 
     def __init__(self, k: int, tolerance: float = 1e-9):
         super().__init__(tolerance)
-        if k < 2:
+        self.k = integral_index(k)
+        if self.k < 2:
             raise GeometryError("a book needs k >= 2 sheets")
-        self.k = int(k)
 
     def describe(self) -> str:
         return f"book:{self.k}"
@@ -49,16 +49,14 @@ class BookSpace(Space):
         return (sheet, a, b)
 
     def _dist(self, a: tuple, b: tuple) -> float:
-        if a[0] == b[0] or a[0] == 0 or b[0] == 0:
+        # a spine b2 is 0.0, so a2 + b2 is a2 - b2 up to a sign hypot ignores
+        if a[0] == b[0]:
             return math.hypot(a[1] - b[1], a[2] - b[2])
         return math.hypot(a[1] - b[1], a[2] + b[2])
 
     def _dist_row(self, a: tuple, payloads) -> list[float]:
         s, x, y = a
-        if s == 0:
-            return [math.hypot(x - u, y - v) for _, u, v in payloads]
-        return [math.hypot(x - u, y - v if t == s or t == 0 else y + v)
-                for t, u, v in payloads]
+        return [math.hypot(x - u, y - v if t == s else y + v) for t, u, v in payloads]
 
     def _unfold(self, a: tuple, b: tuple) -> tuple[tuple, tuple, int, int]:
         """Planar coordinates of a and b with a in the upper half-plane.
@@ -91,16 +89,16 @@ class BookSpace(Space):
         if a[0] != 0:
             # interior basepoint: germ lives in a's sheet with its own sign of b
             return (a[0], ux, uy), r
-        return _spine_germ(up if uy > 0 else down, ux, uy), r
+        return spine_germ(up if uy > 0 else down, ux, uy), r
 
     def _log_row(self, base: tuple, payloads, dists) -> list[tuple]:
         # _log with r from the row; _dist's hypot is _log's, up to signs
         s0, a1, a2 = base
         if s0 == 0:
-            return [_spine_germ(b[0], (b[1] - a1) / r, (b[2] - a2) / r)
+            return [spine_germ(b[0], (b[1] - a1) / r, (b[2] - a2) / r)
                     for b, r in zip(payloads, dists)]
-        # _unfold reflects b below the spine when it is in another sheet
-        return [(s0, (b[1] - a1) / r, ((b[2] if b[0] in (s0, 0) else -b[2]) - a2) / r)
+        # _unfold reflects b below the spine in another sheet (-0.0 - a2 is 0.0 - a2)
+        return [(s0, (b[1] - a1) / r, ((b[2] if b[0] == s0 else -b[2]) - a2) / r)
                 for b, r in zip(payloads, dists)]
 
     # A germ's polar angle atan2(y, x) is taken in the base's sheet, with
@@ -134,9 +132,7 @@ class BookSpace(Space):
             return (base[0], math.cos(theta), math.sin(theta))
         sheet = int(rng.integers(1, self.k + 1))
         theta = float(rng.uniform(0.0, math.pi))
-        if theta <= 1e-12 or theta >= math.pi - 1e-12:
-            return (0, 1.0 if theta <= 1e-12 else -1.0, 0.0)
-        return (sheet, math.cos(theta), math.sin(theta))
+        return spine_germ(sheet, math.cos(theta), math.sin(theta))
 
     def _to_json(self) -> dict:
         return {"kind": self.kind, "k": self.k, "tolerance": self.tolerance}
@@ -145,7 +141,7 @@ class BookSpace(Space):
         return [int(data[0]), float(data[1]), float(data[2])]
 
 
-def _spine_germ(sheet: int, ux: float, uy: float) -> tuple:
+def spine_germ(sheet: int, ux: float, uy: float) -> tuple:
     """The germ at a spine point with unfolded unit tangent (ux, uy): along
     the spine, or into `sheet`."""
     if abs(uy) <= 1e-15:

@@ -6,8 +6,8 @@ import math
 import numpy as np
 
 from ..errors import GeometryError
-from .base import (Space, clamp_cos, first_unlike, polar_diameter, polar_gap, sqrt_fsum,
-                   vec_dot, vec_norm, vec_scale, vec_sub)
+from .base import (Space, clamp_cos, first_unlike, integral_index, polar_diameter, polar_gap,
+                   sqrt_fsum, vec_dot, vec_norm, vec_scale, vec_sub)
 
 
 class EuclideanSpace(Space):
@@ -15,9 +15,9 @@ class EuclideanSpace(Space):
 
     def __init__(self, dim: int, tolerance: float = 1e-9):
         super().__init__(tolerance)
-        if dim < 1:
+        self.dim = integral_index(dim)
+        if self.dim < 1:
             raise GeometryError("dimension must be >= 1")
-        self.dim = int(dim)
 
     def describe(self) -> str:
         return f"euclidean:{self.dim}"

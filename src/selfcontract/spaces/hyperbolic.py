@@ -27,9 +27,6 @@ def _germ(a: tuple, b: tuple, d: float) -> tuple:
 class HyperbolicPlane(Space):
     kind = "hyperbolic2"
 
-    def describe(self) -> str:
-        return "hyperbolic2"
-
     def _check(self, data: tuple) -> None:
         if len(data) != 3:
             raise GeometryError("hyperboloid points have 3 coordinates")

@@ -302,9 +302,9 @@ class SpiderSpace(Space):
     def __init__(self, k: int, leg_lengths: Sequence[float] | float = 1.0,
                  tolerance: float = 1e-9):
         super().__init__(tolerance)
-        if k < 2:
+        self.k = integral_index(k)
+        if self.k < 2:
             raise GeometryError("a spider needs k >= 2 legs")
-        self.k = int(k)
         if isinstance(leg_lengths, (int, float)):
             lengths = [float(leg_lengths)] * self.k
         else:
@@ -341,27 +341,18 @@ class SpiderSpace(Space):
     def _dist(self, a: tuple, b: tuple) -> float:
         if a[0] == b[0]:
             return abs(a[1] - b[1])
-        if a[0] == 0:
-            return b[1]
-        if b[0] == 0:
-            return a[1]
-        return a[1] + b[1]
+        return a[1] + b[1]  # the centre is offset 0.0 on every leg
 
     def _dist_row(self, a: tuple, payloads) -> list[float]:
         leg, r = a
-        if leg == 0:
-            return [abs(r - u) if k == 0 else u for k, u in payloads]
-        return [abs(r - u) if k == leg else r if k == 0 else r + u for k, u in payloads]
+        return [abs(r - u) if k == leg else r + u for k, u in payloads]
 
     def _geodesic(self, a: tuple, b: tuple, s: float) -> tuple:
         if a[0] == b[0]:
             return (a[0], a[1] + (b[1] - a[1]) * s)
         arc = s * self._dist(a, b)
-        if b[0] == 0:
-            return (a[0], a[1] - arc)
-        if a[0] == 0:
-            return (b[0], arc)
-        if arc <= a[1]:
+        # a zero step from the centre still leaves it along b's leg
+        if arc <= a[1] and a[0] != 0:
             return (a[0], a[1] - arc)
         return (b[0], arc - a[1])
 

@@ -65,12 +65,6 @@ class WidthReport:
     method: str
 
 
-def _euclidean_width_samples(arr: np.ndarray, dirs: np.ndarray,
-                             inflate: float) -> np.ndarray:
-    dots = dirs @ arr.T
-    return dots.max(axis=1) - dots.min(axis=1) + 2.0 * inflate
-
-
 def _sampled_width(widths: np.ndarray, seed: int, method: str) -> WidthReport:
     """Monte Carlo mean of sampled widths, with its standard error."""
     n = len(widths)
@@ -109,8 +103,8 @@ def mean_width(space: Space, points: Sequence[Point], n_dirs: int = 4096,
         rng = np.random.default_rng(seed)
         vecs = rng.normal(size=(n_dirs, space.dim))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        arr = np.array([p.data for p in pts], dtype=float)
-        return _sampled_width(_euclidean_width_samples(arr, vecs, inflate), seed, "mc")
+        dots = vecs @ np.array([p.data for p in pts], dtype=float).T
+        return _sampled_width(dots.max(axis=1) - dots.min(axis=1) + 2.0 * inflate, seed, "mc")
     region = NeighborhoodRegion(tuple(pts), 1.0)
     rng = np.random.default_rng(seed)
     samples = []

@@ -101,6 +101,10 @@ def test_verify_pass_and_exit_codes(workdir):
     r = run(["verify", "missing.json"], workdir)
     assert r.returncode == 2
 
+    (workdir / "latin1.json").write_bytes(b"\xff\xfe")
+    r = run(["verify", "latin1.json"], workdir)
+    assert r.returncode == 2 and "Traceback" not in r.stderr, r.stderr
+
 
 @pytest.mark.parametrize("space, line", [
     ("spider:3", "start = 2,abc"),
@@ -163,9 +167,18 @@ NAN = float("nan")
                [[1, 0.5], [2, 0.5]]),
     _curve_doc(LINE, [[0.0], 0.5]),
     _curve_doc(LINE, [[0.0], "0.5"]),
+    _curve_doc({**LINE, "tolerance": NAN}, [[0.0], [1.0]]),
+    _curve_doc({**LINE, "tolerance": float("inf")}, [[0.0], [1.0]]),
+    _curve_doc({**LINE, "tolerance": -1.0}, [[0.0], [1.0]]),
+    _curve_doc({**LINE, "dim": 2.7}, [[0.0, 0.0], [1.0, 0.0]]),
+    _curve_doc({**BOOK2, "k": 2.5}, [[1, 0.5, 0.5], [2, 0.5, 0.25]]),
+    _curve_doc({**SPIDER3, "k": 3.5}, [[1, 0.5], [2, 0.5]]),
+    _curve_doc({**LINE, "dim": 10 ** 400}, [[0.0], [1.0]]),
 ], ids=["hyperbolic-nan", "book-spine-nan", "book-fractional-sheet", "time-abc",
         "domain-end-abc", "spider-nan-leg", "spider-nan-centre", "spider-extra-field",
-        "spider-nan-length", "spider-inf-length", "bare-number-point", "string-point"])
+        "spider-nan-length", "spider-inf-length", "bare-number-point", "string-point",
+        "tolerance-nan", "tolerance-inf", "tolerance-negative", "fractional-dim",
+        "book-fractional-k", "spider-fractional-k", "huge-dim"])
 def test_verify_rejects_hostile_curve_files(tmp_path, doc):
     (tmp_path / "bad.json").write_text(json.dumps(doc))
     for command in (["verify", "bad.json"], ["audit", "bad.json", "--bound", "generic"]):
@@ -221,6 +234,31 @@ def test_malformed_numeric_options_are_usage_errors(workdir, option, commands):
         assert r.returncode == 2, (command, r.stdout, r.stderr)
         assert "error:" in r.stderr and "Traceback" not in r.stderr, (command, r.stderr)
         assert f"option {option.lstrip('-').split()[0]} " in r.stderr, (command, r.stderr)
+
+
+WRITING = {
+    **COMMANDS,
+    "simulate": ["simulate", "--config", "sim.cfg"],
+    "counterexample": ["counterexample", "--k", "2"],
+    "report": ["report", "rows.csv"],
+}
+
+
+@pytest.mark.parametrize("args", [
+    *[COMMANDS[c] + ["--config", "missing.cfg"] for c in COMMANDS],
+    *[COMMANDS[c] + ["--config", "."] for c in COMMANDS],
+    ["simulate", "--space", "tree:.", "--objective", "dist", "--out", "x"],
+    *[WRITING[c] + ["--out", "run1.curve.json/x"] for c in WRITING],
+], ids=[f"config-missing-{c}" for c in COMMANDS] + [f"config-dir-{c}" for c in COMMANDS]
+    + ["tree-dir"] + [f"out-below-file-{c}" for c in WRITING])
+def test_unusable_paths_are_usage_errors(workdir, args):
+    """A path that names nothing, a directory, or a place below a file exits
+    2 with the system's message, never with a traceback."""
+    (workdir / "rows.csv").write_text(
+        f"{BOUND_HEADER}\n1,tree,spider:3,2.0,1.0,,10.0,0.2,1,0,{{}}\n")
+    r = run(args, workdir)
+    assert r.returncode == 2, (r.stdout, r.stderr)
+    assert "error:" in r.stderr and "Traceback" not in r.stderr, r.stderr
 
 
 def test_verify_refuses_a_negative_tolerance(workdir):

@@ -1,6 +1,7 @@
 """Per-space capability tables: misses raise UnsupportedSpaceError, and
 the remaining isinstance tests on space classes are pinned."""
 import ast
+import builtins
 import graphlib
 import importlib
 import inspect
@@ -181,6 +182,31 @@ def test_imports_run_one_way():
     assert {"objectives", "proximal", "widths", "spaces.tree"} <= set(graph)
     list(graphlib.TopologicalSorter(graph).static_order())  # CycleError on a cycle
     assert not graph["widths"] & {"objectives", "proximal"}
+
+
+def _handled(function: ast.FunctionDef) -> set[str]:
+    """The exception names of a function's except clauses."""
+    names = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            elts = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names |= {getattr(e, "id", getattr(e, "attr", None)) for e in elts}
+    return names
+
+
+def test_file_errors_map_to_exit_codes_in_main():
+    """No `cmd_*` function of the CLI catches `OSError` or a subclass; `main`
+    maps it to exit 2, with the library's errors, in one place."""
+    functions = {node.name: node for node in ast.parse((PACKAGE / "cli.py").read_text()).body
+                 if isinstance(node, ast.FunctionDef)}
+
+    def os_errors(names):
+        return sorted(n for n in names if isinstance(getattr(builtins, n, None), type)
+                      and issubclass(getattr(builtins, n), OSError))
+
+    found = {name: os_errors(_handled(node)) for name, node in functions.items()}
+    assert {name: found[name] for name in found if name.startswith("cmd_") and found[name]} == {}
+    assert found["main"] == ["OSError"]
 
 
 def test_validation_stays_at_the_boundary():

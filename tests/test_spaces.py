@@ -8,6 +8,7 @@ import pytest
 import selfcontract as sc
 from selfcontract.errors import GeometryError, SpaceMismatchError
 from selfcontract.spaces.base import vec_norm, vec_sub
+from selfcontract.spaces.book import spine_germ
 
 from conftest import decimal_atan2, decimal_pi, random_point_pairs
 
@@ -279,6 +280,15 @@ def test_parse_space_spec():
     assert prod.kind == "product"
     with pytest.raises(GeometryError):
         sc.parse_space_spec("pretzel:7")
+
+
+def test_nested_product_spec_round_trips():
+    spec = "product:[product:[euclidean:1|spider:3]|book:2]"
+    space = sc.parse_space_spec(spec)
+    assert space.describe() == spec
+    assert isinstance(space.left, sc.ProductSpace) and space.right.k == 2
+    back = sc.space_from_json(space._to_json())
+    assert back == space and back.describe() == spec
 
 
 @pytest.mark.parametrize("space", spaces_under_test(), ids=lambda s: s.describe())
@@ -621,6 +631,151 @@ def test_tree_route_kernels_match_the_probe_walk(seed):
                 assert _bits(tree._log(a, b)) == _bits(oracle.log(a, b))
             for s in (0.0, 0.13, 0.5, 0.77, 1.0):
                 assert _bits(tree._geodesic(a, b, s)) == _bits(oracle.geodesic(a, b, s))
+
+
+class BranchingKernels:
+    """The spider and book kernels with their own centre and spine cases, as
+    they stood before the general formulas took those cases over: the
+    reference for the folded kernels."""
+
+    @staticmethod
+    def spider_dist(a, b):
+        if a[0] == b[0]:
+            return abs(a[1] - b[1])
+        if a[0] == 0:
+            return b[1]
+        if b[0] == 0:
+            return a[1]
+        return a[1] + b[1]
+
+    @staticmethod
+    def spider_dist_row(a, payloads):
+        leg, r = a
+        if leg == 0:
+            return [abs(r - u) if k == 0 else u for k, u in payloads]
+        return [abs(r - u) if k == leg else r if k == 0 else r + u for k, u in payloads]
+
+    @classmethod
+    def spider_geodesic(cls, a, b, s):
+        if a[0] == b[0]:
+            return (a[0], a[1] + (b[1] - a[1]) * s)
+        arc = s * cls.spider_dist(a, b)
+        if b[0] == 0:
+            return (a[0], a[1] - arc)
+        if a[0] == 0:
+            return (b[0], arc)
+        if arc <= a[1]:
+            return (a[0], a[1] - arc)
+        return (b[0], arc - a[1])
+
+    @staticmethod
+    def book_dist(a, b):
+        if a[0] == b[0] or a[0] == 0 or b[0] == 0:
+            return math.hypot(a[1] - b[1], a[2] - b[2])
+        return math.hypot(a[1] - b[1], a[2] + b[2])
+
+    @staticmethod
+    def book_dist_row(a, payloads):
+        s, x, y = a
+        if s == 0:
+            return [math.hypot(x - u, y - v) for _, u, v in payloads]
+        return [math.hypot(x - u, y - v if t == s or t == 0 else y + v)
+                for t, u, v in payloads]
+
+    @staticmethod
+    def book_log_row(base, payloads, dists):
+        s0, a1, a2 = base
+        if s0 == 0:
+            return [spine_germ(b[0], (b[1] - a1) / r, (b[2] - a2) / r)
+                    for b, r in zip(payloads, dists)]
+        return [(s0, (b[1] - a1) / r, ((b[2] if b[0] in (s0, 0) else -b[2]) - a2) / r)
+                for b, r in zip(payloads, dists)]
+
+
+GEODESIC_STEPS = (0.0, 0.25, 0.5, 1.0)
+
+
+def _branch_payloads(space, rng):
+    """150 random payloads, the centre or spine points (0.0 and -0.0),
+    leg tips, -0.0 and subnormal offsets, and the raw geodesic midpoints of
+    a few of them, which `objectives._midpoint_prox` reads uncanonicalized."""
+    pts = [space.random_point(rng).data for _ in range(150)]
+    if isinstance(space, sc.SpiderSpace):
+        pts += [(0, 0.0), (0, -0.0)]
+        for leg, length in enumerate(space.leg_lengths, start=1):
+            pts += [(leg, length), (leg, 5e-324), (leg, 1e-300), (leg, 0.5 * length)]
+    else:
+        pts += [(0, 0.0, 0.0), (0, -1.5, 0.0), (0, 0.25, -0.0), (0, -0.0, 0.0)]
+        for sheet in range(1, space.k + 1):
+            pts += [(sheet, 0.5, 5e-324), (sheet, -0.0, 1e-300), (sheet, 0.25, 0.75)]
+    return pts + [space._geodesic(a, b, 0.5) for a, b in zip(pts[::7], pts[3::11])]
+
+
+@pytest.mark.parametrize("space", [
+    sc.SpiderSpace(3), sc.SpiderSpace(5, (1.0, 2.0, 0.5, 1.5, 3.0)),
+    sc.BookSpace(2), sc.BookSpace(3), sc.BookSpace(5),
+], ids=lambda s: s.describe() + ("u" if len(set(getattr(s, "leg_lengths", ()))) > 1 else ""))
+def test_folded_kernels_match_the_branching_oracle(space):
+    """Without their centre and spine cases, the spider's `_dist`, `_dist_row`
+    and `_geodesic` and the book's `_dist`, `_dist_row` and `_log_row` give
+    the branching kernels' bits on every pair of the payload mix."""
+    pts = _branch_payloads(space, np.random.default_rng(space.k))
+    spider = isinstance(space, sc.SpiderSpace)
+    dist = BranchingKernels.spider_dist if spider else BranchingKernels.book_dist
+    dist_row = BranchingKernels.spider_dist_row if spider else BranchingKernels.book_dist_row
+    for a in pts:
+        assert _bits(space._dist_row(a, pts)) == _bits(dist_row(a, pts))
+        assert _bits([space._dist(a, b) for b in pts]) == _bits([dist(a, b) for b in pts])
+        if spider:
+            for b in pts:
+                for s in GEODESIC_STEPS:
+                    got = space._geodesic(a, b, s)
+                    want = BranchingKernels.spider_geodesic(a, b, s)
+                    assert _bits(got) == _bits(want), (a, b, s)
+                    assert _bits(space._canonical(got)) == _bits(space._canonical(want))
+        elif a[0] == 0 or a[2] > 0.0:  # a germ base: the spine, or inside a sheet
+            others = [b for b in pts if b != a and space._dist(a, b) > 0.0]
+            dists = space._dist_row(a, others)
+            assert (_bits(space._log_row(a, others, dists))
+                    == _bits(BranchingKernels.book_log_row(a, others, dists)))
+
+
+class _FixedDraw:
+    """An rng whose draws are given: `integers` the sheet, `uniform` the angle."""
+
+    def __init__(self, sheet, theta):
+        self.sheet, self.theta = sheet, theta
+
+    def integers(self, lo, hi):
+        return self.sheet
+
+    def uniform(self, lo, hi):
+        return self.theta
+
+
+def test_spine_germs_come_from_one_rule():
+    """A spine point's random direction and its cone barycenter are
+    `spine_germ`'s payload, the germ `_log` gives: a sheet germ at 1e-13
+    from a spine ray, and the spine ray itself only within 1e-15 of it."""
+    book = sc.BookSpace(3)
+    spine = book.point((0, 0.3, 0.0))
+    got, want = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(500):
+        sheet, theta = int(want.integers(1, 4)), float(want.uniform(0.0, math.pi))
+        assert (_bits(book.random_direction(got, spine.data))
+                == _bits(spine_germ(sheet, math.cos(theta), math.sin(theta))))
+    for theta, germ in ((1e-13, (2, math.cos(1e-13), math.sin(1e-13))),
+                        (math.pi - 1e-13, (2, math.cos(math.pi - 1e-13),
+                                           math.sin(math.pi - 1e-13))),
+                        (0.0, (0, 1.0, 0.0)), (math.pi, (0, -1.0, 0.0))):
+        assert _bits(book.random_direction(_FixedDraw(2, theta), spine.data)) == _bits(germ)
+        assert germ[0] == book._log(spine.data, (2, 0.3 + germ[1], germ[2]))[0][0]
+        cp = sc.cone_barycenter([sc.Direction(book, spine, germ)])
+        alpha = math.atan2(germ[2], germ[1])
+        assert cp.radius == 1.0
+        assert (_bits(cp.direction.data)
+                == _bits(spine_germ(germ[0] or 1, math.cos(alpha), math.sin(alpha))))
+        assert cp.direction.data[0] == germ[0]
 
 
 def test_vertex_distance_rows_match_the_lca_walk():

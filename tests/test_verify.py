@@ -23,6 +23,7 @@ from selfcontract.verify import (
     evi_residual,
     is_self_contracted,
     reparam_preserves,
+    run_checks,
     stationarity_check,
     tail_halving_check,
     tail_monotonicity,
@@ -44,6 +45,11 @@ def failing_curve(plane):
 def test_segment_passes(plane):
     rep = is_self_contracted(plane, segment_curve(plane))
     assert rep.passed and rep.max_violation == 0.0
+
+
+def test_run_checks_refuses_unknown_names(plane):
+    with pytest.raises(GeometryError, match=r"unknown checks \['bogus'\]"):
+        run_checks(plane, segment_curve(plane), ["self_contracted", "bogus"])
 
 
 def test_backtracking_fails_with_violation_one(plane):

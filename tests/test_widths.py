@@ -390,6 +390,18 @@ def test_book_bound_examples():
     assert rep.passed and rep.ratio < 0.01
 
 
+def test_tree_and_book_bounds_refuse_other_spaces():
+    spider_curve, book_curve = spider_jump_curve(3), book_spine_jump_curve(3)
+    with pytest.raises(UnsupportedSpaceError, match="tree or spider"):
+        tree_length_bound(book_curve.space, book_curve)
+    with pytest.raises(UnsupportedSpaceError, match="book curves"):
+        book_length_bound(spider_curve.space, spider_curve)
+    with pytest.raises(GeometryError, match="different space"):
+        tree_length_bound(sc.SpiderSpace(4), spider_curve)
+    with pytest.raises(GeometryError, match="different space"):
+        book_length_bound(sc.BookSpace(2), book_curve)
+
+
 def test_book_bound_random_curves():
     for k in (2, 3):
         book = sc.BookSpace(k)
