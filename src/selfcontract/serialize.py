@@ -126,8 +126,12 @@ def parse_csv_rows(text: str) -> list[dict[str, str]]:
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Flat key=value config; '#' starts a comment, blank lines ignored."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as e:
+        raise GeometryError(f"cannot read config file: {e}") from None
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -63,6 +63,8 @@ def parse_space_spec(spec: str) -> Space:
         return ProductSpace(parse_space_spec(left), parse_space_spec(right))
     parts = spec.split(":")
     head = parts[0]
+    if head in ("euclidean", "spider", "book", "tree") and len(parts) < 2:
+        raise GeometryError(f"space spec {spec!r} needs {head}:<parameter>")
     if head == "euclidean":
         return EuclideanSpace(int(parts[1]))
     if head in ("hyperbolic2", "hyperbolic"):

@@ -9,13 +9,14 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..errors import GeometryError, SpaceMismatchError, UnsupportedSpaceError
 
 DEFAULT_TOLERANCE = 1e-9
+RANDOM_BLOCK = 64  # points per draw in the `_random_points` overrides
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,15 @@ class Space(ABC):
     @abstractmethod
     def _random_point(self, rng, scale: float = 1.0) -> tuple:
         ...
+
+    def _random_points(self, rng, scale: float = 1.0) -> Iterator[tuple]:
+        """Endless `_random_point(rng, scale)` payloads, bit for bit and from
+        the same draws.  Spaces that draw a fixed number of doubles override
+        this to draw RANDOM_BLOCK points at a time, so the stream may have
+        drawn ahead: the caller draws nothing else from `rng`.  This loop,
+        which draws nothing ahead, is the overrides' oracle."""
+        while True:
+            yield self._random_point(rng, scale)
 
     def _dist_row(self, a: tuple, payloads: Sequence[tuple]) -> list[float]:
         """[_dist(a, b) for b in payloads].  Every concrete space overrides

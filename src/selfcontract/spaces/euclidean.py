@@ -6,8 +6,8 @@ import math
 import numpy as np
 
 from ..errors import GeometryError
-from .base import (Space, clamp_cos, first_unlike, integral_index, polar_diameter, polar_gap,
-                   sqrt_fsum, vec_dot, vec_norm, vec_scale, vec_sub)
+from .base import (RANDOM_BLOCK, Space, clamp_cos, first_unlike, integral_index,
+                   polar_diameter, polar_gap, sqrt_fsum, vec_dot, vec_norm, vec_scale, vec_sub)
 
 
 class EuclideanSpace(Space):
@@ -33,9 +33,12 @@ class EuclideanSpace(Space):
 
     # In up to two coordinates the fsum in vec_norm and vec_dot is one
     # rounded add, so a plain add reproduces the scalar kernels bit for bit.
-    # sqrt(dx * dx), not abs(dx), on the line: the square can underflow.
+    # abs(dx) on the line: sqrt(dx * dx) is the same wherever the square
+    # neither underflows nor overflows, and exact where it does.
 
     def _dist(self, a: tuple, b: tuple) -> float:
+        if self.dim == 1:
+            return abs(a[0] - b[0])
         if self.dim == 2:
             x, y = a[0] - b[0], a[1] - b[1]
             return math.sqrt(x * x + y * y)
@@ -51,8 +54,7 @@ class EuclideanSpace(Space):
         if self.dim == 1:
             (x,) = a
             for (u,) in payloads:
-                dx = x - u
-                row.append(math.sqrt(dx * dx))
+                row.append(abs(x - u))
         else:
             x, y = a
             for u, v in payloads:
@@ -65,7 +67,7 @@ class EuclideanSpace(Space):
 
     def _log(self, a: tuple, b: tuple) -> tuple[tuple, float]:
         diff = vec_sub(b, a)
-        r = vec_norm(diff)
+        r = abs(diff[0]) if self.dim == 1 else vec_norm(diff)
         return vec_scale(1.0 / r, diff), r
 
     def _log_row(self, base: tuple, payloads, dists) -> list[tuple]:
@@ -97,6 +99,10 @@ class EuclideanSpace(Space):
 
     def _random_point(self, rng, scale: float = 1.0) -> tuple:
         return tuple(float(x) for x in rng.uniform(-scale, scale, self.dim))
+
+    def _random_points(self, rng, scale: float = 1.0):
+        while True:
+            yield from map(tuple, rng.uniform(-scale, scale, (RANDOM_BLOCK, self.dim)).tolist())
 
     def tangent_norm(self, v: tuple) -> float:
         return vec_norm(v)

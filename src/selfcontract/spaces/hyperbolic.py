@@ -10,7 +10,7 @@ import math
 from functools import cached_property
 
 from ..errors import GeometryError
-from .base import Space, polar_diameter, polar_gap
+from .base import RANDOM_BLOCK, Space, polar_diameter, polar_gap
 
 
 def mdot(a: tuple, b: tuple) -> float:
@@ -127,7 +127,16 @@ class HyperbolicPlane(Space):
 
     def _random_point(self, rng, scale: float = 1.0) -> tuple:
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        r = float(rng.uniform(0.0, scale))
+        return self._polar_point(theta, float(rng.uniform(0.0, scale)))
+
+    def _random_points(self, rng, scale: float = 1.0):
+        while True:
+            for theta, r in rng.uniform((0.0, 0.0), (2.0 * math.pi, scale),
+                                        (RANDOM_BLOCK, 2)).tolist():
+                yield self._polar_point(theta, r)
+
+    def _polar_point(self, theta: float, r: float) -> tuple:
+        """The point at distance r from the origin in polar direction theta."""
         e1, e2 = self._origin_basis
         v = tuple(math.cos(theta) * e1[i] + math.sin(theta) * e2[i] for i in range(3))
         return self.exp(self.origin(), v, r)

@@ -9,20 +9,27 @@ sharpest test cases for the direction machinery.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ..errors import GeometryError
-from .base import Point, Space, first_unlike, integral_index
+from .base import RANDOM_BLOCK, Point, Space, first_unlike, integral_index
 
 
-def _uniform_on_segments(rng, lengths: Sequence[float], total: float) -> tuple[int, float]:
-    """(index, offset) of a point drawn uniformly from segments of these
-    lengths, whose fsum is `total`; the last segment takes any overshoot."""
-    r = float(rng.uniform(0.0, total))
+def _on_segments(r: float, lengths: Sequence[float]) -> tuple[int, float]:
+    """(index, offset) of the point r along segments of these lengths laid
+    end to end; the last segment takes any overshoot."""
     for i, length in enumerate(lengths):
         if r <= length or i == len(lengths) - 1:
             return (i, min(r, length))
         r -= length
+
+
+def _segment_points(rng, lengths: Sequence[float], total: float) -> Iterator[tuple[int, float]]:
+    """Endless `_on_segments` points of uniform draws on [0, total], where
+    `total` is the fsum of the lengths, RANDOM_BLOCK draws at a time."""
+    while True:
+        for r in rng.uniform(0.0, total, RANDOM_BLOCK).tolist():
+            yield _on_segments(r, lengths)
 
 
 class TreeSpace(Space):
@@ -177,7 +184,7 @@ class TreeSpace(Space):
     def _dist(self, a: tuple, b: tuple) -> float:
         if a[0] == b[0]:
             return abs(a[1] - b[1])
-        return self._route(a, b)[0]
+        return self._dist_row(a, (b,))[0]
 
     def _dist_row(self, a: tuple, payloads) -> list[float]:
         # _route's four end-pair sums, in its order and association
@@ -277,7 +284,10 @@ class TreeSpace(Space):
         return [w for w in range(len(self.vertex_names)) if len(self._adj[w]) == 1]
 
     def _random_point(self, rng, scale: float = 1.0) -> tuple:
-        return _uniform_on_segments(rng, self._edge_lengths, self._total_length)
+        return _on_segments(float(rng.uniform(0.0, self._total_length)), self._edge_lengths)
+
+    def _random_points(self, rng, scale: float = 1.0):
+        return _segment_points(rng, self._edge_lengths, self._total_length)
 
     def _to_json(self) -> dict:
         return {
@@ -388,8 +398,13 @@ class SpiderSpace(Space):
         return self.k
 
     def _random_point(self, rng, scale: float = 1.0) -> tuple:
-        leg, r = _uniform_on_segments(rng, self.leg_lengths, math.fsum(self.leg_lengths))
+        leg, r = _on_segments(float(rng.uniform(0.0, math.fsum(self.leg_lengths))),
+                              self.leg_lengths)
         return (leg + 1, r)
+
+    def _random_points(self, rng, scale: float = 1.0):
+        for leg, r in _segment_points(rng, self.leg_lengths, math.fsum(self.leg_lengths)):
+            yield (leg + 1, r)
 
     def _to_json(self) -> dict:
         return {

@@ -431,23 +431,24 @@ def random_self_contracted(space: Space, n_steps: int, seed: int) -> Curve:
 
     Proposes shrinking random steps and accepts only moves that keep every
     distance-to-new-point non-increasing.  Generation stalls return the
-    (shorter) accepted prefix.
+    (shorter) accepted prefix.  The targets come from `space._random_points`,
+    the draws of successive `random_point` calls, and are tested as payloads.
     """
     if n_steps < 1:
         raise GeometryError("n_steps must be >= 1")
-    rng = np.random.default_rng(seed)
     scale = 1.5
-    accepted = [space.random_point(rng, scale)]
+    targets = map(space._canonical, space._random_points(np.random.default_rng(seed), scale))
+    accepted = [Point(space, next(targets))]
     payloads = [accepted[0].data]
     step = scale * 0.6
     stalls = 0
     while len(accepted) < n_steps and stalls < 400:
-        target = space.random_point(rng, scale)
-        d = space.distance(accepted[-1], target)
+        target = next(targets)
+        d = space._dist(payloads[-1], target)
         if d <= 0.0:
             stalls += 1
             continue
-        q = space.geodesic_point(accepted[-1], target, min(1.0, step / d))
+        q = space.geodesic_point(accepted[-1], Point(space, target), min(1.0, step / d))
         if _distances_fall(space._dist, payloads, q.data):
             accepted.append(q)
             payloads.append(q.data)

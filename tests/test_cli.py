@@ -261,6 +261,20 @@ def test_unusable_paths_are_usage_errors(workdir, args):
     assert "error:" in r.stderr and "Traceback" not in r.stderr, r.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["simulate", "--space", "euclidean", "--objective", "dist", "--out", "x"],
+    ["simulate", "--space", "spider", "--objective", "dist", "--out", "x"],
+    *[COMMANDS[c] + ["--config", "latin.cfg"] for c in COMMANDS],
+], ids=["euclidean-without-dim", "spider-without-k"] + [f"config-not-utf8-{c}" for c in COMMANDS])
+def test_unreadable_specs_are_usage_errors(workdir, args):
+    """A space spec without its parameter, and a config file that is not
+    UTF-8, exit 2 with a message, never with a traceback."""
+    (workdir / "latin.cfg").write_bytes(b"\xff\xfe\x00")
+    r = run(args, workdir)
+    assert r.returncode == 2, (r.stdout, r.stderr)
+    assert "error:" in r.stderr and "Traceback" not in r.stderr, r.stderr
+
+
 def test_verify_refuses_a_negative_tolerance(workdir):
     """The sampling config refuses tol < 0, under which every check would fail."""
     r = run(["verify", "run1.curve.json", "--tol", "-1"], workdir)

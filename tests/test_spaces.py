@@ -7,7 +7,7 @@ import pytest
 
 import selfcontract as sc
 from selfcontract.errors import GeometryError, SpaceMismatchError
-from selfcontract.spaces.base import vec_norm, vec_sub
+from selfcontract.spaces.base import RANDOM_BLOCK, Space, vec_norm, vec_sub
 from selfcontract.spaces.book import spine_germ
 
 from conftest import decimal_atan2, decimal_pi, random_point_pairs
@@ -832,6 +832,51 @@ def test_random_point_matches_the_per_space_loops(space, oracle):
     for _ in range(2000):
         assert (_bits(space.random_point(got).data)
                 == _bits(space._canonical(oracle(space, want))))
+
+
+@pytest.mark.parametrize("space", [
+    sc.EuclideanSpace(1),
+    sc.EuclideanSpace(2),
+    sc.EuclideanSpace(3),
+    sc.HyperbolicPlane(),
+    sc.random_tree(seed=5, max_edges=14, max_degree=5),
+    sc.SpiderSpace(4, (1.0, 2.0, 0.5, 1.5)),
+    sc.BookSpace(3),
+    sc.parse_space_spec("product:[spider:3|book:2]"),
+], ids=lambda space: space.describe())
+def test_random_point_streams_match_the_base_loop(space):
+    """Every `_random_points` gives the base loop's payloads bit for bit,
+    across RANDOM_BLOCK boundaries, and after whole blocks it has made the
+    same draws."""
+    got, want = np.random.default_rng(23), np.random.default_rng(23)
+    stream, loop = space._random_points(got, 1.5), Space._random_points(space, want, 1.5)
+    for _ in range(32 * RANDOM_BLOCK):
+        assert _bits(next(stream)) == _bits(next(loop))
+    assert got.bit_generator.state == want.bit_generator.state
+
+
+def test_base_random_point_stream_draws_nothing_ahead():
+    """The base loop, which books keep (their `rng.integers` takes a
+    buffered 32-bit draw), leaves the generator where k scalar draws do."""
+    book = sc.BookSpace(3)
+    got, want = np.random.default_rng(29), np.random.default_rng(29)
+    stream = book._random_points(got, 1.5)
+    for _ in range(100):
+        assert got.bit_generator.state == want.bit_generator.state
+        assert _bits(next(stream)) == _bits(book._random_point(want, 1.5))
+    assert got.bit_generator.state == want.bit_generator.state
+
+
+def test_line_distance_is_exact_at_the_float_extremes():
+    """On the line the distance is |dx| in `_dist`, `_dist_row` and `_log`:
+    the square of dx would underflow at 1e-170 and overflow at 1e160."""
+    line = sc.EuclideanSpace(1)
+    for x in (1e-170, -1e-170, 1e160, -1e160):
+        a, b = (0.0,), (x,)
+        row = line._dist_row(a, [b])
+        assert line._dist(a, b) == row[0] == line._log(a, b)[1] == abs(x)
+        assert line.distance(line.point(0.0), line.point(x)) == abs(x)
+        assert _bits(line._log_row(a, [b], row)) == _bits([line._log(a, b)[0]])
 
 
 @pytest.mark.parametrize("space, payload", [

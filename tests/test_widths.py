@@ -564,13 +564,26 @@ BRANCHING_TREE = random_tree(seed=5, max_edges=14, max_degree=5)
     sc.HyperbolicPlane(),
     BRANCHING_TREE,
     sc.SpiderSpace(4, (1.0, 2.0, 0.5, 1.5)),
+    sc.BookSpace(2),
     sc.BookSpace(3),
+    sc.BookSpace(5),
+    sc.EuclideanSpace(1),
     sc.parse_space_spec("product:[spider:3|book:2]"),
 ], ids=lambda space: space.describe())
-def test_early_exit_sampler_matches_list_then_all_oracle(space):
-    """The early-exit accept test draws the same numbers and accepts the
-    same proposals: every curve agrees with the oracle's bit for bit."""
+def test_early_exit_sampler_matches_list_then_all_oracle(space, monkeypatch):
+    """The payload sampler draws the same numbers and accepts the same
+    proposals: every curve agrees with the oracle's bit for bit.  It also
+    makes the oracle's `Space.geodesic_point` calls, one per proposal at
+    d > 0, which the benchmark trace divides the accepted steps by."""
     assert max(len(adj) for adj in BRANCHING_TREE._adj) >= 3
+    calls = []
+    geodesic_point = sc.Space.geodesic_point
+    monkeypatch.setattr(sc.Space, "geodesic_point",
+                        lambda *args: calls.append(1) or geodesic_point(*args))
     for seed in range(30):
         got = random_self_contracted(space, 10, seed=seed)
-        assert _curve_bits(got) == _curve_bits(list_then_all_sampler(space, 10, seed)), seed
+        n_got = len(calls)
+        want = list_then_all_sampler(space, 10, seed)
+        assert _curve_bits(got) == _curve_bits(want), seed
+        assert 0 < n_got == len(calls) - n_got, seed
+        calls.clear()
