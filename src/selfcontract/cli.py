@@ -153,6 +153,9 @@ def cmd_simulate(args) -> int:
     else:
         start = space.random_point(np.random.default_rng(seed), scale=1.5)
     run = discrete_gradient_curve(objective, space, start, taus)
+    if not math.isfinite(run.values[-1]):
+        # JSON has no Infinity or NaN, and the log would carry it
+        return _fail(f"the run's final value is {run.values[-1]!r}; no file written")
     out = Path(options["out"])
     write_json_atomic(out.with_suffix(".curve.json"), curve_to_json(run.discrete_curve()))
     write_json_atomic(out.with_suffix(".interp.json"), curve_to_json(run.interpolated_curve()))

@@ -133,24 +133,26 @@ def _bisector_prox(space: Space, p: Point, q: Point,
     toward p, h = d(m, p), as a map from a signed distance t to a payload,
     and along it the slope F'(t) of F = d(., p) + d(., x)^2/(2 tau), the foot
     t_f of x, and reach(s), the |t| where the slope of d(., p) reaches s.
+    m, h and v depend on p and q alone, so they are built once, here.
 
     F is strictly convex, and its two terms are least at 0 and at t_f, so F'
     rises through 0 between them.  There the other term's slope is smaller
     in size than at 0, where it is F'(0), so the slope of d(., p) is below
     |F'(0)|: the root lies within reach(|F'(0)|) of 0.  That bound keeps the
-    bisection short when h is tiny beside tau.
+    bracket of `_rising_root` short when h is tiny beside tau.
     """
+    m = space.geodesic_point(p, q, 0.5).data
+    h = space._dist(m, p.data)
+    v = space._log(m, p.data)[0] if h > 0.0 else None
+
     def prox(x: Point, tau: float) -> Point:
         for a, b in ((p, q), (q, p)):
             z = _step_toward(space, a, x, tau)
             if space._dist(z.data, a.data) >= space._dist(z.data, b.data):
                 return z
-        m = space.geodesic_point(p, q, 0.5).data
-        h = space._dist(m, p.data)
         if h == 0.0:
             return z  # p and q a rounding error apart: no bisector to search
-        line, slope, foot, reach = bisector(space, m, space._log(m, p.data)[0], h,
-                                            x.data, tau)
+        line, slope, foot, reach = bisector(space, m, v, h, x.data, tau)
         g0 = slope(0.0)
         if g0 == 0.0:
             t = 0.0
@@ -227,20 +229,48 @@ _MAX_TWO_DISTS_PROX = {
 
 
 def _rising_root(g: Callable[[float], float], lo: float, hi: float) -> list[float]:
-    """[the point where g, increasing on [lo, hi], rises through 0], bisected
-    until the bracket ends are adjacent floats; [] unless g(lo) <= 0 <= g(hi)."""
+    """[the point where g, increasing on [lo, hi], rises through 0], found
+    until the bracket ends are adjacent floats; [] unless g(lo) <= 0 <= g(hi).
+
+    The steps are Illinois false position (Dowell & Jarratt, BIT 11, 1971):
+    the secant root of the bracket ends' weights, their g values, except
+    that an end kept by two secant steps in a row enters with half its
+    weight.  A secant point that rounds onto an end moves one float inside,
+    and one outside the bracket gives way to the midpoint.  The steps run in
+    threes, and the third is the midpoint unless the first two halved the
+    bracket, so it takes at most about three times as many steps as
+    bisection.  Every step moves lo where g < 0 and hi elsewhere, as
+    bisection does, so on a g monotone in floats both stop at the same pair.
+    """
     glo, ghi = g(lo), g(hi)
     if not glo <= 0.0 <= ghi:
         return []
+    wlo, whi, moved = glo, ghi, 0  # secant weights; the end the last secant step moved
+    step = 0
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return [lo if -glo <= ghi else hi]
-        gm = g(mid)
-        if gm < 0.0:
-            lo, glo = mid, gm
+        if step == 0:
+            width = hi - lo
+        secant = step < 2 or hi - lo <= 0.5 * width
+        step = (step + 1) % 3
+        t = mid
+        if secant and whi > wlo:  # not both 0, and neither NaN
+            s = lo - wlo * ((hi - lo) / (whi - wlo))
+            if lo <= s <= hi:
+                t = min(max(s, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+        gt = g(t)
+        if gt < 0.0:
+            lo, glo, wlo = t, gt, gt
+            if secant and moved < 0:
+                whi *= 0.5
         else:
-            hi, ghi = mid, gm
+            hi, ghi, whi = t, gt, gt
+            if secant and moved > 0:
+                wlo *= 0.5
+        if secant:
+            moved = -1 if gt < 0.0 else 1
 
 
 # Candidate sets of the line's quasi-convex objectives: with F(z) = f(z) +

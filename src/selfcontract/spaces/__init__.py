@@ -65,6 +65,10 @@ def parse_space_spec(spec: str) -> Space:
     head = parts[0]
     if head in ("euclidean", "spider", "book", "tree") and len(parts) < 2:
         raise GeometryError(f"space spec {spec!r} needs {head}:<parameter>")
+    # the most `:` fields each kind reads; a tree path may hold `:` itself
+    if len(parts) > {"euclidean": 2, "hyperbolic2": 1, "hyperbolic": 1, "spider": 3,
+                     "book": 2}.get(head, len(parts)):
+        raise GeometryError(f"space spec {spec!r} has more fields than {head} reads")
     if head == "euclidean":
         return EuclideanSpace(int(parts[1]))
     if head in ("hyperbolic2", "hyperbolic"):

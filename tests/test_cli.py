@@ -4,6 +4,9 @@ import subprocess
 import sys
 
 import pytest
+from conftest import SMALL_TREE_TEXT
+
+from selfcontract import cli
 
 CLI = [sys.executable, "-m", "selfcontract.cli"]
 
@@ -273,6 +276,42 @@ def test_unreadable_specs_are_usage_errors(workdir, args):
     r = run(args, workdir)
     assert r.returncode == 2, (r.stdout, r.stderr)
     assert "error:" in r.stderr and "Traceback" not in r.stderr, r.stderr
+
+
+@pytest.mark.parametrize("spec", ["euclidean:2:7", "book:3:junk", "hyperbolic2:5",
+                                  "spider:3:2.0:9"])
+def test_space_specs_with_extra_fields_are_usage_errors(tmp_path, monkeypatch, capsys, spec):
+    """A `:` field the space does not read is refused, not dropped: each of
+    these used to run on the space without it (`euclidean:2`, `book:3`,
+    `hyperbolic2`, `spider:3:2.0`)."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["simulate", "--space", spec, "--objective", "dist", "--out", "x"]) == 2
+    assert f"error: space spec {spec!r} has more fields than" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_tree_path_may_hold_a_colon(tmp_path, monkeypatch, capsys):
+    """The rest of a `tree:` spec is the path, `:` and all."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a:b.tree").write_text(SMALL_TREE_TEXT)
+    (tmp_path / "t.cfg").write_text("objective.target = 1,1.0\n")
+    assert cli.main(["simulate", "--space", "tree:a:b.tree", "--objective", "dist",
+                     "--config", "t.cfg", "--start", "3,1.0", "--out", "t"]) == 0, \
+        capsys.readouterr().err
+    assert json.loads((tmp_path / "t.log.json").read_text())["space"] == "tree:a:b.tree"
+
+
+def test_simulate_refuses_a_non_finite_final_value(tmp_path, monkeypatch, capsys):
+    """From (1e308, 1e308) every value of half_sq_dist toward the origin
+    overflows.  The run used to exit 0 and write `"final_value": Infinity`,
+    which is not JSON, into the log and `inf` into the values file; now it
+    exits 2 and writes no file."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "far.cfg").write_text("objective.target = 0,0\n")
+    assert cli.main(["simulate", "--space", "euclidean:2", "--objective", "half_sq_dist",
+                     "--start", "1e308,1e308", "--config", "far.cfg", "--out", "far"]) == 2
+    assert "error: the run's final value is inf" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["far.cfg"]
 
 
 def test_verify_refuses_a_negative_tolerance(workdir):
