@@ -6,13 +6,14 @@ Barycenters in that cone give covering directions for direction sets of
 small diameter, with an explicit covering-radius guarantee driven by a
 dimension-like counting constant.
 
-`cone_barycenter` looks the space's type up in `_BARYCENTERS`: Euclidean
-and hyperbolic spaces share the tangent-vector mean (each space supplies
-its `tangent_norm`), trees and spiders enumerate their finitely many
-germs, books fold the other sheets' germs into each sheet at spine
-points and take the mean vector's maximum in closed form, and products
-recombine the factors' barycenters.  `direction_cover_center` takes the
-barycenter of a separated subset on every space.
+`cone_barycenter` checks its directions and radii, and the space
+computes the barycenter on payloads with `Space._cone_barycenter`:
+Euclidean and hyperbolic spaces take the mean tangent vector, trees and
+spiders enumerate their finitely many germs, books fold the other
+sheets' germs into each sheet at spine points and take the mean vector's
+maximum in closed form, and products recombine the factors'
+barycenters.  `direction_cover_center` takes the barycenter of a
+separated subset on every space.
 """
 from __future__ import annotations
 
@@ -20,13 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import GeometryError, UnsupportedSpaceError
+from .errors import GeometryError
 from .spaces.base import Direction, Point, Space, clamp_cos
-from .spaces.book import BookSpace, spine_germ
-from .spaces.euclidean import EuclideanSpace
-from .spaces.hyperbolic import HyperbolicPlane
-from .spaces.product import ProductSpace
-from .spaces.tree import SpiderSpace, TreeSpace
 
 
 def cone_distance(angle: float, s: float, t: float) -> float:
@@ -70,137 +66,14 @@ def cone_barycenter(dirs: Sequence[Direction],
     """Minimizer of w -> sum_i d_cone(w, (gamma_i, r_i))^2 in the tangent cone.
 
     Default radii are 1 (directions identified with unit cone points).
-    Linear tangent spaces use the closed-form vector mean; graph-like
-    direction spaces enumerate candidate rays; book spine points take the
-    best sheet's folded mean vector.
+    The space computes it on payloads with `Space._cone_barycenter`.
     """
     space, base, payloads = _dir_payloads(dirs)
     rs = [1.0] * len(payloads) if radii is None else [float(r) for r in radii]
     if len(rs) != len(payloads) or any(r < 0 for r in rs):
         raise GeometryError("need one nonnegative radius per direction")
-
-    barycenter = _BARYCENTERS.get(type(space))
-    if barycenter is None:
-        raise UnsupportedSpaceError(f"no cone barycenter on {space.describe()}")
-    return barycenter(space, base, payloads, rs)
-
-
-def _tangent_mean(space, base, payloads, rs) -> ConePoint:
-    """Linear tangent spaces: the weighted mean of the tangent vectors."""
-    vec = tuple(
-        math.fsum(r * p[i] for p, r in zip(payloads, rs)) / len(rs)
-        for i in range(len(payloads[0]))
-    )
-    norm = space.tangent_norm(vec)
-    if norm <= 1e-14:
-        return ConePoint(None, 0.0)
-    return ConePoint(Direction(space, base, tuple(x / norm for x in vec)), norm)
-
-
-def _product_barycenter(space: ProductSpace, base, payloads, rs) -> ConePoint:
-    """Per-factor barycenters of the weighted factor germs, recombined."""
-    left_dirs, left_radii, right_dirs, right_radii = [], [], [], []
-    for p, r in zip(payloads, rs):
-        (gl, wl), (gr, wr) = p
-        left_dirs.append(gl)
-        left_radii.append(r * wl if gl is not None else 0.0)
-        right_dirs.append(gr)
-        right_radii.append(r * wr if gr is not None else 0.0)
-    bl = _component_barycenter(space.left, base.data[0], left_dirs, left_radii)
-    br = _component_barycenter(space.right, base.data[1], right_dirs, right_radii)
-    radius = math.hypot(bl[1], br[1])
-    if radius <= 1e-14:
-        return ConePoint(None, 0.0)
-    germ_l = (bl[0], bl[1] / radius) if bl[1] > 0 else (None, 0.0)
-    germ_r = (br[0], br[1] / radius) if br[1] > 0 else (None, 0.0)
-    return ConePoint(Direction(space, base, (germ_l, germ_r)), radius)
-
-
-def _component_barycenter(space: Space, base_payload: tuple,
-                          germs: list, radii: list[float]) -> tuple:
-    live = [(g, r) for g, r in zip(germs, radii) if g is not None and r > 0]
-    if not live:
-        return None, 0.0
-    base = Point(space, space._canonical(base_payload))
-    dirs = [Direction(space, base, g) for g, _ in live]
-    rs = [r for _, r in live]
-    # zero-radius inputs only add a constant t^2 per item; fold them in by
-    # rescaling the effective count
-    n_total = len(germs)
-    cp = cone_barycenter(dirs, rs)
-    if cp.radius == 0.0:
-        return None, 0.0
-    scaled = cp.radius * len(live) / n_total
-    return cp.direction.data, scaled
-
-
-def _discrete_barycenter(space, base, payloads, rs) -> ConePoint:
-    candidates = {p for p in payloads}
-    n = len(payloads)
-    best = (math.inf, None, 0.0)
-    for cand in sorted(candidates):
-        num = math.fsum(
-            r * math.cos(space._angle(base.data, cand, p))
-            for p, r in zip(payloads, rs)
-        )
-        t = max(num / n, 0.0)
-        value = math.fsum(
-            t * t + r * r - 2 * t * r * math.cos(space._angle(base.data, cand, p))
-            for p, r in zip(payloads, rs)
-        )
-        if value < best[0] - 1e-15:
-            best = (value, cand, t)
-    origin_value = math.fsum(r * r for r in rs)
-    if origin_value < best[0] - 1e-15 or best[2] <= 1e-14:
-        return ConePoint(None, 0.0)
-    return ConePoint(Direction(space, base, best[1]), best[2])
-
-
-def _book_barycenter(space: BookSpace, base, payloads, rs) -> ConePoint:
-    n = len(payloads)
-    mx = math.fsum(r * p[1] for p, r in zip(payloads, rs)) / n
-    if base.data[0] != 0:
-        # interior point: the direction space is a plain circle
-        vy = math.fsum(r * p[2] for p, r in zip(payloads, rs)) / n
-        norm = math.hypot(mx, vy)
-        if norm <= 1e-14:
-            return ConePoint(None, 0.0)
-        return ConePoint(
-            Direction(space, base, (base.data[0], mx / norm, vy / norm)), norm
-        )
-    # At a spine point the unit direction u at angle alpha in sheet s has
-    # mean cosine <u, m_s>: a germ of another sheet lies at min(alpha + a,
-    # 2 pi - alpha - a), whose cosine is cos(alpha + a), so its ordinate
-    # enters m_s reflected.  Over alpha in [0, pi] the maximum is |m_s| at
-    # m_s / |m_s| when m_s points into the sheet, |m_x| on a spine ray if not.
-    sheets = sorted({p[0] for p in payloads if p[0] != 0}) or [1]
-    best = (-math.inf, sheets[0], 0.0)
-    for sheet in sheets:
-        my = math.fsum(r * (abs(p[2]) if p[0] in (0, sheet) else -abs(p[2]))
-                       for p, r in zip(payloads, rs)) / n
-        if my > 0.0:
-            val, alpha = math.hypot(mx, my), math.atan2(my, mx)
-        else:
-            val, alpha = abs(mx), (0.0 if mx >= 0.0 else math.pi)
-        if val > best[0]:
-            best = (val, sheet, alpha)
-    val, sheet, alpha = best
-    t = max(val, 0.0)
-    if t <= 1e-14:
-        return ConePoint(None, 0.0)
-    germ = spine_germ(sheet, math.cos(alpha), math.sin(alpha))
-    return ConePoint(Direction(space, base, germ), t)
-
-
-# space type -> barycenter(space, base, payloads, radii)
-_BARYCENTERS = {
-    EuclideanSpace: _tangent_mean,
-    HyperbolicPlane: _tangent_mean,
-    TreeSpace: _discrete_barycenter,
-    SpiderSpace: _discrete_barycenter,
-    BookSpace: _book_barycenter,
-    ProductSpace: _product_barycenter,
-}
+    germ, radius = space._cone_barycenter(base.data, payloads, rs)
+    return ConePoint(None if germ is None else Direction(space, base, germ), radius)
 
 
 def greedy_separated_subset(space: Space, dirs: Sequence[Direction]) -> list[Direction]:

@@ -397,6 +397,8 @@ def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
 
         def sqrt_abs(**params) -> ObjectiveFn:
             c = float(params.get("center", 0.0))
+            if not math.isfinite(c):
+                raise GeometryError(f"sqrt_abs needs a finite center, got center={c}")
             return ObjectiveFn(
                 name="sqrt_abs", space=space,
                 fn=lambda z: math.sqrt(abs(z.data[0] - c)),
@@ -428,8 +430,8 @@ def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
         def dist_to_spine_segment(**params) -> ObjectiveFn:
             a0 = float(params.get("lo", -1.0))
             a1 = float(params.get("hi", 1.0))
-            if a1 < a0:
-                raise GeometryError("need lo <= hi")
+            if not a0 <= a1:  # NaN in either fails
+                raise GeometryError(f"need lo <= hi, got lo={a0}, hi={a1}")
 
             def f(z: Point) -> float:
                 _, a, b = z.data

@@ -124,6 +124,13 @@ class Space(ABC):
                     best, pair = excess, (a, b)
         return best, *pair
 
+    def _cone_barycenter(self, base: tuple, germs: Sequence[tuple],
+                         radii: Sequence[float]) -> tuple[tuple | None, float]:
+        """(germ, radius) of the minimizer of w -> sum_i d_cone(w, (germs[i],
+        radii[i]))^2 in the tangent cone at `base`, or (None, 0.0) when it
+        is the cone's origin, for at least one germ and nonnegative radii."""
+        raise UnsupportedSpaceError(f"no cone barycenter on {self.describe()}")
+
     @abstractmethod
     def _to_json(self) -> dict:
         ...
@@ -272,6 +279,18 @@ def polar_diameter(polar: Sequence[float], limit: float,
         excess = np.where(fold, np.fmin(turn, 2.0 * math.pi - turn) - limit, excess)
     k = int(np.argmax(excess))  # the first largest cell in row-major order
     return float(excess.flat[k]), *divmod(k, len(t))
+
+
+def tangent_mean(germs: Sequence[tuple], radii: Sequence[float],
+                 norm) -> tuple[tuple | None, float]:
+    """`Space._cone_barycenter` of a linear tangent space: the mean of the
+    vectors r_i g_i, whose length under `norm` is the radius."""
+    vec = tuple(math.fsum(r * g[i] for g, r in zip(germs, radii)) / len(radii)
+                for i in range(len(germs[0])))
+    length = norm(vec)
+    if length <= 1e-14:
+        return None, 0.0
+    return tuple(x / length for x in vec), length
 
 
 def check_all_same_space(points: Iterable[Point]) -> Space:

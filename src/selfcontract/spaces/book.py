@@ -82,22 +82,17 @@ class BookSpace(Space):
         return (down, x, -y)
 
     def _log(self, a: tuple, b: tuple) -> tuple[tuple, float]:
-        pa, pb, up, down = self._unfold(a, b)
-        dx, dy = pb[0] - pa[0], pb[1] - pa[1]
-        r = math.hypot(dx, dy)
-        ux, uy = dx / r, dy / r
-        if a[0] != 0:
-            # interior basepoint: germ lives in a's sheet with its own sign of b
-            return (a[0], ux, uy), r
-        return spine_germ(up if uy > 0 else down, ux, uy), r
+        d = self._dist(a, b)
+        return self._log_row(a, (b,), (d,))[0], d
 
     def _log_row(self, base: tuple, payloads, dists) -> list[tuple]:
-        # _log with r from the row; _dist's hypot is _log's, up to signs
+        # the unit tangent toward b unfolded into the plane of the base's
+        # sheet; r is _dist's hypot, whose terms differ from these in sign only
         s0, a1, a2 = base
         if s0 == 0:
             return [spine_germ(b[0], (b[1] - a1) / r, (b[2] - a2) / r)
                     for b, r in zip(payloads, dists)]
-        # _unfold reflects b below the spine in another sheet (-0.0 - a2 is 0.0 - a2)
+        # b in another sheet is reflected below the spine (-0.0 - a2 is 0.0 - a2)
         return [(s0, (b[1] - a1) / r, ((b[2] if b[0] == s0 else -b[2]) - a2) / r)
                 for b, r in zip(payloads, dists)]
 
@@ -119,6 +114,38 @@ class BookSpace(Space):
             return polar_diameter(polar, limit)
         s = np.array([g[0] for g in germs])
         return polar_diameter(polar, limit, (s[:, None] != s) & (s[:, None] != 0) & (s != 0))
+
+    def _cone_barycenter(self, base: tuple, germs, radii) -> tuple[tuple | None, float]:
+        n = len(germs)
+        mx = math.fsum(r * g[1] for g, r in zip(germs, radii)) / n
+        if base[0] != 0:
+            # interior point: the direction space is a plain circle
+            vy = math.fsum(r * g[2] for g, r in zip(germs, radii)) / n
+            norm = math.hypot(mx, vy)
+            if norm <= 1e-14:
+                return None, 0.0
+            return (base[0], mx / norm, vy / norm), norm
+        # At a spine point the unit direction u at angle alpha in sheet s has
+        # mean cosine <u, m_s>: a germ of another sheet lies at min(alpha + a,
+        # 2 pi - alpha - a), whose cosine is cos(alpha + a), so its ordinate
+        # enters m_s reflected.  Over alpha in [0, pi] the maximum is |m_s| at
+        # m_s / |m_s| when m_s points into the sheet, |m_x| on a spine ray if not.
+        sheets = sorted({g[0] for g in germs if g[0] != 0}) or [1]
+        best = (-math.inf, sheets[0], 0.0)
+        for sheet in sheets:
+            my = math.fsum(r * (abs(g[2]) if g[0] in (0, sheet) else -abs(g[2]))
+                           for g, r in zip(germs, radii)) / n
+            if my > 0.0:
+                val, alpha = math.hypot(mx, my), math.atan2(my, mx)
+            else:
+                val, alpha = abs(mx), (0.0 if mx >= 0.0 else math.pi)
+            if val > best[0]:
+                best = (val, sheet, alpha)
+        val, sheet, alpha = best
+        t = max(val, 0.0)
+        if t <= 1e-14:
+            return None, 0.0
+        return spine_germ(sheet, math.cos(alpha), math.sin(alpha)), t
 
     def _random_point(self, rng, scale: float = 1.0) -> tuple:
         sheet = int(rng.integers(1, self.k + 1))

@@ -7,7 +7,8 @@ import numpy as np
 
 from ..errors import GeometryError
 from .base import (RANDOM_BLOCK, Space, clamp_cos, first_unlike, integral_index,
-                   polar_diameter, polar_gap, sqrt_fsum, vec_dot, vec_norm, vec_scale, vec_sub)
+                   polar_diameter, polar_gap, sqrt_fsum, tangent_mean, vec_dot, vec_norm,
+                   vec_scale, vec_sub)
 
 
 class EuclideanSpace(Space):
@@ -104,8 +105,8 @@ class EuclideanSpace(Space):
         while True:
             yield from map(tuple, rng.uniform(-scale, scale, (RANDOM_BLOCK, self.dim)).tolist())
 
-    def tangent_norm(self, v: tuple) -> float:
-        return vec_norm(v)
+    def _cone_barycenter(self, base: tuple, germs, radii) -> tuple[tuple | None, float]:
+        return tangent_mean(germs, radii, vec_norm)
 
     def _to_json(self) -> dict:
         return {"kind": self.kind, "dim": self.dim, "tolerance": self.tolerance}

@@ -10,7 +10,7 @@ import math
 from functools import cached_property
 
 from ..errors import GeometryError
-from .base import RANDOM_BLOCK, Space, polar_diameter, polar_gap
+from .base import RANDOM_BLOCK, Space, polar_diameter, polar_gap, tangent_mean
 
 
 def mdot(a: tuple, b: tuple) -> float:
@@ -94,6 +94,10 @@ class HyperbolicPlane(Space):
     def _germ_diameter(self, base: tuple, germs, limit: float) -> tuple[float, int, int]:
         return polar_diameter(self._polars(base, germs), limit)
 
+    def _cone_barycenter(self, base: tuple, germs, radii) -> tuple[tuple | None, float]:
+        # tangent vectors at base measured in the Minkowski form
+        return tangent_mean(germs, radii, lambda v: math.sqrt(max(mdot(v, v), 0.0)))
+
     def exp(self, p: tuple, v: tuple, t: float) -> tuple:
         """Exponential map: walk distance t from payload p along unit tangent v."""
         ch, sh = math.cosh(t), math.sinh(t)
@@ -101,10 +105,6 @@ class HyperbolicPlane(Space):
 
     def origin(self) -> tuple:
         return (1.0, 0.0, 0.0)
-
-    def tangent_norm(self, v: tuple) -> float:
-        """Length of a tangent vector in the Minkowski form."""
-        return math.sqrt(max(mdot(v, v), 0.0))
 
     def tangent_basis(self, p: tuple) -> tuple[tuple, tuple]:
         """Orthonormal tangent basis at p (Minkowski-orthogonal to p).  Both

@@ -63,6 +63,17 @@ class ProductSpace(Space):
             cos += w1r * w2r * math.cos(self.right._angle(base[1], g1r, g2r))
         return math.acos(clamp_cos(cos))
 
+    def _cone_barycenter(self, base: tuple, germs, radii) -> tuple[tuple | None, float]:
+        """Per-factor barycenters of the weighted factor germs, recombined."""
+        pairs = list(zip(germs, radii))
+        germ_l, rl = _factor_barycenter(self.left, base[0], [(g[0], r) for g, r in pairs])
+        germ_r, rr = _factor_barycenter(self.right, base[1], [(g[1], r) for g, r in pairs])
+        radius = math.hypot(rl, rr)
+        if radius <= 1e-14:
+            return None, 0.0
+        return (((germ_l, rl / radius) if rl > 0 else (None, 0.0),
+                 (germ_r, rr / radius) if rr > 0 else (None, 0.0)), radius)
+
     def _random_point(self, rng, scale: float = 1.0) -> tuple:
         return (self.left._random_point(rng, scale), self.right._random_point(rng, scale))
 
@@ -76,3 +87,14 @@ class ProductSpace(Space):
 
     def _point_json(self, data: tuple) -> list:
         return [self.left._point_json(data[0]), self.right._point_json(data[1])]
+
+
+def _factor_barycenter(factor: Space, base: tuple, weighted: list) -> tuple[tuple | None, float]:
+    """`factor._cone_barycenter` of the factor germs ((g, w), r) at radius
+    r w.  A factor standing still (g None) or at radius 0 adds a constant t^2
+    per germ to the sum, which rescales the radius by the live share."""
+    live = [(g, r * w) for (g, w), r in weighted if g is not None and r * w > 0]
+    if not live:
+        return None, 0.0
+    germ, radius = factor._cone_barycenter(base, [g for g, _ in live], [r for _, r in live])
+    return germ, radius * len(live) / len(weighted)

@@ -224,15 +224,8 @@ class TreeSpace(Space):
         return (e2, target + frac * (o2 - target))
 
     def _log(self, a: tuple, b: tuple) -> tuple[tuple, float]:
-        if a[0] == b[0]:
-            return (a[0], 1 if b[1] > a[1] else -1), abs(a[1] - b[1])
-        d, w1, d1, w2, _ = self._route(a, b)
-        if d1 > 0:
-            # a is inside its edge, or the geodesic runs along it: toward w1
-            return (a[0], 1 if w1 == self.edges[a[0]][1] else -1), d
-        path = self._edge_path(w1, w2)
-        ei, x = path[0] if path else (b[0], w2)
-        return (ei, 1 if self.edges[ei][0] == x else -1), d
+        d = self._dist(a, b)
+        return self._log_row(a, (b,), (d,))[0], d
 
     def _log_row(self, base: tuple, payloads, dists) -> list[tuple]:
         # _route's four end-pair sums, in its order and association; the
@@ -264,6 +257,24 @@ class TreeSpace(Space):
 
     def _germ_diameter(self, base: tuple, germs, limit: float) -> tuple[float, int, int]:
         return first_unlike(germs, limit)
+
+    def _cone_barycenter(self, base: tuple, germs, radii) -> tuple[tuple | None, float]:
+        # finitely many germs: the best ray through one of the given germs
+        n = len(germs)
+        best = (math.inf, None, 0.0)
+        for cand in sorted(set(germs)):
+            num = math.fsum(r * math.cos(self._angle(base, cand, g)) for g, r in zip(germs, radii))
+            t = max(num / n, 0.0)
+            value = math.fsum(
+                t * t + r * r - 2 * t * r * math.cos(self._angle(base, cand, g))
+                for g, r in zip(germs, radii)
+            )
+            if value < best[0] - 1e-15:
+                best = (value, cand, t)
+        origin_value = math.fsum(r * r for r in radii)
+        if origin_value < best[0] - 1e-15 or best[2] <= 1e-14:
+            return None, 0.0
+        return best[1], best[2]
 
     def segments(self) -> list[tuple[int, float, tuple, tuple]]:
         """(edge index, length, start vertex payload, end vertex payload) per edge."""
@@ -366,13 +377,7 @@ class SpiderSpace(Space):
             return (a[0], a[1] - arc)
         return (b[0], arc - a[1])
 
-    def _log(self, a: tuple, b: tuple) -> tuple[tuple, float]:
-        d = self._dist(a, b)
-        if a[0] == 0:
-            return (b[0], 1), d
-        if a[0] == b[0] and b[1] > a[1]:
-            return (a[0], 1), d
-        return (a[0], -1), d
+    _log = TreeSpace._log
 
     def _log_row(self, base: tuple, payloads, dists) -> list[tuple]:
         leg, r = base
@@ -382,6 +387,7 @@ class SpiderSpace(Space):
 
     _angle = TreeSpace._angle
     _germ_diameter = TreeSpace._germ_diameter
+    _cone_barycenter = TreeSpace._cone_barycenter
 
     def segments(self) -> list[tuple[int, float, tuple, tuple]]:
         """(leg, length, centre payload, tip payload) per leg, legs counted from 1."""

@@ -337,6 +337,21 @@ def generic_cat0_bound(space: Space, curve: Curve, constants: RadiusConstants,
             "sigma-neighborhood of the trajectory is not inside the region; "
             "no bound claimed"
         )
+    return _generic_audit(space, curve, pts, constants)
+
+
+def generic_bound_for_curve(space: Space, curve: Curve) -> BoundReport:
+    """Estimate condition constants on the unit neighborhood and audit.
+
+    That region is the union of the unit balls about the densified points,
+    so it is their neighborhood at margin sigma = 1 and needs no scan."""
+    pts = curve.densified().points
+    constants = estimate_condition_constants(space, NeighborhoodRegion(tuple(pts), 1.0))
+    return _generic_audit(space, curve, pts, constants)
+
+
+def _generic_audit(space: Space, curve: Curve, pts: list[Point],
+                   constants: RadiusConstants) -> BoundReport:
     factor = 2.0 / (constants.a * constants.b * constants.eps_bold)
     return _length_audit(
         "generic_cat0", space, curve, pts, factor,
@@ -344,14 +359,6 @@ def generic_cat0_bound(space: Space, curve: Curve, constants: RadiusConstants,
          "b": constants.b, "sigma": constants.sigma, "factor": factor},
         notes=constants.notes,
     )
-
-
-def generic_bound_for_curve(space: Space, curve: Curve) -> BoundReport:
-    """Estimate condition constants on the unit neighborhood and audit."""
-    pts = curve.densified().points
-    region = NeighborhoodRegion(tuple(pts), 1.0)
-    constants = estimate_condition_constants(space, region)
-    return generic_cat0_bound(space, curve, constants, region)
 
 
 def unrectifiable_witness(k: int) -> tuple[Curve, BoundReport]:

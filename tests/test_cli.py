@@ -66,6 +66,17 @@ def test_simulate_refuses_unread_objective_keys(tmp_path, config, key, reads):
     assert not (tmp_path / "typo.log.json").exists()
 
 
+def test_simulate_refuses_a_nan_objective_parameter(tmp_path):
+    """`objective.hi = nan` used to run as hi = +inf and exit 0."""
+    (tmp_path / "nan.cfg").write_text(
+        "space = book:2\nobjective = dist_to_spine_segment\nobjective.hi = nan\n"
+        "start = 1,0.5,0.5\nout = nan\n")
+    r = run(["simulate", "--config", "nan.cfg"], tmp_path)
+    assert r.returncode == 2 and "Traceback" not in r.stderr, r.stderr
+    assert "hi=nan" in r.stderr
+    assert not (tmp_path / "nan.log.json").exists()
+
+
 def test_simulate_beyond_the_numeric_solver(tmp_path):
     """half_sq_dist steps in closed form on a space no numeric solver covers."""
     (tmp_path / "r3.cfg").write_text(

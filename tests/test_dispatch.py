@@ -72,6 +72,7 @@ def test_space_dispatch_sites_are_pinned():
                                        "widths")
                    for site in _isinstance_sites(module))
     assert found == ALLOWED_SITES
+    assert len(ALLOWED_SITES) <= 11  # sites leave this list; none joins it
 
 
 def test_one_bracketed_line_search():
@@ -155,6 +156,29 @@ def test_every_space_has_a_germ_row_kernel():
     benchmark workload sweeps a product, so it keeps the loop, the oracle."""
     assert [name for name, cls in sorted(_concrete_spaces().items())
             if "_log_row" not in vars(cls)] == ["ProductSpace"]
+
+
+def test_cone_barycenter_lives_on_the_space():
+    """`cones` imports nothing under `spaces` but `spaces.base` and keeps no
+    table keyed by space type: every concrete space defines its own
+    `_cone_barycenter`, the spider by naming the tree's, and no space keeps
+    a `tangent_norm`."""
+    tree = ast.parse((PACKAGE / "cones.py").read_text())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+    assert {m for m in imported if "spaces" in m.split(".")} == {"spaces.base"}
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Dict)
+                and any(getattr(key, "id", None) in SPACE_CLASSES for key in node.keys)]
+    concrete = _concrete_spaces()
+    assert [name for name, cls in sorted(concrete.items())
+            if "_cone_barycenter" not in vars(cls)] == []
+    assert [name for name, cls in sorted(concrete.items())
+            if cls._cone_barycenter.__qualname__ != f"{name}._cone_barycenter"] == ["SpiderSpace"]
+    assert vars(spaces.SpiderSpace)["_cone_barycenter"] is spaces.TreeSpace._cone_barycenter
+    assert [cls.__name__ for cls in (sc.Space, *concrete.values())
+            if hasattr(cls, "tangent_norm")] == []
 
 
 def test_imports_run_one_way():

@@ -39,6 +39,28 @@ def test_catalogue_factories_refuse_unread_keys(book2, name, params):
         builtin_objectives(book2)[name](**params)
 
 
+@pytest.mark.parametrize("name, params, named", [
+    ("dist_to_spine_segment", {"lo": 0.0, "hi": math.nan}, "hi=nan"),
+    ("dist_to_spine_segment", {"lo": math.nan}, "lo=nan"),
+    ("sqrt_abs", {"center": math.nan}, "center=nan"),
+    ("sqrt_abs", {"center": math.inf}, "center=inf"),
+    ("sqrt_abs", {"center": -math.inf}, "center=-inf"),
+], ids=["spine-hi-nan", "spine-lo-nan", "center-nan", "center-inf", "center-minus-inf"])
+def test_factories_refuse_nan_and_infinite_parameters(book2, name, params, named):
+    """`hi` = NaN used to act as +inf, and `lo` = NaN or a centre that is not
+    finite ran NaN steps until the final-value check stopped them."""
+    space = book2 if name == "dist_to_spine_segment" else sc.EuclideanSpace(1)
+    with pytest.raises(GeometryError, match=named):
+        make_objective(space, name, **params)
+
+
+def test_spine_segment_may_be_the_whole_spine(book2):
+    f = make_objective(book2, "dist_to_spine_segment", lo=-math.inf, hi=math.inf)
+    assert f(book2.point((1, 3.0, 0.5))) == 0.5
+    run = sc.discrete_gradient_curve(f, book2, book2.point((2, -4.0, 1.5)), [0.5] * 4)
+    assert run.values[-1] == 0.0
+
+
 @pytest.mark.parametrize("key, index", [
     ("leg", 0), ("leg", 4), ("leg", 2.7), ("leg", float("nan")),
     ("edge", -1), ("edge", 4), ("edge", 0.5),

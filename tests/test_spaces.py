@@ -635,8 +635,9 @@ def test_tree_route_kernels_match_the_probe_walk(seed):
 
 class BranchingKernels:
     """The spider and book kernels with their own centre and spine cases, as
-    they stood before the general formulas took those cases over: the
-    reference for the folded kernels."""
+    they stood before the general formulas took those cases over, and their
+    scalar germ rules, as they stood before `_log` read `_log_row`: the
+    reference for the folded kernels and the germ rows."""
 
     @staticmethod
     def spider_dist(a, b):
@@ -669,6 +670,15 @@ class BranchingKernels:
         return (b[0], arc - a[1])
 
     @staticmethod
+    def spider_log(a, b):
+        d = BranchingKernels.spider_dist(a, b)
+        if a[0] == 0:
+            return (b[0], 1), d
+        if a[0] == b[0] and b[1] > a[1]:
+            return (a[0], 1), d
+        return (a[0], -1), d
+
+    @staticmethod
     def book_dist(a, b):
         if a[0] == b[0] or a[0] == 0 or b[0] == 0:
             return math.hypot(a[1] - b[1], a[2] - b[2])
@@ -681,6 +691,27 @@ class BranchingKernels:
             return [math.hypot(x - u, y - v) for _, u, v in payloads]
         return [math.hypot(x - u, y - v if t == s or t == 0 else y + v)
                 for t, u, v in payloads]
+
+    @staticmethod
+    def book_unfold(a, b):
+        """Planar coordinates of a and b with a in the upper half-plane, and
+        the sheets above and below: b is reflected below the spine when the
+        segment crosses into a different sheet."""
+        pa = (a[1], a[2])
+        if a[0] == b[0] or a[0] == 0 or b[0] == 0:
+            up = a[0] if a[0] != 0 else b[0]
+            return pa, (b[1], b[2]), up, up
+        return pa, (b[1], -b[2]), a[0], b[0]
+
+    @classmethod
+    def book_log(cls, a, b):
+        pa, pb, up, down = cls.book_unfold(a, b)
+        dx, dy = pb[0] - pa[0], pb[1] - pa[1]
+        r = math.hypot(dx, dy)
+        ux, uy = dx / r, dy / r
+        if a[0] != 0:
+            return (a[0], ux, uy), r
+        return spine_germ(up if uy > 0 else down, ux, uy), r
 
     @staticmethod
     def book_log_row(base, payloads, dists):
@@ -738,6 +769,27 @@ def test_folded_kernels_match_the_branching_oracle(space):
             dists = space._dist_row(a, others)
             assert (_bits(space._log_row(a, others, dists))
                     == _bits(BranchingKernels.book_log_row(a, others, dists)))
+
+
+@pytest.mark.parametrize("space", [
+    sc.SpiderSpace(3), sc.SpiderSpace(5, (1.0, 2.0, 0.5, 1.5, 3.0)),
+    sc.BookSpace(2), sc.BookSpace(3), sc.BookSpace(5),
+], ids=lambda s: s.describe() + ("u" if len(set(getattr(s, "leg_lengths", ()))) > 1 else ""))
+def test_log_matches_the_scalar_germ_rule(space):
+    """The spider's and the book's `_log` read their `_log_row`; they give
+    the bits of the scalar germ rules they replaced (the book's unfolding
+    included) on every pair of distinct points of the payload mix.  The
+    tree's `_log` meets `ProbeWalkTree.log` above."""
+    pts = _branch_payloads(space, np.random.default_rng(space.k + 1))
+    log = (BranchingKernels.spider_log if isinstance(space, sc.SpiderSpace)
+           else BranchingKernels.book_log)
+    n = 0
+    for a in pts:
+        for b in pts:
+            if space._dist(a, b) > 0.0:
+                assert _bits(space._log(a, b)) == _bits(log(a, b)), (a, b)
+                n += 1
+    assert n > len(pts) ** 2 // 2
 
 
 class _FixedDraw:

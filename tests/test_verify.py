@@ -504,7 +504,9 @@ def _exact(value):
 def test_log_row_matches_the_scalar_log(space, rng):
     """Every `_log_row` override is the scalar `_log` loop, bit for bit, at
     random bases and at the book spine, tree vertex, spider centre and
-    spider leg bases, toward payloads on the base's own edge or leg."""
+    spider leg bases, toward payloads on the base's own edge or leg.  Trees,
+    spiders and books take `_log` from a one-point row, so there the loop
+    is checked against the former scalar rules in `tests/test_spaces.py`."""
     pts = [space.random_point(rng, 1.5).data for _ in range(20)]
     bases = pts[:5]
     if isinstance(space, sc.BookSpace):

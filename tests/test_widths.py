@@ -476,6 +476,30 @@ def test_generic_bound_random_curves_all_estimable_spaces():
             assert report.passed, (space.describe(), report.ratio)
 
 
+def test_generic_bound_for_curve_skips_the_containment_scan(monkeypatch):
+    """The unit neighborhood of the densified points holds their sigma = 1
+    neighborhood by construction: `generic_bound_for_curve` gives
+    `generic_cat0_bound`'s report on that region, bit for bit, without
+    calling `contains_neighborhood`."""
+    cases = [(c.space, c) for c in (spider_jump_curve(5), book_spine_jump_curve(3))]
+    for i, space in enumerate([sc.SpiderSpace(4), sc.BookSpace(3),
+                               random_tree(seed=81, max_edges=10, max_degree=5)]):
+        cases += [(space, random_self_contracted(space, 9, seed=8800 + 10 * i + trial))
+                  for trial in range(3)]
+    calls = []
+    scan = NeighborhoodRegion.contains_neighborhood
+    monkeypatch.setattr(NeighborhoodRegion, "contains_neighborhood",
+                        lambda region, *args: calls.append(args) or scan(region, *args))
+    for space, curve in cases:
+        got = generic_bound_for_curve(space, curve)
+        assert calls == []
+        region = NeighborhoodRegion(tuple(curve.densified().points), 1.0)
+        want = generic_cat0_bound(space, curve,
+                                  estimate_condition_constants(space, region), region)
+        assert calls and calls.pop()[1] == 1.0
+        assert repr(got) == repr(want)  # repr tells every float apart but NaN
+
+
 def test_unrectifiable_witness_values():
     for k in (2, 5, 10):
         curve, report = unrectifiable_witness(k)
