@@ -27,8 +27,10 @@ from .spaces.base import Direction, Point, Space, clamp_cos
 
 def cone_distance(angle: float, s: float, t: float) -> float:
     """Distance in a Euclidean cone between radii s, t at the given angle."""
-    if s < 0 or t < 0:
-        raise GeometryError("cone radii must be nonnegative")
+    if not (0.0 <= s < math.inf and 0.0 <= t < math.inf):
+        raise GeometryError(f"cone radii must be finite and nonnegative, got {s!r}, {t!r}")
+    if math.isnan(angle):
+        raise GeometryError("cone angle must not be NaN")
     a = min(max(angle, 0.0), math.pi)
     q = s * s + t * t - 2.0 * s * t * math.cos(a)
     return math.sqrt(max(q, 0.0))
@@ -46,8 +48,9 @@ class ConePoint:
     radius: float
 
     def __post_init__(self):
-        if self.radius < 0:
-            raise GeometryError("cone radius must be nonnegative")
+        if not 0.0 <= self.radius < math.inf:
+            raise GeometryError(
+                f"cone radius must be finite and nonnegative, got {self.radius!r}")
 
 
 def _dir_payloads(dirs: Sequence[Direction]) -> tuple[Space, Point, list[tuple]]:
@@ -70,8 +73,8 @@ def cone_barycenter(dirs: Sequence[Direction],
     """
     space, base, payloads = _dir_payloads(dirs)
     rs = [1.0] * len(payloads) if radii is None else [float(r) for r in radii]
-    if len(rs) != len(payloads) or any(r < 0 for r in rs):
-        raise GeometryError("need one nonnegative radius per direction")
+    if len(rs) != len(payloads) or not all(0.0 <= r < math.inf for r in rs):
+        raise GeometryError("need one finite nonnegative radius per direction")
     germ, radius = space._cone_barycenter(base.data, payloads, rs)
     return ConePoint(None if germ is None else Direction(space, base, germ), radius)
 

@@ -35,10 +35,7 @@ class Curve:
         if self.mode not in (DISCRETE, GEODESIC):
             raise GeometryError(f"unknown curve mode {self.mode!r}")
         times = [t for t, _ in self.samples]
-        if not all(math.isfinite(t) for t in times):
-            raise GeometryError("sample times must be finite")
-        if any(not t2 > t1 for t1, t2 in zip(times, times[1:])):
-            raise GeometryError("sample times must be strictly increasing")
+        check_times(times)
         check_all_same_space(p for _, p in self.samples)
         if not self.domain_end > times[-1]:
             raise GeometryError("domain end must exceed the last sample time")
@@ -75,22 +72,41 @@ class Curve:
                 return self.space.geodesic_point(p0, p1, s)
         return samples[-1][1]
 
+    def dense_payloads(self, levels: int = 3) -> tuple[list[float], list[tuple]]:
+        """Sample times and payloads with geodesic midpoints inserted
+        `levels` times (geodesic mode only).  The curve owns its samples, so
+        the midpoints are taken on payloads; the times are checked as a
+        Curve's are."""
+        times = [t for t, _ in self.samples]
+        payloads = [p.data for _, p in self.samples]
+        if self.mode != GEODESIC or levels <= 0 or len(times) < 2:
+            return times, payloads
+        space = self.space
+        for _ in range(levels):
+            t_out, p_out = [], []
+            for t0, t1, p0, p1 in zip(times, times[1:], payloads, payloads[1:]):
+                t_out += (t0, 0.5 * (t0 + t1))
+                p_out += (p0, space._canonical(space._geodesic(p0, p1, 0.5)))
+            times, payloads = t_out + times[-1:], p_out + payloads[-1:]
+        check_times(times)
+        return times, payloads
+
     def densified(self, levels: int = 3) -> "Curve":
-        """Insert geodesic midpoints `levels` times (geodesic mode only).
-        The curve owns its samples, so the midpoints are taken on payloads."""
+        """The curve through `dense_payloads(levels)`, as Points."""
         if self.mode != GEODESIC or levels <= 0 or len(self.samples) < 2:
             return self
         space = self.space
-        samples = list(self.samples)
-        for _ in range(levels):
-            out: list[tuple[float, Point]] = []
-            for (t0, p0), (t1, p1) in zip(samples, samples[1:]):
-                mid = space._canonical(space._geodesic(p0.data, p1.data, 0.5))
-                out.append((t0, p0))
-                out.append((0.5 * (t0 + t1), Point(space, mid)))
-            out.append(samples[-1])
-            samples = out
-        return Curve(tuple(samples), mode=GEODESIC, domain_end=self.domain_end)
+        times, payloads = self.dense_payloads(levels)
+        return Curve(tuple((t, Point(space, p)) for t, p in zip(times, payloads)),
+                     mode=GEODESIC, domain_end=self.domain_end)
+
+
+def check_times(times: Sequence[float]) -> None:
+    """Sample times must be finite and strictly increasing."""
+    if not all(math.isfinite(t) for t in times):
+        raise GeometryError("sample times must be finite")
+    if any(not t2 > t1 for t1, t2 in zip(times, times[1:])):
+        raise GeometryError("sample times must be strictly increasing")
 
 
 def make_curve(points: Sequence[Point], times: Sequence[float] | None = None,

@@ -432,6 +432,9 @@ def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
             a1 = float(params.get("hi", 1.0))
             if not a0 <= a1:  # NaN in either fails
                 raise GeometryError(f"need lo <= hi, got lo={a0}, hi={a1}")
+            if not (a0 < math.inf and a1 > -math.inf):
+                raise GeometryError(
+                    f"the segment [lo, hi] needs a finite point, got lo={a0}, hi={a1}")
 
             def f(z: Point) -> float:
                 _, a, b = z.data

@@ -65,29 +65,28 @@ class ViolationReport:
         return {**dataclasses.asdict(self), "passed": self.passed}
 
 
-def _effective_samples(curve: Curve, cfg: SamplingConfig
-                       ) -> list[tuple[float, Point]]:
-    """Curve samples, densified along geodesic segments, capped for runtime."""
-    samples = list(curve.densified(cfg.densify_levels).samples)
-    n = len(samples)
+def _effective_samples(space: Space, curve: Curve, cfg: SamplingConfig
+                       ) -> tuple[list[float], list[tuple]]:
+    """Sample times and payloads, densified along geodesic segments, capped
+    for runtime; owning the curve's first sample owns them all."""
+    times, payloads = curve.dense_payloads(cfg.densify_levels)
+    space.own(curve.samples[0][1])
+    n = len(times)
     if n <= cfg.max_exhaustive:
-        return samples
+        return times, payloads
     rng = np.random.default_rng(cfg.seed)
     keep = {0, n - 1}
     strata = np.linspace(0, n - 1, cfg.max_exhaustive - 2)
     jitter = rng.uniform(-0.5, 0.5, len(strata))
     for s, j in zip(strata, jitter):
         keep.add(int(round(min(max(s + j, 0), n - 1))))
-    return [samples[i] for i in sorted(keep)]
+    kept = sorted(keep)
+    return [times[i] for i in kept], [payloads[i] for i in kept]
 
 
-def _triangle(space: Space, samples: list[tuple[float, Point]]
-              ) -> tuple[list[tuple], Iterator[list[float]]]:
-    """Sample payloads, and rows[i] = d(i, i + 1), d(i, i + 2), ... built as
-    the caller reaches them; owning a Curve's first sample owns them all."""
-    space.own(samples[0][1])
-    payloads = [p.data for _, p in samples]
-    return payloads, (space._dist_row(p, payloads[i + 1:]) for i, p in enumerate(payloads))
+def _triangle(space: Space, payloads: list[tuple]) -> Iterator[list[float]]:
+    """rows[i] = d(i, i + 1), d(i, i + 2), ... built as the caller reaches them."""
+    return (space._dist_row(p, payloads[i + 1:]) for i, p in enumerate(payloads))
 
 
 def _running_min_violation(dists: Sequence[float]
@@ -111,9 +110,9 @@ def is_self_contracted(space: Space, curve: Curve,
     The reported violation is the exact maximum over all triples of the
     effective sample set (running-minimum reduction per t3).
     """
-    samples = _effective_samples(curve, cfg)
-    rows = list(_triangle(space, samples)[1])
-    n = len(samples)
+    times, payloads = _effective_samples(space, curve, cfg)
+    rows = list(_triangle(space, payloads))
+    n = len(times)
     worst = 0.0
     witness = None
     for k in range(1, n):
@@ -121,12 +120,11 @@ def is_self_contracted(space: Space, curve: Curve,
         viol, pair = _running_min_violation(column)
         if viol > worst:
             j, i = pair
-            tk, pk = samples[k]
             worst = viol
             witness = {
-                "t1": samples[j][0], "t2": samples[i][0], "t3": tk,
+                "t1": times[j], "t2": times[i], "t3": times[k],
                 "d_t1_t3": column[j], "d_t2_t3": column[i],
-                "p3": space._point_json(pk.data),
+                "p3": space._point_json(payloads[k]),
             }
     return ViolationReport(
         check="self_contracted", max_violation=worst, n_checked=n * (n - 1) // 2,
@@ -159,11 +157,12 @@ def stationarity_check(space: Space, curve: Curve,
 
     A revisit counts every sample in between but compares only those no
     earlier revisit of the same point compared, which cannot win again."""
-    samples = list(curve.samples)
+    times, payloads = curve.dense_payloads(0)
+    space.own(curve.samples[0][1])
     worst = 0.0
     witness = None
     n_checked = 0
-    for i, row in enumerate(_triangle(space, samples)[1]):
+    for i, row in enumerate(_triangle(space, payloads)):
         scanned = 0
         for m in range(1, len(row)):
             if row[m] > space.tolerance:
@@ -172,8 +171,8 @@ def stationarity_check(space: Space, curve: Curve,
             for k in range(scanned, m):
                 if row[k] > worst:
                     worst = row[k]
-                    witness = {"t1": samples[i][0], "t2": samples[i + 1 + k][0],
-                               "t3": samples[i + 1 + m][0], "deviation": row[k]}
+                    witness = {"t1": times[i], "t2": times[i + 1 + k],
+                               "t3": times[i + 1 + m], "deviation": row[k]}
             scanned = m
     return ViolationReport(
         check="stationarity", max_violation=worst, n_checked=max(n_checked, 1),
@@ -229,12 +228,11 @@ def angle_estimate_sweep(space: Space, curve: Curve,
     (a, b >= a) of the scalar double loop that attains the largest excess,
     so the witness is the one that loop would record.
     """
-    samples = _effective_samples(curve, cfg)
-    payloads, rows = _triangle(space, samples)
+    times, payloads = _effective_samples(space, curve, cfg)
     worst = -math.inf
     witness = None
     n_checked = 0
-    for i, (base, row) in enumerate(zip(payloads, rows)):
+    for i, (base, row) in enumerate(zip(payloads, _triangle(space, payloads))):
         later = [j for j, d in enumerate(row, start=i + 1) if d > space.tolerance]
         if not later:
             continue
@@ -244,8 +242,8 @@ def angle_estimate_sweep(space: Space, curve: Curve,
         excess, a, b = space._germ_diameter(base, germs, math.pi / 2.0)
         if excess > worst:
             worst = excess
-            witness = {"tau": samples[i][0], "t1": samples[later[a]][0],
-                       "t2": samples[later[b]][0],
+            witness = {"tau": times[i], "t1": times[later[a]],
+                       "t2": times[later[b]],
                        "angle": space._angle(base, germs[a], germs[b])}
     return ViolationReport(
         check="angle_estimate", max_violation=worst if n_checked else 0.0,
@@ -284,12 +282,11 @@ def tail_halving_check(space: Space, curve: Curve,
     A consequence of self-contractedness used by the projection
     decrease arguments.
     """
-    samples = _effective_samples(curve, cfg)
+    times, payloads = _effective_samples(space, curve, cfg)
     worst = 0.0
     witness = None
     n_checked = 0
-    for i, dists in enumerate(_triangle(space, samples)[1]):
-        ti = samples[i][0]
+    for i, dists in enumerate(_triangle(space, payloads)):
         # min(d, low) keeps d unless low < d
         suffix_min, low = list(dists), math.inf
         for j in range(len(dists) - 1, -1, -1):
@@ -302,7 +299,7 @@ def tail_halving_check(space: Space, curve: Curve,
             viol = dT / 2.0 - suffix_min[j]
             if viol > worst:
                 worst = viol
-                witness = {"tau": ti, "T": samples[i + 1 + j][0],
+                witness = {"tau": times[i], "T": times[i + 1 + j],
                            "d_T_tau": dT, "min_later": suffix_min[j]}
     return ViolationReport(
         check="tail_halving", max_violation=worst, n_checked=max(n_checked, 1),

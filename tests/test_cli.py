@@ -325,6 +325,17 @@ def test_simulate_refuses_a_non_finite_final_value(tmp_path, monkeypatch, capsys
     assert sorted(p.name for p in tmp_path.iterdir()) == ["far.cfg"]
 
 
+def test_simulate_refuses_a_spine_segment_with_no_finite_point(tmp_path, monkeypatch, capsys):
+    """`lo = hi = inf` used to exit 2 with "geodesic parameter nan outside
+    [0, 1]", a message that names no parameter."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "inf.cfg").write_text("objective.lo = inf\nobjective.hi = inf\n")
+    assert cli.main(["simulate", "--space", "book:2", "--objective", "dist_to_spine_segment",
+                     "--start", "1,0.5,0.5", "--config", "inf.cfg", "--out", "inf"]) == 2
+    assert "lo=inf" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inf.cfg"]
+
+
 def test_verify_refuses_a_negative_tolerance(workdir):
     """The sampling config refuses tol < 0, under which every check would fail."""
     r = run(["verify", "run1.curve.json", "--tol", "-1"], workdir)

@@ -55,6 +55,30 @@ def test_cone_distance_values():
         cone_distance(1.0, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_cone_radii_are_refused(plane, spider3, bad):
+    """NaN and +inf radii used to pass the `r < 0` checks: the plane's
+    barycenter came out (nan, nan) with radius nan, and the spider's
+    silently gave the cone origin."""
+    origin = plane.point((0.0, 0.0))
+    plane_dirs = unit_dirs(plane, origin, [(1.0, 0.0), (0.0, 1.0)])
+    spider_dirs = [Direction(spider3, spider3.center(), (leg, 1)) for leg in (1, 2)]
+    for dirs in (plane_dirs, spider_dirs):
+        with pytest.raises(GeometryError, match="finite nonnegative radius"):
+            cone_barycenter(dirs, [bad, 1.0])
+    with pytest.raises(GeometryError, match="finite and nonnegative"):
+        ConePoint(None, bad)
+    with pytest.raises(GeometryError, match="finite and nonnegative"):
+        cone_distance(0.5, bad, 1.0)
+    with pytest.raises(GeometryError, match="finite and nonnegative"):
+        cone_distance(0.5, 1.0, bad)
+
+
+def test_cone_distance_refuses_a_nan_angle():
+    with pytest.raises(GeometryError, match="NaN"):
+        cone_distance(math.nan, 0.5, 1.0)
+
+
 def test_barycenter_two_orthogonal_directions(plane):
     base = plane.point((0.0, 0.0))
     dirs = unit_dirs(plane, base, [(1.0, 0.0), (0.0, 1.0)])

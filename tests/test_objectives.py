@@ -61,6 +61,23 @@ def test_spine_segment_may_be_the_whole_spine(book2):
     assert run.values[-1] == 0.0
 
 
+@pytest.mark.parametrize("end", [math.inf, -math.inf])
+def test_spine_segment_needs_a_finite_point(book2, end):
+    """lo = hi = +-inf is a segment with no point on the spine; it used to
+    run NaN steps until `geodesic_point` stopped them with a message that
+    named no parameter."""
+    with pytest.raises(GeometryError, match=f"lo={end}, hi={end}"):
+        make_objective(book2, "dist_to_spine_segment", lo=end, hi=end)
+
+
+@pytest.mark.parametrize("lo, hi", [(-math.inf, 0.5), (0.5, math.inf)])
+def test_spine_segment_may_be_a_half_line(book2, lo, hi):
+    f = make_objective(book2, "dist_to_spine_segment", lo=lo, hi=hi)
+    assert f(book2.point((1, 0.5, 0.25))) == 0.25
+    run = sc.discrete_gradient_curve(f, book2, book2.point((2, 0.5, 1.5)), [0.5] * 4)
+    assert run.values[-1] == 0.0
+
+
 @pytest.mark.parametrize("key, index", [
     ("leg", 0), ("leg", 4), ("leg", 2.7), ("leg", float("nan")),
     ("edge", -1), ("edge", 4), ("edge", 0.5),

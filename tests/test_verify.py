@@ -9,7 +9,7 @@ import selfcontract as sc
 from selfcontract.errors import GeometryError, SpaceMismatchError
 from selfcontract.objectives import make_objective
 from selfcontract.proximal import GradientCurveRun, discrete_gradient_curve
-from selfcontract.spaces.base import Space
+from selfcontract.spaces.base import Point, Space
 from selfcontract.verify import (
     DEFAULT_SAMPLING,
     VIOLATION_TOL,
@@ -543,12 +543,17 @@ def test_germ_diameter_witness_is_first_by_excess():
     assert Space._germ_diameter(plane, None, germs, limit) == (ang1 - limit, 0, 1)
 
 
+def effective_points(space, curve, cfg=DEFAULT_SAMPLING):
+    """The checks' effective samples as (time, Point) pairs, for the
+    references that go through the public space calls."""
+    times, payloads = _effective_samples(space, curve, cfg)
+    return [(t, Point(space, p)) for t, p in zip(times, payloads)]
+
+
 def scalar_angle_sweep(space, curve, limit=math.pi / 2.0):
     """The angle sweep as one Python call per triple, through the public
     `log_direction` and `direction_angle`: the reference for the kernels."""
-    from selfcontract.verify import DEFAULT_SAMPLING, _effective_samples
-
-    samples = _effective_samples(curve, DEFAULT_SAMPLING)
+    samples = effective_points(space, curve)
     worst, witness, n_checked = -math.inf, None, 0
     for i, (ti, base) in enumerate(samples):
         germs = [(tj, space.log_direction(base, pj)[0]) for tj, pj in samples[i + 1:]
@@ -597,7 +602,7 @@ def test_angle_sweep_budget_on_a_481_sample_plane_run():
     f = make_objective(plane, "half_sq_dist", target=(0.5, -0.25))
     run = discrete_gradient_curve(f, plane, plane.point((1.5, 1.0)), [0.05] * 60)
     curve = sc.geodesic_interpolation(plane, run)
-    assert len(_effective_samples(curve, DEFAULT_SAMPLING)) == 481
+    assert len(_effective_samples(plane, curve, DEFAULT_SAMPLING)[0]) == 481
     t0 = time.perf_counter()
     rep = angle_estimate_sweep(plane, curve)
     dt = time.perf_counter() - t0
@@ -616,6 +621,23 @@ def test_payload_checks_own_the_curve(check, plane):
     twin = sc.EuclideanSpace(2)
     assert twin is not plane
     assert check(twin, curve).to_json() == check(plane, curve).to_json()
+
+
+@pytest.mark.parametrize("times, message", [
+    ((0.0, 1.0, math.nextafter(1.0, 2.0)), "strictly increasing"),
+    ((0.0, 1e308, 1.7e308), "finite"),
+], ids=["adjacent-floats", "overflowing-midpoints"])
+def test_densified_times_are_checked_as_a_curve_checks_them(plane, times, message):
+    """A midpoint between adjacent floats repeats a time, and the midpoint
+    of two huge times overflows: the three checks that densify refuse
+    both, as a Curve of those samples would, and stationarity_check, which
+    reads the samples as they are, passes."""
+    curve = sc.make_curve([plane.point((float(i), 0.0)) for i in range(3)], times,
+                          mode="geodesic", domain_end=math.inf)
+    for check in (is_self_contracted, tail_halving_check, angle_estimate_sweep):
+        with pytest.raises(GeometryError, match=f"sample times must be {message}"):
+            check(plane, curve)
+    assert stationarity_check(plane, curve).passed
 
 
 def loop_tail_monotonicity(space, curve, T, tol=VIOLATION_TOL):
@@ -710,7 +732,7 @@ def test_running_minimum_checks_match_their_loops(space, rng):
 def loop_self_contracted(space, curve, tol=VIOLATION_TOL):
     """is_self_contracted as a running minimum over t1 < t2 per t3, through
     the public `distance`: the reference."""
-    samples = _effective_samples(curve, DEFAULT_SAMPLING)
+    samples = effective_points(space, curve)
     n = len(samples)
     worst, witness = 0.0, None
     for k in range(1, n):
@@ -731,7 +753,7 @@ def loop_self_contracted(space, curve, tol=VIOLATION_TOL):
 def loop_tail_halving(space, curve, tol=VIOLATION_TOL):
     """tail_halving_check with the minimum over later samples taken afresh
     for every (tau, T): the reference."""
-    samples = _effective_samples(curve, DEFAULT_SAMPLING)
+    samples = effective_points(space, curve)
     n = len(samples)
     worst, witness, n_checked = 0.0, None, 0
     for i, (ti, pi) in enumerate(samples):
@@ -825,7 +847,7 @@ def loop_suffix_tail_halving(space, curve, tol=VIOLATION_TOL):
     """tail_halving_check with its suffix minimum built by one `min()` per
     element, on the `loop_densified` samples, through the public
     `distance`: the reference."""
-    samples = _effective_samples(loop_densified(curve), SamplingConfig(densify_levels=0))
+    samples = effective_points(space, loop_densified(curve), SamplingConfig(densify_levels=0))
     worst, witness, n_checked = 0.0, None, 0
     for i, (ti, pi) in enumerate(samples):
         dists = [space.distance(pi, p) for _, p in samples[i + 1:]]
@@ -879,15 +901,18 @@ def _revisiting_curve(space, rng, mode):
 def test_row_readers_match_their_loops_bit_for_bit(space, rng):
     """stationarity_check, tail_halving_check, ball_confinement_check,
     diameter and contains_neighborhood read distance rows, and
-    Curve.densified takes payload midpoints; each agrees with its scalar
-    loop bit for bit on 60 revisiting curves, half discrete and half
-    geodesic."""
+    Curve.dense_payloads and the densified curve built on it take payload
+    midpoints; each agrees with its scalar loop bit for bit on 60
+    revisiting curves, half discrete and half geodesic, the midpoints at
+    levels 0 to 3."""
     seen = {"revisits": 0, "stationarity": 0, "halving": 0, "ball": 0,
             "inside": 0, "outside": 0}
     for trial in range(60):
         curve = _revisiting_curve(space, rng, ("discrete", "geodesic")[trial % 2])
-        assert (_bits([(t, p.data) for t, p in curve.densified().samples])
-                == _bits([(t, p.data) for t, p in loop_densified(curve).samples]))
+        for levels in range(4):
+            want = _bits([(t, p.data) for t, p in loop_densified(curve, levels).samples])
+            assert _bits(list(zip(*curve.dense_payloads(levels)))) == want
+            assert _bits([(t, p.data) for t, p in curve.densified(levels).samples]) == want
         rep = stationarity_check(space, curve)
         assert _bits(rep.to_json()) == _bits(loop_stationarity(space, curve).to_json())
         seen["revisits"] += rep.n_checked > 1
