@@ -318,16 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, help="64-bit RNG seed")
+        p.add_argument("--seed", help="64-bit RNG seed")
         p.add_argument("--out", help="output path base")
-        p.add_argument("--tol", type=float, help="violation tolerance")
+        p.add_argument("--tol", help="violation tolerance")
 
     p = sub.add_parser("simulate", help="run a discrete gradient curve")
     common(p)
     p.add_argument("--space", help="space spec, e.g. euclidean:2 or spider:3")
     p.add_argument("--objective", help="catalog objective name")
     p.add_argument("--tau", help="step size (or comma list)")
-    p.add_argument("--steps", type=int, help="number of resolvent steps")
+    p.add_argument("--steps", help="number of resolvent steps")
     p.add_argument("--start", help="start point payload, comma separated")
     p.set_defaults(fn=cmd_simulate)
 
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexample",
                        help="emit the dimension-growth witness families")
     common(p)
-    p.add_argument("--k", type=int, help="truncation size (>= 2)")
+    p.add_argument("--k", help="truncation size (>= 2)")
     p.set_defaults(fn=cmd_counterexample)
 
     p = sub.add_parser("report", help="aggregate audit rows and plot data")

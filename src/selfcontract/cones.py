@@ -75,7 +75,10 @@ def cone_barycenter(dirs: Sequence[Direction],
     rs = [1.0] * len(payloads) if radii is None else [float(r) for r in radii]
     if len(rs) != len(payloads) or not all(0.0 <= r < math.inf for r in rs):
         raise GeometryError("need one finite nonnegative radius per direction")
-    germ, radius = space._cone_barycenter(base.data, payloads, rs)
+    try:
+        germ, radius = space._cone_barycenter(base.data, payloads, rs)
+    except OverflowError:  # finite radii whose weighted sum is not
+        raise GeometryError("cone barycenter overflows at these radii") from None
     return ConePoint(None if germ is None else Direction(space, base, germ), radius)
 
 

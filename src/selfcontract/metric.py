@@ -18,106 +18,95 @@ GEODESIC = "geodesic"
 
 @dataclass(frozen=True)
 class Curve:
-    """Time-stamped point samples with an interpolation mode.
+    """Time-stamped samples of one space, held as its payloads, with an
+    interpolation mode.
 
     `discrete` curves are pure jump curves (the trajectory is the sample
     set); `geodesic` curves stand for the piecewise-geodesic
-    interpolation through the samples.
+    interpolation through the samples.  `make_curve` builds a curve from
+    Points; `samples`, `points`, `point_at` and `tail_points` build
+    Points on each call.
     """
 
-    samples: tuple[tuple[float, Point], ...]
+    space: Space
+    times: tuple[float, ...]
+    payloads: tuple[tuple, ...]
     mode: str = DISCRETE
     domain_end: float = math.inf
 
     def __post_init__(self):
-        if not self.samples:
+        object.__setattr__(self, "times", tuple(self.times))
+        object.__setattr__(self, "payloads", tuple(self.payloads))
+        times = self.times
+        if len(times) != len(self.payloads):
+            raise GeometryError(
+                f"curve has {len(times)} sample times for {len(self.payloads)} points")
+        if not times:
             raise GeometryError("curve needs at least one sample")
         if self.mode not in (DISCRETE, GEODESIC):
             raise GeometryError(f"unknown curve mode {self.mode!r}")
-        times = [t for t, _ in self.samples]
-        check_times(times)
-        check_all_same_space(p for _, p in self.samples)
+        if not all(math.isfinite(t) for t in times):
+            raise GeometryError("sample times must be finite")
+        if any(not t2 > t1 for t1, t2 in zip(times, times[1:])):
+            raise GeometryError("sample times must be strictly increasing")
         if not self.domain_end > times[-1]:
             raise GeometryError("domain end must exceed the last sample time")
 
     @property
-    def space(self) -> Space:
-        return self.samples[0][1].space
-
-    @property
-    def times(self) -> list[float]:
-        return [t for t, _ in self.samples]
+    def samples(self) -> tuple[tuple[float, Point], ...]:
+        return tuple(zip(self.times, self.points))
 
     @property
     def points(self) -> list[Point]:
-        return [p for _, p in self.samples]
+        return [Point(self.space, p) for p in self.payloads]
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.times)
 
     def tail_points(self, t: float) -> list[Point]:
         """Samples of the tail {xi(s) : s >= t}."""
-        return [p for s, p in self.samples if s >= t - 1e-15]
+        return [Point(self.space, p) for s, p in zip(self.times, self.payloads)
+                if s >= t - 1e-15]
 
     def point_at(self, t: float) -> Point:
         """Evaluate the curve at time t (step function or geodesic pieces)."""
-        samples = self.samples
-        if t <= samples[0][0]:
-            return samples[0][1]
-        for (t0, p0), (t1, p1) in zip(samples, samples[1:]):
-            if t < t1:
+        space, times, payloads = self.space, self.times, self.payloads
+        if t <= times[0]:
+            return Point(space, payloads[0])
+        for k in range(1, len(times)):
+            if t < times[k]:
                 if self.mode == DISCRETE:
-                    return p0
-                s = (t - t0) / (t1 - t0)
-                return self.space.geodesic_point(p0, p1, s)
-        return samples[-1][1]
+                    return Point(space, payloads[k - 1])
+                s = (t - times[k - 1]) / (times[k] - times[k - 1])
+                return space.geodesic_point(Point(space, payloads[k - 1]),
+                                            Point(space, payloads[k]), s)
+        return Point(space, payloads[-1])
 
-    def dense_payloads(self, levels: int = 3) -> tuple[list[float], list[tuple]]:
-        """Sample times and payloads with geodesic midpoints inserted
-        `levels` times (geodesic mode only).  The curve owns its samples, so
-        the midpoints are taken on payloads; the times are checked as a
-        Curve's are."""
-        times = [t for t, _ in self.samples]
-        payloads = [p.data for _, p in self.samples]
-        if self.mode != GEODESIC or levels <= 0 or len(times) < 2:
-            return times, payloads
-        space = self.space
+    def densified(self, levels: int = 3) -> "Curve":
+        """The curve with geodesic midpoints inserted `levels` times
+        (geodesic mode only; otherwise the curve itself), taken on payloads."""
+        if self.mode != GEODESIC or levels <= 0 or len(self) < 2:
+            return self
+        space, times, payloads = self.space, list(self.times), list(self.payloads)
         for _ in range(levels):
             t_out, p_out = [], []
             for t0, t1, p0, p1 in zip(times, times[1:], payloads, payloads[1:]):
                 t_out += (t0, 0.5 * (t0 + t1))
                 p_out += (p0, space._canonical(space._geodesic(p0, p1, 0.5)))
             times, payloads = t_out + times[-1:], p_out + payloads[-1:]
-        check_times(times)
-        return times, payloads
-
-    def densified(self, levels: int = 3) -> "Curve":
-        """The curve through `dense_payloads(levels)`, as Points."""
-        if self.mode != GEODESIC or levels <= 0 or len(self.samples) < 2:
-            return self
-        space = self.space
-        times, payloads = self.dense_payloads(levels)
-        return Curve(tuple((t, Point(space, p)) for t, p in zip(times, payloads)),
-                     mode=GEODESIC, domain_end=self.domain_end)
-
-
-def check_times(times: Sequence[float]) -> None:
-    """Sample times must be finite and strictly increasing."""
-    if not all(math.isfinite(t) for t in times):
-        raise GeometryError("sample times must be finite")
-    if any(not t2 > t1 for t1, t2 in zip(times, times[1:])):
-        raise GeometryError("sample times must be strictly increasing")
+        return Curve(space, times, payloads, GEODESIC, self.domain_end)
 
 
 def make_curve(points: Sequence[Point], times: Sequence[float] | None = None,
                mode: str = DISCRETE, domain_end: float | None = None) -> Curve:
+    """The curve through Points of one space, at times 0, 1, 2, ... unless
+    given, with domain end one past the last time unless given."""
     pts = list(points)
-    if times is None:
-        times = [float(i) for i in range(len(pts))]
+    space = pts[0].space if pts else None
+    times = [float(t) for t in (range(len(pts)) if times is None else times)]
     if domain_end is None:
         domain_end = times[-1] + 1.0 if times else 1.0
-    return Curve(tuple(zip([float(t) for t in times], pts)), mode=mode,
-                 domain_end=float(domain_end))
+    return Curve(space, times, [space.own(p) for p in pts], mode, float(domain_end))
 
 
 @dataclass(frozen=True)
@@ -142,9 +131,8 @@ def curve_length(curve: Curve) -> float:
     curve are charged their chord distance, and geodesic pieces add
     exactly, so refinement never changes the geodesic-mode value.
     """
-    space = curve.space
-    pts = curve.points
-    return math.fsum(space.distance(a, b) for a, b in zip(pts, pts[1:]))
+    space, payloads = curve.space, curve.payloads
+    return math.fsum(space._dist(a, b) for a, b in zip(payloads, payloads[1:]))
 
 
 def diameter(points: Sequence[Point]) -> float:

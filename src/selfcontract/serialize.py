@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 from .errors import GeometryError
-from .metric import Curve, make_curve
+from .metric import Curve
 from .spaces import space_from_json
 from .spaces.base import Space
 
@@ -32,7 +32,7 @@ def curve_to_json(curve: Curve) -> dict:
         "mode": curve.mode,
         "domain_end": "inf" if curve.domain_end == float("inf") else curve.domain_end,
         "samples": [
-            {"t": t, "p": space._point_json(p.data)} for t, p in curve.samples
+            {"t": t, "p": space._point_json(p)} for t, p in zip(curve.times, curve.payloads)
         ],
     }
 
@@ -52,15 +52,14 @@ def curve_from_json(obj: dict) -> Curve:
         payloads = [s["p"] for s in samples]
         if not all(isinstance(p, list) for p in payloads):
             raise GeometryError("malformed curve document: each sample point is a list")
-        points = [space.point(p) for p in payloads]
+        payloads = [space.point(p).data for p in payloads]
         end = obj.get("domain_end", "inf")
         domain_end = float("inf") if end == "inf" else float(end)
     except GeometryError:
         raise
     except (ValueError, TypeError, KeyError, IndexError, OverflowError) as e:
         raise GeometryError(f"malformed curve document: {e!r}") from None
-    return make_curve(points, times, mode=obj.get("mode", "discrete"),
-                      domain_end=domain_end)
+    return Curve(space, times, payloads, obj.get("mode", "discrete"), domain_end)
 
 
 def dumps(obj) -> str:

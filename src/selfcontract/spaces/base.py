@@ -89,10 +89,10 @@ class Space(ABC):
 
     def _random_points(self, rng, scale: float = 1.0) -> Iterator[tuple]:
         """Endless `_random_point(rng, scale)` payloads, bit for bit and from
-        the same draws.  Spaces that draw a fixed number of doubles override
-        this to draw RANDOM_BLOCK points at a time, so the stream may have
-        drawn ahead: the caller draws nothing else from `rng`.  This loop,
-        which draws nothing ahead, is the overrides' oracle."""
+        the same draws.  Euclidean spaces and trees override this to draw
+        RANDOM_BLOCK points at a time, so the stream may have drawn ahead:
+        the caller draws nothing else from `rng`.  This loop, which draws
+        nothing ahead, is the overrides' oracle."""
         while True:
             yield self._random_point(rng, scale)
 

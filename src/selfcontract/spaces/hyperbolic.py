@@ -10,7 +10,7 @@ import math
 from functools import cached_property
 
 from ..errors import GeometryError
-from .base import RANDOM_BLOCK, Space, polar_diameter, polar_gap, tangent_mean
+from .base import Space, polar_diameter, polar_gap, tangent_mean
 
 
 def mdot(a: tuple, b: tuple) -> float:
@@ -126,17 +126,10 @@ class HyperbolicPlane(Space):
         return tuple(v[i] + c * p[i] for i in range(3))
 
     def _random_point(self, rng, scale: float = 1.0) -> tuple:
+        """The point at a uniform distance in [0, scale] from the origin in
+        a uniform polar direction."""
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        return self._polar_point(theta, float(rng.uniform(0.0, scale)))
-
-    def _random_points(self, rng, scale: float = 1.0):
-        while True:
-            for theta, r in rng.uniform((0.0, 0.0), (2.0 * math.pi, scale),
-                                        (RANDOM_BLOCK, 2)).tolist():
-                yield self._polar_point(theta, r)
-
-    def _polar_point(self, theta: float, r: float) -> tuple:
-        """The point at distance r from the origin in polar direction theta."""
+        r = float(rng.uniform(0.0, scale))
         e1, e2 = self._origin_basis
         v = tuple(math.cos(theta) * e1[i] + math.sin(theta) * e2[i] for i in range(3))
         return self.exp(self.origin(), v, r)

@@ -9,7 +9,7 @@ sharpest test cases for the direction machinery.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from ..errors import GeometryError
 from .base import RANDOM_BLOCK, Point, Space, first_unlike, integral_index
@@ -22,14 +22,6 @@ def _on_segments(r: float, lengths: Sequence[float]) -> tuple[int, float]:
         if r <= length or i == len(lengths) - 1:
             return (i, min(r, length))
         r -= length
-
-
-def _segment_points(rng, lengths: Sequence[float], total: float) -> Iterator[tuple[int, float]]:
-    """Endless `_on_segments` points of uniform draws on [0, total], where
-    `total` is the fsum of the lengths, RANDOM_BLOCK draws at a time."""
-    while True:
-        for r in rng.uniform(0.0, total, RANDOM_BLOCK).tolist():
-            yield _on_segments(r, lengths)
 
 
 class TreeSpace(Space):
@@ -298,7 +290,9 @@ class TreeSpace(Space):
         return _on_segments(float(rng.uniform(0.0, self._total_length)), self._edge_lengths)
 
     def _random_points(self, rng, scale: float = 1.0):
-        return _segment_points(rng, self._edge_lengths, self._total_length)
+        while True:
+            for r in rng.uniform(0.0, self._total_length, RANDOM_BLOCK).tolist():
+                yield _on_segments(r, self._edge_lengths)
 
     def _to_json(self) -> dict:
         return {
@@ -407,10 +401,6 @@ class SpiderSpace(Space):
         leg, r = _on_segments(float(rng.uniform(0.0, math.fsum(self.leg_lengths))),
                               self.leg_lengths)
         return (leg + 1, r)
-
-    def _random_points(self, rng, scale: float = 1.0):
-        for leg, r in _segment_points(rng, self.leg_lengths, math.fsum(self.leg_lengths)):
-            yield (leg + 1, r)
 
     def _to_json(self) -> dict:
         return {

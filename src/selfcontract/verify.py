@@ -65,12 +65,18 @@ class ViolationReport:
         return {**dataclasses.asdict(self), "passed": self.passed}
 
 
+def _own_curve(space: Space, curve: Curve) -> None:
+    """Refuse a curve of another space, as `Space.own` refuses a point."""
+    space.own(Point(curve.space, curve.payloads[0]))
+
+
 def _effective_samples(space: Space, curve: Curve, cfg: SamplingConfig
-                       ) -> tuple[list[float], list[tuple]]:
+                       ) -> tuple[tuple[float, ...], tuple[tuple, ...]]:
     """Sample times and payloads, densified along geodesic segments, capped
-    for runtime; owning the curve's first sample owns them all."""
-    times, payloads = curve.dense_payloads(cfg.densify_levels)
-    space.own(curve.samples[0][1])
+    for runtime."""
+    dense = curve.densified(cfg.densify_levels)
+    _own_curve(space, dense)
+    times, payloads = dense.times, dense.payloads
     n = len(times)
     if n <= cfg.max_exhaustive:
         return times, payloads
@@ -157,8 +163,8 @@ def stationarity_check(space: Space, curve: Curve,
 
     A revisit counts every sample in between but compares only those no
     earlier revisit of the same point compared, which cannot win again."""
-    times, payloads = curve.dense_payloads(0)
-    space.own(curve.samples[0][1])
+    _own_curve(space, curve)
+    times, payloads = curve.times, curve.payloads
     worst = 0.0
     witness = None
     n_checked = 0
@@ -257,8 +263,8 @@ def ball_confinement_check(space: Space, curve: Curve, x: Point, r: float,
     """Between two visits to B(x, r) the curve must stay in B(x, 3r)."""
     if r <= 0:
         raise GeometryError("radius must be positive")
-    samples = list(curve.samples)
-    dists = space._dist_row(space.own(x), [space.own(p) for _, p in samples])
+    _own_curve(space, curve)
+    dists = space._dist_row(space.own(x), curve.payloads)
     visits = [i for i, d in enumerate(dists) if d <= r]
     between = range(visits[0] + 1, visits[-1]) if visits else range(0)
     worst = 0.0
@@ -267,7 +273,7 @@ def ball_confinement_check(space: Space, curve: Curve, x: Point, r: float,
         excess = dists[i] - 3.0 * r
         if excess > worst:
             worst = excess
-            witness = {"t": samples[i][0], "d_to_center": dists[i],
+            witness = {"t": curve.times[i], "d_to_center": dists[i],
                        "allowed": 3.0 * r}
     return ViolationReport(
         check="ball_confinement", max_violation=worst,

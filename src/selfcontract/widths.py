@@ -19,7 +19,7 @@ from .measures import (
     estimate_condition_constants,
     hausdorff_measure_neighborhood,
 )
-from .metric import Curve, curve_length, diameter, make_curve
+from .metric import DISCRETE, Curve, curve_length, diameter, make_curve
 from .spaces.base import Direction, Point, Space
 from .spaces.book import BookSpace
 from .spaces.euclidean import EuclideanSpace
@@ -445,19 +445,19 @@ def random_self_contracted(space: Space, n_steps: int, seed: int) -> Curve:
         raise GeometryError("n_steps must be >= 1")
     scale = 1.5
     targets = map(space._canonical, space._random_points(np.random.default_rng(seed), scale))
-    accepted = [Point(space, next(targets))]
-    payloads = [accepted[0].data]
+    last = Point(space, next(targets))
+    payloads = [last.data]
     step = scale * 0.6
     stalls = 0
-    while len(accepted) < n_steps and stalls < 400:
+    while len(payloads) < n_steps and stalls < 400:
         target = next(targets)
         d = space._dist(payloads[-1], target)
         if d <= 0.0:
             stalls += 1
             continue
-        q = space.geodesic_point(accepted[-1], Point(space, target), min(1.0, step / d))
+        q = space.geodesic_point(last, Point(space, target), min(1.0, step / d))
         if _distances_fall(space._dist, payloads, q.data):
-            accepted.append(q)
+            last = q
             payloads.append(q.data)
             step *= 0.9
             stalls = 0
@@ -465,4 +465,5 @@ def random_self_contracted(space: Space, n_steps: int, seed: int) -> Curve:
             stalls += 1
             if stalls % 40 == 0:
                 step *= 0.6
-    return make_curve(accepted, mode="discrete")
+    n = len(payloads)
+    return Curve(space, [float(i) for i in range(n)], payloads, DISCRETE, float(n))

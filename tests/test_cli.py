@@ -231,6 +231,10 @@ COMMANDS = {
     ("tol = x", ["verify", "audit"]),
     ("--tol nan", ["verify", "audit"]),
     ("k = x", ["counterexample"]),
+    ("--seed 1.5", ["simulate", "verify", "audit"]),
+    ("--steps 1.5", ["simulate"]),
+    ("--tol abc", ["verify", "audit"]),
+    ("--k abc", ["counterexample"]),
 ], ids=lambda v: v if isinstance(v, str) else "+".join(v))
 def test_malformed_numeric_options_are_usage_errors(workdir, option, commands):
     """A bad number, from a flag or a config line, exits 2 without a traceback."""

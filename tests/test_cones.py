@@ -74,6 +74,26 @@ def test_non_finite_cone_radii_are_refused(plane, spider3, bad):
         cone_distance(0.5, 1.0, bad)
 
 
+@pytest.mark.parametrize("spec, base, target", [
+    ("euclidean:2", (0.0, 0.0), (1.0, 0.0)),
+    ("hyperbolic2", (1.0, 0.0, 0.0), (math.cosh(0.8), math.sinh(0.8), 0.0)),
+    ("book:2", (1, 0.0, 0.5), (1, 1.0, 0.5)),
+    ("book:2", (0, 0.0, 0.0), (1, 1.0, 0.0)),
+    ("spider:3", (0, 0.0), (1, 1.0)),
+    ("tree", (0, 0.5), (0, 0.0)),
+    ("product:[euclidean:1|spider:3]", ((0.0,), (1, 0.5)), ((1.0,), (1, 0.5))),
+], ids=["euclidean2", "hyperbolic2", "book-interior", "book-spine", "spider", "tree",
+        "product"])
+def test_overflowing_cone_barycenter_is_a_geometry_error(spec, base, target):
+    """Finite radii whose weighted sum overflows ended in `OverflowError:
+    intermediate overflow in fsum` on every space kind."""
+    space = sc.random_tree(5, 14, 5) if spec == "tree" else sc.parse_space_spec(spec)
+    germ = space.log_direction(space.point(base), space.point(target))[0]
+    with pytest.raises(GeometryError, match="overflows"):
+        cone_barycenter([germ, germ], [1e308, 1e308])
+    assert cone_barycenter([germ, germ], [1.0, 1.0]).radius == pytest.approx(1.0)
+
+
 def test_cone_distance_refuses_a_nan_angle():
     with pytest.raises(GeometryError, match="NaN"):
         cone_distance(math.nan, 0.5, 1.0)

@@ -448,9 +448,14 @@ def test_curve_validation(plane):
     with pytest.raises(GeometryError):
         sc.make_curve([p, p], times=[1.0, 1.0])
     with pytest.raises(GeometryError):
-        sc.Curve(tuple(), mode="discrete")
+        sc.Curve(plane, (), (), mode="discrete")
     with pytest.raises(GeometryError):
         sc.make_curve([p], times=[2.0], domain_end=1.0)
+    q, r = plane.point((1.0, 0.0)), plane.point((2.0, 0.0))
+    with pytest.raises(GeometryError, match="2 sample times for 3 points"):
+        sc.make_curve([p, q, r], times=[0.0, 1.0])
+    with pytest.raises(GeometryError, match="3 sample times for 2 points"):
+        sc.make_curve([p, q], times=[0.0, 1.0, 2.0])
 
 
 @pytest.mark.parametrize("times, domain_end", [
@@ -468,7 +473,7 @@ def test_curve_rejects_nan_and_infinite_times(plane, times, domain_end):
 
 def test_curve_keeps_infinite_domain_end(plane):
     p = plane.point((0.0, 0.0))
-    assert sc.Curve(((0.0, p),)).domain_end == math.inf
+    assert sc.Curve(plane, (0.0,), (p.data,)).domain_end == math.inf
 
 
 def test_geodesic_parameter_range(plane):
