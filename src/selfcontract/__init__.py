@@ -6,14 +6,7 @@ functions, verification of self-contractedness and its angle estimates,
 and auditors for the explicit rectifiability bounds.
 """
 
-from .cones import (
-    ConePoint,
-    RadiusConstants,
-    cone_barycenter,
-    cone_distance,
-    direction_cover_center,
-    radius_constants,
-)
+from .cones import ConePoint, cone_barycenter, cone_distance, direction_cover_center
 from .errors import (
     GeometryError,
     SolverError,
@@ -22,8 +15,10 @@ from .errors import (
 )
 from .measures import (
     NeighborhoodRegion,
+    RadiusConstants,
     estimate_condition_constants,
     hausdorff_measure_neighborhood,
+    radius_constants,
 )
 from .metric import (
     Curve,

@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -92,14 +93,22 @@ _NUMERIC = {
 def _merged_options(args) -> dict:
     """Config-file options overridden by flags, numeric ones parsed once.
 
-    A malformed number raises GeometryError naming the option.
+    A config key must name one of the command's own flags, or be an
+    `objective.<name>` key of `simulate`.  An unread key or a malformed
+    number raises GeometryError naming it.
     """
+    # argparse sets every flag of the command, given or not
+    flags = [key for key in ("space", "objective", "tau", "steps", "seed", "out",
+                             "check", "bound", "tol", "start", "k") if hasattr(args, key)]
     options: dict = {}
     if getattr(args, "config", None):
         options.update(parse_config_file(args.config))
-    for key in ("space", "objective", "tau", "steps", "seed", "out",
-                "check", "bound", "tol", "start", "k"):
-        value = getattr(args, key, None)
+    for key in options:
+        if key not in flags and not (key.startswith("objective.") and "objective" in flags):
+            raise GeometryError(f"config key {key!r} is not read by {args.command}; "
+                                f"it reads {sorted(flags)}")
+    for key in flags:
+        value = getattr(args, key)
         if value is not None:
             options[key] = value
     for key, (parse, expected) in _NUMERIC.items():
@@ -317,6 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        # argparse reads a string that starts with '-' as a flag unless it
+        # names no flag of the command and matches this pattern, meant for
+        # negative numbers; widened to every "-x" string, a value such as
+        # "-2e0" or "-inf" reaches the option's own parser as a config
+        # line would, and "--name" still reads as a flag
+        p._negative_number_matcher = re.compile(r"-[^-].*")
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--seed", help="64-bit RNG seed")
         p.add_argument("--out", help="output path base")

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import GeometryError
-from .spaces.base import Direction, Point, Space, clamp_cos
+from .measures import covering_theta
+from .spaces.base import Direction, Point, Space
 
 
 def cone_distance(angle: float, s: float, t: float) -> float:
@@ -118,52 +119,9 @@ def direction_cover_center(space: Space, x: Point, dirs: Sequence[Direction]
         raise GeometryError("degenerate cone barycenter")
     center = cp.direction
     radius = max(space.direction_angle(center, d) for d in ds)
-    bound = math.acos(clamp_cos(1.0 / (2.0 * m)))
+    bound = covering_theta(m)
     if radius > bound + 1e-7:
         raise GeometryError(
             f"cover radius {radius} exceeds the arccos(1/(2m)) bound {bound}"
         )
     return center, radius, m
-
-
-@dataclass(frozen=True)
-class RadiusConstants:
-    """Dimension-driven covering constants and the derived decrease rates.
-
-    `theta` is the general covering-radius bound arccos(1/(2*3^n)) with
-    the improved low-dimension values kept alongside; `eps` is the
-    projection decrease rate cos(theta)/3 = 1/(2*3^(n+1)); `m` bounds the
-    cardinality of pi/3-separated direction sets; `eps_bold` = 1/(6m).
-    The ratio fields a, b and the scale sigma are filled by the
-    condition-constant estimators where applicable.
-    """
-
-    n: int
-    theta: float
-    theta_improved: float | None
-    eps: float
-    m: int
-    eps_bold: float
-    a: float | None = None
-    b: float | None = None
-    sigma: float | None = None
-    notes: tuple[str, ...] = ()
-
-
-_IMPROVED_THETA = {1: 0.0, 2: math.pi / 4.0}
-
-
-def radius_constants(n: int) -> RadiusConstants:
-    if n < 1:
-        raise GeometryError("dimension must be >= 1")
-    m = 3 ** n
-    theta = math.acos(1.0 / (2.0 * m))
-    eps = 1.0 / (2.0 * 3 ** (n + 1))
-    return RadiusConstants(
-        n=n,
-        theta=theta,
-        theta_improved=_IMPROVED_THETA.get(n),
-        eps=eps,
-        m=m,
-        eps_bold=1.0 / (6.0 * m),
-    )

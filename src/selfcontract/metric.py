@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import GeometryError
+from .measures import _height
 from .spaces.base import Point, Space, check_all_same_space
 
 DISCRETE = "discrete"
@@ -303,15 +304,6 @@ def _cevian(m: float, n: float, c: float, b: float) -> float:
     if a == 0.0:
         return c
     return math.sqrt(max((b * b * m + c * c * n) / a - m * n, 0.0))
-
-
-def _height(a: float, b: float, base: float) -> float:
-    """Height over `base` of the triangle with sides a, b, base: 2·area/base,
-    the area by Kahan's sorted-side Heron formula, which keeps its digits
-    when the triangle is flat to rounding."""
-    z, y, x = sorted((a, b, base))
-    prod = (x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z))
-    return math.sqrt(max(prod, 0.0)) / (2 * base)
 
 
 def four_point_subembed(d_wx: float, d_xy: float, d_yz: float, d_zw: float,

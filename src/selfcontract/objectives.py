@@ -6,7 +6,10 @@ pathology, piecewise-monotone 1-d shapes, distances to convex sets, and
 maxima of convex functions.  Every space here is CAT(0), so the squared
 and plain distances carry their exact proximal maps: both move x along
 the geodesic toward the target (Bacak, Convex Analysis and Optimization
-in Hadamard Spaces, 2014).
+in Hadamard Spaces, 2014).  `_CATALOGUE` maps each space type to the
+rule that gives `max_two_dists` its exact prox and to the space's own
+objectives: the line's quasi-convex shapes, the segment distances of
+trees and spiders, and the book's spine segment.
 """
 from __future__ import annotations
 
@@ -219,15 +222,6 @@ def _euclidean_max_two_prox(space: EuclideanSpace, p: Point, q: Point):
     return None
 
 
-# space type -> rule(space, p, q) giving max_two_dists' exact prox, or None
-_MAX_TWO_DISTS_PROX = {
-    EuclideanSpace: _euclidean_max_two_prox,
-    HyperbolicPlane: partial(_bisector_prox, bisector=_hyperbolic_bisector),
-    SpiderSpace: _midpoint_prox,
-    TreeSpace: _midpoint_prox,
-}
-
-
 def _rising_root(g: Callable[[float], float], lo: float, hi: float) -> list[float]:
     """[the point where g, increasing on [lo, hi], rises through 0], found
     until the bracket ends are adjacent floats; [] unless g(lo) <= 0 <= g(hi).
@@ -338,7 +332,7 @@ def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
     Each factory takes keyword parameters and returns an ObjectiveFn; it
     refuses a parameter that the objective does not read.
     """
-    catalog: dict[str, Callable[..., ObjectiveFn]] = {}
+    max_two_prox, own = _CATALOGUE.get(type(space), (None, None))
 
     def half_sq_dist(**params) -> ObjectiveFn:
         p = _require_point_param(space, params, "target")
@@ -363,97 +357,92 @@ def builtin_objectives(space: Space) -> dict[str, Callable[..., ObjectiveFn]]:
     def max_two_dists(**params) -> ObjectiveFn:
         p = _require_point_param(space, params, "target")
         q = _require_point_param(space, params, "other")
-        rule = _MAX_TWO_DISTS_PROX.get(type(space))
         return ObjectiveFn(
             name="max_two_dists", space=space,
             fn=lambda z: max(space.distance(z, p), space.distance(z, q)),
             convexity=CONVEX,
             params={"target": space._point_json(p.data),
                     "other": space._point_json(q.data)},
-            prox=rule(space, p, q) if rule else None,
+            prox=max_two_prox(space, p, q) if max_two_prox else None,
         )
 
-    catalog["half_sq_dist"] = half_sq_dist
-    catalog["dist"] = dist
-    catalog["max_two_dists"] = max_two_dists
-
-    if isinstance(space, EuclideanSpace) and space.dim == 1:
-
-        def neg_cube(**params) -> ObjectiveFn:
-            return ObjectiveFn(
-                name="neg_cube", space=space,
-                fn=lambda z: -z.data[0] ** 3,
-                convexity=QUASICONVEX, params={}, decay_order=3.0,
-            )
-
-        def neg_cube_unit(**params) -> ObjectiveFn:
-            return ObjectiveFn(
-                name="neg_cube_unit", space=space,
-                fn=lambda z: -z.data[0] ** 3,
-                convexity=QUASICONVEX,
-                domain=BoxDomain(((0.0, 1.0),)), params={},
-                candidates=partial(_neg_cube_unit_candidates, space),
-            )
-
-        def sqrt_abs(**params) -> ObjectiveFn:
-            c = float(params.get("center", 0.0))
-            if not math.isfinite(c):
-                raise GeometryError(f"sqrt_abs needs a finite center, got center={c}")
-            return ObjectiveFn(
-                name="sqrt_abs", space=space,
-                fn=lambda z: math.sqrt(abs(z.data[0] - c)),
-                convexity=QUASICONVEX, params={"center": c},
-                candidates=partial(_sqrt_abs_candidates, space, c),
-            )
-
-        def ripple_vee(**params) -> ObjectiveFn:
-            # strictly increasing in |z|, so quasi-convex but far from convex
-            return ObjectiveFn(
-                name="ripple_vee", space=space,
-                fn=lambda z: abs(z.data[0]) + 0.5 * math.sin(abs(z.data[0])),
-                convexity=QUASICONVEX, params={},
-                candidates=partial(_ripple_vee_candidates, space),
-            )
-
-        catalog["neg_cube"] = neg_cube
-        catalog["neg_cube_unit"] = neg_cube_unit
-        catalog["sqrt_abs"] = sqrt_abs
-        catalog["ripple_vee"] = ripple_vee
-
-    if isinstance(space, SpiderSpace):
-        catalog["dist_to_leg_segment"] = _segment_objective(space, "leg")
-    if isinstance(space, TreeSpace):
-        catalog["dist_to_edge_segment"] = _segment_objective(space, "edge")
-
-    if isinstance(space, BookSpace):
-
-        def dist_to_spine_segment(**params) -> ObjectiveFn:
-            a0 = float(params.get("lo", -1.0))
-            a1 = float(params.get("hi", 1.0))
-            if not a0 <= a1:  # NaN in either fails
-                raise GeometryError(f"need lo <= hi, got lo={a0}, hi={a1}")
-            if not (a0 < math.inf and a1 > -math.inf):
-                raise GeometryError(
-                    f"the segment [lo, hi] needs a finite point, got lo={a0}, hi={a1}")
-
-            def f(z: Point) -> float:
-                _, a, b = z.data
-                da = max(a0 - a, 0.0, a - a1)
-                return math.hypot(da, b)
-
-            def project(x: Point) -> Point:
-                return Point(space, (0, min(max(x.data[1], a0), a1), 0.0))
-
-            return ObjectiveFn(
-                name="dist_to_spine_segment", space=space, fn=f,
-                convexity=CONVEX,
-                params={"lo": a0, "hi": a1},
-                prox=lambda x, tau: _step_toward(space, project(x), x, tau),
-            )
-
-        catalog["dist_to_spine_segment"] = dist_to_spine_segment
-
+    catalog = {"half_sq_dist": half_sq_dist, "dist": dist, "max_two_dists": max_two_dists}
+    if own:
+        catalog.update(own(space))
     return {name: _refusing_unread(factory) for name, factory in catalog.items()}
+
+
+def _line_objectives(space: EuclideanSpace) -> dict[str, Callable[..., ObjectiveFn]]:
+    """The line's quasi-convex shapes; R^n for n > 1 has none."""
+    if space.dim != 1:
+        return {}
+
+    def neg_cube(**params) -> ObjectiveFn:
+        return ObjectiveFn(
+            name="neg_cube", space=space,
+            fn=lambda z: -z.data[0] ** 3,
+            convexity=QUASICONVEX, params={}, decay_order=3.0,
+        )
+
+    def neg_cube_unit(**params) -> ObjectiveFn:
+        return ObjectiveFn(
+            name="neg_cube_unit", space=space,
+            fn=lambda z: -z.data[0] ** 3,
+            convexity=QUASICONVEX,
+            domain=BoxDomain(((0.0, 1.0),)), params={},
+            candidates=partial(_neg_cube_unit_candidates, space),
+        )
+
+    def sqrt_abs(**params) -> ObjectiveFn:
+        c = float(params.get("center", 0.0))
+        if not math.isfinite(c):
+            raise GeometryError(f"sqrt_abs needs a finite center, got center={c}")
+        return ObjectiveFn(
+            name="sqrt_abs", space=space,
+            fn=lambda z: math.sqrt(abs(z.data[0] - c)),
+            convexity=QUASICONVEX, params={"center": c},
+            candidates=partial(_sqrt_abs_candidates, space, c),
+        )
+
+    def ripple_vee(**params) -> ObjectiveFn:
+        # strictly increasing in |z|, so quasi-convex but far from convex
+        return ObjectiveFn(
+            name="ripple_vee", space=space,
+            fn=lambda z: abs(z.data[0]) + 0.5 * math.sin(abs(z.data[0])),
+            convexity=QUASICONVEX, params={},
+            candidates=partial(_ripple_vee_candidates, space),
+        )
+
+    return {"neg_cube": neg_cube, "neg_cube_unit": neg_cube_unit, "sqrt_abs": sqrt_abs,
+            "ripple_vee": ripple_vee}
+
+
+def _spine_objectives(space: BookSpace) -> dict[str, Callable[..., ObjectiveFn]]:
+    def dist_to_spine_segment(**params) -> ObjectiveFn:
+        a0 = float(params.get("lo", -1.0))
+        a1 = float(params.get("hi", 1.0))
+        if not a0 <= a1:  # NaN in either fails
+            raise GeometryError(f"need lo <= hi, got lo={a0}, hi={a1}")
+        if not (a0 < math.inf and a1 > -math.inf):
+            raise GeometryError(
+                f"the segment [lo, hi] needs a finite point, got lo={a0}, hi={a1}")
+
+        def f(z: Point) -> float:
+            _, a, b = z.data
+            da = max(a0 - a, 0.0, a - a1)
+            return math.hypot(da, b)
+
+        def project(x: Point) -> Point:
+            return Point(space, (0, min(max(x.data[1], a0), a1), 0.0))
+
+        return ObjectiveFn(
+            name="dist_to_spine_segment", space=space, fn=f,
+            convexity=CONVEX,
+            params={"lo": a0, "hi": a1},
+            prox=lambda x, tau: _step_toward(space, project(x), x, tau),
+        )
+
+    return {"dist_to_spine_segment": dist_to_spine_segment}
 
 
 def _refusing_unread(factory: Callable[..., ObjectiveFn]) -> Callable[..., ObjectiveFn]:
@@ -468,9 +457,9 @@ def _refusing_unread(factory: Callable[..., ObjectiveFn]) -> Callable[..., Objec
     return checked
 
 
-def _segment_objective(space: TreeSpace | SpiderSpace, key: str
-                       ) -> Callable[..., ObjectiveFn]:
-    """Factory of the distance to [lo, hi] on one segment, chosen by `key`.
+def _segment_objectives(space: TreeSpace | SpiderSpace, key: str
+                        ) -> dict[str, Callable[..., ObjectiveFn]]:
+    """The factory of the distance to [lo, hi] on one segment, chosen by `key`.
 
     Points off that segment reach it through one of its two ends.
     """
@@ -512,7 +501,18 @@ def _segment_objective(space: TreeSpace | SpiderSpace, key: str
             prox=lambda x, tau: _step_toward(space, project(x), x, tau),
         )
 
-    return factory
+    return {f"dist_to_{key}_segment": factory}
+
+
+# space type -> (rule(space, p, q) giving max_two_dists' exact prox or None,
+# the space's own objective factories or None)
+_CATALOGUE = {
+    EuclideanSpace: (_euclidean_max_two_prox, _line_objectives),
+    HyperbolicPlane: (partial(_bisector_prox, bisector=_hyperbolic_bisector), None),
+    SpiderSpace: (_midpoint_prox, partial(_segment_objectives, key="leg")),
+    TreeSpace: (_midpoint_prox, partial(_segment_objectives, key="edge")),
+    BookSpace: (None, _spine_objectives),
+}
 
 
 def make_objective(space: Space, name: str, **params) -> ObjectiveFn:

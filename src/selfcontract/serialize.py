@@ -137,7 +137,10 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise GeometryError(f"config line {lineno}: expected key = value")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise GeometryError(f"config line {lineno}: key {key!r} repeated")
+        out[key] = value.strip()
     return out
 
 

@@ -131,6 +131,18 @@ class Space(ABC):
         is the cone's origin, for at least one germ and nonnegative radii."""
         raise UnsupportedSpaceError(f"no cone barycenter on {self.describe()}")
 
+    def _region_measure(self, payloads: Sequence[tuple], radius: float) -> tuple[int, float]:
+        """(dim, value): the dimension of the Hausdorff measure this space
+        carries, and that measure of the closed radius-neighborhood of the
+        payloads, for at least one payload and a positive finite radius."""
+        raise UnsupportedSpaceError(f"no Hausdorff neighborhood measure on {self.describe()}")
+
+    def _condition_constants(self, payloads: Sequence[tuple], radius: float,
+                             sigma: float) -> RadiusConstants:
+        """The ratio constants (m, eps, a, b, sigma) of the region that
+        `_region_measure` measures, at the scale sigma."""
+        raise UnsupportedSpaceError(f"no condition-constant estimator for {self.describe()}")
+
     @abstractmethod
     def _to_json(self) -> dict:
         ...

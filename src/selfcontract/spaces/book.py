@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from ..errors import GeometryError
+from ..measures import RadiusConstants, _disk_union_halfplane_area
 from .base import Space, integral_index, polar_diameter, polar_gap
 
 
@@ -146,6 +147,27 @@ class BookSpace(Space):
         if t <= 1e-14:
             return None, 0.0
         return spine_germ(sheet, math.cos(alpha), math.sin(alpha)), t
+
+    def _region_measure(self, payloads, radius: float) -> tuple[int, float]:
+        # per sheet, the disks above the spine with the other sheets' reflected
+        return 2, math.fsum(
+            _disk_union_halfplane_area([(a, b if (i == sheet or i == 0) else -b, radius)
+                                        for i, a, b in payloads])
+            for sheet in range(1, self.k + 1)
+        )
+
+    def _condition_constants(self, payloads, radius: float, sigma: float) -> RadiusConstants:
+        # H^1 on the directions and H^2
+        h = self._region_measure(payloads, radius)[1]
+        eps = 1.0 / (3.0 * math.sqrt(2.0))  # 3*eps = cos(pi/4)
+        return RadiusConstants(
+            n=2, theta=math.pi / 4.0, theta_improved=None,
+            eps=eps, m=2 * self.k + 2, eps_bold=eps,
+            a=(4.0 / (self.k * math.pi)) * math.asin(eps / 2.0),
+            b=2.0 * math.asin(eps / 2.0) * sigma * sigma / h,
+            sigma=sigma,
+            notes=("eps from the spine covering construction (3*eps = cos(pi/4))",),
+        )
 
     def _random_point(self, rng, scale: float = 1.0) -> tuple:
         sheet = int(rng.integers(1, self.k + 1))

@@ -1,11 +1,13 @@
 """Euclidean space R^n with the standard inner-product geometry."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
-from ..errors import GeometryError
+from ..errors import GeometryError, UnsupportedSpaceError
+from ..measures import RadiusConstants, _disk_union_halfplane_area, _merge_length, radius_constants
 from .base import (RANDOM_BLOCK, Space, clamp_cos, first_unlike, integral_index,
                    polar_diameter, polar_gap, sqrt_fsum, tangent_mean, vec_dot, vec_norm,
                    vec_scale, vec_sub)
@@ -107,6 +109,48 @@ class EuclideanSpace(Space):
 
     def _cone_barycenter(self, base: tuple, germs, radii) -> tuple[tuple | None, float]:
         return tangent_mean(germs, radii, vec_norm)
+
+    def _region_measure(self, payloads, radius: float) -> tuple[int, float]:
+        if self.dim == 1:
+            return 1, _merge_length([(p[0] - radius, p[0] + radius) for p in payloads])
+        if self.dim == 2:
+            return 2, _disk_union_halfplane_area([(p[0], p[1], radius) for p in payloads],
+                                                 clip=False)
+        if self.dim > 3:
+            raise UnsupportedSpaceError("Euclidean estimates implemented for n <= 3")
+        # n = 3: deterministic midpoint-grid estimate of the union of balls
+        los = [min(p[i] for p in payloads) - radius for i in range(3)]
+        his = [max(p[i] for p in payloads) + radius for i in range(3)]
+        steps = 60
+        hs = [(hi - lo) / steps for lo, hi in zip(los, his)]
+        cell = hs[0] * hs[1] * hs[2]
+        count = 0
+        r2 = radius * radius
+        for i in range(steps):
+            x = los[0] + (i + 0.5) * hs[0]
+            for j in range(steps):
+                y = los[1] + (j + 0.5) * hs[1]
+                for k in range(steps):
+                    z = los[2] + (k + 0.5) * hs[2]
+                    for p in payloads:
+                        dx, dy, dz = x - p[0], y - p[1], z - p[2]
+                        if dx * dx + dy * dy + dz * dz <= r2:
+                            count += 1
+                            break
+        return 3, count * cell
+
+    def _condition_constants(self, payloads, radius: float, sigma: float) -> RadiusConstants:
+        # a: the fraction of the unit sphere inside the chordal eps_bold-cap;
+        # b: the sigma-ball sector of that cap over the region's volume
+        n = self.dim
+        if n > 3:
+            raise UnsupportedSpaceError("Euclidean estimates implemented for n <= 3")
+        rc = radius_constants(n)
+        cap = 2.0 * math.asin(rc.eps_bold / 2.0)
+        a = 0.5 if n == 1 else cap / math.pi if n == 2 else 0.5 * (1.0 - math.cos(cap))
+        unit_ball = (2.0, math.pi, 4.0 * math.pi / 3.0)[n - 1]
+        b = unit_ball * sigma ** n * a / self._region_measure(payloads, radius)[1]
+        return dataclasses.replace(rc, a=a, b=b, sigma=sigma)
 
     def _to_json(self) -> dict:
         return {"kind": self.kind, "dim": self.dim, "tolerance": self.tolerance}

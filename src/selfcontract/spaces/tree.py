@@ -12,6 +12,7 @@ import math
 from typing import Sequence
 
 from ..errors import GeometryError
+from ..measures import RadiusConstants, _merge_length, covering_theta
 from .base import RANDOM_BLOCK, Point, Space, first_unlike, integral_index
 
 
@@ -22,6 +23,14 @@ def _on_segments(r: float, lengths: Sequence[float]) -> tuple[int, float]:
         if r <= length or i == len(lengths) - 1:
             return (i, min(r, length))
         r -= length
+
+
+def _total_length(lengths: Sequence[float]) -> float:
+    """The sum of the segment lengths, refused where it overflows."""
+    try:
+        return math.fsum(lengths)
+    except OverflowError:  # finite lengths whose sum is not
+        raise GeometryError("the segment lengths sum past the largest float") from None
 
 
 class TreeSpace(Space):
@@ -48,7 +57,7 @@ class TreeSpace(Space):
                 raise GeometryError("self-loop edge")
             self.edges.append((index[u], index[v], float(length)))
         self._edge_lengths = [length for _, _, length in self.edges]
-        self._total_length = math.fsum(self._edge_lengths)
+        self._total_length = _total_length(self._edge_lengths)
         n = len(self.vertex_names)
         if len(self.edges) != n - 1:
             raise GeometryError("a tree on n vertices has exactly n-1 edges")
@@ -283,8 +292,39 @@ class TreeSpace(Space):
             germs.append((ei, 1 if u == w else -1))
         return germs
 
-    def leaf_vertices(self) -> list[int]:
-        return [w for w in range(len(self.vertex_names)) if len(self._adj[w]) == 1]
+    def _region_measure(self, payloads, radius: float) -> tuple[int, float]:
+        # covered length per edge or leg; off-segment points reach in from its ends
+        per_edge = []
+        for ei, length, rep_u, rep_v in self.segments():
+            intervals: list[tuple[float, float]] = []
+            for p in payloads:
+                if p[0] == ei:
+                    intervals.append((max(p[1] - radius, 0.0), min(p[1] + radius, length)))
+                    continue
+                dpu = self._dist(p, rep_u)
+                dpv = self._dist(p, rep_v)
+                if radius - dpu > 0:
+                    intervals.append((0.0, min(radius - dpu, length)))
+                if radius - dpv > 0:
+                    intervals.append((max(length - (radius - dpv), 0.0), length))
+            if intervals:
+                per_edge.append(_merge_length(intervals))
+        return 1, math.fsum(per_edge)
+
+    def _condition_constants(self, payloads, radius: float, sigma: float) -> RadiusConstants:
+        # the counting measure on germs and H^1
+        eps = 1.0 / 6.0
+        return RadiusConstants(
+            n=1, theta=covering_theta(1), theta_improved=None,
+            eps=eps, m=1, eps_bold=eps, a=1.0 / self.max_degree,
+            b=sigma / self._region_measure(payloads, radius)[1], sigma=sigma,
+            notes=(self._boundary_note(),),
+        )
+
+    def _boundary_note(self) -> str:
+        leaves = ",".join(name for name, adj in zip(self.vertex_names, self._adj) if len(adj) == 1)
+        return (f"volume-ratio condition fails at boundary (leaf) vertices: {leaves}; "
+                "constants assume geodesics extend past them")
 
     def _random_point(self, rng, scale: float = 1.0) -> tuple:
         return _on_segments(float(rng.uniform(0.0, self._total_length)), self._edge_lengths)
@@ -327,6 +367,7 @@ class SpiderSpace(Space):
         if len(lengths) != self.k or not all(0 < x < math.inf for x in lengths):
             raise GeometryError("need one positive finite length per leg")
         self.leg_lengths = tuple(lengths)
+        self._total_length = _total_length(self.leg_lengths)
 
     def describe(self) -> str:
         return f"spider:{self.k}"
@@ -382,6 +423,12 @@ class SpiderSpace(Space):
     _angle = TreeSpace._angle
     _germ_diameter = TreeSpace._germ_diameter
     _cone_barycenter = TreeSpace._cone_barycenter
+    _region_measure = TreeSpace._region_measure
+    _condition_constants = TreeSpace._condition_constants
+
+    def _boundary_note(self) -> str:
+        return ("volume-ratio condition fails at leg tips; constants assume "
+                "geodesics extend past them")
 
     def segments(self) -> list[tuple[int, float, tuple, tuple]]:
         """(leg, length, centre payload, tip payload) per leg, legs counted from 1."""
@@ -398,8 +445,7 @@ class SpiderSpace(Space):
         return self.k
 
     def _random_point(self, rng, scale: float = 1.0) -> tuple:
-        leg, r = _on_segments(float(rng.uniform(0.0, math.fsum(self.leg_lengths))),
-                              self.leg_lengths)
+        leg, r = _on_segments(float(rng.uniform(0.0, self._total_length)), self.leg_lengths)
         return (leg + 1, r)
 
     def _to_json(self) -> dict:

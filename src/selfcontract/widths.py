@@ -12,12 +12,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .cones import RadiusConstants, direction_cover_center, radius_constants
+from .cones import direction_cover_center
 from .errors import GeometryError, UnsupportedSpaceError
 from .measures import (
     NeighborhoodRegion,
+    RadiusConstants,
     estimate_condition_constants,
     hausdorff_measure_neighborhood,
+    radius_constants,
 )
 from .metric import DISCRETE, Curve, curve_length, diameter, make_curve
 from .spaces.base import Direction, Point, Space

@@ -15,12 +15,8 @@ import numpy as np
 import pytest
 
 import selfcontract as sc
-from selfcontract.cones import (
-    ConePoint,
-    cone_barycenter,
-    direction_cover_center,
-    radius_constants,
-)
+from selfcontract.cones import ConePoint, cone_barycenter, direction_cover_center
+from selfcontract.measures import radius_constants
 from selfcontract.objectives import make_objective
 from selfcontract.proximal import MULTIPLE_TIES, UNBOUNDED, EMPTY
 from selfcontract.spaces.base import Direction

@@ -235,6 +235,11 @@ COMMANDS = {
     ("--steps 1.5", ["simulate"]),
     ("--tol abc", ["verify", "audit"]),
     ("--k abc", ["counterexample"]),
+    ("--k -2e0", ["counterexample"]),
+    ("--seed -1e0", ["simulate", "verify", "audit"]),
+    ("--steps -2e0", ["simulate"]),
+    ("--tau -0.5,x", ["simulate"]),
+    ("--tol -inf", ["verify", "audit"]),
 ], ids=lambda v: v if isinstance(v, str) else "+".join(v))
 def test_malformed_numeric_options_are_usage_errors(workdir, option, commands):
     """A bad number, from a flag or a config line, exits 2 without a traceback."""
@@ -245,7 +250,10 @@ def test_malformed_numeric_options_are_usage_errors(workdir, option, commands):
             if command == "simulate":
                 args += ["--config", "sim.cfg"]
         else:
-            base = (workdir / "sim.cfg").read_text() if command == "simulate" else ""
+            # the base config without the option's own line, so that no key repeats
+            key = option.split()[0]
+            base = "".join(line for line in (workdir / "sim.cfg").read_text().splitlines(True)
+                           if line.split()[0] != key) if command == "simulate" else ""
             (workdir / "bad.cfg").write_text(f"{base}{option}\n")
             args += ["--config", "bad.cfg"]
         r = run(args, workdir)
@@ -327,6 +335,66 @@ def test_simulate_refuses_a_non_finite_final_value(tmp_path, monkeypatch, capsys
                      "--start", "1e308,1e308", "--config", "far.cfg", "--out", "far"]) == 2
     assert "error: the run's final value is inf" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["far.cfg"]
+
+
+def test_simulate_refuses_overflowing_leg_lengths(tmp_path, monkeypatch, capsys):
+    """`spider:3:1e308` without `--start` used to end in `OverflowError:
+    intermediate overflow in fsum` when the start was drawn."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["simulate", "--space", "spider:3:1e308", "--objective", "dist",
+                     "--out", "x"]) == 2
+    err = capsys.readouterr().err
+    assert "error: the segment lengths sum past the largest float" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, key, value", [
+    (["counterexample"], "k", "-2e0"),
+    (["verify", "run1.curve.json"], "tol", "-1e-3"),
+    (["audit", "run1.curve.json", "--bound", "tree"], "tol", "-1e-3"),
+    (["simulate", "--config", "sim.cfg"], "steps", "-3e0"),
+], ids=["k", "verify-tol", "audit-tol", "steps"])
+def test_a_flag_value_that_starts_with_a_dash_reads_as_its_config_line(
+        workdir, monkeypatch, capsys, command, key, value):
+    """`--k -2e0` and `--tol -1e-3` used to get argparse's "expected one
+    argument", where the config line got the option's own message."""
+    monkeypatch.chdir(workdir)
+    flag = cli.main(command + [f"--{key}", value])
+    flag_err = capsys.readouterr().err
+    base = (workdir / "sim.cfg").read_text() if "simulate" in command else ""
+    (workdir / "dash.cfg").write_text(base.replace(f"{key} = ", "# ") + f"{key} = {value}\n")
+    config = [a for a in command if a not in ("--config", "sim.cfg")] + ["--config", "dash.cfg"]
+    assert (flag, flag_err) == (cli.main(config), capsys.readouterr().err)
+    assert "expected one argument" not in flag_err
+
+
+def test_a_flag_followed_by_a_flag_is_argparse_usage_error(capsys):
+    for argv in (["counterexample", "--k", "--out", "x"], ["counterexample", "--k", "-h"]):
+        assert cli.main(argv) == 2
+        assert "argument --k: expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, key", [
+    (["simulate"], "stpes = 100\n", "stpes"),
+    (["simulate"], "steps = 100\nsteps = 3\n", "steps"),
+    (["simulate"], "config = other.cfg\n", "config"),
+    (["verify", "run1.curve.json"], "objective.target = 1,1.0\n", "objective.target"),
+    (["audit", "run1.curve.json", "--bound", "tree"], "steps = 3\n", "steps"),
+    (["counterexample", "--k", "2"], "check = angle_estimate\n", "check"),
+], ids=["misspelt", "repeated", "config", "verify-objective", "audit-steps",
+        "counterexample-check"])
+def test_config_keys_that_the_command_does_not_read_are_refused(
+        workdir, monkeypatch, capsys, command, config, key):
+    """`stpes = 100` in a `simulate` config used to run the default 8 steps
+    and exit 0, and a repeated key kept its last value."""
+    monkeypatch.chdir(workdir)
+    base = (workdir / "sim.cfg").read_text().replace("out = run1", "out = typo")
+    (workdir / "typo.cfg").write_text((base if command == ["simulate"] else "") + config)
+    before = sorted(p.name for p in workdir.iterdir())
+    assert cli.main(command + ["--config", "typo.cfg"]) == 2
+    assert f"{key!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in workdir.iterdir()) == before
 
 
 def test_simulate_refuses_a_spine_segment_with_no_finite_point(tmp_path, monkeypatch, capsys):

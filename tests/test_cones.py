@@ -12,9 +12,9 @@ from selfcontract.cones import (
     cone_distance,
     direction_cover_center,
     greedy_separated_subset,
-    radius_constants,
 )
 from selfcontract.errors import GeometryError
+from selfcontract.measures import radius_constants
 from selfcontract.metric import golden_section
 from selfcontract.spaces.base import Direction
 

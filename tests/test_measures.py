@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 import selfcontract as sc
 from selfcontract.errors import GeometryError, UnsupportedSpaceError
-from selfcontract.metric import _height
 from selfcontract.measures import (
     NeighborhoodRegion,
     _disk_union_halfplane_area,
+    _height,
     estimate_condition_constants,
     hausdorff_measure_neighborhood,
 )

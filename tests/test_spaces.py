@@ -957,6 +957,19 @@ def test_spider_rejects_non_finite_leg_lengths(make):
         make()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: sc.TreeSpace(["a", "b", "c"], [("a", "b", 1e308), ("b", "c", 1e308)]),
+    lambda: sc.SpiderSpace(3, 1e308),
+    lambda: sc.SpiderSpace(2, [1.7e308, 1e307]),
+], ids=["tree", "spider", "spider-lengths"])
+def test_overflowing_length_sums_are_refused_at_construction(make):
+    """Finite lengths whose sum overflows used to end in `OverflowError:
+    intermediate overflow in fsum`, from the tree's constructor and from the
+    spider's `random_point`."""
+    with pytest.raises(GeometryError, match="sum past the largest float"):
+        make()
+
+
 @pytest.mark.parametrize("space, obj", [
     (sc.SpiderSpace(3), [1.5, 0.5]),
     (sc.SpiderSpace(3), [NAN, 0.5]),

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 import selfcontract as sc
-from selfcontract.cones import radius_constants
 from selfcontract.errors import GeometryError, UnsupportedSpaceError
-from selfcontract.measures import NeighborhoodRegion, estimate_condition_constants
+from selfcontract.measures import (
+    NeighborhoodRegion,
+    estimate_condition_constants,
+    radius_constants,
+)
 from selfcontract.spaces.base import Direction
 from selfcontract.verify import is_self_contracted
 from selfcontract.widths import (
@@ -447,7 +450,7 @@ def test_generic_bound_single_point(spider3):
 def test_generic_bound_hyperbolic_with_supplied_constants(rng):
     """No estimator exists for the hyperbolic plane, but the generic
     audit accepts externally supplied constants."""
-    from selfcontract.cones import RadiusConstants
+    from selfcontract.measures import RadiusConstants
 
     hyp = sc.HyperbolicPlane()
     curve = random_self_contracted(hyp, 10, seed=4242)
