@@ -81,6 +81,7 @@ def estimate_condition_constants(space: Space, region: NeighborhoodRegion,
     """
     if not 0.0 < sigma < math.inf:
         raise GeometryError("sigma must be positive and finite")
+    space.own(region.points[0])  # the region's points share one space
     return space._condition_constants([p.data for p in region.points], region.radius, sigma)
 
 

@@ -15,12 +15,13 @@ Spaces, 2014).  Every other objective goes to the numeric solver, which
 also serves as the closed forms' and candidate sets' test oracle.  It is
 the only resolvent of user-built objectives and of max_two_dists on books.
 Because f is only quasi-convex, the composite may have several basins.
-Each space therefore lists its search pieces in `_PIECES`, looked up by
-space type: a window or box of R^1 or R^2, the exp chart of H^2 at x,
-every segment of a tree or spider, and a book's spine and sheets.  One
-loop searches them all: every grid basin of a 1-D piece is refined by
-golden section, the best four grid points of a 2-D piece by compass
-search, and a window grows until its best candidate lies inside it.
+Each space therefore lists its own search pieces, `Space._search_pieces`:
+a window or box of R^1 or R^2, the exp chart of H^2 at x, every segment
+of a tree or spider, and a book's spine and sheets; other spaces refuse
+with UnsupportedSpaceError.  One loop searches them all: every grid basin
+of a 1-D piece is refined by golden section, the best four grid points of
+a 2-D piece by compass search, and a window grows until its best
+candidate lies inside it.
 """
 from __future__ import annotations
 
@@ -28,14 +29,10 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import GeometryError, SolverError, UnsupportedSpaceError
+from .errors import GeometryError, SolverError
 from .metric import Curve, GEODESIC, _golden_min, _parabolic_polish, make_curve
 from .objectives import LAMBDA_CONVEX, ObjectiveFn
 from .spaces.base import Point, Space
-from .spaces.book import BookSpace
-from .spaces.euclidean import EuclideanSpace
-from .spaces.hyperbolic import HyperbolicPlane
-from .spaces.tree import SpiderSpace, TreeSpace
 
 UNIQUE = "unique"
 MULTIPLE_TIES = "multiple_ties"
@@ -169,97 +166,17 @@ class _Composite:
         return float(self.objective.fn(p)) + d * d / (2.0 * self.tau)
 
 
-# A search piece is (coordinates -> point, lower corner, upper corner, one
-# flag per side, lower then upper for each axis, set on a window side).
-# Each builder takes the composite and a window radius and returns the
-# radius it used with its pieces.
-
-def _euclidean_pieces(comp: _Composite, radius: float):
-    """One box: the window centred at x, or the box domain, which has no
-    window sides."""
-    space = comp.space
-    if space.dim > 2:
-        raise UnsupportedSpaceError("resolvent solver covers Euclidean dimensions 1 and 2")
-
-    def to_point(coords) -> Point:
-        return Point(space, space._canonical(tuple(coords)))
-
-    box = comp.objective.domain
-    if box is not None:
-        return radius, [(to_point, [b[0] for b in box.bounds], [b[1] for b in box.bounds],
-                         (False,) * (2 * space.dim))]
-    return radius, [(to_point, [c - radius for c in comp.x.data],
-                     [c + radius for c in comp.x.data], (True,) * (2 * space.dim))]
-
-
-def _hyperbolic_pieces(comp: _Composite, radius: float):
-    """The exp chart at x: a window centred at 0 of the tangent plane."""
-    space = comp.space
-    base = comp.x.data
-    e1, e2 = space.tangent_basis(base)
-
-    def to_point(coords) -> Point:
-        v1, v2 = coords
-        r = math.hypot(v1, v2)
-        if r == 0.0:
-            return Point(space, base)
-        u = tuple((v1 * e1[i] + v2 * e2[i]) / r for i in range(3))
-        return Point(space, space.exp(base, u, r))
-
-    return radius, [(to_point, [-radius, -radius], [radius, radius], (True,) * 4)]
-
-
-def _segment_pieces(comp: _Composite, radius: float):
-    """Every tree edge or spider leg that `segments()` lists, whole."""
-    space = comp.space
-
-    def along(seg):
-        return lambda coords: Point(space, space._canonical((seg, coords[0])))
-
-    return radius, [(along(seg), [0.0], [length], (False, False))
-                    for seg, length, _, _ in space.segments()]
-
-
-def _book_pieces(comp: _Composite, radius: float):
-    """The spine, then each sheet as a half-plane whose b = 0 side, the
-    spine, is not a window side; the window reaches x's height."""
-    space = comp.space
-    _, xa, xb = comp.x.data
-    radius = max(radius, DEFAULT_SOLVER.start_radius * xb)
-
-    def on_sheet(sheet):
-        return lambda coords: Point(space, space._canonical(
-            (sheet, coords[0], max(coords[1], 0.0) if sheet else 0.0)))
-
-    lo, hi = xa - radius, xa + radius
-    return radius, [(on_sheet(0), [lo], [hi], (True, True))] + [
-        (on_sheet(sheet), [lo, 0.0], [hi, radius], (True, True, False, True))
-        for sheet in range(1, space.k + 1)]
-
-
-# space type -> search pieces(composite, window radius)
-_PIECES = {
-    EuclideanSpace: _euclidean_pieces,
-    HyperbolicPlane: _hyperbolic_pieces,
-    SpiderSpace: _segment_pieces,
-    TreeSpace: _segment_pieces,
-    BookSpace: _book_pieces,
-}
-
-
 def _solve(objective: ObjectiveFn, space: Space, x: Point, tau: float
            ) -> tuple[str, list[tuple[Point, float]], int]:
-    """Search every piece of the space's entry; the candidates come back
+    """Search every piece that the space lists; the candidates come back
     sorted by value, ties in the order the pieces list them.  While the
     best lies within 1e-9 radius of a window side the window grows x4;
     only a windowed search can be unbounded."""
-    pieces_at = _PIECES.get(type(space))
-    if pieces_at is None:
-        raise UnsupportedSpaceError(f"no resolvent solver for {space.describe()}")
     comp = _Composite(objective, space, x, tau)
-    radius = DEFAULT_SOLVER.start_radius * max(1.0, math.sqrt(tau))
+    start = DEFAULT_SOLVER.start_radius
+    radius = start * max(1.0, math.sqrt(tau))
     while True:
-        radius, pieces = pieces_at(comp, radius)
+        radius, pieces = space._search_pieces(x.data, radius, objective.domain, start)
         found = []
         for to_point, los, his, window in pieces:
             for coords, v in _piece_minima(lambda c: comp.at_point(to_point(c)), los, his):

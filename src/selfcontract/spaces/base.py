@@ -75,9 +75,12 @@ class Space(ABC):
     def _geodesic(self, a: tuple, b: tuple, s: float) -> tuple:
         ...
 
-    @abstractmethod
     def _log(self, a: tuple, b: tuple) -> tuple[tuple, float]:
-        """Direction payload of the germ of the geodesic a -> b, plus d(a,b)."""
+        """Direction payload of the germ of the geodesic a -> b, plus d(a,b):
+        by default the one-payload `_log_row`, so a concrete space defines
+        `_log` or `_log_row` or both."""
+        d = self._dist(a, b)
+        return self._log_row(a, (b,), (d,))[0], d
 
     @abstractmethod
     def _angle(self, base: tuple, d1: tuple, d2: tuple) -> float:
@@ -142,6 +145,19 @@ class Space(ABC):
         """The ratio constants (m, eps, a, b, sigma) of the region that
         `_region_measure` measures, at the scale sigma."""
         raise UnsupportedSpaceError(f"no condition-constant estimator for {self.describe()}")
+
+    def _search_pieces(self, x: tuple, radius: float, box, start: float
+                       ) -> tuple[float, list[tuple]]:
+        """(radius, pieces): the regions that the numeric resolvent at the
+        payload x searches, for a window of this radius, or inside the
+        objective's box domain `box` when one is given.  `start` is the
+        solver's start radius per unit of scale; a book widens the window
+        to `start` times x's height.
+
+        A piece is (coordinates -> Point, lower corner, upper corner, one
+        flag per side, lower then upper for each axis, set on a window
+        side) with one or two coordinates."""
+        raise UnsupportedSpaceError(f"no resolvent solver for {self.describe()}")
 
     @abstractmethod
     def _to_json(self) -> dict:

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import GeometryError
 from ..measures import RadiusConstants, _disk_union_halfplane_area
-from .base import Space, integral_index, polar_diameter, polar_gap
+from .base import Point, Space, integral_index, polar_diameter, polar_gap
 
 
 class BookSpace(Space):
@@ -81,10 +81,6 @@ class BookSpace(Space):
             sheet = up if up != 0 else down
             return (sheet if abs(y) > self.tolerance else 0, x, max(y, 0.0))
         return (down, x, -y)
-
-    def _log(self, a: tuple, b: tuple) -> tuple[tuple, float]:
-        d = self._dist(a, b)
-        return self._log_row(a, (b,), (d,))[0], d
 
     def _log_row(self, base: tuple, payloads, dists) -> list[tuple]:
         # the unit tangent toward b unfolded into the plane of the base's
@@ -168,6 +164,21 @@ class BookSpace(Space):
             sigma=sigma,
             notes=("eps from the spine covering construction (3*eps = cos(pi/4))",),
         )
+
+    def _search_pieces(self, x: tuple, radius: float, box, start: float):
+        # the spine, then each sheet as a half-plane whose b = 0 side, the
+        # spine, is not a window side; the window reaches x's height
+        _, xa, xb = x
+        radius = max(radius, start * xb)
+
+        def on_sheet(sheet):
+            return lambda coords: Point(self, self._canonical(
+                (sheet, coords[0], max(coords[1], 0.0) if sheet else 0.0)))
+
+        lo, hi = xa - radius, xa + radius
+        return radius, [(on_sheet(0), [lo], [hi], (True, True))] + [
+            (on_sheet(sheet), [lo, 0.0], [hi, radius], (True, True, False, True))
+            for sheet in range(1, self.k + 1)]
 
     def _random_point(self, rng, scale: float = 1.0) -> tuple:
         sheet = int(rng.integers(1, self.k + 1))

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import GeometryError, UnsupportedSpaceError
 from ..measures import RadiusConstants, _disk_union_halfplane_area, _merge_length, radius_constants
-from .base import (RANDOM_BLOCK, Space, clamp_cos, first_unlike, integral_index,
+from .base import (RANDOM_BLOCK, Point, Space, clamp_cos, first_unlike, integral_index,
                    polar_diameter, polar_gap, sqrt_fsum, tangent_mean, vec_dot, vec_norm,
                    vec_scale, vec_sub)
 
@@ -151,6 +151,21 @@ class EuclideanSpace(Space):
         unit_ball = (2.0, math.pi, 4.0 * math.pi / 3.0)[n - 1]
         b = unit_ball * sigma ** n * a / self._region_measure(payloads, radius)[1]
         return dataclasses.replace(rc, a=a, b=b, sigma=sigma)
+
+    def _search_pieces(self, x: tuple, radius: float, box, start: float):
+        # one box: the window centred at x, or the box domain, which has no
+        # window sides
+        if self.dim > 2:
+            raise UnsupportedSpaceError("resolvent solver covers Euclidean dimensions 1 and 2")
+
+        def to_point(coords) -> Point:
+            return Point(self, self._canonical(tuple(coords)))
+
+        if box is not None:
+            return radius, [(to_point, [b[0] for b in box.bounds], [b[1] for b in box.bounds],
+                             (False,) * (2 * self.dim))]
+        return radius, [(to_point, [c - radius for c in x], [c + radius for c in x],
+                         (True,) * (2 * self.dim))]
 
     def _to_json(self) -> dict:
         return {"kind": self.kind, "dim": self.dim, "tolerance": self.tolerance}

@@ -10,7 +10,7 @@ import math
 from functools import cached_property
 
 from ..errors import GeometryError
-from .base import Space, polar_diameter, polar_gap, tangent_mean
+from .base import Point, Space, polar_diameter, polar_gap, tangent_mean
 
 
 def mdot(a: tuple, b: tuple) -> float:
@@ -97,6 +97,20 @@ class HyperbolicPlane(Space):
     def _cone_barycenter(self, base: tuple, germs, radii) -> tuple[tuple | None, float]:
         # tangent vectors at base measured in the Minkowski form
         return tangent_mean(germs, radii, lambda v: math.sqrt(max(mdot(v, v), 0.0)))
+
+    def _search_pieces(self, x: tuple, radius: float, box, start: float):
+        # the exp chart at x: a window centred at 0 of the tangent plane
+        e1, e2 = self.tangent_basis(x)
+
+        def to_point(coords) -> Point:
+            v1, v2 = coords
+            r = math.hypot(v1, v2)
+            if r == 0.0:
+                return Point(self, x)
+            u = tuple((v1 * e1[i] + v2 * e2[i]) / r for i in range(3))
+            return Point(self, self.exp(x, u, r))
+
+        return radius, [(to_point, [-radius, -radius], [radius, radius], (True,) * 4)]
 
     def exp(self, p: tuple, v: tuple, t: float) -> tuple:
         """Exponential map: walk distance t from payload p along unit tangent v."""

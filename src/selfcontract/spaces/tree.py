@@ -224,10 +224,6 @@ class TreeSpace(Space):
         frac = min(1.0, arc / d2) if d2 > 0 else 1.0
         return (e2, target + frac * (o2 - target))
 
-    def _log(self, a: tuple, b: tuple) -> tuple[tuple, float]:
-        d = self._dist(a, b)
-        return self._log_row(a, (b,), (d,))[0], d
-
     def _log_row(self, base: tuple, payloads, dists) -> list[tuple]:
         # _route's four end-pair sums, in its order and association; the
         # first least one names the ends w1 and w2 that _log reads
@@ -281,6 +277,14 @@ class TreeSpace(Space):
         """(edge index, length, start vertex payload, end vertex payload) per edge."""
         return [(ei, length, self._vertex_rep[u], self._vertex_rep[v])
                 for ei, (u, v, length) in enumerate(self.edges)]
+
+    def _search_pieces(self, x: tuple, radius: float, box, start: float):
+        # every edge or leg that `segments()` lists, whole
+        def along(seg):
+            return lambda coords: Point(self, self._canonical((seg, coords[0])))
+
+        return radius, [(along(seg), [0.0], [length], (False, False))
+                        for seg, length, _, _ in self.segments()]
 
     def directions_at(self, data: tuple) -> list[tuple]:
         w = self._vertex_of(data)
@@ -412,8 +416,6 @@ class SpiderSpace(Space):
             return (a[0], a[1] - arc)
         return (b[0], arc - a[1])
 
-    _log = TreeSpace._log
-
     def _log_row(self, base: tuple, payloads, dists) -> list[tuple]:
         leg, r = base
         if leg == 0:
@@ -425,6 +427,7 @@ class SpiderSpace(Space):
     _cone_barycenter = TreeSpace._cone_barycenter
     _region_measure = TreeSpace._region_measure
     _condition_constants = TreeSpace._condition_constants
+    _search_pieces = TreeSpace._search_pieces
 
     def _boundary_note(self) -> str:
         return ("volume-ratio condition fails at leg tips; constants assume "

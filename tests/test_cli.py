@@ -1,7 +1,16 @@
-"""CLI subcommands, exit-code contract, and byte determinism."""
+"""CLI subcommands, exit-code contract, and byte determinism.
+
+The tests call `cli.main` in-process through `run`; an exception that
+leaves `main` fails the test.  Only what a fresh interpreter tests starts
+a process: one `python -m selfcontract.cli` run per command, and one
+pipeline compared byte for byte with two in-process runs.
+"""
+import io
 import json
+import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from conftest import SMALL_TREE_TEXT
@@ -12,7 +21,16 @@ CLI = [sys.executable, "-m", "selfcontract.cli"]
 
 
 def run(args, cwd):
-    return subprocess.run(CLI + args, capture_output=True, text=True, cwd=cwd)
+    """`python -m selfcontract.cli *args` in `cwd`, called in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    os.chdir(cwd)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(list(args))
+    finally:
+        os.chdir(home)
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 @pytest.fixture
@@ -557,3 +575,49 @@ def test_simulate_reads_objective_keys_as_numbers(tmp_path):
     r = run(["simulate", "--config", "half.cfg"], tmp_path)
     assert r.returncode == 2
     assert "no leg 1.5 on spider:3" in r.stderr
+
+
+@pytest.mark.parametrize("args, code", [
+    (["simulate", "--config", "sim.cfg"], 0),
+    (["verify", "run1.curve.json", "--check", "self_contracted"], 0),
+    (["audit", "run1.curve.json", "--bound", "book"], 2),
+    (["counterexample", "--k", "3", "--out", "cex"], 0),
+    (["report", "aud.csv"], 0),
+], ids=["simulate", "verify", "audit", "counterexample", "report"])
+def test_module_entry_point(workdir, args, code):
+    """Each command through `python -m selfcontract.cli`, so that the module
+    entry point and `sys.exit(main())` stay covered: the documented exit
+    code, and no traceback."""
+    assert run(["audit", "run1.curve.json", "--bound", "tree", "--out", "aud"],
+               workdir).returncode == 0
+    r = subprocess.run(CLI + args, capture_output=True, text=True, cwd=workdir)
+    assert r.returncode == code and "Traceback" not in r.stderr, r.stderr
+
+
+PIPELINE = [
+    ["simulate", "--config", "sim.cfg"],
+    ["verify", "run1.curve.json", "--seed", "3", "--out", "ver.json"],
+    ["audit", "run1.curve.json", "--bound", "tree", "--out", "aud"],
+]
+
+
+def test_in_process_runs_match_a_fresh_interpreter(workdir, tmp_path_factory):
+    """State that in-process calls could share, such as a module cache,
+    would hide from the tests above: the pipeline run twice in this process
+    and once in a fresh one writes the same bytes."""
+    outputs = {}
+    for name in ("first", "second", "fresh"):
+        here = tmp_path_factory.mktemp(name)
+        (here / "sim.cfg").write_bytes((workdir / "sim.cfg").read_bytes())
+        if name == "fresh":
+            code = ("import sys\nfrom selfcontract import cli\n"
+                    f"sys.exit(max(cli.main(args) for args in {PIPELINE!r}))\n")
+            r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                               text=True, cwd=here)
+            assert r.returncode == 0, r.stderr
+        else:
+            for args in PIPELINE:
+                assert run(args, here).returncode == 0
+        outputs[name] = {p.name: p.read_bytes() for p in sorted(here.iterdir())}
+    assert len(outputs["first"]) == 8
+    assert outputs["first"] == outputs["second"] == outputs["fresh"]

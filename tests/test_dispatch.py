@@ -218,6 +218,45 @@ def test_local_estimates_live_on_the_space():
     assert (rc.a, rc.b, rc.sigma) == (1.0, 2.0 / area, 2.0)
 
 
+def test_resolvent_search_pieces_live_on_the_space():
+    """`proximal` imports nothing under `spaces` but `spaces.base` and keeps
+    no table keyed by space type: the Euclidean, H^2, tree and book classes
+    list the numeric resolvent's search pieces, and the spider names the
+    tree's.  A new space extends the solver without an edit to `proximal`."""
+    assert {m for m in _imported_modules("proximal")
+            if "spaces" in m.split(".")} == {"spaces.base"}
+    tree = ast.parse((PACKAGE / "proximal.py").read_text())
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Dict)
+                and any(getattr(key, "id", None) in SPACE_CLASSES for key in node.keys)]
+    for cls in (spaces.EuclideanSpace, spaces.HyperbolicPlane, spaces.TreeSpace,
+                spaces.BookSpace):
+        assert "_search_pieces" in vars(cls), cls
+    assert vars(spaces.SpiderSpace)["_search_pieces"] is vars(spaces.TreeSpace)["_search_pieces"]
+
+    class FlatPair(spaces.ProductSpace):
+        """R x R as a product, searched in one window centred at x."""
+
+        def _search_pieces(self, x, radius, box, start):
+            def to_point(coords):
+                return sc.Point(self, ((coords[0],), (coords[1],)))
+
+            (u,), (v,) = x
+            return radius, [(to_point, [u - radius, v - radius], [u + radius, v + radius],
+                             (True,) * 4)]
+
+    line = sc.EuclideanSpace(1)
+    plain, flat = spaces.ProductSpace(line, line), FlatPair(line, line)
+    with pytest.raises(UnsupportedSpaceError, match="no resolvent solver for product"):
+        sc.resolvent(sc.ObjectiveFn(name="zero", space=plain, fn=lambda z: 0.0),
+                     plain, plain.point(((0.0,), (0.0,))), 0.5)
+    # the prox of the distance to p moves x a step tau toward p
+    p, x = flat.point(((3.0,), (4.0,))), flat.point(((0.0,), (0.0,)))
+    f = sc.ObjectiveFn(name="to_p", space=flat, fn=lambda z: flat.distance(z, p))
+    res = sc.resolvent(f, flat, x, 0.5)
+    assert res.status == "unique" and res.evals > 0
+    assert flat.distance(res.point, flat.point(((0.3,), (0.4,)))) <= 1e-6
+
+
 def test_euclidean_region_measure():
     """`euclidean:n` for n <= 3 carries the n-dimensional measure: 2r for one
     point of the line, pi r^2 for one disk."""

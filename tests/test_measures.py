@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import selfcontract as sc
-from selfcontract.errors import GeometryError, UnsupportedSpaceError
+from selfcontract.errors import GeometryError, SpaceMismatchError, UnsupportedSpaceError
 from selfcontract.measures import (
     NeighborhoodRegion,
     _disk_union_halfplane_area,
@@ -157,6 +157,22 @@ def test_condition_constants_euclidean():
             sc.EuclideanSpace(4),
             NeighborhoodRegion((sc.EuclideanSpace(4).point((0.0,) * 4),), 1.0),
         )
+
+
+def test_condition_constants_refuse_a_region_of_another_space(small_tree):
+    """The region must lie in the space whose constants are asked for, as
+    the points of `hausdorff_measure_neighborhood` must: a region of tree
+    points given with a spider, or of `book:2` points given with `book:3`,
+    used to come back with constants."""
+    tree_region = NeighborhoodRegion(
+        (small_tree.point((0, 0.5)), small_tree.point((2, 0.25))), 1.0)
+    book2 = sc.BookSpace(2)
+    book_region = NeighborhoodRegion((book2.point((1, 0.0, 1.0)),), 1.0)
+    for space, region in ((sc.SpiderSpace(3), tree_region), (sc.BookSpace(3), book_region)):
+        with pytest.raises(SpaceMismatchError, match="used in"):
+            estimate_condition_constants(space, region)
+    for space, region in ((small_tree, tree_region), (book2, book_region)):
+        assert estimate_condition_constants(space, region).sigma == 1.0
 
 
 def test_region_containment(plane):

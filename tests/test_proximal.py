@@ -307,11 +307,13 @@ def test_resolvent_reports_evaluations(plane, monkeypatch):
         h2.point(h2.origin()), p, 0.5 / 0.8)) <= 1e-6
     radii = []
 
-    def line_pieces(comp, radius):
-        radii.append(radius)
-        return proximal._euclidean_pieces(comp, radius)
+    search_pieces = sc.EuclideanSpace._search_pieces
 
-    monkeypatch.setitem(proximal._PIECES, sc.EuclideanSpace, line_pieces)
+    def line_pieces(self, x, radius, box, start):
+        radii.append(radius)
+        return search_pieces(self, x, radius, box, start)
+
+    monkeypatch.setattr(sc.EuclideanSpace, "_search_pieces", line_pieces)
     x = space.point((0.3,))
 
     def user_built(fn):
