@@ -11,12 +11,11 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from ..errors import GeometryError, SpaceMismatchError, UnsupportedSpaceError
 
 DEFAULT_TOLERANCE = 1e-9
 RANDOM_BLOCK = 64  # points per draw in the `_random_points` overrides
+TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -289,24 +288,118 @@ def first_unlike(keys: Sequence, limit: float) -> tuple[float, int, int]:
 
 
 def polar_diameter(polar: Sequence[float], limit: float,
-                   fold: np.ndarray | None = None) -> tuple[float, int, int]:
+                   *reflections: Sequence[float | None]) -> tuple[float, int, int]:
     """`Space._germ_diameter` from the germs' polar angles, where the angle
-    of a pair is `polar_gap`, or, on the `fold` cells (germs in two sheets
-    of a book, at its spine), the turn min(s, 2 pi - s) with s = t1 + t2.
+    of a pair is `polar_gap`, in O(m log m) for m germs.
 
-    The m x m matrix holds those expressions elementwise, so it is the
-    scalar loop's values bit for bit and exactly symmetric: the first cell
-    of the largest excess in row-major order is the loop's first pair
-    (a, b >= a), though two pairs may round to the same excess.
+    `reflections` are further frames of the same germs, None for a germ
+    left out.  A book's spine base passes frames in which some sheets'
+    angles are negated: germs in two sheets meet at min(s, 2 pi - s) with
+    s = t1 + t2, which is polar_gap(t1, -t2) bit for bit.  Each pair must
+    meet at its own angle in some frame and at no larger gap in any.  Then
+    each frame's pair of largest excess has as a the first germ with a
+    tying partner there, so the least a over the frames is the loop's, and
+    its b the least b of the frames that share it.
     """
-    t = np.array(polar, dtype=float)
-    gap = np.abs(t[:, None] - t)
-    excess = np.fmin(gap, 2.0 * math.pi - gap) - limit
-    if fold is not None:
-        turn = t[:, None] + t
-        excess = np.where(fold, np.fmin(turn, 2.0 * math.pi - turn) - limit, excess)
-    k = int(np.argmax(excess))  # the first largest cell in row-major order
-    return float(excess.flat[k]), *divmod(k, len(t))
+    best = _frame_diameter(polar, sorted(polar), limit)
+    if not reflections:
+        return best
+    return min((best, *(_frame_diameter(f, sorted(t for t in f if t is not None), limit)
+                        for f in reflections)), key=lambda r: (-r[0], r[1], r[2]))
+
+
+def _frame_diameter(f: Sequence[float | None], s: list[float],
+                    limit: float) -> tuple[float, int, int]:
+    """`polar_diameter` of one frame f, whose angles sorted are s.
+
+    The first pair (a, b >= a) whose excess equals the largest is the
+    diagonal (0, 0) if that excess is 0.0 - limit.  Otherwise a is the
+    first germ with a tying partner and b its first such partner, found
+    from the set of tied angles.  Gaps tie when they round to the same
+    excess, as in the loop, and equal angles are interchangeable.
+    """
+    # within a half-turn the ends are the widest pair, and the tied angles
+    # are runs at the ends
+    half = (x := s[-1] - s[0]) <= TWO_PI - x
+    excess = (x if half else _widest(s)) - limit
+    if excess == 0.0 - limit:  # the loop's diagonal; at limit 0, excess may be -0.0
+        return 0.0 - limit, 0, 0
+    tied = _end_runs(s, 0, limit, excess) if half else _tied(s, limit, excess)
+    if len(tied) == 2:  # each germ of one angle pairs with each of the other
+        return excess, *sorted(map(f.index, tied))
+    a = min(map(f.index, tied))
+    w = f[a]
+    b = min(f.index(t) for t in tied
+            if min(g := abs(w - t), TWO_PI - g) - limit == excess)
+    return excess, a, b
+
+
+def _widest(s: list[float]) -> float:
+    """The largest polar gap among the sorted angles s: from each s[i], the
+    gap to s[j] or to s[j + 1] at its crossing."""
+    return max(max(s[j] - s[i], TWO_PI - (s[j + 1] - s[i]) if j + 1 < len(s) else 0.0)
+               for i, j in _crossings(s))
+
+
+def _crossings(s: Sequence[float]) -> Iterator[tuple[int, int]]:
+    """(i, j) for i = 0, 1, ... over the sorted angles s, where j >= i is the
+    last position whose gap x = s[j] - s[i] passes x <= 2 pi - x, rounded:
+    s[j] and s[j + 1] flank the half-turn from s[i], and a pair's polar gap
+    is x up to j and 2 pi - x after it, so the widest gaps from s[i] are to
+    s[j] and s[j + 1].  It stops after the first j at the last angle: from
+    there on each gap is x, which shrinks as i grows."""
+    j, last = 0, s[-1]
+    for i, t in enumerate(s):
+        if (x := last - t) <= TWO_PI - x:
+            yield i, len(s) - 1
+            return
+        j = max(i, j)
+        while (x := s[j + 1] - t) <= TWO_PI - x:
+            j += 1
+        yield i, j
+
+
+def _tied(s: Sequence[float], limit: float, excess: float) -> set[float]:
+    """The angles among the sorted s with a partner at a gap whose excess
+    over `limit` is `excess`, the largest, which no gap of 0 has.
+
+    From s[i] those partners are one run of positions around its crossing.
+    The runs' ends never move down as i grows, so a run is walked only
+    above the highest position `top` of the runs before."""
+    out, top, m = set(), -1, len(s)
+    for i, j in _crossings(s):
+        t = s[i]
+        if j == m - 1:
+            return out | _end_runs(s, i, limit, excess)
+        near = s[j] - t - limit == excess
+        far = TWO_PI - (s[j + 1] - t) - limit == excess
+        if near or far:
+            out.add(t)
+        if near:
+            q = j
+            while q > top and s[q] - t - limit == excess:
+                out.add(s[q])
+                q -= 1
+            top = max(top, j)
+        if far:
+            q = max(j + 1, top + 1)
+            while q < m and TWO_PI - (s[q] - t) - limit == excess:
+                out.add(s[q])
+                q += 1
+            top = max(top, q - 1)
+    return out
+
+
+def _end_runs(s: Sequence[float], i: int, limit: float, excess: float) -> set[float]:
+    """`_tied` from the last crossing at s[i] on, where each gap is the
+    later angle less the earlier: the angles from s[i] up whose gap to the
+    last ties, and those down from the last whose gap to s[i] ties."""
+    p, q = i, len(s) - 1
+    while s[q] - s[i] - limit == excess:
+        q -= 1
+    while s[-1] - s[p] - limit == excess:
+        p += 1
+    return {*s[i:p], *s[q + 1:]}
 
 
 def tangent_mean(germs: Sequence[tuple], radii: Sequence[float],

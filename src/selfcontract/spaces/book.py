@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..errors import GeometryError
 from ..measures import RadiusConstants, _disk_union_halfplane_area
 from .base import Point, Space, integral_index, polar_diameter, polar_gap
@@ -109,8 +107,18 @@ class BookSpace(Space):
         polar = [math.atan2(g[2], g[1]) for g in germs]
         if base[0] != 0:
             return polar_diameter(polar, limit)
-        s = np.array([g[0] for g in germs])
-        return polar_diameter(polar, limit, (s[:, None] != s) & (s[:, None] != 0) & (s != 0))
+        # At the spine every angle is in [0, pi] and a germ in a sheet lies
+        # strictly inside, so two germs in two sheets meet at their turn,
+        # above the gap that `polar` gives them.  For each bit of the sheets'
+        # ranks, one frame holds the sheet germs with the angles of the
+        # sheets whose rank has that bit negated, so each such pair meets at
+        # its turn in some frame.  The spine rays stay out of those frames:
+        # from the ray at pi, a negated angle's gap rounds apart from its own.
+        rank = {sheet: r for r, sheet in enumerate(sorted({g[0] for g in germs} - {0}))}
+        return polar_diameter(polar, limit, *(
+            [None if g[0] == 0 else -t if rank[g[0]] >> bit & 1 else t
+             for g, t in zip(germs, polar)]
+            for bit in range(max(len(rank) - 1, 0).bit_length())))
 
     def _cone_barycenter(self, base: tuple, germs, radii) -> tuple[tuple | None, float]:
         n = len(germs)

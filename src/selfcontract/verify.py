@@ -232,7 +232,10 @@ def angle_estimate_sweep(space: Space, curve: Curve,
     the later samples that are not the same point, from their distances in
     the row, and one `Space._germ_diameter` call returns the first pair
     (a, b >= a) of the scalar double loop that attains the largest excess,
-    so the witness is the one that loop would record.
+    so the witness is the one that loop would record.  On the plane, H^2
+    and books that call sorts the germs' polar angles once
+    (`polar_diameter`), so a base with m germs costs O(m log m) and the
+    sweep of n samples O(n^2 log n).
     """
     times, payloads = _effective_samples(space, curve, cfg)
     worst = -math.inf

@@ -6,7 +6,8 @@ only these files catch a refactor that changes a result.  The CLI cases
 cover the exact proxes (half_sq_dist, dist, the segment objectives and
 max_two_dists off the book), the candidate set of the box-domain line,
 the one numeric resolvent path the catalogue still reaches (the book)
-and every audit;
+and every audit.  Each case calls `cli.main` in-process, through
+`tests/test_cli.py`'s `run`, so no command starts an interpreter;
 primitives.json pins, as exact float.hex values, four-point quadruples on
 which the sweep oracle needs its refinement, barycenter cases the CLI never
 reaches and each per-space capability: the direction sampler behind
@@ -21,9 +22,7 @@ just the named cases:
 """
 import json
 import math
-import os
 import shutil
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -35,10 +34,10 @@ import selfcontract as sc
 from selfcontract.spaces.base import Direction
 
 from conftest import SMALL_TREE_TEXT
+from test_cli import run
 from test_metric import sphere_quadruple, sweep_four_point
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-CLI = [sys.executable, "-m", "selfcontract.cli"]
 INPUTS = ("sim.cfg", "tree.txt")
 VERIFY = ["verify", "run.curve.json", "--check",
           "self_contracted,stationarity,angle_estimate", "--out", "ver.json"]
@@ -128,7 +127,7 @@ def run_case(name: str, workdir: Path) -> dict[str, bytes]:
     (workdir / "sim.cfg").write_text(cfg)
     (workdir / "tree.txt").write_text(SMALL_TREE_TEXT)
     for args in [["simulate", "--config", "sim.cfg"], *commands]:
-        r = subprocess.run(CLI + args, capture_output=True, text=True, cwd=workdir)
+        r = run(args, workdir)
         assert r.returncode == 0, f"{name}: {args[0]} exited {r.returncode}: {r.stderr}"
     return {p.name: p.read_bytes() for p in sorted(workdir.iterdir())
             if p.name not in INPUTS}
@@ -498,10 +497,6 @@ def main(names: list[str]) -> None:
     unknown = sorted(set(names) - set(CASES))
     if unknown:
         sys.exit(f"unknown golden cases: {unknown}; available: {sorted(CASES)}")
-    # the CLI runs from temporary directories: point it at the package imported here
-    src = str(Path(sc.__file__).resolve().parent.parent)
-    os.environ["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)
     if not names:
         shutil.rmtree(GOLDEN, ignore_errors=True)
     for name in names or sorted(CASES):

@@ -4,12 +4,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import selfcontract as sc
 from selfcontract.errors import GeometryError, SpaceMismatchError
 from selfcontract.objectives import make_objective
 from selfcontract.proximal import GradientCurveRun, discrete_gradient_curve
 from selfcontract.spaces.base import Point, Space
+from selfcontract.spaces.book import spine_germ
 from selfcontract.verify import (
     DEFAULT_SAMPLING,
     VIOLATION_TOL,
@@ -371,6 +373,55 @@ def _line_targets(space, base, rng):
     return []
 
 
+def _unit(t):
+    return (math.cos(t), math.sin(t))
+
+
+def _polar_sets(rng):
+    """(x, y) germ sets in one frame whose polar angles tie: half-turn sets
+    with a one-ulp twin of either end, repeated ends, a straight run's
+    cluster, exactly antipodal pairs with pi and -pi together, angles 0.0
+    and -0.0, and sets spanning more than a half-turn across the cut at pi."""
+    sets = []
+    for width in (0.2, 1.0, math.pi / 2.0, math.pi - 1e-9):
+        lo = float(rng.uniform(-math.pi, math.pi - width))
+        (x0, y0), (x1, y1) = _unit(lo), _unit(lo + width)
+        mid = [_unit(t) for t in rng.uniform(lo, lo + width, 3)]
+        lo_twin = (x0, math.nextafter(y0, math.inf if x0 < 0 else -math.inf))
+        hi_twin = (x1, math.nextafter(y1, -math.inf if x1 < 0 else math.inf))
+        ends = [(x0, y0), (x1, y1)]
+        sets += [mid[:1] + ends + [lo_twin] + mid[1:], [hi_twin] + ends[::-1] + mid,
+                 [lo_twin, hi_twin] + mid + ends, ends + ends[:1] + mid + ends,
+                 mid[:2] + ends[::-1] * 3]
+    base = float(rng.uniform(-math.pi, math.pi))
+    x, y = _unit(base)
+    run = [(x, y)]
+    for _ in range(7):
+        run.append((run[-1][0], math.nextafter(run[-1][1], math.inf)))
+    sets += [run, run[::-1], run[3:] + run[:3]]
+    axes = [(-1.0, 0.0), (1.0, 0.0), (-1.0, -0.0), (0.0, 1.0), (0.0, -1.0), (1.0, -0.0)]
+    sets += [axes, axes[::-1], [axes[i] for i in rng.permutation(6)], axes[:3], axes[3:5],
+             [(1.0, 0.0), (1.0, -0.0), (2.0, -0.0)]]
+    for _ in range(4):
+        across = [_unit(math.pi - abs(t)) if t > 0 else _unit(-math.pi + abs(t))
+                  for t in rng.normal(0.0, 0.4, 9)]
+        sets += [across, across + [_unit(float(rng.uniform(-math.pi, math.pi)))]]
+    sets.append([_unit(t) for t in rng.uniform(-math.pi, math.pi, 15)])
+    return sets
+
+
+def _mirrored_spine_germs(book, rng):
+    """Spine-base germs that tie at a turn of pi: for each sheet a germ at
+    angle t and, in the next sheet, one at pi - t, with both spine rays."""
+    t = float(rng.uniform(0.1, math.pi - 0.1))
+    germs = [(0, 1.0, 0.0), (0, -1.0, 0.0)]
+    for sheet in range(1, book.k + 1):
+        other = sheet % book.k + 1
+        germs += [spine_germ(sheet, math.cos(t), math.sin(t)),
+                  spine_germ(other, -math.cos(t), math.sin(t))]
+    return [germs[i] for i in rng.permutation(len(germs))]
+
+
 def _germ_cases(space, rng):
     """(base, germs) cases: random bases, one germ, all-equal and
     duplicated germs, antipodal, near-parallel and near-antipodal sets, and
@@ -429,17 +480,63 @@ def _germ_cases(space, rng):
         # angles, which here differs from the turn in the last bits
         cases.append((spine, [(0, -1.0, 0.0), (1, -0.41712332493858084, 0.9088498950828916)]))
         cases.append(((2, 0.1, 0.4), [(2, -1.0, 0.0), (2, -1.0, -0.0), (2, 0.6, 0.8)]))
+        for spine in ((0, 0.3, 0.0), (0, -0.8, 0.0)):
+            cases.append((spine, _mirrored_spine_germs(space, rng)))
+            cases.append((spine, _spine_germs(space, spine, rng, 2)
+                          + _mirrored_spine_germs(space, rng)))
+        cases += [((1, 0.2, 0.5), [(1, *g) for g in germs]) for germs in _polar_sets(rng)]
+    if isinstance(space, sc.EuclideanSpace) and space.dim == 2:
+        cases += [(None, germs) for germs in _polar_sets(rng)]
     return cases
 
 
-@pytest.mark.parametrize("space", KERNEL_SPACES, ids=lambda s: s.describe())
+@pytest.mark.parametrize("space", KERNEL_SPACES + [sc.BookSpace(5)],
+                         ids=lambda s: s.describe())
 def test_germ_diameter_matches_the_base_loop(space, rng):
     """Every `_germ_diameter` override is the scalar double loop, bit for bit."""
     for base, germs in _germ_cases(space, rng):
-        for limit in (math.pi / 2.0, 0.3):
+        for limit in (math.pi / 2.0, 0.3, 0.0):
             excess, a, b = space._germ_diameter(base, germs, limit)
             ref = Space._germ_diameter(space, base, germs, limit)
             assert (excess.hex(), a, b) == (ref[0].hex(), ref[1], ref[2])
+
+
+# polar angles near a few anchors, some of them a few ulps apart
+_ANCHORS = st.sampled_from([0.0, -0.0, 0.4, math.pi / 2.0, 2.0, math.pi, -math.pi, -1.0, -2.9])
+
+
+@st.composite
+def _angles(draw):
+    anchors = draw(st.lists(st.one_of(_ANCHORS, st.floats(-math.pi, math.pi)),
+                            min_size=1, max_size=4))
+    out = []
+    for _ in range(draw(st.integers(1, 24))):
+        t = draw(st.sampled_from(anchors))
+        for _ in range(draw(st.integers(0, 3))):
+            t = math.nextafter(t, draw(st.sampled_from([-math.inf, math.inf])))
+        out.append(min(max(t, -math.pi), math.pi))
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(angles=_angles(), sheets=st.lists(st.integers(0, 5), min_size=24, max_size=24),
+       limit=st.sampled_from([math.pi / 2.0, 0.3, math.pi / 4.0, 0.0]))
+def test_germ_diameter_matches_the_base_loop_on_polar_sets(angles, sheets, limit):
+    """Random polar sets, rich in repeated and one-ulp-apart angles: the
+    plane's germs at those angles, and a book:5 spine base's germs in the
+    drawn sheets (0 for the spine ray nearest the angle), match the loop."""
+    plane, book = sc.EuclideanSpace(2), sc.BookSpace(5)
+    germs = [_unit(t) for t in angles]
+    got = plane._germ_diameter(None, germs, limit)
+    ref = Space._germ_diameter(plane, None, germs, limit)
+    assert (got[0].hex(), got[1:]) == (ref[0].hex(), ref[1:])
+    spine = (0, 0.0, 0.0)
+    germs = [spine_germ(s, math.cos(abs(t)), math.sin(abs(t))) if s else
+             (0, 1.0 if abs(t) < math.pi / 2.0 else -1.0, 0.0)
+             for t, s in zip(angles, sheets)]
+    got = book._germ_diameter(spine, germs, limit)
+    ref = Space._germ_diameter(book, spine, germs, limit)
+    assert (got[0].hex(), got[1:]) == (ref[0].hex(), ref[1:])
 
 
 def _row_payloads(space, rng):
@@ -595,8 +692,9 @@ def test_angle_sweep_matches_the_scalar_sweep(space, rng):
 
 def test_angle_sweep_budget_on_a_481_sample_plane_run():
     """One sweep of a 60-step half_sq_dist run at tau = 0.05, interpolated
-    and densified to 481 samples, in under 1.2 s (0.4-0.5 s against 1.1-1.8 s
-    for the germ-cosine matrix it replaced).  The run is straight, so its
+    and densified to 481 samples, in under 0.4 s (0.06-0.1 s with the sorted
+    polar sweep, 0.4-0.5 s with the germ-gap matrix before it and 1.1-1.8 s
+    with the germ-cosine matrix before that).  The run is straight, so its
     witness angle is rounding: 1.3e-13, where the arccos gave 3.7e-8."""
     plane = sc.EuclideanSpace(2)
     f = make_objective(plane, "half_sq_dist", target=(0.5, -0.25))
@@ -607,7 +705,29 @@ def test_angle_sweep_budget_on_a_481_sample_plane_run():
     rep = angle_estimate_sweep(plane, curve)
     dt = time.perf_counter() - t0
     assert rep.witness["angle"] < 1e-11
-    assert dt < 1.2, f"angle sweep took {dt:.2f}s"
+    assert dt < 0.4, f"angle sweep took {dt:.2f}s"
+
+
+@pytest.mark.parametrize("space, start, target", [
+    (sc.EuclideanSpace(2), (1.5, 1.0), (0.5, -0.25)),
+    (sc.HyperbolicPlane(), (math.cosh(1.2), 0.6 * math.sinh(1.2), -0.8 * math.sinh(1.2)),
+     (math.cosh(0.5), math.sinh(0.5), 0.0)),
+    (sc.BookSpace(3), (2, -1.0, 1.0), (1, 0.5, 0.5)),
+], ids=["euclidean2", "hyperbolic2", "book3"])
+def test_angle_sweep_budget_on_961_sample_runs(space, start, target):
+    """One sweep of a 120-step half_sq_dist run at tau = 0.05, interpolated
+    and densified to 961 samples, in under 1.2 s: one sort per base makes
+    it 0.2-0.6 s, where the germ-gap matrix took 2.3-3.4 s.  Each run goes
+    straight to its target (the book's through the spine), so it passes."""
+    f = make_objective(space, "half_sq_dist", target=space.point(target))
+    run = discrete_gradient_curve(f, space, space.point(start), [0.05] * 120)
+    curve = sc.geodesic_interpolation(space, run)
+    assert len(_effective_samples(space, curve, DEFAULT_SAMPLING)[0]) == 961
+    t0 = time.perf_counter()
+    rep = angle_estimate_sweep(space, curve)
+    dt = time.perf_counter() - t0
+    assert rep.passed
+    assert dt < 1.2, f"angle sweep took {dt:.2f}s on {space.describe()}"
 
 
 @pytest.mark.parametrize("check", [angle_estimate_sweep, is_self_contracted,
