@@ -189,10 +189,16 @@ class BookSpace(Space):
             for sheet in range(1, self.k + 1)]
 
     def _random_point(self, rng, scale: float = 1.0) -> tuple:
+        # rng.uniform(-scale, scale) and rng.uniform(0.0, scale), one double
+        # each, by numpy's own lo + (hi - lo) * u (0.0 + x is x for x >= 0)
+        # without its per-call cost.  numpy refuses a width that is not
+        # finite or has its sign bit set; the first width is the wider, so
+        # numpy raises its own error on every scale it would refuse.
         sheet = int(rng.integers(1, self.k + 1))
-        a = float(rng.uniform(-scale, scale))
-        b = float(rng.uniform(0.0, scale))
-        return (sheet, a, b)
+        width = scale - -scale
+        if not math.isfinite(width) or math.copysign(1.0, width) < 0.0:
+            rng.uniform(-scale, scale)
+        return (sheet, -scale + width * rng.random(), scale * rng.random())
 
     def random_direction(self, rng, base: tuple) -> tuple:
         if base[0] != 0:
@@ -215,3 +221,4 @@ def spine_germ(sheet: int, ux: float, uy: float) -> tuple:
     if abs(uy) <= 1e-15:
         return (0, 1.0 if ux > 0 else -1.0, 0.0)
     return (sheet, ux, abs(uy))
+

@@ -32,7 +32,7 @@ class EuclideanSpace(Space):
             raise GeometryError("non-finite coordinate")
 
     def _canonical(self, data: tuple) -> tuple:
-        return tuple(float(x) for x in data)
+        return tuple(map(float, data))
 
     # In up to two coordinates the fsum in vec_norm and vec_dot is one
     # rounded add, so a plain add reproduces the scalar kernels bit for bit.
@@ -66,7 +66,13 @@ class EuclideanSpace(Space):
         return row
 
     def _geodesic(self, a: tuple, b: tuple, s: float) -> tuple:
-        return tuple((1.0 - s) * x + s * y for x, y in zip(a, b))
+        # the loop's (1.0 - s) * x + s * y, written out in up to two coordinates
+        r = 1.0 - s
+        if self.dim == 1:
+            return (r * a[0] + s * b[0],)
+        if self.dim == 2:
+            return (r * a[0] + s * b[0], r * a[1] + s * b[1])
+        return tuple(r * x + s * y for x, y in zip(a, b))
 
     def _log(self, a: tuple, b: tuple) -> tuple[tuple, float]:
         diff = vec_sub(b, a)

@@ -427,17 +427,22 @@ def random_tree(seed: int, max_edges: int = 20, max_degree: int = 6) -> TreeSpac
     return TreeSpace(names, edges)
 
 
-def _distances_fall(dist, payloads: list, q: tuple) -> bool:
-    """Whether d(p_i, q) never rises along the payloads: each newer distance
-    is at most the older one (False on NaN), walked from the newest payload
-    back and stopped at the first rise."""
+def _distances_fall(dist, payloads: list, q: tuple, first: int) -> int:
+    """Where d(p_i, q) rises along the payloads: the i of a pair whose newer
+    distance d(p_{i+1}, q) is not at most the older d(p_i, q) (so also on
+    NaN), or -1 when none is.  Pair `first` is tested first, if it is one,
+    then the walk goes from the newest payload back and stops at the first
+    rise.  Every pair must hold for -1, so the order never changes whether
+    a rise is found, only how soon."""
+    if first >= 0 and not dist(payloads[first + 1], q) <= dist(payloads[first], q):
+        return first
     newer = dist(payloads[-1], q)
     for i in range(len(payloads) - 2, -1, -1):
         older = dist(payloads[i], q)
         if not newer <= older:
-            return False
+            return i
         newer = older
-    return True
+    return -1
 
 
 def random_self_contracted(space: Space, n_steps: int, seed: int) -> Curve:
@@ -456,6 +461,7 @@ def random_self_contracted(space: Space, n_steps: int, seed: int) -> Curve:
     payloads = [last.data]
     step = scale * 0.6
     stalls = 0
+    rise = -1  # the pair that rejected the last proposal; -1 after an accept
     while len(payloads) < n_steps and stalls < 400:
         target = next(targets)
         d = space._dist(payloads[-1], target)
@@ -463,7 +469,8 @@ def random_self_contracted(space: Space, n_steps: int, seed: int) -> Curve:
             stalls += 1
             continue
         q = space.geodesic_point(last, Point(space, target), min(1.0, step / d))
-        if _distances_fall(space._dist, payloads, q.data):
+        rise = _distances_fall(space._dist, payloads, q.data, rise)
+        if rise < 0:
             last = q
             payloads.append(q.data)
             step *= 0.9

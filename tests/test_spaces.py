@@ -1,5 +1,6 @@
 """Per-space geometry: distances, geodesics, directions, serialization."""
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -905,6 +906,54 @@ def test_random_point_streams_match_the_base_loop(space):
     for _ in range(32 * RANDOM_BLOCK):
         assert _bits(next(stream)) == _bits(next(loop))
     assert got.bit_generator.state == want.bit_generator.state
+
+
+def _book_uniform_draw(book, rng, scale):
+    """The book draw as it stood before it read plain doubles."""
+    sheet = int(rng.integers(1, book.k + 1))
+    return (sheet, float(rng.uniform(-scale, scale)), float(rng.uniform(0.0, scale)))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1.5, 1e300])
+def test_book_random_point_matches_rng_uniform(scale):
+    """The book's draw from plain doubles gives `rng.uniform`'s bits and
+    leaves the generator in the same state."""
+    book = sc.BookSpace(3)
+    for seed in range(100):
+        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = [book._random_point(got, scale) for _ in range(1000)]
+        assert repr(drawn) == repr([_book_uniform_draw(book, want, scale)
+                                    for _ in range(1000)]), seed
+        assert got.bit_generator.state == want.bit_generator.state, seed
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -1.0, -0.0, 1e308])
+def test_book_random_point_refuses_what_rng_uniform_refuses(scale):
+    """A scale whose width `rng.uniform` refuses (not finite, or signed
+    negative) is refused with numpy's own error, after the same draws."""
+    book = sc.BookSpace(3)
+    got, want = np.random.default_rng(7), np.random.default_rng(7)
+    with pytest.raises((OverflowError, ValueError)) as refused:
+        _book_uniform_draw(book, want, scale)
+    with pytest.raises(refused.type, match=f"^{re.escape(str(refused.value))}$"):
+        book._random_point(got, scale)
+    assert got.bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_euclidean_geodesic_matches_the_coordinate_loop(dim):
+    """The plane and line kernels, written out, give the coordinate loop's
+    bits, and `_canonical` gives `float` of each coordinate."""
+    space = sc.EuclideanSpace(dim)
+    rng = np.random.default_rng(dim)
+    for _ in range(2000):
+        a, b = (tuple(v.tolist()) for v in
+                rng.choice((-1.0, 1.0), (2, dim)) * 10.0 ** rng.uniform(-6, 6, (2, dim)))
+        s = float(rng.choice((0.0, 1.0, rng.random())))
+        assert _bits(space._geodesic(a, b, s)) == _bits(
+            tuple((1.0 - s) * x + s * y for x, y in zip(a, b)))
+    data = (1, np.float64(-0.0), 2.5)[:dim]
+    assert _bits(space._canonical(data)) == _bits(tuple(float(x) for x in data))
 
 
 def test_base_random_point_stream_draws_nothing_ahead():

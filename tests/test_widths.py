@@ -14,6 +14,7 @@ from selfcontract.measures import (
 from selfcontract.spaces.base import Direction
 from selfcontract.verify import is_self_contracted
 from selfcontract.widths import (
+    _distances_fall,
     book_length_bound,
     book_spine_jump_curve,
     directional_decrease_residual,
@@ -628,10 +629,32 @@ def test_early_exit_sampler_matches_list_then_all_oracle(space, monkeypatch):
     geodesic_point = sc.Space.geodesic_point
     monkeypatch.setattr(sc.Space, "geodesic_point",
                         lambda *args: calls.append(1) or geodesic_point(*args))
-    for seed in range(30):
-        got = random_self_contracted(space, 10, seed=seed)
+    for n_steps, seed in [(n, seed) for n in (10, 14) for seed in range(30)]:
+        got = random_self_contracted(space, n_steps, seed=seed)
         n_got = len(calls)
-        want = list_then_all_sampler(space, 10, seed)
-        assert _curve_bits(got) == _curve_bits(want), seed
-        assert 0 < n_got == len(calls) - n_got, seed
+        want = list_then_all_sampler(space, n_steps, seed)
+        assert _curve_bits(got) == _curve_bits(want), (n_steps, seed)
+        assert 0 < n_got == len(calls) - n_got, (n_steps, seed)
         calls.clear()
+
+
+def test_rise_search_order_keeps_the_answer():
+    """`_distances_fall` finds a rise from any first pair exactly when the
+    newest-back walk does, and the pair it names rises."""
+    plane = sc.EuclideanSpace(2)
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        n = int(rng.integers(2, 15))
+        payloads = [tuple(p) for p in rng.uniform(-1.0, 1.0, (n, 2)).tolist()]
+        # a payload pulled toward q shrinks its distance: some rows fall
+        q = tuple(rng.uniform(-1.0, 1.0, 2).tolist())
+        payloads.sort(key=lambda p: -plane._dist(p, q) * float(rng.uniform(0.9, 1.0)))
+        dists = [plane._dist(p, q) for p in payloads]
+        falls = all(b <= a for a, b in zip(dists, dists[1:]))
+        walked = _distances_fall(plane._dist, payloads, q, -1)
+        for first in range(-1, n - 1):
+            rise = _distances_fall(plane._dist, payloads, q, first)
+            assert (rise < 0) == falls
+            assert rise < 0 or not dists[rise + 1] <= dists[rise]
+            if first < 0 or dists[first + 1] <= dists[first]:
+                assert rise == walked
