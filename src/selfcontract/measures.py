@@ -135,8 +135,10 @@ def _disk_union_halfplane_area(disks: list[tuple[float, float, float]],
             if d <= rj - r:
                 break  # inside disk j
             if abs(r - rj) < d < r + rj:
-                # Kahan's height keeps its digits near tangency, unlike acos
-                w = math.atan2(_height(r, rj, d), (r * r + d * d - rj * rj) / (2.0 * d))
+                # Kahan's height keeps its digits near tangency, unlike acos;
+                # r - rj is exact for close radii, so d^2 survives in the
+                # abscissa of nearly coincident disks, where r^2 + d^2 lost it
+                w = math.atan2(_height(r, rj, d), ((r - rj) * (r + rj) + d * d) / (2.0 * d))
                 covered.append((math.atan2(bj - bc, aj - ac), w))
         else:
             pieces = sorted((t - w + s, t + w + s) for t, w in covered

@@ -1,9 +1,10 @@
 """Hausdorff neighborhood measures and condition-constant estimators."""
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import selfcontract as sc
 from selfcontract.errors import GeometryError, SpaceMismatchError, UnsupportedSpaceError
@@ -341,6 +342,11 @@ _disk = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.05, 2.
 @settings(max_examples=200, deadline=None)
 @given(disks=st.lists(_disk, min_size=1, max_size=8), shift=st.floats(-50.0, 50.0),
        order=st.randoms(use_true_random=False))
+# nearly coincident disks: less area than one of them, and a permutation
+# that moved the area by the whole 1e-12 strip
+@example(disks=[(0.0, 0.0, 1.0), (0.0, 1e-12, 1.0)], shift=0.0, order=random.Random(0))
+@example(disks=[(0.0, 1e-12, 1.0), (1.0, 0.0, 1.0), (0.0, 0.0, 1.0)], shift=0.0,
+         order=random.Random(1))
 def test_union_area_properties(disks, shift, order):
     """Permuting the disks or shifting every abscissa keeps the area, which lies
     between the largest single clipped disk and the sum of the disk areas."""
@@ -355,6 +361,21 @@ def test_union_area_properties(disks, shift, order):
         largest = max(_disk_union_halfplane_area([d], clip) for d in disks)
         assert largest * (1.0 - 1e-13) <= area <= math.fsum(math.pi * r * r
                                                             for _, _, r in disks) * (1 + 1e-13)
+
+
+def test_nearly_coincident_disks_keep_their_strip():
+    """Two unit disks d apart cover pi + 2d - d^3/12 + ...: for d <= 1e-6 the
+    union is pi + 2d to a few ulps, in either order and any direction."""
+    rng = np.random.default_rng(5)
+    for d in 10.0 ** np.linspace(-14.0, -6.0, 33):
+        for _ in range(12):
+            t = float(rng.uniform(-math.pi, math.pi))
+            a, b = (float(v) for v in rng.uniform(-2.0, 2.0, 2))
+            disks = [(a, b, 1.0), (a + float(d) * math.cos(t), b + float(d) * math.sin(t), 1.0)]
+            offset = math.hypot(disks[1][0] - a, disks[1][1] - b)
+            for pair in (disks, disks[::-1]):
+                area = _disk_union_halfplane_area(pair, clip=False)
+                assert abs(area - (math.pi + 2.0 * offset)) <= 4 * math.ulp(math.pi), (d, pair)
 
 
 @settings(max_examples=100, deadline=None)
