@@ -192,8 +192,10 @@ class BookSpace(Space):
         # rng.uniform(-scale, scale) and rng.uniform(0.0, scale), one double
         # each, by numpy's own lo + (hi - lo) * u (0.0 + x is x for x >= 0)
         # without its per-call cost.  numpy refuses a width that is not
-        # finite or has its sign bit set; the first width is the wider, so
-        # numpy raises its own error on every scale it would refuse.
+        # finite or has its sign bit set; the width scale is refused only
+        # where 2 * scale is, so numpy raises its own error on each refusal.
+        # Books keep the base class's one-point stream: the sheet's integer
+        # draw falls between the doubles, so no block of doubles holds them.
         sheet = int(rng.integers(1, self.k + 1))
         width = scale - -scale
         if not math.isfinite(width) or math.copysign(1.0, width) < 0.0:

@@ -428,12 +428,12 @@ def random_tree(seed: int, max_edges: int = 20, max_degree: int = 6) -> TreeSpac
 
 
 def _distances_fall(dist, payloads: list, q: tuple, first: int) -> int:
-    """Where d(p_i, q) rises along the payloads: the i of a pair whose newer
-    distance d(p_{i+1}, q) is not at most the older d(p_i, q) (so also on
-    NaN), or -1 when none is.  Pair `first` is tested first, if it is one,
-    then the walk goes from the newest payload back and stops at the first
-    rise.  Every pair must hold for -1, so the order never changes whether
-    a rise is found, only how soon."""
+    """Whether d(p_i, q) falls along the payloads, as -1, or else the i of a
+    pair that rises: whose newer distance d(p_{i+1}, q) is not at most the
+    older d(p_i, q) (so also on NaN).  Pair `first` (-1 for none) is tested
+    first, then the walk goes from the newest payload back and stops at the
+    first rise.  -1 needs every pair to hold, so the order never changes
+    whether a rise is found, only how soon."""
     if first >= 0 and not dist(payloads[first + 1], q) <= dist(payloads[first], q):
         return first
     newer = dist(payloads[-1], q)
@@ -451,7 +451,8 @@ def random_self_contracted(space: Space, n_steps: int, seed: int) -> Curve:
     Proposes shrinking random steps and accepts only moves that keep every
     distance-to-new-point non-increasing.  Generation stalls return the
     (shorter) accepted prefix.  The targets come from `space._random_points`,
-    the draws of successive `random_point` calls, and are tested as payloads.
+    the draws of successive `random_point` calls, and are tested as payloads,
+    the pair that rejected the previous proposal first.
     """
     if n_steps < 1:
         raise GeometryError("n_steps must be >= 1")
