@@ -117,6 +117,8 @@ def _disk_union_halfplane_area(disks: list[tuple[float, float, float]],
     """
     if not disks:
         return 0.0
+    twins = _twins(disks)
+    disks = [disk for i, disk in enumerate(disks) if i not in twins]
     a0 = disks[0][0]
     terms = []
     for i, (ac, bc, r) in enumerate(disks):
@@ -125,13 +127,9 @@ def _disk_union_halfplane_area(disks: list[tuple[float, float, float]],
         # (centre, half-width) of the angles below the axis or in another disk
         covered = [(-0.5 * math.pi, math.acos(bc / r))] if clip and bc < r else []
         for j, (aj, bj, rj) in enumerate(disks):
-            d = math.hypot(aj - ac, bj - bc)
-            if abs(r - rj) + d <= 1e-15 * (r + rj):
-                # the same disk to rounding (where Kahan's height would
-                # underflow): only the first counts
-                if j < i:
-                    break
+            if j == i:
                 continue
+            d = math.hypot(aj - ac, bj - bc)
             if d <= rj - r:
                 break  # inside disk j
             if abs(r - rj) < d < r + rj:
@@ -152,6 +150,27 @@ def _disk_union_halfplane_area(disks: list[tuple[float, float, float]],
                                                                 - math.sin(2.0 * t0))))
                 t0 = max(t0, hi)
     return math.fsum(terms)
+
+
+def _twins(disks: list[tuple[float, float, float]]) -> set[int]:
+    """The indices of disks that are the same as an earlier disk to rounding,
+    where Kahan's height would underflow: the radii's gap plus the centres'
+    distance is at most 1e-15 of the radii's sum.  The union drops them
+    whole, so that no arc is covered by a disk whose own arcs do not count.
+    Such a pair's abscissae lie within 2e-15 of the largest radius, so only
+    disks that close in abscissa are compared."""
+    reach = 2e-15 * max(r for _, _, r in disks)
+    order = sorted(range(len(disks)), key=lambda i: disks[i][0])
+    twins = set()
+    for k, i in enumerate(order):
+        ai, bi, ri = disks[i]
+        for m in range(k + 1, len(order)):
+            aj, bj, rj = disks[order[m]]
+            if aj - ai > reach:
+                break
+            if abs(ri - rj) + math.hypot(aj - ai, bj - bi) <= 1e-15 * (ri + rj):
+                twins.add(max(i, order[m]))
+    return twins
 
 
 @dataclass(frozen=True)

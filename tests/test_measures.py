@@ -342,11 +342,14 @@ _disk = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.05, 2.
 @settings(max_examples=200, deadline=None)
 @given(disks=st.lists(_disk, min_size=1, max_size=8), shift=st.floats(-50.0, 50.0),
        order=st.randoms(use_true_random=False))
-# nearly coincident disks: less area than one of them, and a permutation
-# that moved the area by the whole 1e-12 strip
+# nearly coincident disks: less area than one of them, a permutation that
+# moved the area by the whole 1e-12 strip, and a shift that parts a disk
+# from its twin to rounding, whose arcs a third disk's cover had skipped
 @example(disks=[(0.0, 0.0, 1.0), (0.0, 1e-12, 1.0)], shift=0.0, order=random.Random(0))
 @example(disks=[(0.0, 1e-12, 1.0), (1.0, 0.0, 1.0), (0.0, 0.0, 1.0)], shift=0.0,
          order=random.Random(1))
+@example(disks=[(0.0, 0.0, 0.5), (0.0, 0.00390625, 0.5), (1e-15, 0.0, 0.5)], shift=1.0,
+         order=random.Random(0))
 def test_union_area_properties(disks, shift, order):
     """Permuting the disks or shifting every abscissa keeps the area, which lies
     between the largest single clipped disk and the sum of the disk areas."""
