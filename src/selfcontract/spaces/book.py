@@ -223,4 +223,3 @@ def spine_germ(sheet: int, ux: float, uy: float) -> tuple:
     if abs(uy) <= 1e-15:
         return (0, 1.0 if ux > 0 else -1.0, 0.0)
     return (sheet, ux, abs(uy))
-
