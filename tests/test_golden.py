@@ -12,8 +12,8 @@ primitives.json pins, as exact float.hex values, four-point quadruples on
 which the sweep oracle needs its refinement, barycenter cases the CLI never
 reaches and each per-space capability: the direction sampler behind
 mean_width, the neighbourhood measures (the book's 2-dimensional one
-included, and areas of nearly coincident disks), the plane's mean width and condition constants, the segment
-objectives and the cover centres.
+included, and areas of nearly coincident disks), the plane's mean width
+and condition constants, the segment objectives and the cover centres.
 
 Regenerate only for an intended change of results, either every file or
 just the named cases:
@@ -213,7 +213,9 @@ def plane_constant_values(case: dict) -> dict:
     return {"constants": out}
 
 
-def area_measure_values(case: dict) -> dict:
+def book_measure_values(case: dict) -> dict:
+    """The 2-dimensional neighbourhood measure at each radius: a book's, or
+    the plane's for the lens cases."""
     space, pts = _space_points(case)
     return {"h2": [_hex(sc.hausdorff_measure_neighborhood(space, pts, radius, 2))
                    for radius in _from_hex(case["radii"])]}
@@ -404,13 +406,13 @@ def _book_measure_primitives() -> list:
         pts += [book.point((1, 0.1, 0.3)), book.point((k, -0.7, 1.6))]
         pts += [book.random_point(rng, 1.5) for _ in range(3)]
         cases.append(_case(book, pts, radii=_hex([0.2, 0.7, 2.0])))
-    return [{**c, **area_measure_values(c)} for c in cases]
+    return [{**c, **book_measure_values(c)} for c in cases]
 
 
 def _lens_primitives() -> list:
     """Areas of unions of nearly coincident disks: on the plane, and on a
     book sheet above the spine (clipped, with a point of the other sheet),
-    whose union exceeds one disk by a strip of width the offset."""
+    where a second unit disk offset by d adds a strip of area 2d."""
     plane, book = sc.EuclideanSpace(2), sc.BookSpace(2)
     cases = []
     for offset in (1e-6, 1e-9, 1e-12):
@@ -423,7 +425,7 @@ def _lens_primitives() -> list:
         cases.append(_case(plane, [plane.point(p) for p in three], radii=_hex([1.0])))
         cases.append(_case(book, [book.point((1, a, 0.5 + b)) for a, b in three]
                            + [book.point((2, 0.3, 0.4))], radii=_hex([1.0])))
-    return [{**c, **area_measure_values(c)} for c in cases]
+    return [{**c, **book_measure_values(c)} for c in cases]
 
 
 def _plane_primitives() -> dict:
@@ -499,8 +501,8 @@ def test_euclidean_constants_match_golden(primitives):
 @pytest.mark.parametrize("key, values", [
     ("mean_width", mean_width_values),
     ("neighborhood_measures", measure_values),
-    ("book_measures", area_measure_values),
-    ("lens_measures", area_measure_values),
+    ("book_measures", book_measure_values),
+    ("lens_measures", book_measure_values),
     ("plane_widths", plane_width_values),
     ("plane_constants", plane_constant_values),
     ("segment_objectives", segment_values),
