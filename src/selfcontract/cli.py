@@ -97,9 +97,8 @@ def _merged_options(args) -> dict:
     `objective.<name>` key of `simulate`.  An unread key or a malformed
     number raises GeometryError naming it.
     """
-    # argparse sets every flag of the command, given or not
-    flags = [key for key in ("space", "objective", "tau", "steps", "seed", "out",
-                             "check", "bound", "tol", "start", "k") if hasattr(args, key)]
+    # argparse sets every flag of the command, given or not, besides these
+    flags = [key for key in vars(args) if key not in ("command", "fn", "curve", "config")]
     options: dict = {}
     if getattr(args, "config", None):
         options.update(parse_config_file(args.config))
@@ -218,24 +217,25 @@ def cmd_verify(args) -> int:
     return OK if doc["passed"] else VIOLATION
 
 
+# --bound name -> audit of a curve at a seed
+_BOUNDS = {
+    "euclidean": lambda curve, seed: euclidean_length_bound(curve, seed=seed),
+    "tree": lambda curve, seed: tree_length_bound(curve.space, curve),
+    "book": lambda curve, seed: book_length_bound(curve.space, curve),
+    "generic": lambda curve, seed: generic_bound_for_curve(curve.space, curve),
+}
+
+
 def cmd_audit(args) -> int:
     options = _merged_options(args)
     curve = _read_curve(args.curve)
     bound = options.get("bound")
     if not bound:
-        return _fail("audit needs --bound (euclidean, tree, book, generic)")
-    space = curve.space
-    seed = options.get("seed", 0)
-    if bound == "euclidean":
-        report = euclidean_length_bound(curve, seed=seed)
-    elif bound == "tree":
-        report = tree_length_bound(space, curve)
-    elif bound == "book":
-        report = book_length_bound(space, curve)
-    elif bound == "generic":
-        report = generic_bound_for_curve(space, curve)
-    else:
+        return _fail(f"audit needs --bound ({', '.join(_BOUNDS)})")
+    if bound not in _BOUNDS:
         return _fail(f"unknown bound {bound!r}")
+    seed = options.get("seed", 0)
+    report = _BOUNDS[bound](curve, seed)
     if "tol" in options:
         report = dataclasses.replace(report, tolerance=options["tol"])
     if "out" in options:
@@ -275,8 +275,6 @@ def cmd_counterexample(args) -> int:
 
 def cmd_report(args) -> int:
     paths = [Path(p) for p in args.rows]
-    if not paths:
-        return _fail("report needs at least one row file")
     bound_rows: list[dict] = []
     growth_rows: list[dict] = []
     for path in paths:
@@ -333,9 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         # line would, and "--name" still reads as a flag
         p._negative_number_matcher = re.compile(r"-[^-].*")
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", help="64-bit RNG seed")
         p.add_argument("--out", help="output path base")
-        p.add_argument("--tol", help="violation tolerance")
 
     p = sub.add_parser("simulate", help="run a discrete gradient curve")
     common(p)
@@ -344,18 +340,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", help="step size (or comma list)")
     p.add_argument("--steps", help="number of resolvent steps")
     p.add_argument("--start", help="start point payload, comma separated")
+    p.add_argument("--seed", help="64-bit RNG seed of the random start")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("verify", help="run property checks on a curve file")
     common(p)
     p.add_argument("curve", help="curve JSON file")
     p.add_argument("--check", help="comma list of checks")
+    p.add_argument("--seed", help="64-bit RNG seed of the sampling")
+    p.add_argument("--tol", help="violation tolerance, except angle_estimate's 1e-6 rad")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("audit", help="audit a length bound on a curve file")
     common(p)
     p.add_argument("curve", help="curve JSON file")
-    p.add_argument("--bound", help="euclidean | tree | book | generic")
+    p.add_argument("--bound", help=" | ".join(_BOUNDS))
+    p.add_argument("--seed", help="64-bit RNG seed of the euclidean bound")
+    p.add_argument("--tol", help="the audit passes when ratio <= 1 + tol")
     p.set_defaults(fn=cmd_audit)
 
     p = sub.add_parser("counterexample",

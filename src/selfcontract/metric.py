@@ -9,9 +9,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import GeometryError
+from .errors import GeometryError, SpaceMismatchError
 from .measures import _height
-from .spaces.base import Point, Space, check_all_same_space
+from .spaces.base import Point, Space
 
 DISCRETE = "discrete"
 GEODESIC = "geodesic"
@@ -138,7 +138,11 @@ def curve_length(curve: Curve) -> float:
 
 def diameter(points: Sequence[Point]) -> float:
     pts = list(points)
-    space = check_all_same_space(pts)
+    if not pts:
+        raise GeometryError("empty point collection")
+    space = pts[0].space
+    if any(p.space != space for p in pts[1:]):
+        raise SpaceMismatchError("points from different spaces")
     payloads = [p.data for p in pts]
     best = 0.0
     for i, a in enumerate(payloads):

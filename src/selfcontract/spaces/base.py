@@ -290,7 +290,9 @@ def first_unlike(keys: Sequence, limit: float) -> tuple[float, int, int]:
 def polar_diameter(polar: Sequence[float], limit: float,
                    *reflections: Sequence[float | None]) -> tuple[float, int, int]:
     """`Space._germ_diameter` from the germs' polar angles, where the angle
-    of a pair is `polar_gap`, in O(m log m) for m germs.
+    of a pair is `polar_gap`, in O(m log m) for m germs: one sort per
+    frame, then a test of the two ends for angles within a half-turn, and
+    one pass of two pointers for wider ones.
 
     `reflections` are further frames of the same germs, None for a germ
     left out.  A book's spine base passes frames in which some sheets'
@@ -315,16 +317,20 @@ def _frame_diameter(f: Sequence[float | None], s: list[float],
     The first pair (a, b >= a) whose excess equals the largest is the
     diagonal (0, 0) if that excess is 0.0 - limit.  Otherwise a is the
     first germ with a tying partner and b its first such partner, found
-    from the set of tied angles.  Gaps tie when they round to the same
-    excess, as in the loop, and equal angles are interchangeable.
+    from the set of tied angles.  No partner of an angle lies farther than
+    its own widest gap, so the tied angles are those whose widest gap
+    ties.  Gaps tie when they round to the same excess, as in the loop,
+    and equal angles are interchangeable.
     """
     # within a half-turn the ends are the widest pair, and the tied angles
     # are runs at the ends
     half = (x := s[-1] - s[0]) <= TWO_PI - x
-    excess = (x if half else _widest(s)) - limit
+    widest = [x] if half else _widest_each(s)
+    excess = max(widest) - limit
     if excess == 0.0 - limit:  # the loop's diagonal; at limit 0, excess may be -0.0
         return 0.0 - limit, 0, 0
-    tied = _end_runs(s, 0, limit, excess) if half else _tied(s, limit, excess)
+    tied = (_end_runs(s, limit, excess) if half
+            else {t for t, w in zip(s, widest) if w - limit == excess})
     if len(tied) == 2:  # each germ of one angle pairs with each of the other
         return excess, *sorted(map(f.index, tied))
     a = min(map(f.index, tied))
@@ -334,72 +340,38 @@ def _frame_diameter(f: Sequence[float | None], s: list[float],
     return excess, a, b
 
 
-def _widest(s: list[float]) -> float:
-    """The largest polar gap among the sorted angles s: from each s[i], the
-    gap to s[j] or to s[j + 1] at its crossing."""
-    return max(max(s[j] - s[i], TWO_PI - (s[j + 1] - s[i]) if j + 1 < len(s) else 0.0)
-               for i, j in _crossings(s))
+def _widest_each(s: list[float]) -> list[float]:
+    """Each sorted angle's largest polar gap to the angles s.
 
-
-def _crossings(s: Sequence[float]) -> Iterator[tuple[int, int]]:
-    """(i, j) for i = 0, 1, ... over the sorted angles s, where j >= i is the
-    last position whose gap x = s[j] - s[i] passes x <= 2 pi - x, rounded:
-    s[j] and s[j + 1] flank the half-turn from s[i], and a pair's polar gap
-    is x up to j and 2 pi - x after it, so the widest gaps from s[i] are to
-    s[j] and s[j + 1].  It stops after the first j at the last angle: from
-    there on each gap is x, which shrinks as i grows."""
-    j, last = 0, s[-1]
-    for i, t in enumerate(s):
-        if (x := last - t) <= TWO_PI - x:
-            yield i, len(s) - 1
-            return
-        j = max(i, j)
-        while (x := s[j + 1] - t) <= TWO_PI - x:
+    Let q be s between the sentinels -inf and inf.  From t = q[i], a gap
+    x = u - t to a later u is the polar gap up to the last position j
+    whose x passes x <= 2 pi - x, rounded, and 2 pi - x after it, so the
+    widest gaps ahead are to q[j] and q[j + 1]; behind, they are to q[k]
+    and q[k - 1] for the first position k whose t - q[k] passes.  Neither
+    j nor k moves down as i grows, j reaches i since gaps up to t are <= 0
+    and pass, and a sentinel never passes and scores 2 pi - inf."""
+    q = [-math.inf, *s, math.inf]
+    out, j, k = [], 1, 0
+    for t in s:
+        while (x := q[j + 1] - t) <= TWO_PI - x:
             j += 1
-        yield i, j
-
-
-def _tied(s: Sequence[float], limit: float, excess: float) -> set[float]:
-    """The angles among the sorted s with a partner at a gap whose excess
-    over `limit` is `excess`, the largest, which no gap of 0 has.
-
-    From s[i] those partners are one run of positions around its crossing.
-    The runs' ends never move down as i grows, so a run is walked only
-    above the highest position `top` of the runs before."""
-    out, top, m = set(), -1, len(s)
-    for i, j in _crossings(s):
-        t = s[i]
-        if j == m - 1:
-            return out | _end_runs(s, i, limit, excess)
-        near = s[j] - t - limit == excess
-        far = TWO_PI - (s[j + 1] - t) - limit == excess
-        if near or far:
-            out.add(t)
-        if near:
-            q = j
-            while q > top and s[q] - t - limit == excess:
-                out.add(s[q])
-                q -= 1
-            top = max(top, j)
-        if far:
-            q = max(j + 1, top + 1)
-            while q < m and TWO_PI - (s[q] - t) - limit == excess:
-                out.add(s[q])
-                q += 1
-            top = max(top, q - 1)
+        while (x := t - q[k]) > TWO_PI - x:
+            k += 1
+        out.append(max(q[j] - t, t - q[k], TWO_PI - (q[j + 1] - t), TWO_PI - (t - q[k - 1])))
     return out
 
 
-def _end_runs(s: Sequence[float], i: int, limit: float, excess: float) -> set[float]:
-    """`_tied` from the last crossing at s[i] on, where each gap is the
-    later angle less the earlier: the angles from s[i] up whose gap to the
-    last ties, and those down from the last whose gap to s[i] ties."""
-    p, q = i, len(s) - 1
-    while s[q] - s[i] - limit == excess:
+def _end_runs(s: Sequence[float], limit: float, excess: float) -> set[float]:
+    """The tied angles of sorted angles s within a half-turn, where each
+    gap is the later angle less the earlier: the angles from the first up
+    whose gap to the last ties, and those down from the last whose gap to
+    the first ties."""
+    p, q = 0, len(s) - 1
+    while s[q] - s[0] - limit == excess:
         q -= 1
     while s[-1] - s[p] - limit == excess:
         p += 1
-    return {*s[i:p], *s[q + 1:]}
+    return {*s[:p], *s[q + 1:]}
 
 
 def tangent_mean(germs: Sequence[tuple], radii: Sequence[float],
@@ -412,18 +384,6 @@ def tangent_mean(germs: Sequence[tuple], radii: Sequence[float],
     if length <= 1e-14:
         return None, 0.0
     return tuple(x / length for x in vec), length
-
-
-def check_all_same_space(points: Iterable[Point]) -> Space:
-    space = None
-    for p in points:
-        if space is None:
-            space = p.space
-        elif p.space != space:
-            raise SpaceMismatchError("points from different spaces")
-    if space is None:
-        raise GeometryError("empty point collection")
-    return space
 
 
 def sqrt_fsum(squares: Iterable[float]) -> float:

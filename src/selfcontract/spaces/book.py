@@ -57,28 +57,16 @@ class BookSpace(Space):
         s, x, y = a
         return [math.hypot(x - u, y - v if t == s else y + v) for t, u, v in payloads]
 
-    def _unfold(self, a: tuple, b: tuple) -> tuple[tuple, tuple, int, int]:
-        """Planar coordinates of a and b with a in the upper half-plane.
-
-        Returns (pa, pb, sheet_up, sheet_down): pb has negative second
-        coordinate when the segment crosses into a different sheet.
-        """
-        same = a[0] == b[0] or a[0] == 0 or b[0] == 0
-        pa = (a[1], a[2])
-        if same:
-            pb = (b[1], b[2])
-            up = a[0] if a[0] != 0 else b[0]
-            return pa, pb, up, up
-        return pa, (b[1], -b[2]), a[0], b[0]
-
     def _geodesic(self, a: tuple, b: tuple, s: float) -> tuple:
-        pa, pb, up, down = self._unfold(a, b)
-        x = (1 - s) * pa[0] + s * pb[0]
-        y = (1 - s) * pa[1] + s * pb[1]
+        # unfold the two sheets into one plane with a above the spine, and b
+        # reflected below it when the segment crosses into another sheet
+        cross = a[0] != b[0] and a[0] != 0 and b[0] != 0
+        yb = -b[2] if cross else b[2]
+        x = (1 - s) * a[1] + s * b[1]
+        y = (1 - s) * a[2] + s * yb
         if y >= 0.0:
-            sheet = up if up != 0 else down
-            return (sheet if abs(y) > self.tolerance else 0, x, max(y, 0.0))
-        return (down, x, -y)
+            return ((a[0] or b[0]) if abs(y) > self.tolerance else 0, x, max(y, 0.0))
+        return (b[0], x, -y)
 
     def _log_row(self, base: tuple, payloads, dists) -> list[tuple]:
         # the unit tangent toward b unfolded into the plane of the base's

@@ -479,6 +479,111 @@ def test_audit_pass_fail_unsupported(workdir):
     assert r.returncode == 0
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["simulate", "--config", "sim.cfg", "--tol", "123"], "--tol"),
+    (["counterexample", "--k", "2", "--seed", "99"], "--seed"),
+    (["counterexample", "--k", "2", "--tol", "7"], "--tol"),
+], ids=["simulate-tol", "counterexample-seed", "counterexample-tol"])
+def test_flags_that_a_command_does_not_read_are_usage_errors(workdir, args, flag):
+    """`simulate --tol 123` and `counterexample --seed 99 --tol 7` used to
+    exit 0 and ignore the values; each command accepts only flags it reads."""
+    before = sorted(p.name for p in workdir.iterdir())
+    r = run(args, workdir)
+    assert r.returncode == 2, (r.stdout, r.stderr)
+    assert f"unrecognized arguments: {flag}" in r.stderr and "Traceback" not in r.stderr
+    assert sorted(p.name for p in workdir.iterdir()) == before
+
+
+@pytest.mark.parametrize("command, key", [
+    (["simulate"], "tol"),
+    (["counterexample", "--k", "2"], "seed"),
+    (["counterexample", "--k", "2"], "tol"),
+], ids=["simulate-tol", "counterexample-seed", "counterexample-tol"])
+def test_config_keys_of_dropped_flags_are_refused(workdir, command, key):
+    """A `tol = ...` line in a `simulate` config, or a `seed` or `tol` line
+    in a `counterexample` one, names no flag of the command."""
+    base = (workdir / "sim.cfg").read_text().replace("out = run1", "out = typo")
+    (workdir / "typo.cfg").write_text((base if command == ["simulate"] else "")
+                                      + f"{key} = 7\n")
+    r = run(command + ["--config", "typo.cfg"], workdir)
+    assert r.returncode == 2, (r.stdout, r.stderr)
+    assert f"config key {key!r} is not read by {command[0]}" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_verify_tol_leaves_the_angle_estimate_tolerance(workdir):
+    """`--tol` sets the tolerance of every check but angle_estimate, which
+    keeps its own 1e-6 radians."""
+    r = run(["verify", "run1.curve.json", "--tol", "0.5", "--out", "ver.json", "--check",
+             "self_contracted,stationarity,tail_halving,angle_estimate"], workdir)
+    assert r.returncode == 0, r.stderr
+    reports = json.loads((workdir / "ver.json").read_text())["reports"]
+    assert {rep["check"]: rep["tolerance"] for rep in reports} == {
+        "self_contracted": 0.5, "stationarity": 0.5, "tail_halving": 0.5,
+        "angle_estimate": 1e-6}
+
+
+def test_simulate_exits_1_with_the_solver_diagnostic(tmp_path):
+    """neg_cube from 0.5 has no resolvent minimizer: the run stops at its
+    first step, writes its four files, and exits 1 with the diagnostic."""
+    r = run(["simulate", "--space", "euclidean:1", "--objective", "neg_cube",
+             "--start", "0.5", "--out", "nc"], tmp_path)
+    assert r.returncode == 1 and "Traceback" not in r.stderr, r.stderr
+    message = "resolvent unbounded at step 1"
+    assert f"diagnostic: {message}" in r.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "nc.curve.json", "nc.interp.json", "nc.log.json", "nc.values.csv"]
+    assert json.loads((tmp_path / "nc.log.json").read_text())["diagnostic"].startswith(message)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["audit", "run1.curve.json"], "audit needs --bound (euclidean, tree, book, generic)"),
+    (["audit", "run1.curve.json", "--bound", "spider"], "unknown bound 'spider'"),
+    (["counterexample", "--k", "1"], "counterexample needs --k >= 2"),
+], ids=["audit-no-bound", "audit-unknown-bound", "counterexample-k-1"])
+def test_missing_or_out_of_range_options_are_usage_errors(workdir, args, message):
+    before = sorted(p.name for p in workdir.iterdir())
+    r = run(args, workdir)
+    assert r.returncode == 2, (r.stdout, r.stderr)
+    assert f"error: {message}" in r.stderr and "Traceback" not in r.stderr
+    assert sorted(p.name for p in workdir.iterdir()) == before
+
+
+def test_tree_file_vertex_lines_set_the_vertex_order(tmp_path):
+    """`vertex NAME` lines register vertices ahead of the edges' own, and a
+    vertex on no edge breaks the edge count."""
+    (tmp_path / "t.tree").write_text("vertex e\nvertex a\n" + SMALL_TREE_TEXT)
+    (tmp_path / "t.cfg").write_text("objective.target = 1,1.0\n")
+    r = run(["simulate", "--space", "tree:t.tree", "--objective", "dist",
+             "--config", "t.cfg", "--start", "3,1.0", "--out", "t"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    space = json.loads((tmp_path / "t.curve.json").read_text())["space"]
+    assert space["vertices"] == ["e", "a", "b", "c", "d"]
+    (tmp_path / "lone.tree").write_text("vertex z\n" + SMALL_TREE_TEXT)
+    r = run(["simulate", "--space", "tree:lone.tree", "--objective", "dist",
+             "--config", "t.cfg", "--start", "3,1.0", "--out", "lone"], tmp_path)
+    assert r.returncode == 2, (r.stdout, r.stderr)
+    assert "error: a tree on n vertices has exactly n-1 edges" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "lone.log.json").exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"space": {"kind": "moebius", "tolerance": 1e-9}}, "unknown space kind 'moebius'"),
+    ({"samples": []}, "curve document has no samples"),
+], ids=["unknown-space-kind", "no-samples"])
+@pytest.mark.parametrize("command", [["verify"], ["audit", "--bound", "generic"]],
+                         ids=["verify", "audit"])
+def test_curve_files_that_name_no_curve_are_usage_errors(workdir, change, message, command):
+    doc = json.loads((workdir / "run1.curve.json").read_text())
+    (workdir / "doc.json").write_text(json.dumps({**doc, **change}))
+    r = run([command[0], "doc.json", *command[1:], "--out", "odd"], workdir)
+    assert r.returncode == 2, (r.stdout, r.stderr)
+    assert f"error: cannot read curve file: {message}" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not list(workdir.glob("odd*"))
+
+
 def test_counterexample_and_report(workdir):
     r = run(["counterexample", "--k", "5", "--out", "cex"], workdir)
     assert r.returncode == 0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import selfcontract as sc
-from selfcontract.errors import GeometryError
+from selfcontract.errors import GeometryError, SpaceMismatchError
 from selfcontract.metric import FourPointResult, golden_section
 from selfcontract.widths import spider_jump_curve
 
@@ -65,6 +65,16 @@ def test_diameter(plane):
     assert sc.diameter([pts[0]]) == 0.0
     tips = [sc.SpiderSpace(4).point((leg, 1.0)) for leg in range(1, 5)]
     assert sc.diameter(tips) == 2.0
+
+
+def test_diameter_refuses_no_points_and_mixed_spaces(plane):
+    """An empty collection has no space; points of two spaces have no distance."""
+    with pytest.raises(GeometryError, match="^empty point collection$"):
+        sc.diameter(iter([]))
+    pts = [plane.point((0.0, 0.0)), sc.EuclideanSpace(2).point((1.0, 0.0))]
+    assert sc.diameter(pts) == 1.0  # an equal space object is the same space
+    with pytest.raises(SpaceMismatchError, match="^points from different spaces$"):
+        sc.diameter(pts + [sc.EuclideanSpace(3).point((0.0, 0.0, 0.0))])
 
 
 def test_comparison_angle_examples(plane, spider3):

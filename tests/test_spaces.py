@@ -705,6 +705,16 @@ class BranchingKernels:
         return pa, (b[1], -b[2]), a[0], b[0]
 
     @classmethod
+    def book_geodesic(cls, a, b, s, tolerance):
+        pa, pb, up, down = cls.book_unfold(a, b)
+        x = (1 - s) * pa[0] + s * pb[0]
+        y = (1 - s) * pa[1] + s * pb[1]
+        if y >= 0.0:
+            sheet = up if up != 0 else down
+            return (sheet if abs(y) > tolerance else 0, x, max(y, 0.0))
+        return (down, x, -y)
+
+    @classmethod
     def book_log(cls, a, b):
         pa, pb, up, down = cls.book_unfold(a, b)
         dx, dy = pb[0] - pa[0], pb[1] - pa[1]
@@ -749,8 +759,9 @@ def _branch_payloads(space, rng):
 ], ids=lambda s: s.describe() + ("u" if len(set(getattr(s, "leg_lengths", ()))) > 1 else ""))
 def test_folded_kernels_match_the_branching_oracle(space):
     """Without their centre and spine cases, the spider's `_dist`, `_dist_row`
-    and `_geodesic` and the book's `_dist`, `_dist_row` and `_log_row` give
-    the branching kernels' bits on every pair of the payload mix."""
+    and `_geodesic` and the book's `_dist`, `_dist_row`, `_log_row` and
+    `_geodesic` (without its unfolding helper) give the branching kernels'
+    bits on every pair of the payload mix."""
     pts = _branch_payloads(space, np.random.default_rng(space.k))
     spider = isinstance(space, sc.SpiderSpace)
     dist = BranchingKernels.spider_dist if spider else BranchingKernels.book_dist
@@ -758,14 +769,14 @@ def test_folded_kernels_match_the_branching_oracle(space):
     for a in pts:
         assert _bits(space._dist_row(a, pts)) == _bits(dist_row(a, pts))
         assert _bits([space._dist(a, b) for b in pts]) == _bits([dist(a, b) for b in pts])
-        if spider:
-            for b in pts:
-                for s in GEODESIC_STEPS:
-                    got = space._geodesic(a, b, s)
-                    want = BranchingKernels.spider_geodesic(a, b, s)
-                    assert _bits(got) == _bits(want), (a, b, s)
-                    assert _bits(space._canonical(got)) == _bits(space._canonical(want))
-        elif a[0] == 0 or a[2] > 0.0:  # a germ base: the spine, or inside a sheet
+        for b in pts:
+            for s in GEODESIC_STEPS:
+                got = space._geodesic(a, b, s)
+                want = (BranchingKernels.spider_geodesic(a, b, s) if spider
+                        else BranchingKernels.book_geodesic(a, b, s, space.tolerance))
+                assert _bits(got) == _bits(want), (a, b, s)
+                assert _bits(space._canonical(got)) == _bits(space._canonical(want))
+        if not spider and (a[0] == 0 or a[2] > 0.0):  # a germ base: the spine, or in a sheet
             others = [b for b in pts if b != a and space._dist(a, b) > 0.0]
             dists = space._dist_row(a, others)
             assert (_bits(space._log_row(a, others, dists))

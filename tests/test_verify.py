@@ -381,7 +381,10 @@ def _polar_sets(rng):
     """(x, y) germ sets in one frame whose polar angles tie: half-turn sets
     with a one-ulp twin of either end, repeated ends, a straight run's
     cluster, exactly antipodal pairs with pi and -pi together, angles 0.0
-    and -0.0, and sets spanning more than a half-turn across the cut at pi."""
+    and -0.0, sets spanning more than a half-turn across the cut at pi, and
+    around the whole circle regular polygons and uniform sets, where many
+    angles share the widest gap: each polygon both from wrapped angles and
+    by repeated rotation, whose polar angles come from atan2 alone."""
     sets = []
     for width in (0.2, 1.0, math.pi / 2.0, math.pi - 1e-9):
         lo = float(rng.uniform(-math.pi, math.pi - width))
@@ -407,6 +410,16 @@ def _polar_sets(rng):
                   for t in rng.normal(0.0, 0.4, 9)]
         sets += [across, across + [_unit(float(rng.uniform(-math.pi, math.pi)))]]
     sets.append([_unit(t) for t in rng.uniform(-math.pi, math.pi, 15)])
+    for m in (3, 4, 5, 6, 7, 8, 17, 64, 199, 200):
+        phase = float(rng.uniform(-math.pi, math.pi))
+        wrapped = [_unit(math.remainder(phase + 2.0 * math.pi * i / m, 2.0 * math.pi))
+                   for i in range(m)]
+        step, rotated = complex(*_unit(2.0 * math.pi / m)), [complex(*_unit(phase))]
+        while len(rotated) < m:
+            rotated.append(rotated[-1] * step)
+        rotated = [(z.real, z.imag) for z in rotated]
+        sets += [wrapped, [rotated[i] for i in rng.permutation(m)]]
+    sets += [[_unit(t) for t in rng.uniform(-math.pi, math.pi, m)] for m in (199, 200)]
     return sets
 
 
@@ -728,6 +741,23 @@ def test_angle_sweep_budget_on_961_sample_runs(space, start, target):
     dt = time.perf_counter() - t0
     assert rep.passed
     assert dt < 1.2, f"angle sweep took {dt:.2f}s on {space.describe()}"
+
+
+@pytest.mark.parametrize("space", [sc.EuclideanSpace(2), sc.HyperbolicPlane(), sc.BookSpace(3)],
+                         ids=lambda s: s.describe())
+def test_angle_sweep_budget_on_961_sample_failing_runs(space):
+    """One sweep of a geodesic curve through 121 random points, densified to
+    961 samples, in under 3 s (0.5-0.7 s measured).  Most of its bases see
+    germs over more than a half-turn, so this times the two-pointer pass
+    over each angle's widest gap, which must stay O(m) per frame."""
+    rng = np.random.default_rng(3)
+    curve = sc.make_curve([space.random_point(rng, 1.5) for _ in range(121)], mode="geodesic")
+    assert len(_effective_samples(space, curve, DEFAULT_SAMPLING)[0]) == 961
+    t0 = time.perf_counter()
+    rep = angle_estimate_sweep(space, curve)
+    dt = time.perf_counter() - t0
+    assert not rep.passed
+    assert dt < 3.0, f"angle sweep took {dt:.2f}s on {space.describe()}"
 
 
 @pytest.mark.parametrize("check", [angle_estimate_sweep, is_self_contracted,
