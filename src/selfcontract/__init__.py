@@ -23,7 +23,6 @@ from .measures import (
 from .metric import (
     Curve,
     FourPointResult,
-    Geodesic,
     cat0_inequality_residual,
     comparison_angle,
     curve_length,

@@ -32,7 +32,7 @@ from .serialize import (
     write_text_atomic,
 )
 from .spaces import parse_space_spec
-from .verify import CHECKS, DEFAULT_SAMPLING, SamplingConfig, run_checks
+from .verify import ANGLE_TOL, CHECKS, DEFAULT_SAMPLING, SamplingConfig, run_checks
 from .widths import (
     book_length_bound,
     euclidean_length_bound,
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("curve", help="curve JSON file")
     p.add_argument("--check", help="comma list of checks")
     p.add_argument("--seed", help="64-bit RNG seed of the sampling")
-    p.add_argument("--tol", help="violation tolerance, except angle_estimate's 1e-6 rad")
+    p.add_argument("--tol", help=f"violation tolerance, except angle_estimate's {ANGLE_TOL:g} rad")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("audit", help="audit a length bound on a curve file")

@@ -110,21 +110,6 @@ def make_curve(points: Sequence[Point], times: Sequence[float] | None = None,
     return Curve(space, times, [space.own(p) for p in pts], mode, float(domain_end))
 
 
-@dataclass(frozen=True)
-class Geodesic:
-    """The minimal geodesic x -> y as a callable, s in [0, 1] at constant speed."""
-
-    x: Point
-    y: Point
-
-    def __call__(self, s: float) -> Point:
-        return self.x.space.geodesic_point(self.x, self.y, s)
-
-    @property
-    def length(self) -> float:
-        return self.x.space.distance(self.x, self.y)
-
-
 def curve_length(curve: Curve) -> float:
     """Polygonal length over consecutive samples.
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..errors import GeometryError
-from .base import Direction, Point, Space
+from .base import DEFAULT_TOLERANCE, Direction, Point, Space
 from .book import BookSpace
 from .euclidean import EuclideanSpace
 from .hyperbolic import HyperbolicPlane
@@ -29,7 +29,7 @@ __all__ = [
 
 def space_from_json(obj: dict) -> Space:
     kind = obj.get("kind")
-    tol = obj.get("tolerance", 1e-9)
+    tol = obj.get("tolerance", DEFAULT_TOLERANCE)
     if kind == "euclidean":
         return EuclideanSpace(obj["dim"], tolerance=tol)
     if kind == "hyperbolic2":

@@ -287,32 +287,11 @@ def first_unlike(keys: Sequence, limit: float) -> tuple[float, int, int]:
     return 0.0 - limit, 0, 0
 
 
-def polar_diameter(polar: Sequence[float], limit: float,
-                   *reflections: Sequence[float | None]) -> tuple[float, int, int]:
+def polar_diameter(polar: Sequence[float], limit: float) -> tuple[float, int, int]:
     """`Space._germ_diameter` from the germs' polar angles, where the angle
-    of a pair is `polar_gap`, in O(m log m) for m germs: one sort per
-    frame, then a test of the two ends for angles within a half-turn, and
-    one pass of two pointers for wider ones.
-
-    `reflections` are further frames of the same germs, None for a germ
-    left out.  A book's spine base passes frames in which some sheets'
-    angles are negated: germs in two sheets meet at min(s, 2 pi - s) with
-    s = t1 + t2, which is polar_gap(t1, -t2) bit for bit.  Each pair must
-    meet at its own angle in some frame and at no larger gap in any.  Then
-    each frame's pair of largest excess has as a the first germ with a
-    tying partner there, so the least a over the frames is the loop's, and
-    its b the least b of the frames that share it.
-    """
-    best = _frame_diameter(polar, sorted(polar), limit)
-    if not reflections:
-        return best
-    return min((best, *(_frame_diameter(f, sorted(t for t in f if t is not None), limit)
-                        for f in reflections)), key=lambda r: (-r[0], r[1], r[2]))
-
-
-def _frame_diameter(f: Sequence[float | None], s: list[float],
-                    limit: float) -> tuple[float, int, int]:
-    """`polar_diameter` of one frame f, whose angles sorted are s.
+    of a pair is `polar_gap`, in O(m log m) for m germs: one sort, then a
+    test of the two ends for angles within a half-turn, and one pass of two
+    pointers for wider ones.
 
     The first pair (a, b >= a) whose excess equals the largest is the
     diagonal (0, 0) if that excess is 0.0 - limit.  Otherwise a is the
@@ -322,6 +301,7 @@ def _frame_diameter(f: Sequence[float | None], s: list[float],
     ties.  Gaps tie when they round to the same excess, as in the loop,
     and equal angles are interchangeable.
     """
+    s = sorted(polar)
     # within a half-turn the ends are the widest pair, and the tied angles
     # are runs at the ends
     half = (x := s[-1] - s[0]) <= TWO_PI - x
@@ -332,10 +312,10 @@ def _frame_diameter(f: Sequence[float | None], s: list[float],
     tied = (_end_runs(s, limit, excess) if half
             else {t for t, w in zip(s, widest) if w - limit == excess})
     if len(tied) == 2:  # each germ of one angle pairs with each of the other
-        return excess, *sorted(map(f.index, tied))
-    a = min(map(f.index, tied))
-    w = f[a]
-    b = min(f.index(t) for t in tied
+        return excess, *sorted(map(polar.index, tied))
+    a = min(map(polar.index, tied))
+    w = polar[a]
+    b = min(polar.index(t) for t in tied
             if min(g := abs(w - t), TWO_PI - g) - limit == excess)
     return excess, a, b
 

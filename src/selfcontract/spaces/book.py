@@ -11,13 +11,13 @@ import math
 
 from ..errors import GeometryError
 from ..measures import RadiusConstants, _disk_union_halfplane_area
-from .base import Point, Space, integral_index, polar_diameter, polar_gap
+from .base import DEFAULT_TOLERANCE, Point, Space, integral_index, polar_diameter, polar_gap
 
 
 class BookSpace(Space):
     kind = "book"
 
-    def __init__(self, k: int, tolerance: float = 1e-9):
+    def __init__(self, k: int, tolerance: float = DEFAULT_TOLERANCE):
         super().__init__(tolerance)
         self.k = integral_index(k)
         if self.k < 2:
@@ -92,21 +92,11 @@ class BookSpace(Space):
         return polar_gap(t1, t2)
 
     def _germ_diameter(self, base: tuple, germs, limit: float) -> tuple[float, int, int]:
-        polar = [math.atan2(g[2], g[1]) for g in germs]
-        if base[0] != 0:
-            return polar_diameter(polar, limit)
-        # At the spine every angle is in [0, pi] and a germ in a sheet lies
-        # strictly inside, so two germs in two sheets meet at their turn,
-        # above the gap that `polar` gives them.  For each bit of the sheets'
-        # ranks, one frame holds the sheet germs with the angles of the
-        # sheets whose rank has that bit negated, so each such pair meets at
-        # its turn in some frame.  The spine rays stay out of those frames:
-        # from the ray at pi, a negated angle's gap rounds apart from its own.
-        rank = {sheet: r for r, sheet in enumerate(sorted({g[0] for g in germs} - {0}))}
-        return polar_diameter(polar, limit, *(
-            [None if g[0] == 0 else -t if rank[g[0]] >> bit & 1 else t
-             for g, t in zip(germs, polar)]
-            for bit in range(max(len(rank) - 1, 0).bit_length())))
+        # At the spine, germs in two sheets meet at their turn, not at their
+        # polar gap, so such a base takes the scalar loop.
+        if base[0] == 0 and len({g[0] for g in germs} - {0}) > 1:
+            return super()._germ_diameter(base, germs, limit)
+        return polar_diameter([math.atan2(g[2], g[1]) for g in germs], limit)
 
     def _cone_barycenter(self, base: tuple, germs, radii) -> tuple[tuple | None, float]:
         n = len(germs)

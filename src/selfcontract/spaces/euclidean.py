@@ -8,15 +8,15 @@ import numpy as np
 
 from ..errors import GeometryError, UnsupportedSpaceError
 from ..measures import RadiusConstants, _disk_union_halfplane_area, _merge_length, radius_constants
-from .base import (RANDOM_BLOCK, Point, Space, clamp_cos, first_unlike, integral_index,
-                   polar_diameter, polar_gap, sqrt_fsum, tangent_mean, vec_dot, vec_norm,
-                   vec_scale, vec_sub)
+from .base import (DEFAULT_TOLERANCE, RANDOM_BLOCK, Point, Space, clamp_cos, first_unlike,
+                   integral_index, polar_diameter, polar_gap, sqrt_fsum, tangent_mean, vec_dot,
+                   vec_norm, vec_scale, vec_sub)
 
 
 class EuclideanSpace(Space):
     kind = "euclidean"
 
-    def __init__(self, dim: int, tolerance: float = 1e-9):
+    def __init__(self, dim: int, tolerance: float = DEFAULT_TOLERANCE):
         super().__init__(tolerance)
         self.dim = integral_index(dim)
         if self.dim < 1:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 
 from ..errors import GeometryError
-from .base import Space, clamp_cos
+from .base import DEFAULT_TOLERANCE, Space, clamp_cos
 
 
 class ProductSpace(Space):
@@ -17,7 +17,7 @@ class ProductSpace(Space):
 
     kind = "product"
 
-    def __init__(self, left: Space, right: Space, tolerance: float = 1e-9):
+    def __init__(self, left: Space, right: Space, tolerance: float = DEFAULT_TOLERANCE):
         super().__init__(tolerance)
         self.left = left
         self.right = right

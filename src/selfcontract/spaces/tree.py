@@ -13,7 +13,7 @@ from typing import Sequence
 
 from ..errors import GeometryError
 from ..measures import RadiusConstants, _merge_length, covering_theta
-from .base import RANDOM_BLOCK, Point, Space, first_unlike, integral_index
+from .base import DEFAULT_TOLERANCE, RANDOM_BLOCK, Point, Space, first_unlike, integral_index
 
 
 def _on_segments(r: float, lengths: Sequence[float]) -> tuple[int, float]:
@@ -40,7 +40,7 @@ class TreeSpace(Space):
         self,
         vertices: Sequence[str],
         edges: Sequence[tuple[str, str, float]],
-        tolerance: float = 1e-9,
+        tolerance: float = DEFAULT_TOLERANCE,
     ):
         super().__init__(tolerance)
         self.vertex_names = [str(v) for v in vertices]
@@ -359,7 +359,7 @@ class SpiderSpace(Space):
     kind = "spider"
 
     def __init__(self, k: int, leg_lengths: Sequence[float] | float = 1.0,
-                 tolerance: float = 1e-9):
+                 tolerance: float = DEFAULT_TOLERANCE):
         super().__init__(tolerance)
         self.k = integral_index(k)
         if self.k < 2:

@@ -23,6 +23,7 @@ from .proximal import GradientCurveRun
 from .spaces.base import Point, Space
 
 VIOLATION_TOL = 1e-9
+ANGLE_TOL = 1e-6  # radians, the angle estimate's own tolerance
 
 
 @dataclass(frozen=True)
@@ -224,7 +225,7 @@ def angle_estimate_check(space: Space, curve: Curve, tau: float,
 
 
 def angle_estimate_sweep(space: Space, curve: Curve,
-                         cfg: SamplingConfig = DEFAULT_SAMPLING, tol: float = 1e-6
+                         cfg: SamplingConfig = DEFAULT_SAMPLING, tol: float = ANGLE_TOL
                          ) -> ViolationReport:
     """Max angle-estimate excess over all admissible sampled triples.
 
@@ -235,7 +236,10 @@ def angle_estimate_sweep(space: Space, curve: Curve,
     so the witness is the one that loop would record.  On the plane, H^2
     and books that call sorts the germs' polar angles once
     (`polar_diameter`), so a base with m germs costs O(m log m) and the
-    sweep of n samples O(n^2 log n).
+    sweep of n samples O(n^2 log n).  A book's spine base whose germs lie
+    in two or more sheets, and every base on `euclidean:n >= 3` and
+    products, takes the scalar loop, O(m^2), which makes a sweep of such
+    bases O(n^3).
     """
     times, payloads = _effective_samples(space, curve, cfg)
     worst = -math.inf

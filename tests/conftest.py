@@ -5,10 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import selfcontract as sc
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Tier-1 draws the same Hypothesis examples on every run; the random search
+# runs apart, under HYPOTHESIS_PROFILE=search.
+settings.register_profile("default", derandomize=True)
+settings.register_profile("search", derandomize=False)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -494,14 +494,6 @@ def test_geodesic_parameter_range(plane):
         plane.geodesic_point(x, y, -0.1)
 
 
-def test_geodesic_handle(plane):
-    g = sc.Geodesic(plane.point((0.0, 0.0)), plane.point((2.0, 0.0)))
-    assert g(0.0).data == (0.0, 0.0)
-    assert g(1.0).data == (2.0, 0.0)
-    assert g(0.25).data == (0.5, 0.0)
-    assert g.length == 2.0
-
-
 def test_curve_point_at_modes(plane):
     pts = [plane.point((0.0, 0.0)), plane.point((2.0, 0.0))]
     disc = sc.make_curve(pts, mode="discrete")

@@ -493,6 +493,12 @@ def _germ_cases(space, rng):
         # angles, which here differs from the turn in the last bits
         cases.append((spine, [(0, -1.0, 0.0), (1, -0.41712332493858084, 0.9088498950828916)]))
         cases.append(((2, 0.1, 0.4), [(2, -1.0, 0.0), (2, -1.0, -0.0), (2, 0.6, 0.8)]))
+        # germs in one sheet keep the polar path at the spine, with both
+        # spine rays, with the +spine ray alone and with neither
+        for spine in ((0, 0.3, 0.0), (0, -0.8, 0.0)):
+            one = [g for g in _spine_germs(space, spine, rng, 3) if g[0] in (0, 2)]
+            cases += [(spine, one), (spine, [g for g in one if g != (0, -1.0, 0.0)]),
+                      (spine, [g for g in one if g[0]])]
         for spine in ((0, 0.3, 0.0), (0, -0.8, 0.0)):
             cases.append((spine, _mirrored_spine_germs(space, rng)))
             cases.append((spine, _spine_germs(space, spine, rng, 2)
@@ -512,6 +518,31 @@ def test_germ_diameter_matches_the_base_loop(space, rng):
             excess, a, b = space._germ_diameter(base, germs, limit)
             ref = Space._germ_diameter(space, base, germs, limit)
             assert (excess.hex(), a, b) == (ref[0].hex(), ref[1], ref[2])
+
+
+def test_book_germ_diameter_takes_the_loop_at_multi_sheet_spine_bases(monkeypatch, rng):
+    """`BookSpace._germ_diameter` hands a spine base whose germs lie in two
+    or more sheets to the scalar loop, and every other base to the polar
+    path; the book:3 run of the 961-sample budget reaches the loop nowhere."""
+    loop, calls = Space._germ_diameter, []
+
+    def spy(self, base, germs, limit):
+        calls.append((base, germs))
+        return loop(self, base, germs, limit)
+
+    monkeypatch.setattr(Space, "_germ_diameter", spy)
+    book, kinds = sc.BookSpace(5), set()
+    for base, germs in _germ_cases(book, rng):
+        calls.clear()
+        book._germ_diameter(base, germs, math.pi / 2.0)
+        sheets = len({g[0] for g in germs} - {0}) if base[0] == 0 else None
+        kinds.add(sheets)
+        assert calls == ([(base, germs)] if sheets and sheets > 1 else [])
+    assert {None, 1, 5} <= kinds
+    curve = _budget_curve(sc.BookSpace(3), (2, -1.0, 1.0), (1, 0.5, 0.5))
+    calls.clear()
+    angle_estimate_sweep(sc.BookSpace(3), curve)
+    assert calls == []
 
 
 # polar angles near a few anchors, some of them a few ulps apart
@@ -721,6 +752,16 @@ def test_angle_sweep_budget_on_a_481_sample_plane_run():
     assert dt < 0.4, f"angle sweep took {dt:.2f}s"
 
 
+def _budget_curve(space, start, target):
+    """A 120-step half_sq_dist run at tau = 0.05 from start to target,
+    interpolated; its sweep sees 961 samples."""
+    f = make_objective(space, "half_sq_dist", target=space.point(target))
+    run = discrete_gradient_curve(f, space, space.point(start), [0.05] * 120)
+    curve = sc.geodesic_interpolation(space, run)
+    assert len(_effective_samples(space, curve, DEFAULT_SAMPLING)[0]) == 961
+    return curve
+
+
 @pytest.mark.parametrize("space, start, target", [
     (sc.EuclideanSpace(2), (1.5, 1.0), (0.5, -0.25)),
     (sc.HyperbolicPlane(), (math.cosh(1.2), 0.6 * math.sinh(1.2), -0.8 * math.sinh(1.2)),
@@ -732,10 +773,7 @@ def test_angle_sweep_budget_on_961_sample_runs(space, start, target):
     and densified to 961 samples, in under 1.2 s: one sort per base makes
     it 0.2-0.6 s, where the germ-gap matrix took 2.3-3.4 s.  Each run goes
     straight to its target (the book's through the spine), so it passes."""
-    f = make_objective(space, "half_sq_dist", target=space.point(target))
-    run = discrete_gradient_curve(f, space, space.point(start), [0.05] * 120)
-    curve = sc.geodesic_interpolation(space, run)
-    assert len(_effective_samples(space, curve, DEFAULT_SAMPLING)[0]) == 961
+    curve = _budget_curve(space, start, target)
     t0 = time.perf_counter()
     rep = angle_estimate_sweep(space, curve)
     dt = time.perf_counter() - t0
