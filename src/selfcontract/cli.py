@@ -45,6 +45,7 @@ from .widths import (
 USAGE_ERROR = 2
 VIOLATION = 1
 OK = 0
+MAX_K = 100  # counterexample's largest --k; one is_self_contracted per k, on k points of R^k
 
 
 def _fail(msg: str) -> int:
@@ -255,6 +256,8 @@ def cmd_counterexample(args) -> int:
     k = options.get("k", 0)
     if k < 2:
         return _fail("counterexample needs --k >= 2")
+    if k > MAX_K:
+        return _fail(f"counterexample takes --k <= {MAX_K}: its time grows about as k^4")
     out = Path(options.get("out", "counterexample"))
     rows = ["family,k,length,diam,ratio"]
     for kk in range(2, k + 1):
@@ -362,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexample",
                        help="emit the dimension-growth witness families")
     common(p)
-    p.add_argument("--k", help="truncation size (>= 2)")
+    p.add_argument("--k", help=f"truncation size (2 to {MAX_K})")
     p.set_defaults(fn=cmd_counterexample)
 
     p = sub.add_parser("report", help="aggregate audit rows and plot data")

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .errors import GeometryError, SolverError
 from .metric import Curve, GEODESIC, _golden_min, _parabolic_polish, make_curve
@@ -57,12 +58,12 @@ class SolverConfig:
 DEFAULT_SOLVER = SolverConfig()
 
 
-@dataclass(frozen=True)
-class ResolventResult:
+class ResolventResult(NamedTuple):
     minimizers: tuple[Point, ...]
     value: float
     status: str
     evals: int = 0  # composite evaluations: searched or candidates; 0 when exact
+    f_value: float | None = None  # f at `point`, set only by an exact prox
 
     @property
     def point(self) -> Point:
@@ -223,7 +224,9 @@ def resolvent(objective: ObjectiveFn, space: Space, x: Point, tau: float
     that downstream tie-breaking is deterministic.  An objective with an
     exact prox skips the search and reports 0 evaluations, and so does one
     whose declared decay order outruns the quadratic, which is unbounded.
-    One with a candidate set reports one evaluation per candidate.
+    One with a candidate set reports one evaluation per candidate.  Only
+    the exact prox sets `f_value`, the f(point) it evaluated on the way to
+    the value; every other path leaves it None.
     """
     _check_inputs(objective, space, x, tau)
     if (objective.decay_order or 0.0) > 2.0:
@@ -231,7 +234,8 @@ def resolvent(objective: ObjectiveFn, space: Space, x: Point, tau: float
     if objective.prox is not None:
         z = objective.prox(x, tau)
         d = space.distance(x, z)
-        return ResolventResult((z,), objective(z) + d * d / (2.0 * tau), UNIQUE)
+        fz = objective(z)
+        return ResolventResult((z,), fz + d * d / (2.0 * tau), UNIQUE, 0, fz)
     if objective.candidates is None:
         status, cands, evals = _solve(objective, space, x, tau)
     else:
@@ -255,8 +259,7 @@ def resolvent(objective: ObjectiveFn, space: Space, x: Point, tau: float
     return ResolventResult(tuple(kept), best, status, evals)
 
 
-@dataclass(frozen=True)
-class GradientCurveRun:
+class GradientCurveRun(NamedTuple):
     """A discrete proximal trajectory plus bookkeeping.
 
     Times are cumulative step sizes: t_0 = 0 and t_k = tau_1 + ... +
@@ -292,6 +295,8 @@ def discrete_gradient_curve(objective: ObjectiveFn, space: Space, x0: Point,
     The 'arbitrary choice' in the recursion is pinned to the minimizer
     nearest the previous point (coordinates break remaining ties).  An
     empty or unbounded resolvent aborts with the prefix and a diagnostic.
+    Each step's value is the resolvent's `f_value` where an exact prox
+    set it, else one objective call: f is evaluated once per step.
     """
     taus = tuple(float(t) for t in tau_schedule)
     if any(t <= 0 for t in taus):
@@ -308,7 +313,7 @@ def discrete_gradient_curve(objective: ObjectiveFn, space: Space, x0: Point,
             break
         nxt = res.point
         points.append(nxt)
-        values.append(objective(nxt))
+        values.append(objective(nxt) if res.f_value is None else res.f_value)
         if values[-1] > values[-2] + 1e-9:
             raise SolverError(
                 f"objective increased along the run at step {k + 1}: "

@@ -432,13 +432,20 @@ def _distances_fall(dist, payloads: list, q: tuple, first: int) -> int:
     pair that rises: whose newer distance d(p_{i+1}, q) is not at most the
     older d(p_i, q) (so also on NaN).  Pair `first` (-1 for none) is tested
     first, then the walk goes from the newest payload back and stops at the
-    first rise.  -1 needs every pair to hold, so the order never changes
-    whether a rise is found, only how soon."""
-    if first >= 0 and not dist(payloads[first + 1], q) <= dist(payloads[first], q):
-        return first
-    newer = dist(payloads[-1], q)
-    for i in range(len(payloads) - 2, -1, -1):
-        older = dist(payloads[i], q)
+    first rise, reading pair `first`'s two distances as computed.  -1 needs
+    every pair to hold, so the order never changes whether a rise is found,
+    only how soon."""
+    near = far = 0.0
+    if first >= 0:
+        near, far = dist(payloads[first + 1], q), dist(payloads[first], q)
+        if not near <= far:
+            return first
+    else:
+        first = -2  # neither first nor first + 1 is a payload index
+    i = len(payloads) - 1
+    newer = near if i == first + 1 else dist(payloads[i], q)
+    for i in range(i - 1, -1, -1):
+        older = far if i == first else near if i == first + 1 else dist(payloads[i], q)
         if not newer <= older:
             return i
         newer = older

@@ -540,7 +540,8 @@ def test_simulate_exits_1_with_the_solver_diagnostic(tmp_path):
     (["audit", "run1.curve.json"], "audit needs --bound (euclidean, tree, book, generic)"),
     (["audit", "run1.curve.json", "--bound", "spider"], "unknown bound 'spider'"),
     (["counterexample", "--k", "1"], "counterexample needs --k >= 2"),
-], ids=["audit-no-bound", "audit-unknown-bound", "counterexample-k-1"])
+    (["counterexample", "--k", "101"], "counterexample takes --k <= 100: its time grows about as k^4"),
+], ids=["audit-no-bound", "audit-unknown-bound", "counterexample-k-1", "counterexample-k-101"])
 def test_missing_or_out_of_range_options_are_usage_errors(workdir, args, message):
     before = sorted(p.name for p in workdir.iterdir())
     r = run(args, workdir)

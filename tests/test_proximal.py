@@ -1,4 +1,5 @@
 """Moreau-Yosida values, resolvent sets, and gradient-curve runs."""
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,8 @@ from selfcontract.proximal import (
 )
 from selfcontract.spaces.base import Point
 from selfcontract.widths import random_tree
+
+from test_spaces import _bits
 
 
 def line():
@@ -540,3 +543,109 @@ def test_invalid_tau(plane):
         resolvent(f, plane, plane.point((0.0, 0.0)), 0.0)
     with pytest.raises(GeometryError):
         discrete_gradient_curve(f, plane, plane.point((0.0, 0.0)), [0.5, -1.0])
+
+
+def exact_prox_objectives(rng):
+    """Every catalogue objective with an exact prox: the two distances on
+    the six space kinds, max_two_dists where a rule gives its prox, and the
+    leg, edge and spine segment distances."""
+    tree = random_tree(seed=78, max_edges=10, max_degree=5)
+    spider, book = sc.SpiderSpace(4), sc.BookSpace(3)
+    spaces = [sc.EuclideanSpace(1), sc.EuclideanSpace(2), sc.HyperbolicPlane(),
+              spider, tree, book]
+    out = []
+    for space in spaces:
+        for name in ("half_sq_dist", "dist"):
+            out.append(make_objective(space, name, target=space.random_point(rng, 2.0)))
+        if space is not book:
+            out.append(make_objective(space, "max_two_dists",
+                                      target=space.random_point(rng, 2.0),
+                                      other=space.random_point(rng, 2.0)))
+    lo, hi = sorted(float(v) for v in rng.uniform(0.0, 1.0, 2))
+    out.append(make_objective(spider, "dist_to_leg_segment", leg=2, lo=lo, hi=hi))
+    lo, hi = sorted(float(v) for v in rng.uniform(0.0, tree.edges[1][2], 2))
+    out.append(make_objective(tree, "dist_to_edge_segment", edge=1, lo=lo, hi=hi))
+    lo, hi = sorted(float(v) for v in rng.uniform(-1.0, 1.0, 2))
+    out.append(make_objective(book, "dist_to_spine_segment", lo=lo, hi=hi))
+    assert all(f.prox is not None for f in out)
+    return out
+
+
+def test_exact_prox_reports_f_at_its_point():
+    """An exact prox sets `f_value` to f(point), the same float, and the
+    value is that f plus the quadratic, as before."""
+    rng = np.random.default_rng(2038)
+    for f in exact_prox_objectives(rng):
+        space = f.space
+        for tau in (0.3, 0.8, 4.0):
+            x = space.random_point(rng, 2.0)
+            res = resolvent(f, space, x, tau)
+            where = (space.describe(), f.name, tau, x.data)
+            assert res.status == UNIQUE and res.evals == 0, where
+            assert res.f_value.hex() == f(res.point).hex(), where
+            d = space.distance(x, res.point)
+            assert res.value == res.f_value + d * d / (2.0 * tau), where
+
+
+def test_f_value_is_none_off_the_exact_path():
+    """Candidate sets (the neg_cube_unit tie at {0, 1} too), the numeric
+    solver (book max_two_dists) and an unbounded step leave `f_value` None."""
+    space = line()
+    f = make_objective(space, "neg_cube_unit")
+    tie = resolvent(f, space, space.point((0.0,)), 0.5)
+    assert tie.status == MULTIPLE_TIES and tie.f_value is None
+    for name in ("neg_cube_unit", "sqrt_abs", "ripple_vee"):
+        res = resolvent(make_objective(space, name), space, space.point((0.4,)), 0.8)
+        assert res.evals > 0 and res.f_value is None
+    book = sc.BookSpace(3)
+    f = make_objective(book, "max_two_dists", target=(1, 0.5, 0.8), other=(2, -0.3, 0.4))
+    res = resolvent(f, book, book.point((3, 0.2, 0.3)), 0.5)
+    assert res.status == UNIQUE and res.evals > 0 and res.f_value is None
+    res = resolvent(make_objective(space, "neg_cube"), space, space.point((0.5,)), 0.5)
+    assert res.status == UNBOUNDED and res.f_value is None
+
+
+def counting(f):
+    calls = [0]
+
+    def fn(z):
+        calls[0] += 1
+        return f.fn(z)
+    return dataclasses.replace(f, fn=fn), calls
+
+
+def test_exact_run_evaluates_f_once_per_step():
+    """An exact-prox run of n steps calls f 1 + n times (the start, then
+    once per step inside the resolvent) and takes the same values; a
+    candidate-set run calls it once per candidate and once per step."""
+    rng = np.random.default_rng(2039)
+    for f in exact_prox_objectives(rng):
+        space = f.space
+        counted, calls = counting(f)
+        x0 = space.random_point(rng, 2.0)
+        run = discrete_gradient_curve(counted, space, x0, [0.4] * 6)
+        assert run.diagnostic is None and len(run.points) == 7
+        assert calls[0] == 1 + 6, (space.describe(), f.name)
+        assert _bits(run.values) == _bits(tuple(f(p) for p in run.points))
+    space = line()
+    for name in ("neg_cube_unit", "sqrt_abs", "ripple_vee"):
+        f = make_objective(space, name)
+        counted, calls = counting(f)
+        run = discrete_gradient_curve(counted, space, space.point((0.7,)), [0.5] * 4)
+        assert len(run.points) == 5
+        per_step = [len(f.candidates(p, 0.5)) + 1 for p in run.points[:-1]]
+        assert calls[0] == 1 + sum(per_step), name
+
+
+def test_run_records_are_immutable(plane):
+    f = make_objective(plane, "dist", target=(1.0, 0.0))
+    x = plane.point((0.0, 0.0))
+    res = resolvent(f, plane, x, 0.5)
+    run = discrete_gradient_curve(f, plane, x, [0.5] * 2)
+    for record, field in ((res, "value"), (res, "f_value"), (run, "points"),
+                          (run, "diagnostic")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert res == resolvent(f, plane, x, 0.5) and hash(res) == hash(resolvent(f, plane, x, 0.5))
+    assert res._replace(status=MULTIPLE_TIES).status == MULTIPLE_TIES != res.status
+    assert run.times == [0.0, 0.5, 1.0]

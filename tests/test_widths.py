@@ -11,6 +11,7 @@ from selfcontract.measures import (
     estimate_condition_constants,
     radius_constants,
 )
+from selfcontract import widths
 from selfcontract.spaces.base import Direction
 from selfcontract.verify import is_self_contracted
 from selfcontract.widths import (
@@ -636,6 +637,58 @@ def test_early_exit_sampler_matches_list_then_all_oracle(space, monkeypatch):
         assert _curve_bits(got) == _curve_bits(want), (n_steps, seed)
         assert 0 < n_got == len(calls) - n_got, (n_steps, seed)
         calls.clear()
+
+
+def recomputing_distances_fall(dist, payloads, q, first):
+    """`_distances_fall` before the walk read pair `first`'s two distances:
+    the walk computes them again.  The reference for the sampler's curves."""
+    if first >= 0 and not dist(payloads[first + 1], q) <= dist(payloads[first], q):
+        return first
+    newer = dist(payloads[-1], q)
+    for i in range(len(payloads) - 2, -1, -1):
+        older = dist(payloads[i], q)
+        if not newer <= older:
+            return i
+        newer = older
+    return -1
+
+
+def test_walk_reads_the_first_pairs_distances(monkeypatch):
+    """Over 600 bound_audit-like specs (trees of 6-16 edges, books of 2, 3
+    and 5 sheets, the plane; 10, 10 and 14 steps) every sampled curve is the
+    recomputing oracle's, payloads and times, and each kind makes strictly
+    fewer `_dist` calls, counted by wrapping `space._dist`."""
+    rng = np.random.default_rng([1, 4])
+    specs = []
+    for i in range(600):
+        kind = ("tree", "book", "plane")[i % 3]
+        tree_args = {"seed": int(rng.integers(1 << 31)), "max_edges": int(rng.integers(6, 17)),
+                     "max_degree": int(rng.integers(3, 7))}
+        specs.append((kind, tree_args, (2, 3, 5)[(i // 3) % 3], int(rng.integers(1 << 31))))
+
+    def sample_all():
+        curves, calls = [], {"tree": 0, "book": 0, "plane": 0}
+        for kind, tree_args, book_k, seed in specs:
+            space = {"tree": lambda: random_tree(**tree_args), "book": lambda: sc.BookSpace(book_k),
+                     "plane": lambda: sc.EuclideanSpace(2)}[kind]()
+            dist = space._dist
+
+            def counted(a, b, dist=dist, kind=kind):
+                calls[kind] += 1
+                return dist(a, b)
+            space._dist = counted
+            curve = random_self_contracted(space, {"tree": 10, "book": 10, "plane": 14}[kind],
+                                           seed=seed)
+            curves.append((curve.payloads, curve.times))
+        return curves, calls
+
+    curves, calls = sample_all()
+    monkeypatch.setattr(widths, "_distances_fall", recomputing_distances_fall)
+    want, want_calls = sample_all()
+    assert _bits(tuple(curves)) == _bits(tuple(want))
+    assert sum(len(p) > 1 for p, _ in curves) > 500
+    for kind in calls:
+        assert 0 < calls[kind] < want_calls[kind], (kind, calls, want_calls)
 
 
 def test_rise_search_order_keeps_the_answer():
