@@ -669,8 +669,8 @@ def test_walk_reads_the_first_pairs_distances(monkeypatch):
     def sample_all():
         curves, calls = [], {"tree": 0, "book": 0, "plane": 0}
         for kind, tree_args, book_k, seed in specs:
-            space = {"tree": lambda: random_tree(**tree_args), "book": lambda: sc.BookSpace(book_k),
-                     "plane": lambda: sc.EuclideanSpace(2)}[kind]()
+            space = (random_tree(**tree_args) if kind == "tree"
+                     else sc.BookSpace(book_k) if kind == "book" else sc.EuclideanSpace(2))
             dist = space._dist
 
             def counted(a, b, dist=dist, kind=kind):
