@@ -82,7 +82,14 @@ def estimate_condition_constants(space: Space, region: NeighborhoodRegion,
     if not 0.0 < sigma < math.inf:
         raise GeometryError("sigma must be positive and finite")
     space.own(region.points[0])  # the region's points share one space
-    return space._condition_constants([p.data for p in region.points], region.radius, sigma)
+    try:
+        rc = space._condition_constants([p.data for p in region.points], region.radius, sigma)
+    except ZeroDivisionError:  # a region that measures 0.0
+        rc = None
+    if rc is None or not 0.0 < rc.b < math.inf:
+        raise GeometryError("no positive finite constant b: the region measures 0 "
+                            "or past the largest float")
+    return rc
 
 
 def _merge_length(intervals: list[tuple[float, float]]) -> float:

@@ -11,7 +11,7 @@ from typing import Sequence
 
 from .errors import GeometryError, SpaceMismatchError
 from .measures import _height
-from .spaces.base import Point, Space
+from .spaces.base import Point, Space, finite_fsum
 
 DISCRETE = "discrete"
 GEODESIC = "geodesic"
@@ -118,7 +118,8 @@ def curve_length(curve: Curve) -> float:
     exactly, so refinement never changes the geodesic-mode value.
     """
     space, payloads = curve.space, curve.payloads
-    return math.fsum(space._dist(a, b) for a, b in zip(payloads, payloads[1:]))
+    return finite_fsum((space._dist(a, b) for a, b in zip(payloads, payloads[1:])),
+                       "the curve's segment lengths")
 
 
 def diameter(points: Sequence[Point]) -> float:

@@ -366,6 +366,14 @@ def tangent_mean(germs: Sequence[tuple], radii: Sequence[float],
     return tuple(x / length for x in vec), length
 
 
+def finite_fsum(values: Iterable[float], what: str) -> float:
+    """The exactly rounded sum of the values, refused where it overflows."""
+    try:
+        return math.fsum(values)
+    except OverflowError:  # finite values whose sum is not
+        raise GeometryError(f"{what} sum past the largest float") from None
+
+
 def sqrt_fsum(squares: Iterable[float]) -> float:
     """The square root of the exactly rounded sum of the squares."""
     try:

@@ -34,7 +34,7 @@ class HyperbolicPlane(Space):
             raise GeometryError("non-finite coordinate")
         if data[0] <= 0:
             raise GeometryError("point not on the upper sheet")
-        if abs(mdot(data, data) + 1.0) > 1e-6:
+        if not abs(mdot(data, data) + 1.0) <= 1e-6:  # NaN where the norm overflows
             raise GeometryError("point not on the hyperboloid <x,x> = -1")
 
     def _canonical(self, data: tuple) -> tuple:

@@ -13,7 +13,15 @@ from typing import Sequence
 
 from ..errors import GeometryError
 from ..measures import RadiusConstants, _merge_length, covering_theta
-from .base import DEFAULT_TOLERANCE, RANDOM_BLOCK, Point, Space, first_unlike, integral_index
+from .base import (
+    DEFAULT_TOLERANCE,
+    RANDOM_BLOCK,
+    Point,
+    Space,
+    finite_fsum,
+    first_unlike,
+    integral_index,
+)
 
 
 def _on_segments(r: float, lengths: Sequence[float]) -> tuple[int, float]:
@@ -23,14 +31,6 @@ def _on_segments(r: float, lengths: Sequence[float]) -> tuple[int, float]:
         if r <= length or i == len(lengths) - 1:
             return (i, min(r, length))
         r -= length
-
-
-def _total_length(lengths: Sequence[float]) -> float:
-    """The sum of the segment lengths, refused where it overflows."""
-    try:
-        return math.fsum(lengths)
-    except OverflowError:  # finite lengths whose sum is not
-        raise GeometryError("the segment lengths sum past the largest float") from None
 
 
 class TreeSpace(Space):
@@ -57,7 +57,7 @@ class TreeSpace(Space):
                 raise GeometryError("self-loop edge")
             self.edges.append((index[u], index[v], float(length)))
         self._edge_lengths = [length for _, _, length in self.edges]
-        self._total_length = _total_length(self._edge_lengths)
+        self._total_length = finite_fsum(self._edge_lengths, "the segment lengths")
         n = len(self.vertex_names)
         if len(self.edges) != n - 1:
             raise GeometryError("a tree on n vertices has exactly n-1 edges")
@@ -371,7 +371,7 @@ class SpiderSpace(Space):
         if len(lengths) != self.k or not all(0 < x < math.inf for x in lengths):
             raise GeometryError("need one positive finite length per leg")
         self.leg_lengths = tuple(lengths)
-        self._total_length = _total_length(self.leg_lengths)
+        self._total_length = finite_fsum(self.leg_lengths, "the segment lengths")
 
     def describe(self) -> str:
         return f"spider:{self.k}"

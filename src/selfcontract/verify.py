@@ -24,6 +24,7 @@ from .spaces.base import Point, Space
 
 VIOLATION_TOL = 1e-9
 ANGLE_TOL = 1e-6  # radians, the angle estimate's own tolerance
+CONTRACTION_TOL = 1e-6  # the run-contraction check's tolerance
 
 
 @dataclass(frozen=True)
@@ -139,9 +140,8 @@ def is_self_contracted(space: Space, curve: Curve,
     )
 
 
-def tail_monotonicity(space: Space, curve: Curve, T: float,
-                      cfg: SamplingConfig = DEFAULT_SAMPLING) -> ViolationReport:
-    """t -> d(xi(t), xi(T)) must be non-increasing for t <= T."""
+def tail_monotonicity(space: Space, curve: Curve, T: float) -> ViolationReport:
+    """t -> d(xi(t), xi(T)) is non-increasing for t <= T, to VIOLATION_TOL."""
     times = curve.times
     if not any(abs(t - T) <= 1e-12 for t in times):
         raise GeometryError(f"T={T} is not a sample time")
@@ -154,7 +154,7 @@ def tail_monotonicity(space: Space, curve: Curve, T: float,
         "d_t1_T": dists[pair[0]], "d_t2_T": dists[pair[1]]}
     return ViolationReport(
         check="tail_monotonicity", max_violation=worst, n_checked=len(head),
-        tolerance=cfg.tolerance, witness=witness,
+        tolerance=VIOLATION_TOL, witness=witness,
     )
 
 
@@ -187,9 +187,9 @@ def stationarity_check(space: Space, curve: Curve,
     )
 
 
-def reparam_preserves(space: Space, curve: Curve, phi: Callable[[float], float],
-                      cfg: SamplingConfig = DEFAULT_SAMPLING) -> ViolationReport:
-    """Self-contractedness of t -> xi(phi(t)) for non-decreasing phi.
+def reparam_preserves(space: Space, curve: Curve,
+                      phi: Callable[[float], float]) -> ViolationReport:
+    """`is_self_contracted` of t -> xi(phi(t)) for non-decreasing phi.
 
     phi need not be continuous or injective, but decreasing anywhere on
     the 64-point probe grid is an error.
@@ -201,32 +201,28 @@ def reparam_preserves(space: Space, curve: Curve, phi: Callable[[float], float],
         raise GeometryError("phi must be non-decreasing")
     pts = [curve.point_at(min(max(v, t0), t1)) for v in values]
     reparam = make_curve(pts, grid, mode="discrete")
-    inner = is_self_contracted(space, reparam, cfg)
+    inner = is_self_contracted(space, reparam)
     return dataclasses.replace(inner, check="reparam_preserves")
 
 
 def angle_estimate_check(space: Space, curve: Curve, tau: float,
                          t1: float, t2: float) -> float:
-    """Angle at xi(tau) between the germs toward xi(t1) and xi(t2).
-
-    For self-contracted curves this must be < pi/2.  Triples whose later
-    points coincide with xi(tau) have no angle and raise.
-    """
+    """Angle at xi(tau) between the germs toward xi(t1) and xi(t2), read
+    from the sweep's kernels at xi(tau)'s payload, so a sweep witness's
+    angle.  For self-contracted curves it is < pi/2.  Triples whose later
+    points coincide with xi(tau) have no angle and raise."""
     if not (t1 > tau and t2 > tau):
         raise GeometryError("need t1, t2 > tau")
-    base = curve.point_at(tau)
-    p1 = curve.point_at(t1)
-    p2 = curve.point_at(t2)
-    if space.same_point(base, p1) or space.same_point(base, p2):
+    base = space.own(curve.point_at(tau))
+    later = [space.own(curve.point_at(t)) for t in (t1, t2)]
+    dists = space._dist_row(base, later)
+    if any(d <= space.tolerance for d in dists):
         raise GeometryError("degenerate triple: later point equals xi(tau)")
-    d1, _ = space.log_direction(base, p1)
-    d2, _ = space.log_direction(base, p2)
-    return space.direction_angle(d1, d2)
+    return space._angle(base, *space._log_row(base, later, dists))
 
 
 def angle_estimate_sweep(space: Space, curve: Curve,
-                         cfg: SamplingConfig = DEFAULT_SAMPLING, tol: float = ANGLE_TOL
-                         ) -> ViolationReport:
+                         cfg: SamplingConfig = DEFAULT_SAMPLING) -> ViolationReport:
     """Max angle-estimate excess over all admissible sampled triples.
 
     At each base xi(tau) one `Space._log_row` call builds the germs toward
@@ -239,7 +235,7 @@ def angle_estimate_sweep(space: Space, curve: Curve,
     sweep of n samples O(n^2 log n).  A book's spine base whose germs lie
     in two or more sheets, and every base on `euclidean:n >= 3` and
     products, takes the scalar loop, O(m^2), which makes a sweep of such
-    bases O(n^3).
+    bases O(n^3).  The report's tolerance is ANGLE_TOL.
     """
     times, payloads = _effective_samples(space, curve, cfg)
     worst = -math.inf
@@ -260,14 +256,13 @@ def angle_estimate_sweep(space: Space, curve: Curve,
                        "angle": space._angle(base, germs[a], germs[b])}
     return ViolationReport(
         check="angle_estimate", max_violation=worst if n_checked else 0.0,
-        n_checked=max(n_checked, 1), tolerance=tol, witness=witness,
+        n_checked=max(n_checked, 1), tolerance=ANGLE_TOL, witness=witness,
     )
 
 
-def ball_confinement_check(space: Space, curve: Curve, x: Point, r: float,
-                           cfg: SamplingConfig = DEFAULT_SAMPLING
+def ball_confinement_check(space: Space, curve: Curve, x: Point, r: float
                            ) -> ViolationReport:
-    """Between two visits to B(x, r) the curve must stay in B(x, 3r)."""
+    """Between two visits to B(x, r) the curve stays in B(x, 3r), to VIOLATION_TOL."""
     if r <= 0:
         raise GeometryError("radius must be positive")
     _own_curve(space, curve)
@@ -284,7 +279,7 @@ def ball_confinement_check(space: Space, curve: Curve, x: Point, r: float,
                        "allowed": 3.0 * r}
     return ViolationReport(
         check="ball_confinement", max_violation=worst,
-        n_checked=max(len(between), 1), tolerance=cfg.tolerance, witness=witness,
+        n_checked=max(len(between), 1), tolerance=VIOLATION_TOL, witness=witness,
     )
 
 
@@ -340,9 +335,8 @@ def evi_residual(space: Space, objective: ObjectiveFn, curve: Curve,
 
 
 def contraction_check(space: Space, objective: ObjectiveFn,
-                      run1: GradientCurveRun, run2: GradientCurveRun,
-                      tol: float = 1e-6) -> ViolationReport:
-    """Inter-run distances at matched steps must be non-increasing.
+                      run1: GradientCurveRun, run2: GradientCurveRun) -> ViolationReport:
+    """Inter-run distances at matched steps are non-increasing, to CONTRACTION_TOL.
 
     Asserted for convex objectives; for merely quasi-convex ones the
     report is informational (the property can genuinely fail).
@@ -356,7 +350,7 @@ def contraction_check(space: Space, objective: ObjectiveFn,
         "d_earlier": dists[pair[0]], "d": dists[pair[1]]}
     return ViolationReport(
         check="contraction", max_violation=worst, n_checked=len(dists),
-        tolerance=tol, witness=witness,
+        tolerance=CONTRACTION_TOL, witness=witness,
         informational=not objective.is_convex,
     )
 

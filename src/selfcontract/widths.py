@@ -22,7 +22,7 @@ from .measures import (
     radius_constants,
 )
 from .metric import DISCRETE, Curve, curve_length, diameter, make_curve
-from .spaces.base import Direction, Point, Space
+from .spaces.base import Direction, Point, Space, finite_fsum
 from .spaces.book import BookSpace
 from .spaces.euclidean import EuclideanSpace
 from .spaces.tree import SpiderSpace, TreeSpace
@@ -138,7 +138,8 @@ def _plane_quadrature_width(pts: list[Point], inflate: float) -> WidthReport:
 
     ordered = sorted({p.data for p in pts})
     hull = half(ordered) + half(reversed(ordered))
-    perimeter = math.fsum(math.dist(hull[i - 1], hull[i]) for i in range(len(hull)))
+    perimeter = finite_fsum((math.dist(hull[i - 1], hull[i]) for i in range(len(hull))),
+                            "the convex hull's side lengths")
     return WidthReport(width=perimeter / math.pi + 2.0 * inflate, n_directions=0,
                        seed=None, stderr=0.0, method="quadrature")
 

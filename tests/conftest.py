@@ -69,6 +69,20 @@ def small_tree():
     return sc.load_tree_file(SMALL_TREE_TEXT)
 
 
+# the spaces of the germ-kernel oracle tests; the random tree has a vertex
+# of degree 3
+GERM_SPACES = [
+    sc.EuclideanSpace(1),
+    sc.EuclideanSpace(2),
+    sc.EuclideanSpace(3),
+    sc.HyperbolicPlane(),
+    sc.SpiderSpace(3),
+    sc.BookSpace(3),
+    sc.random_tree(seed=78, max_edges=10, max_degree=5),
+    sc.parse_space_spec("product:[euclidean:1|spider:3]"),
+]
+
+
 def random_point_pairs(space, rng, n, scale=1.5):
     for _ in range(n):
         yield space.random_point(rng, scale), space.random_point(rng, scale)

@@ -158,7 +158,7 @@ def test_criteria_05_06_gradient_run_suite():
             interp = run.interpolated_curve()
             rep = is_self_contracted(space, interp)
             assert rep.passed, rep.witness
-            ang = angle_estimate_sweep(space, interp, tol=1e-6)
+            ang = angle_estimate_sweep(space, interp)
             worst_angle = max(worst_angle, ang.max_violation)
         assert worst_discrete <= 1e-9, worst_discrete
     with criterion(6, "angle estimate < pi/2 + 1e-6", 1.0):
@@ -356,7 +356,7 @@ def test_criterion_13_contraction():
                 taus = [0.5] * 6
                 r1 = sc.discrete_gradient_curve(f, space, s1, taus)
                 r2 = sc.discrete_gradient_curve(f, space, s2, taus)
-                rep = contraction_check(space, f, r1, r2, tol=1e-6)
+                rep = contraction_check(space, f, r1, r2)
                 worst = max(worst, rep.max_violation)
                 assert rep.passed, (space.describe(), rep.witness)
         assert worst <= 1e-6, worst

@@ -219,6 +219,47 @@ def test_verify_rejects_hostile_curve_files(tmp_path, doc):
         assert "Traceback" not in r.stderr
 
 
+def test_verify_refuses_a_hyperbolic_sample_whose_norm_overflows(tmp_path):
+    """The sample (1e200, 1e200, 0) used to read as (nan, nan, nan), and a
+    geodesic curve through it passed all four checks with exit 0."""
+    doc = {**_curve_doc({"kind": "hyperbolic2", "tolerance": 1e-9},
+                        [[1.0, 0.0, 0.0], [1e200, 1e200, 0.0]]), "mode": "geodesic"}
+    (tmp_path / "far.json").write_text(json.dumps(doc))
+    r = run(["verify", "far.json", "--out", "ver.json",
+             "--check", "self_contracted,tail_halving,angle_estimate,stationarity"], tmp_path)
+    assert r.returncode == 2, (r.stdout, r.stderr)
+    assert "not on the hyperboloid" in r.stderr and "Traceback" not in r.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["far.json"]
+
+
+PLANE = {"kind": "euclidean", "dim": 2, "tolerance": 1e-9}
+THREE = (0.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("doc, bound, message", [
+    (_curve_doc(PLANE, [[0.0, 0.0], [1e308, 0.0], [1e308, 1e308]], THREE), "euclidean",
+     "the convex hull's side lengths sum past the largest float"),
+    (_curve_doc(LINE, [[0.0], [1e308], [0.0]], THREE), "generic",
+     "the curve's segment lengths sum past the largest float"),
+    (_curve_doc({**SPIDER3, "leg_lengths": [1e308, 1.0, 1.0]},
+                [[1, 1e308], [2, 1.0], [1, 1e308]], THREE), "tree",
+     "the curve's segment lengths sum past the largest float"),
+    (_curve_doc(PLANE, [[1e308, 0.0], [-1e308, 0.0]]), "generic",
+     "no positive finite constant b"),
+    (_curve_doc(LINE, [[1.7e308], [-1.7e308]]), "generic", "no positive finite constant b"),
+], ids=["plane-perimeter", "line-length", "spider-length", "plane-measure-inf",
+        "line-measure-zero"])
+def test_audit_refuses_overflowing_lengths_and_measures(tmp_path, doc, bound, message):
+    """Finite coordinates whose hull perimeter or curve length sums past the
+    largest float used to end in `OverflowError: intermediate overflow in
+    fsum`, and a region that measures inf or 0.0 in `ZeroDivisionError`."""
+    (tmp_path / "c.json").write_text(json.dumps(doc))
+    r = run(["audit", "c.json", "--bound", bound, "--out", "aud"], tmp_path)
+    assert r.returncode == 2, (r.stdout, r.stderr)
+    assert f"error: {message}" in r.stderr and "Traceback" not in r.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
 @pytest.mark.parametrize("space", ["spider:3:nan", "spider:3:inf"])
 def test_simulate_rejects_non_finite_leg_lengths(tmp_path, space):
     (tmp_path / "bad.cfg").write_text(

@@ -4,6 +4,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from conftest import GERM_SPACES
 
 import selfcontract as sc
 from selfcontract.cones import (
@@ -334,6 +335,73 @@ def test_cover_center_tree_and_book(spider3, book2):
     ]
     center, radius, m = direction_cover_center(book2, sp, dirs)
     assert radius <= math.acos(1.0 / (2.0 * m)) + 1e-7
+
+
+WIDE = "direction set has angular diameter > pi/2"
+
+
+def loop_wider_than_a_quarter_turn(space, dirs) -> bool:
+    """The pairwise `direction_angle` loop of `direction_cover_center`'s
+    guard: the reference."""
+    return any(space.direction_angle(a, b) > math.pi / 2.0 + 1e-7
+               for i, a in enumerate(dirs) for b in dirs[i + 1:])
+
+
+def refused_as_wide(space, base, dirs) -> bool:
+    """Whether `direction_cover_center` refuses the set at its guard; past
+    the guard it may still refuse a degenerate barycenter."""
+    try:
+        direction_cover_center(space, base, dirs)
+    except GeometryError as e:
+        return str(e) == WIDE
+    return False
+
+
+def _tail_like_dirs(space, rng, m):
+    """Germs at a random base toward m points on the geodesics from one
+    anchor point toward random points, at most a random share of the way,
+    so that the sets' diameters fall on both sides of a quarter-turn."""
+    base = space.random_point(rng, 1.5)
+    anchor = space.random_point(rng, 1.5)
+    spread = float(rng.choice([0.05, 0.3, 1.0]))
+    targets = [space.geodesic_point(anchor, space.random_point(rng, 1.5),
+                                    float(rng.uniform(0.0, spread))) for _ in range(m)]
+    return base, [space.log_direction(base, q)[0] for q in targets
+                  if not space.same_point(base, q)]
+
+
+@pytest.mark.parametrize("space", GERM_SPACES, ids=lambda s: s.describe())
+def test_cover_guard_matches_the_pairwise_loop(space, rng):
+    """250 direction sets of 1-40 germs per space: the guard refuses a set
+    exactly when some pair's `direction_angle` exceeds pi/2 + 1e-7."""
+    decisions = {True: 0, False: 0}
+    while sum(decisions.values()) < 250:
+        base, dirs = _tail_like_dirs(space, rng, int(rng.integers(1, 41)))
+        if not dirs:
+            continue
+        wide = loop_wider_than_a_quarter_turn(space, dirs)
+        assert refused_as_wide(space, base, dirs) == wide
+        decisions[wide] += 1
+    assert min(decisions.values()) >= 10, decisions
+
+
+def test_cover_guard_matches_the_pairwise_loop_near_the_threshold(plane, rng):
+    """Plane pairs, and pairs with a third germ between them, whose angle
+    lies within a few ulps of pi/2 + 1e-7, each pair turned by a random
+    angle: the rounded decision is the loop's on both sides."""
+    base = plane.point((0.0, 0.0))
+    limit = math.pi / 2.0 + 1e-7
+    decisions = {True: 0, False: 0}
+    for _ in range(40):
+        phi = float(rng.uniform(-math.pi, math.pi))
+        for k in range(-6, 7):
+            theta = limit + k * math.ulp(limit)
+            angles = [phi, phi + theta] + ([phi + 0.5 * theta] if k % 2 else [])
+            dirs = unit_dirs(plane, base, [(math.cos(a), math.sin(a)) for a in angles])
+            wide = loop_wider_than_a_quarter_turn(plane, dirs)
+            assert refused_as_wide(plane, base, dirs) == wide
+            decisions[wide] += 1
+    assert min(decisions.values()) >= 100, decisions
 
 
 def test_radius_constants_table():

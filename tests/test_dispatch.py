@@ -127,6 +127,22 @@ def test_one_to_many_distances_read_rows():
     assert "NeighborhoodRegion.contains_neighborhood" not in _distance_callers("measures")
 
 
+def _attribute_calls(module: str, function: str) -> set[str]:
+    return {node.func.attr for node, scope in _scoped_nodes(PACKAGE / f"{module}.py")
+            if function in scope and isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)}
+
+
+def test_angle_check_and_cover_guard_read_the_germ_kernels():
+    """`angle_estimate_check` takes its germs from one `_log_row` row, as
+    the sweep does at each base, not from the Point-level directions, and
+    `direction_cover_center`'s pi/2 guard is one `_germ_diameter` call."""
+    check = _attribute_calls("verify", "angle_estimate_check")
+    assert "_log_row" in check
+    assert not check & {"log_direction", "direction_angle", "same_point"}
+    assert "_germ_diameter" in _attribute_calls("cones", "direction_cover_center")
+
+
 def _concrete_spaces() -> dict[str, type]:
     modules = [importlib.import_module(f"{spaces.__name__}.{info.name}")
                for info in pkgutil.iter_modules(spaces.__path__)]

@@ -1005,6 +1005,13 @@ def test_non_finite_coordinates_rejected(space, payload):
         space.point(payload)
 
 
+def test_hyperbolic_payload_whose_minkowski_norm_overflows_is_refused(hyperbolic):
+    """<x, x> of (1e200, 1e200, 0) is inf - inf, NaN, which the test
+    `abs(<x, x> + 1) > 1e-6` let through: `point` returned (nan, nan, nan)."""
+    with pytest.raises(GeometryError, match="not on the hyperboloid"):
+        hyperbolic.point([1e200, 1e200, 0.0])
+
+
 @pytest.mark.parametrize("make", [
     lambda: sc.SpiderSpace(3, NAN),
     lambda: sc.SpiderSpace(3, INF),

@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import GERM_SPACES
 from hypothesis import given, settings, strategies as st
 
 import selfcontract as sc
@@ -732,6 +733,84 @@ def test_angle_sweep_matches_the_scalar_sweep(space, rng):
             assert rep.max_violation.hex() == worst.hex()
             assert rep.witness == witness
             assert rep.n_checked == n_checked
+
+
+def loop_angle_estimate_check(space, curve, tau, t1, t2):
+    """angle_estimate_check through the public `same_point`,
+    `log_direction` and `direction_angle`: the reference."""
+    if not (t1 > tau and t2 > tau):
+        raise GeometryError("need t1, t2 > tau")
+    base = curve.point_at(tau)
+    p1 = curve.point_at(t1)
+    p2 = curve.point_at(t2)
+    if space.same_point(base, p1) or space.same_point(base, p2):
+        raise GeometryError("degenerate triple: later point equals xi(tau)")
+    d1, _ = space.log_direction(base, p1)
+    d2, _ = space.log_direction(base, p2)
+    return space.direction_angle(d1, d2)
+
+
+def _angle_or_refusal(check, *args):
+    try:
+        return check(*args)
+    except GeometryError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("mode", ["discrete", "geodesic"])
+@pytest.mark.parametrize("space", GERM_SPACES, ids=lambda s: s.describe())
+def test_angle_estimate_check_matches_the_point_level_loop(space, mode, rng):
+    """400 triples per space and curve mode, at sample times and between
+    them, on curves with a repeated sample, some with t1 or t2 not after
+    tau.  Every angle and every refusal is the reference's, bit for bit,
+    but on H^2, where `log_direction` re-canonicalizes the base, so the
+    reference's angle may differ by up to 2 ulp(pi)."""
+    outcomes = {"angle": 0, "refused": 0}
+    for trial in range(40):
+        pts = [space.random_point(rng, 1.3) for _ in range(int(rng.integers(2, 7)))]
+        if len(pts) > 3:
+            pts[3] = pts[1]
+        curve = sc.make_curve(pts, mode=mode)
+        times = curve.times
+        for _ in range(10):
+            tau, t1, t2 = sorted(float(times[int(rng.integers(len(times)))])
+                                 if rng.random() < 0.5
+                                 else float(rng.uniform(times[0], times[-1]))
+                                 for _ in range(3))
+            if rng.random() < 0.5:
+                t1, t2 = t2, t1
+            got = _angle_or_refusal(angle_estimate_check, space, curve, tau, t1, t2)
+            ref = _angle_or_refusal(loop_angle_estimate_check, space, curve, tau, t1, t2)
+            assert type(got) is type(ref), (got, ref)
+            if isinstance(ref, str):
+                assert got == ref
+                outcomes["refused"] += 1
+                continue
+            outcomes["angle"] += 1
+            if isinstance(space, sc.HyperbolicPlane):
+                assert abs(got - ref) <= 2.0 * math.ulp(math.pi), (got, ref)
+            else:
+                assert got.hex() == ref.hex()
+    assert outcomes["angle"] >= 100 and outcomes["refused"] >= 20, outcomes
+
+
+@pytest.mark.parametrize("space", GERM_SPACES, ids=lambda s: s.describe())
+def test_angle_estimate_check_returns_the_sweep_witness_angle(space, rng):
+    """On discrete curves the check at the sweep's witness times returns
+    the witness angle bit for bit, since both read the same kernels at the
+    same payload.  The Point-level loop missed it on H^2 by an ulp or two
+    at a few of these witnesses."""
+    witnesses = 0
+    for trial in range(150):
+        pts = [space.random_point(rng, 1.5) for _ in range(int(rng.integers(2, 9)))]
+        curve = sc.make_curve(pts, mode="discrete")
+        w = angle_estimate_sweep(space, curve).witness
+        if w is None:
+            continue
+        witnesses += 1
+        angle = angle_estimate_check(space, curve, w["tau"], w["t1"], w["t2"])
+        assert angle.hex() == w["angle"].hex(), (w, angle)
+    assert witnesses >= 100
 
 
 def test_angle_sweep_budget_on_a_481_sample_plane_run():
